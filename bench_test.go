@@ -5,6 +5,7 @@
 package macroflow
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"macroflow/internal/cnv"
 	"macroflow/internal/dataset"
 	"macroflow/internal/fabric"
+	"macroflow/internal/implcache"
 	"macroflow/internal/ml"
 	"macroflow/internal/netlist"
 	"macroflow/internal/obs"
@@ -691,6 +693,83 @@ func BenchmarkPlaceDetailed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := place.Place(fix.dev, m, rep, pb.Rect, cfg.Place); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// --- the min-CF probe loop ------------------------------------------------
+//
+// A linear sweep is one place.Plan and hundreds of Plan.Place probes,
+// about nine in ten of them placement rejects. These three pin the
+// per-probe costs on weights_14, the block with the longest sweep of
+// cnvW1A1: a reject and an accept on a reused plan (what a search pays
+// per probe), and the content hash a plan and every cache lookup derive
+// once per module.
+
+// weights14Probes walks weights_14's linear sweep and returns the module
+// with the largest rectangle the placer rejects and the minimal-CF
+// rectangle.
+func weights14Probes(b *testing.B) (m *netlist.Module, rep place.ShapeReport, reject, ok fabric.Rect) {
+	b.Helper()
+	fixtures(b)
+	ti, rep := cnvModule(b, "weights_14")
+	m, _ = fix.design.Module(ti)
+	cfg := pblock.DefaultConfig()
+	plan := place.NewPlan(m, rep)
+	for i := 0; ; i++ {
+		cf := math.Round((minCFBenchSearch.Start+float64(i)*minCFBenchSearch.Step)*50) / 50 // the sweep's grid
+		if cf > minCFBenchSearch.Max {
+			b.Fatal("weights_14: no feasible CF in the bench window")
+		}
+		pb, err := pblock.Build(fix.dev, rep, cf, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Place(fix.dev, pb.Rect, cfg.Place); err != nil {
+			reject = pb.Rect
+			continue
+		}
+		if _, err := pblock.ImplementPlan(fix.dev, plan, cf, cfg); err == nil {
+			return m, rep, reject, pb.Rect
+		}
+	}
+}
+
+// BenchmarkPlaceReject measures a rejected probe on a reused plan.
+func BenchmarkPlaceReject(b *testing.B) {
+	m, rep, reject, _ := weights14Probes(b)
+	plan := place.NewPlan(m, rep)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Place(fix.dev, reject, place.Options{}); err == nil {
+			b.Fatal("weights_14 placed in a rectangle its sweep rejects")
+		}
+	}
+}
+
+// BenchmarkPlaceOK measures an accepted probe on a reused plan.
+func BenchmarkPlaceOK(b *testing.B) {
+	m, rep, _, ok := weights14Probes(b)
+	plan := place.NewPlan(m, rep)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Place(fix.dev, ok, place.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkModuleHash measures the content hash of weights_14 (4415
+// cells), the key part every persistent-cache lookup recomputes.
+func BenchmarkModuleHash(b *testing.B) {
+	m, _, _, _ := weights14Probes(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if implcache.ModuleHash(m) == "" {
+			b.Fatal("empty hash")
 		}
 	}
 }

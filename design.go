@@ -598,11 +598,12 @@ func (f *Flow) constantImplement(m *netlist.Module, rep place.ShapeReport, cf fl
 		obs.String("module", m.Name), obs.Float("cf0", cf))
 	oracle := search.Obs.Counter("mincf.oracle_runs")
 	runs := 0
+	plan := place.NewPlan(m, rep)
 	for {
 		runs++
 		oracle.Add(1)
 		psp := ssp.Child("oracle.probe", obs.Float("cf", cf))
-		impl, err := pblock.Implement(f.dev, m, rep, cf, f.cfg)
+		impl, err := pblock.ImplementPlan(f.dev, plan, cf, f.cfg)
 		if err == nil {
 			psp.Set(obs.String("verdict", "feasible"))
 			psp.End()

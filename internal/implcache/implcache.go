@@ -177,28 +177,12 @@ func Key(parts ...string) string {
 
 // ModuleHash fingerprints a module's content, independent of its name:
 // renaming a module must not fake a change, but any structural change
-// (cells, nets, control sets, outputs) must.
+// (cells, nets, control sets, outputs) must. It is the SHA-256 of
+// netlist.Module.WriteContent's byte stream, the same stream the placer
+// derives its default seed from.
 func ModuleHash(m *netlist.Module) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "depth %d\n", m.LogicDepth)
-	for _, cs := range m.ControlSets {
-		fmt.Fprintf(h, "cs %d %d %d\n", cs.Clk, cs.Rst, cs.En)
-	}
-	for i := range m.Cells {
-		c := &m.Cells[i]
-		fmt.Fprintf(h, "cell %d %d %d %d\n", c.Kind, c.ControlSet, c.Chain, c.ChainPos)
-	}
-	for ni := range m.Nets {
-		n := &m.Nets[ni]
-		fmt.Fprintf(h, "net %d", n.Driver)
-		for _, s := range n.Sinks {
-			fmt.Fprintf(h, " %d", s)
-		}
-		fmt.Fprintln(h)
-	}
-	for _, o := range m.Outputs {
-		fmt.Fprintf(h, "out %d\n", o)
-	}
+	_ = m.WriteContent(h) // a hash.Hash never returns a write error
 	return hex.EncodeToString(h.Sum(nil))
 }
 

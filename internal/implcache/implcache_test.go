@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"macroflow/internal/cnv"
 	"macroflow/internal/rtlgen"
 	"macroflow/internal/synth"
 )
@@ -132,6 +133,27 @@ func TestModuleHashContentAddressed(t *testing.T) {
 	}
 	if build("alpha", 1) == build("alpha", 2) {
 		t.Error("structurally different modules must hash differently")
+	}
+}
+
+// TestModuleHashPinned pins the hash of two cnvW1A1 block types to the
+// values every cache directory written so far is keyed by. A failure
+// means the content stream (netlist.Module.WriteContent) or the
+// synthesis of these blocks changed, and every persisted record with
+// it: that must be a decision, not a side effect.
+func TestModuleHashPinned(t *testing.T) {
+	d := cnv.CNVW1A1()
+	for name, want := range map[string]string{
+		"weights_14": "2c31d6089b3ca0529bd62ff6c7ede24b249276c5a2251b2b46667ff2b870248f",
+		"mvau_l34":   "8020e664c6b6ec92e4400a366cede4295fe8363178347d6f40503ae90112740f",
+	} {
+		m, err := d.Module(d.TypeIndex(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ModuleHash(m); got != want {
+			t.Errorf("ModuleHash(%s) = %s, want %s", name, got, want)
+		}
 	}
 }
 

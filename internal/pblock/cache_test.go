@@ -175,3 +175,17 @@ func TestSearchKeyIgnoresStrategyAndWorkers(t *testing.T) {
 		t.Error("a different oracle config must change the cache key")
 	}
 }
+
+// TestConfigFingerprintPinned pins the fingerprint of the default oracle
+// configuration, a part of every persistent cache key. It prints
+// place.Options and route.Config with %+v, so adding, renaming or
+// reordering a field of either re-keys every cache directory in
+// existence; this test makes that a visible diff instead of an accident.
+func TestConfigFingerprintPinned(t *testing.T) {
+	const want = "aspect=1 ax=1 ay=0 " +
+		"route={CapacityPerTile:70 PeakLimit:3 MaxOverflowFrac:0.25 DetourInflate:1.5 AssumeRoutable:false} " +
+		"place={Seed:0 Compact:false IgnoreControlSets:false PreOccupy:0 Warm:<nil>}"
+	if got := ConfigFingerprint(DefaultConfig()); got != want {
+		t.Errorf("ConfigFingerprint(DefaultConfig()):\n got %s\nwant %s", got, want)
+	}
+}

@@ -177,12 +177,23 @@ type Implementation struct {
 
 // Implement builds the PBlock for cf and runs detailed placement and
 // routing. It returns an error when the module is infeasible at this cf.
+// It is the one-shot form of ImplementPlan.
 func Implement(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, cf float64, cfg Config) (*Implementation, error) {
-	pb, err := Build(dev, rep, cf, cfg)
+	return ImplementPlan(dev, place.NewPlan(m, rep), cf, cfg)
+}
+
+// ImplementPlan is Implement for a caller that probes one module at
+// several correction factors: the plan carries the module, its shape
+// report and everything the placer derives from them alone, so only the
+// first probe pays for it. Every search in this package owns one plan
+// for its duration; a verdict is the same from a fresh plan as from a
+// reused one.
+func ImplementPlan(dev *fabric.Device, plan *place.Plan, cf float64, cfg Config) (*Implementation, error) {
+	pb, err := Build(dev, plan.Shape(), cf, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := place.Place(dev, m, rep, pb.Rect, cfg.Place)
+	pl, err := plan.Place(dev, pb.Rect, cfg.Place)
 	if err != nil {
 		return nil, fmt.Errorf("cf %.2f: %w", cf, err)
 	}
@@ -332,6 +343,7 @@ func searchMinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s
 func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
 	runs := 0
 	oracle := s.Obs.Counter("mincf.oracle_runs")
+	plan := place.NewPlan(m, rep)
 	for i := 0; ; i++ {
 		cf := s.cfAt(i)
 		if s.Step <= 0 || cf > s.Max+1e-9 {
@@ -340,7 +352,7 @@ func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s
 		runs++
 		oracle.Add(1)
 		psp := obs.StartChild(s.Obs, s.Span, "oracle.probe", obs.Float("cf", cf))
-		impl, err := Implement(dev, m, rep, cf, cfg)
+		impl, err := ImplementPlan(dev, plan, cf, cfg)
 		psp.Set(obs.String("verdict", probeVerdict(err)))
 		psp.End()
 		if err == nil {
@@ -390,11 +402,12 @@ func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
 	runs := 0
 	oracle := s.Obs.Counter("mincf.oracle_runs")
+	plan := place.NewPlan(m, rep)
 	try := func(cf float64) (*Implementation, bool) {
 		runs++
 		oracle.Add(1)
 		psp := obs.StartChild(s.Obs, s.Span, "oracle.probe", obs.Float("cf", cf))
-		impl, err := Implement(dev, m, rep, cf, cfg)
+		impl, err := ImplementPlan(dev, plan, cf, cfg)
 		psp.Set(obs.String("verdict", probeVerdict(err)))
 		psp.End()
 		return impl, err == nil

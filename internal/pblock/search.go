@@ -41,8 +41,10 @@ type prober struct {
 	dev *fabric.Device
 	m   *netlist.Module
 	rep place.ShapeReport
-	s   SearchConfig
-	cfg Config
+	// plan is shared by the concurrent probes of a batch.
+	plan *place.Plan
+	s    SearchConfig
+	cfg  Config
 
 	byRect map[fabric.Rect]*probeOutcome
 	runs   int
@@ -52,7 +54,7 @@ type prober struct {
 
 func newProber(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *prober {
 	return &prober{
-		dev: dev, m: m, rep: rep, s: s, cfg: cfg,
+		dev: dev, m: m, rep: rep, plan: place.NewPlan(m, rep), s: s, cfg: cfg,
 		byRect: make(map[fabric.Rect]*probeOutcome),
 		n:      s.lastIndex(),
 		oracle: s.Obs.Counter("mincf.oracle_runs"),
@@ -128,7 +130,7 @@ func (p *prober) execute(r fabric.Rect, lane int) *probeOutcome {
 		sp.WithLane(sp.LaneVal() + lane)
 	}
 	psp := sp.Child("place.detail")
-	pl, err := place.Place(p.dev, p.m, p.rep, r, p.cfg.Place)
+	pl, err := p.plan.Place(p.dev, r, p.cfg.Place)
 	psp.End()
 	if err != nil {
 		sp.Set(obs.String("verdict", "place-fail"))

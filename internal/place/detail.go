@@ -2,10 +2,8 @@ package place
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
@@ -157,22 +155,39 @@ type sliceCol struct {
 	lo, hi int
 }
 
+// csFree marks a CLB no control set has claimed; it lies outside the
+// int32 range a cell's control set can take.
+const csFree int64 = math.MinInt64
+
+// placer is the state of one probe: the plan's module packed into one
+// rectangle. Its slices are the probe's working tables; Plan.Place
+// hands a finished placer to the next probe, which overwrites them in
+// place.
 type placer struct {
+	plan   *Plan
 	dev    *fabric.Device
-	m      *netlist.Module
 	rect   fabric.Rect
-	rep    ShapeReport
 	spread float64
 	rng    *rand.Rand
 
+	// sites holds the slices column-major: column c's rows are
+	// sites[cols[c].first : cols[c].first+rows].
 	sites []site
 	cols  []sliceCol
-	// csOf maps CLB (x,y) -> control set claim (-1 free). Key packs x,y.
-	csOf map[int32]int32
+	rows  int
+	// csOf is the control set claiming each CLB (csFree when none),
+	// indexed (CLB column)*rows + row; the CLB column of slice column c
+	// is c / SlicesPerCLB.
+	csOf []int64
+	// carryCols is the slice-column order carry chains try: L-type
+	// columns first, so chains don't starve the scarcer M slices that
+	// LUTRAM/SRL cells need.
+	carryCols []int
+	// lutRoom counts, per slice column, the sites that can still take a
+	// LUT under the current placeLUTs pass's window and cap.
+	lutRoom []int
 
-	cellAt  []Coord
-	fullLUT int8
-	fullFF  int8
+	cellAt []Coord
 
 	// freeM counts still-unused M slices; carry placement must leave at
 	// least reserveM of them for the LUTRAM/SRL phase.
@@ -182,66 +197,17 @@ type placer struct {
 	noCS bool
 }
 
-// contentSeed derives the default jitter seed from the module's
-// structural content — the same fields the implementation cache's
-// ModuleHash covers — never its name. Two modules the cache considers
-// identical must place identically, or a cache hit could return a
-// different placement than a fresh run.
-func contentSeed(m *netlist.Module) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "depth %d\n", m.LogicDepth)
-	for _, cs := range m.ControlSets {
-		fmt.Fprintf(h, "cs %d %d %d\n", cs.Clk, cs.Rst, cs.En)
-	}
-	for i := range m.Cells {
-		c := &m.Cells[i]
-		fmt.Fprintf(h, "cell %d %d %d %d\n", c.Kind, c.ControlSet, c.Chain, c.ChainPos)
-	}
-	for ni := range m.Nets {
-		n := &m.Nets[ni]
-		fmt.Fprintf(h, "net %d", n.Driver)
-		for _, s := range n.Sinks {
-			fmt.Fprintf(h, " %d", s)
-		}
-		fmt.Fprintln(h)
-	}
-	for _, o := range m.Outputs {
-		fmt.Fprintf(h, "out %d\n", o)
-	}
-	return int64(h.Sum64())
-}
-
-// Place performs detailed placement of module m inside rect on dev,
-// using the shape report rep from QuickPlace.
-func Place(dev *fabric.Device, m *netlist.Module, rep ShapeReport, rect fabric.Rect, opts Options) (*Placement, error) {
-	p := &placer{dev: dev, m: m, rect: rect, rep: rep}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = contentSeed(m)
-	}
-	p.rng = rand.New(rand.NewSource(seed))
+// place runs one probe. Everything it reads from earlier probes is
+// overwritten before use, so the outcome does not depend on them.
+func (p *placer) place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Placement, error) {
+	m, rep := p.plan.m, p.plan.rep
+	p.dev, p.rect = dev, rect
 	p.noCS = opts.IgnoreControlSets
-	p.buildSites()
-	if opts.PreOccupy > 0 {
-		for i := range p.sites {
-			if p.rng.Float64() < opts.PreOccupy {
-				st := &p.sites[i]
-				st.lutFree = 0
-				st.ffFree = 0
-				st.carry = false
-			}
-		}
-	}
-	for i := range p.sites {
-		if p.sites[i].isM && p.sites[i].carry {
-			p.freeM++
-		}
-	}
-	p.reserveM = rep.EstSlicesM
-	if len(p.sites) == 0 {
+	p.layoutCols()
+	avail := len(p.cols) * p.rows
+	if avail == 0 {
 		return nil, &ErrInfeasible{Reason: "no slices in rectangle"}
 	}
-	avail := len(p.sites)
 	need := rep.EstSlices
 	if need < 1 {
 		need = 1
@@ -256,14 +222,48 @@ func Place(dev *fabric.Device, m *netlist.Module, rep ShapeReport, rect fabric.R
 	if opts.Warm != nil && opts.PreOccupy == 0 {
 		// A warm start cannot model foreign pre-occupation, so PreOccupy
 		// runs always re-pack from scratch.
-		if pl, ok := transplant(p, opts.Warm); ok {
+		if pl, ok := transplant(dev, m, rect, p.spread, opts.Warm); ok {
 			return pl, nil
 		}
 	}
+
+	// Cold start. The module-derived tables, the seed among them, are
+	// only needed from here on.
+	p.plan.prepare()
+	seed := opts.Seed
+	if seed == 0 {
+		seed = p.plan.seed
+	}
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(seed))
+	} else {
+		p.rng.Seed(seed) // same stream as a new source, without the allocation
+	}
+	p.buildSites()
+	if opts.PreOccupy > 0 {
+		for i := range p.sites {
+			if p.rng.Float64() < opts.PreOccupy {
+				st := &p.sites[i]
+				st.lutFree = 0
+				st.ffFree = 0
+				st.carry = false
+			}
+		}
+	}
+	p.freeM = 0
+	for i := range p.sites {
+		if p.sites[i].isM && p.sites[i].carry {
+			p.freeM++
+		}
+	}
+	p.reserveM = rep.EstSlicesM
 	p.setCaps()
 	p.planWindows()
 
-	p.cellAt = make([]Coord, len(m.Cells))
+	if cap(p.cellAt) < len(m.Cells) {
+		p.cellAt = make([]Coord, len(m.Cells))
+	}
+	p.cellAt = p.cellAt[:len(m.Cells)]
 	for i := range p.cellAt {
 		p.cellAt[i] = Coord{-1, -1}
 	}
@@ -285,45 +285,70 @@ func Place(dev *fabric.Device, m *netlist.Module, rep ShapeReport, rect fabric.R
 	}
 
 	pl := &Placement{
-		Module: m,
-		Rect:   rect,
-		CellAt: p.cellAt,
-		Spread: p.spread,
+		Module:    m,
+		Rect:      rect,
+		CellAt:    p.cellAt,
+		Spread:    p.spread,
+		Footprint: p.footprint(),
 	}
 	for i := range p.sites {
 		if p.sites[i].used {
 			pl.UsedSlices++
 		}
 	}
-	pl.Footprint = p.footprint()
+	p.cellAt = nil // the placement owns it now; the next probe gets its own
 	return pl, nil
 }
 
-// buildSites enumerates the slice sites of the rectangle, two slice
-// columns per CLB column (side 0 is the M slice of a CLBM column).
-func (p *placer) buildSites() {
-	p.csOf = make(map[int32]int32)
+// layoutCols enumerates the slice columns of the rectangle, two per CLB
+// column (side 0 is the M slice of a CLBM column), and its row count.
+func (p *placer) layoutCols() {
+	p.cols, p.rows = p.cols[:0], 0
 	y0 := maxInt(p.rect.Y0, 0)
 	y1 := minInt(p.rect.Y1, p.dev.Rows-1)
 	if y1 < y0 {
 		return
 	}
+	p.rows = y1 - y0 + 1
 	for x := maxInt(p.rect.X0, 0); x <= minInt(p.rect.X1, p.dev.NumCols()-1); x++ {
 		if !p.dev.IsCLBColumn(x) {
 			continue
 		}
 		for side := 0; side < fabric.SlicesPerCLB; side++ {
-			isM := p.dev.SliceTypeAt(x, side)
-			col := sliceCol{x: x, side: side, isM: isM, first: len(p.sites)}
-			for y := y0; y <= y1; y++ {
-				p.sites = append(p.sites, site{
-					x: int16(x), y: int16(y), isM: isM,
-					lutFree: fabric.LUTsPerSlice,
-					ffFree:  fabric.FFsPerSlice,
-					carry:   true,
-				})
+			p.cols = append(p.cols, sliceCol{
+				x: x, side: side, isM: p.dev.SliceTypeAt(x, side),
+				first: len(p.cols) * p.rows,
+			})
+		}
+	}
+}
+
+// buildSites resets the per-rectangle tables for the columns layoutCols
+// found: every slice empty, every CLB unclaimed.
+func (p *placer) buildSites() {
+	y0 := maxInt(p.rect.Y0, 0)
+	p.sites = p.sites[:0]
+	for i := range p.cols {
+		col := &p.cols[i]
+		for r := 0; r < p.rows; r++ {
+			p.sites = append(p.sites, site{
+				x: int16(col.x), y: int16(y0 + r), isM: col.isM,
+				lutFree: fabric.LUTsPerSlice,
+				ffFree:  fabric.FFsPerSlice,
+				carry:   true,
+			})
+		}
+	}
+	p.csOf = p.csOf[:0]
+	for i := len(p.sites) / fabric.SlicesPerCLB; i > 0; i-- {
+		p.csOf = append(p.csOf, csFree)
+	}
+	p.carryCols = p.carryCols[:0]
+	for _, wantM := range [2]bool{false, true} {
+		for i := range p.cols {
+			if p.cols[i].isM == wantM {
+				p.carryCols = append(p.carryCols, i)
 			}
-			p.cols = append(p.cols, col)
 		}
 	}
 }
@@ -344,8 +369,6 @@ func (p *placer) setCaps() {
 	r := 1 + 0.25*slack
 	lutF := fabric.LUTsPerSlice / r
 	ffF := fabric.FFsPerSlice / r
-	p.fullLUT = fabric.LUTsPerSlice
-	p.fullFF = fabric.FFsPerSlice
 	lutFrac := lutF - math.Floor(lutF)
 	ffFrac := ffF - math.Floor(ffF)
 	for i := range p.sites {
@@ -373,10 +396,7 @@ func (p *placer) setCaps() {
 // bounded random walk across adjacent columns so that locality between
 // neighbouring columns is preserved while the outline stays irregular.
 func (p *placer) planWindows() {
-	rows := 0
-	if len(p.cols) > 0 {
-		rows = p.colRows()
-	}
+	rows := p.rows
 	// Jitter amplitude scales with the slack: placements near the
 	// feasibility edge are almost deterministic (stable minimal-CF
 	// labels), loose placements are visibly ragged (Fig. 3).
@@ -413,28 +433,18 @@ func (p *placer) planWindows() {
 	}
 }
 
-func (p *placer) colRows() int {
-	if len(p.cols) < 2 {
-		return len(p.sites)
-	}
-	return p.cols[1].first - p.cols[0].first
-}
-
-func clbKey(x, y int16) int32 { return int32(x)<<16 | int32(y)&0xffff }
-
-// csCompatible checks and, when claim is true, claims the CLB at (x, y)
-// for control set cs.
-func (p *placer) csCompatible(x, y int16, cs int32, claim bool) bool {
+// csCompatible checks and, when claim is true, claims CLB clb (an index
+// into csOf) for control set cs.
+func (p *placer) csCompatible(clb int, cs int32, claim bool) bool {
 	if p.noCS {
 		return true
 	}
-	k := clbKey(x, y)
-	cur, ok := p.csOf[k]
-	if ok && cur != cs {
+	cur := p.csOf[clb]
+	if cur != csFree && cur != int64(cs) {
 		return false
 	}
-	if claim && !ok {
-		p.csOf[k] = cs
+	if claim {
+		p.csOf[clb] = int64(cs)
 	}
 	return true
 }
@@ -442,67 +452,23 @@ func (p *placer) csCompatible(x, y int16, cs int32, claim bool) bool {
 // placeCarry places carry chains, longest first, each needing a vertical
 // run of carry-free slices in one slice column.
 func (p *placer) placeCarry() error {
-	type chain struct {
-		id    int32
-		cells []netlist.CellID
-	}
-	byID := map[int32]*chain{}
-	var chains []*chain
-	for ci := range p.m.Cells {
-		c := &p.m.Cells[ci]
-		if c.Kind != netlist.CellCarry {
-			continue
-		}
-		ch, ok := byID[c.Chain]
-		if !ok {
-			ch = &chain{id: c.Chain}
-			byID[c.Chain] = ch
-			chains = append(chains, ch)
-		}
-		for int(c.ChainPos) >= len(ch.cells) {
-			ch.cells = append(ch.cells, netlist.NoID)
-		}
-		ch.cells[c.ChainPos] = netlist.CellID(ci)
-	}
-	sort.Slice(chains, func(i, j int) bool {
-		if len(chains[i].cells) != len(chains[j].cells) {
-			return len(chains[i].cells) > len(chains[j].cells)
-		}
-		return chains[i].id < chains[j].id
-	})
-	rows := p.colRows()
-	for _, ch := range chains {
-		l := len(ch.cells)
+	rows := p.rows
+	for _, cells := range p.plan.chains {
+		l := len(cells)
 		if l > rows {
 			return &ErrInfeasible{Reason: fmt.Sprintf("carry chain of %d slices exceeds PBlock height %d", l, rows)}
 		}
 		placed := false
-		// Pass 1: inside preferred windows; pass 2: anywhere. L-type
-		// slice columns are preferred so carry chains don't starve the
-		// scarcer M slices that LUTRAM/SRL cells need.
-		order := make([]int, 0, len(p.cols))
-		for i := range p.cols {
-			if !p.cols[i].isM {
-				order = append(order, i)
-			}
-		}
-		for i := range p.cols {
-			if p.cols[i].isM {
-				order = append(order, i)
-			}
-		}
+		// Pass 1: inside preferred windows; pass 2: anywhere.
 		for pass := 0; pass < 2 && !placed; pass++ {
-			for _, colIdx := range order {
+			for _, colIdx := range p.carryCols {
 				col := &p.cols[colIdx]
-				lo, hi := 0, rows
-				if pass == 0 {
-					lo, hi = col.lo, col.hi
-				}
+				lo, hi := p.windowOf(col, pass)
 				if col.isM && p.freeM-l < p.reserveM {
 					continue // would starve the LUTRAM/SRL phase
 				}
 				if run := p.findRun(col, lo, hi, l); run >= 0 {
-					for k, cell := range ch.cells {
+					for k, cell := range cells {
 						s := &p.sites[col.first+run+k]
 						s.carry = false
 						s.lutFree = 0 // carry consumes the slice's LUTs
@@ -541,44 +507,20 @@ func (p *placer) findRun(col *sliceCol, lo, hi, n int) int {
 	return -1
 }
 
-// seqGroups collects sequential cells of one kind set, grouped by control
-// set, in control-set creation order. Creation order tracks the module's
-// dataflow (and, in flattened multi-block netlists, keeps each block's
-// groups adjacent), which matters for wirelength.
-func (p *placer) seqGroups(match func(netlist.CellKind) bool) [][]netlist.CellID {
-	groups := map[int32][]netlist.CellID{}
-	for ci := range p.m.Cells {
-		c := &p.m.Cells[ci]
-		if match(c.Kind) {
-			groups[c.ControlSet] = append(groups[c.ControlSet], netlist.CellID(ci))
-		}
-	}
-	keys := make([]int32, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([][]netlist.CellID, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, groups[k])
-	}
-	return out
-}
-
 // placeMem packs LUTRAM/SRL cells into M slices, honoring the one
 // control set per CLB rule. Each group fills contiguously from a
 // jittered start so spread placements scatter groups without wasting
 // whole CLBs on fragmented claims.
 func (p *placer) placeMem() error {
-	for _, group := range p.seqGroups(netlist.CellKind.NeedsMSlice) {
-		cs := p.m.Cells[group[0]].ControlSet
+	for _, g := range p.plan.mem {
+		group, cs := g.cells, g.cs
 		idx := 0
 		start := p.groupStart()
 		// Memory banks always pack densely: spreading them would waste
 		// the scarce M slices other control-set groups need.
 		for pass := 0; pass < 2 && idx < len(group); pass++ {
 			cap := fabric.LUTRAMPerMSlice
-			p.scanCLBs(start, func(s0, s1 *site) bool {
+			p.scanCLBs(start, func(clb int, s0, s1 *site) bool {
 				for _, s := range [2]*site{s0, s1} {
 					if !s.isM {
 						continue
@@ -590,7 +532,7 @@ func (p *placer) placeMem() error {
 					} else if !s.carry || s.lutFree < fabric.LUTsPerSlice {
 						continue // slice already used by carry or logic
 					}
-					if !p.csCompatible(s.x, s.y, cs, false) {
+					if !p.csCompatible(clb, cs, false) {
 						continue
 					}
 					fill := minInt(cap-(fabric.LUTsPerSlice-int(s.lutFree)), int(s.lutFree))
@@ -598,7 +540,7 @@ func (p *placer) placeMem() error {
 						continue
 					}
 					for f := 0; f < fill && idx < len(group); f++ {
-						p.csCompatible(s.x, s.y, cs, true)
+						p.csCompatible(clb, cs, true)
 						s.mem = true
 						s.used = true
 						s.carry = false
@@ -629,14 +571,14 @@ func (p *placer) groupStart() int {
 }
 
 // scanCLBs visits every CLB, column-major from CLB column start
-// (wrapping) in serpentine row order, handing fn the two slice sites of
-// each CLB, until fn returns false. Sequential cells fill CLB-major so
-// one control set claims as few CLBs as possible; the serpentine keeps
-// cells consecutive in fill order physically adjacent across column
-// boundaries.
-func (p *placer) scanCLBs(start int, fn func(s0, s1 *site) bool) {
+// (wrapping) in serpentine row order, handing fn the CLB's csOf index
+// and its two slice sites, until fn returns false. Sequential cells fill
+// CLB-major so one control set claims as few CLBs as possible; the
+// serpentine keeps cells consecutive in fill order physically adjacent
+// across column boundaries.
+func (p *placer) scanCLBs(start int, fn func(clb int, s0, s1 *site) bool) {
 	nPairs := len(p.cols) / fabric.SlicesPerCLB
-	rows := p.colRows()
+	rows := p.rows
 	for i := 0; i < nPairs; i++ {
 		pair := (start + i) % nPairs
 		c0 := &p.cols[pair*fabric.SlicesPerCLB]
@@ -646,7 +588,7 @@ func (p *placer) scanCLBs(start int, fn func(s0, s1 *site) bool) {
 			if i%2 == 1 {
 				r = rows - 1 - rr
 			}
-			if !fn(&p.sites[c0.first+r], &p.sites[c1.first+r]) {
+			if !fn(pair*rows+r, &p.sites[c0.first+r], &p.sites[c1.first+r]) {
 				return
 			}
 		}
@@ -657,35 +599,35 @@ func (p *placer) windowOf(col *sliceCol, pass int) (int, int) {
 	if pass == 0 {
 		return col.lo, col.hi
 	}
-	return 0, p.colRows()
+	return 0, p.rows
 }
 
 // placeFFs packs flip-flops by control set into CLBs, each group filling
 // contiguously from a jittered start.
 func (p *placer) placeFFs() error {
-	for _, group := range p.seqGroups(func(k netlist.CellKind) bool { return k == netlist.CellFF }) {
-		cs := p.m.Cells[group[0]].ControlSet
+	for _, g := range p.plan.ffs {
+		group, cs := g.cells, g.cs
 		idx := 0
 		start := p.groupStart()
 		for pass := 0; pass < 2 && idx < len(group); pass++ {
-			p.scanCLBs(start, func(s0, s1 *site) bool {
+			p.scanCLBs(start, func(clb int, s0, s1 *site) bool {
 				for _, s := range [2]*site{s0, s1} {
 					if s.ffFree <= 0 || s.mem {
 						continue
 					}
-					if !p.csCompatible(s.x, s.y, cs, false) {
+					if !p.csCompatible(clb, cs, false) {
 						continue
 					}
 					cap := int(s.ffCap)
 					if pass == 1 {
-						cap = int(p.fullFF)
+						cap = fabric.FFsPerSlice
 					}
 					fill := minInt(cap-(fabric.FFsPerSlice-int(s.ffFree)), int(s.ffFree))
 					if fill <= 0 {
 						continue
 					}
 					for f := 0; f < fill && idx < len(group); f++ {
-						p.csCompatible(s.x, s.y, cs, true)
+						p.csCompatible(clb, cs, true)
 						s.ffFree--
 						s.used = true
 						p.cellAt[group[idx]] = Coord{s.x, s.y}
@@ -708,52 +650,85 @@ func (p *placer) placeFFs() error {
 // their RAMs and dataflow stays local. LUTs with no placed inputs
 // continue from the previous cell's position.
 func (p *placer) placeLUTs() error {
-	var luts []netlist.CellID
-	for ci := range p.m.Cells {
-		if p.m.Cells[ci].Kind == netlist.CellLUT {
-			luts = append(luts, netlist.CellID(ci))
-		}
-	}
-	if len(luts) == 0 {
+	pl := p.plan
+	if len(pl.luts) == 0 {
 		return nil
-	}
-	// Input drivers per LUT cell.
-	drivers := make([][]netlist.CellID, len(p.m.Cells))
-	for ni := range p.m.Nets {
-		n := &p.m.Nets[ni]
-		if n.Driver == netlist.NoID {
-			continue
-		}
-		for _, s := range n.Sinks {
-			if p.m.Cells[s].Kind == netlist.CellLUT {
-				drivers[s] = append(drivers[s], n.Driver)
-			}
-		}
 	}
 	prev := Coord{int16(p.cols[0].x), int16(p.rect.Y0 + p.cols[0].lo)}
 	placedCount := 0
-	for pass := 0; pass < 2 && placedCount < len(luts); pass++ {
-		for _, lut := range luts {
+	for pass := 0; pass < 2 && placedCount < len(pl.luts); pass++ {
+		room := p.countLUTRoom(pass)
+		for i, lut := range pl.luts {
+			if room == 0 {
+				// No site is left under this pass's rules, so every
+				// remaining LUT would search in vain (and move nothing:
+				// prev only follows placements). Most probes of a sweep
+				// are rejected right here, in the exhaustive pass.
+				break
+			}
 			if p.cellAt[lut].X >= 0 {
 				continue
 			}
-			want := p.centroidOf(drivers[lut], prev)
-			s := p.findLUTSlot(want, pass)
+			want := p.centroidOf(pl.drivers[pl.driverStart[i]:pl.driverStart[i+1]], prev)
+			s, col := p.findLUTSlot(want, pass)
 			if s == nil {
 				continue // retry in the unconstrained pass
 			}
 			s.lutFree--
 			s.used = true
+			if !lutFits(s, pass) {
+				p.lutRoom[col]--
+				room--
+			}
 			at := Coord{s.x, s.y}
 			p.cellAt[lut] = at
 			prev = at
 			placedCount++
 		}
 	}
-	if placedCount < len(luts) {
-		return &ErrInfeasible{Reason: fmt.Sprintf("LUT capacity exhausted (%d/%d placed)", placedCount, len(luts))}
+	if placedCount < len(pl.luts) {
+		return &ErrInfeasible{Reason: fmt.Sprintf("LUT capacity exhausted (%d/%d placed)", placedCount, len(pl.luts))}
 	}
 	return nil
+}
+
+// lutFits reports whether slice s can accept one more LUT under the
+// pass's fill cap: pass 0 honors the spread cap, pass 1 the hardware's.
+func lutFits(s *site, pass int) bool {
+	if s.lutFree <= 0 || s.mem {
+		return false
+	}
+	cap := int(s.lutCap)
+	if pass == 1 {
+		cap = fabric.LUTsPerSlice
+	}
+	return fabric.LUTsPerSlice-int(s.lutFree) < cap
+}
+
+// countLUTRoom fills lutRoom for a placeLUTs pass — per slice column,
+// the sites inside the pass's window that lutFits — and returns the
+// total. placeLUTs keeps both current as sites fill up. A column at zero
+// is one slotInColumn would search without finding anything, so
+// findLUTSlot skips it unsearched.
+func (p *placer) countLUTRoom(pass int) int {
+	if cap(p.lutRoom) < len(p.cols) {
+		p.lutRoom = make([]int, len(p.cols))
+	}
+	p.lutRoom = p.lutRoom[:len(p.cols)]
+	total := 0
+	for i := range p.cols {
+		col := &p.cols[i]
+		lo, hi := p.windowOf(col, pass)
+		n := 0
+		for r := lo; r < hi; r++ {
+			if lutFits(&p.sites[col.first+r], pass) {
+				n++
+			}
+		}
+		p.lutRoom[i] = n
+		total += n
+	}
+	return total
 }
 
 // centroidOf averages the positions of already-placed driver cells;
@@ -776,9 +751,10 @@ func (p *placer) centroidOf(drv []netlist.CellID, prev Coord) Coord {
 
 // findLUTSlot locates a free LUT slot near the desired coordinate,
 // walking slice columns outward by horizontal distance and rows outward
-// from the desired row. Pass 0 honors the spread windows and fill caps;
-// pass 1 accepts any capacity.
-func (p *placer) findLUTSlot(want Coord, pass int) *site {
+// from the desired row, and returns it with its slice column's index.
+// Pass 0 honors the spread windows and fill caps; pass 1 accepts any
+// capacity.
+func (p *placer) findLUTSlot(want Coord, pass int) (*site, int) {
 	n := len(p.cols)
 	// Nearest column index for the desired x (columns are x-sorted, two
 	// slice columns per CLB column).
@@ -795,17 +771,17 @@ func (p *placer) findLUTSlot(want Coord, pass int) *site {
 			if k == 1 && d == 0 {
 				break // the center column was just visited
 			}
-			if colIdx < 0 || colIdx >= n {
+			if colIdx < 0 || colIdx >= n || p.lutRoom[colIdx] == 0 {
 				continue
 			}
 			col := &p.cols[colIdx]
 			lo, hi := p.windowOf(col, pass)
 			if s := p.slotInColumn(col, lo, hi, int(want.Y)-p.rect.Y0, pass); s != nil {
-				return s
+				return s, colIdx
 			}
 		}
 	}
-	return nil
+	return nil, -1
 }
 
 // slotInColumn searches rows [lo, hi) outward from wantRow for a slice
@@ -839,14 +815,7 @@ func (p *placer) slotInColumn(col *sliceCol, lo, hi, wantRow, pass int) *site {
 				continue
 			}
 			s := &p.sites[col.first+r]
-			if s.lutFree <= 0 || s.mem {
-				continue
-			}
-			cap := int(s.lutCap)
-			if pass == 1 {
-				cap = int(p.fullLUT)
-			}
-			if fabric.LUTsPerSlice-int(s.lutFree) >= cap {
+			if !lutFits(s, pass) {
 				continue
 			}
 			if s.used {
@@ -867,15 +836,7 @@ func (p *placer) slotInColumn(col *sliceCol, lo, hi, wantRow, pass int) *site {
 
 // placeBlocks assigns BRAM and DSP cells to block sites inside the rect.
 func (p *placer) placeBlocks() error {
-	var brams, dsps []netlist.CellID
-	for ci := range p.m.Cells {
-		switch p.m.Cells[ci].Kind {
-		case netlist.CellBRAM:
-			brams = append(brams, netlist.CellID(ci))
-		case netlist.CellDSP:
-			dsps = append(dsps, netlist.CellID(ci))
-		}
-	}
+	brams, dsps := p.plan.brams, p.plan.dsps
 	if len(brams) == 0 && len(dsps) == 0 {
 		return nil
 	}
@@ -946,22 +907,18 @@ func (p *placer) footprint() Footprint {
 		}
 	}
 	// Block cells (BRAM/DSP) occupy their full tile pitch.
-	for ci := range p.m.Cells {
-		k := p.m.Cells[ci].Kind
-		if k != netlist.CellBRAM && k != netlist.CellDSP {
-			continue
-		}
-		at := p.cellAt[ci]
-		if at.X < 0 {
-			continue
-		}
-		pitch := fabric.BRAMRows
-		if k == netlist.CellDSP {
-			pitch = fabric.DSPRows
-		}
-		for dy := 0; dy < pitch; dy++ {
-			mark(at.X, at.Y+int16(dy))
+	markBlocks := func(cells []netlist.CellID, pitch int) {
+		for _, ci := range cells {
+			at := p.cellAt[ci]
+			if at.X < 0 {
+				continue
+			}
+			for dy := 0; dy < pitch; dy++ {
+				mark(at.X, at.Y+int16(dy))
+			}
 		}
 	}
+	markBlocks(p.plan.brams, fabric.BRAMRows)
+	markBlocks(p.plan.dsps, fabric.DSPRows)
 	return f
 }

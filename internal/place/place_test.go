@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"macroflow/internal/cnv"
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
 	"macroflow/internal/rtlgen"
@@ -428,5 +429,26 @@ func TestPlaceNameIndependent(t *testing.T) {
 	}
 	if same {
 		t.Log("explicit seed produced the identical placement (possible but unlikely jitter collision)")
+	}
+}
+
+// TestContentSeedPinned pins the default jitter seed of two cnvW1A1
+// block types. Cached implementations were placed under these seeds; a
+// different seed means a fresh run no longer reproduces what a cache
+// hit returns. The implementation cache pins the SHA-256 of the same
+// content stream (implcache.TestModuleHashPinned).
+func TestContentSeedPinned(t *testing.T) {
+	d := cnv.CNVW1A1()
+	for name, want := range map[string]int64{
+		"weights_14": 9154849270528828563,
+		"mvau_l34":   -3032067159796646769,
+	} {
+		m, err := d.Module(d.TypeIndex(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := contentSeed(m); got != want {
+			t.Errorf("contentSeed(%s) = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package place
 
-import "math"
+import (
+	"math"
+
+	"macroflow/internal/fabric"
+	"macroflow/internal/netlist"
+)
 
 // transplant attempts a warm start: re-using a previous placement of the
 // same module inside a (possibly different) rectangle, instead of
@@ -14,24 +19,27 @@ import "math"
 // sites, so a partially transplanted placement could not re-derive the
 // per-slice claims (carry runs, control-set ownership, fill levels) the
 // constructive passes would need to legally place the remainder.
-func transplant(p *placer, warm *Placement) (*Placement, bool) {
-	if warm == nil || warm.Module == nil || len(warm.CellAt) != len(p.m.Cells) {
+//
+// It needs nothing of the cold packer's state — no seed, no site
+// tables — only the spread the new rectangle gives the module.
+func transplant(dev *fabric.Device, m *netlist.Module, rect fabric.Rect, spread float64, warm *Placement) (*Placement, bool) {
+	if warm == nil || warm.Module == nil || len(warm.CellAt) != len(m.Cells) {
 		return nil, false
 	}
 	for _, at := range warm.CellAt {
-		if at.X < 0 || at.Y < 0 || !p.rect.Contains(int(at.X), int(at.Y)) {
+		if at.X < 0 || at.Y < 0 || !rect.Contains(int(at.X), int(at.Y)) {
 			return nil, false
 		}
 	}
 	pl := &Placement{
-		Module:     p.m,
-		Rect:       p.rect,
+		Module:     m,
+		Rect:       rect,
 		CellAt:     append([]Coord(nil), warm.CellAt...),
 		UsedSlices: warm.UsedSlices,
-		Spread:     p.spread,
-		Footprint:  shiftFootprint(&warm.Footprint, warm.Rect.X0-p.rect.X0, warm.Rect.Y0-p.rect.Y0, p.rect.Width(), p.rect.Height()),
+		Spread:     spread,
+		Footprint:  shiftFootprint(&warm.Footprint, warm.Rect.X0-rect.X0, warm.Rect.Y0-rect.Y0, rect.Width(), rect.Height()),
 	}
-	if Verify(p.dev, pl) != nil {
+	if Verify(dev, pl) != nil {
 		return nil, false
 	}
 	return pl, true

@@ -117,3 +117,34 @@ func TestWarmStartWrongModuleFallsBackCold(t *testing.T) {
 		t.Fatalf("fallback placement fails audit: %v", err)
 	}
 }
+
+// TestWarmStartSkipsColdTables: a warm start that transplants cleanly
+// must not pay for anything only the cold packer reads — the content
+// seed (a hash of the whole module), the random source, the packing
+// order tables. The cache-rebuild path is nothing but such warm starts.
+func TestWarmStartSkipsColdTables(t *testing.T) {
+	dev := fabric.XC7Z020()
+	m := sampleModule(t)
+	rep := QuickPlace(m)
+	r := fabric.Rect{X0: 1, Y0: 0, X1: 20, Y1: 40}
+	cold, err := Place(dev, m, rep, r, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPlan(m, rep)
+	if _, err := plan.Place(dev, r, Options{Warm: cold}); err != nil {
+		t.Fatal(err)
+	}
+	if plan.driverStart != nil || plan.seed != 0 {
+		t.Fatal("a clean transplant built the cold packer's tables")
+	}
+	if p := plan.idle[0]; p.rng != nil || len(p.sites) != 0 {
+		t.Fatal("a clean transplant seeded a random source or built site tables")
+	}
+	// A rectangle the old placement does not fit falls back to the cold
+	// packer, which builds them then.
+	_, _ = plan.Place(dev, fabric.Rect{X0: 1, Y0: 0, X1: 12, Y1: 30}, Options{Warm: cold})
+	if plan.driverStart == nil {
+		t.Fatal("the cold fallback ran without its tables")
+	}
+}
