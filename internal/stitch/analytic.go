@@ -89,6 +89,12 @@ type analytic struct {
 	// tiled holds one private density accumulator per goroutine tile,
 	// reduced into density in fixed tile order.
 	tiled [analyticTiles][]float64
+	// splat[9*b:9*b+9] is block b's normalized 3x3 splat, row-major from
+	// the bin below-left of the center: the nine weights an instance
+	// whose center bin is interior adds to the grid. They depend on the
+	// block's area alone, so they are built once with the expression the
+	// general (edge-bin) path evaluates per instance per iteration.
+	splat []float64
 
 	// telemetry of the last iteration (fed to obs only — never results).
 	gradNorm, totalOverflow float64
@@ -129,6 +135,21 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 	g.overflow = make([]float64, nb)
 	for t := range g.tiled {
 		g.tiled[t] = make([]float64, nb)
+	}
+	sum := 0.0
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			sum += splatW[dx+1] * splatW[dy+1]
+		}
+	}
+	g.splat = make([]float64, 9*len(p.Blocks))
+	for bi := range p.Blocks {
+		area := float64(p.Blocks[bi].Area())
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				g.splat[9*bi+3*(dy+1)+dx+1] = area * splatW[dx+1] * splatW[dy+1] / sum
+			}
+		}
 	}
 	// Per-bin capacity: every placeable column (anything a ColSpan can
 	// occupy — clock and IO columns never carry logic) contributes its
@@ -171,47 +192,61 @@ func (g *analytic) forTiles(fn func(tile, lo, hi int)) {
 // gaussian splat kernel over the 3x3 bin neighbourhood, sigma one bin.
 var splatW = [3]float64{math.Exp(-0.5), 1, math.Exp(-0.5)}
 
-// accumulateDensity rebuilds the Gaussian-binned density field from the
-// current positions: each tile splats its instances into a private
-// grid, then the partials are reduced in fixed tile order.
-func (g *analytic) accumulateDensity() {
-	g.forTiles(func(t, lo, hi int) {
-		bins := g.tiled[t]
-		for i := range bins {
-			bins[i] = 0
+// splatTile rebuilds tile t's private density grid from the current
+// positions of its instances lo..hi-1.
+func (g *analytic) splatTile(t, lo, hi int) {
+	bins := g.tiled[t]
+	for i := range bins {
+		bins[i] = 0
+	}
+	for i := lo; i < hi; i++ {
+		if g.area[i] == 0 {
+			continue
 		}
-		for i := lo; i < hi; i++ {
-			if g.area[i] == 0 {
-				continue
+		cx := int(g.px[i] / g.binW)
+		cy := int(g.py[i] / g.binH)
+		if cx >= 1 && cx < g.nbx-1 && cy >= 1 && cy < g.nby-1 {
+			// Interior center bin: all nine neighbours exist, so the
+			// normalizing sum is the constant the table was built with.
+			w := g.splat[9*g.p.Instances[i].Block:][:9]
+			for r := 0; r < 3; r++ {
+				row := bins[(cy+r-1)*g.nbx+cx-1:][:3]
+				row[0] += w[3*r]
+				row[1] += w[3*r+1]
+				row[2] += w[3*r+2]
 			}
-			cx := int(g.px[i] / g.binW)
-			cy := int(g.py[i] / g.binH)
-			// Normalized 3x3 Gaussian splat centered on the bin under
-			// the instance center.
-			sum := 0.0
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					bx, by := cx+dx, cy+dy
-					if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
-						continue
-					}
-					sum += splatW[dx+1] * splatW[dy+1]
+			continue
+		}
+		// Normalized 3x3 Gaussian splat centered on the bin under
+		// the instance center, clipped at the grid edge.
+		sum := 0.0
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				bx, by := cx+dx, cy+dy
+				if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
+					continue
 				}
-			}
-			if sum == 0 {
-				continue
-			}
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					bx, by := cx+dx, cy+dy
-					if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
-						continue
-					}
-					bins[by*g.nbx+bx] += g.area[i] * splatW[dx+1] * splatW[dy+1] / sum
-				}
+				sum += splatW[dx+1] * splatW[dy+1]
 			}
 		}
-	})
+		if sum == 0 {
+			continue
+		}
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				bx, by := cx+dx, cy+dy
+				if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
+					continue
+				}
+				bins[by*g.nbx+bx] += g.area[i] * splatW[dx+1] * splatW[dy+1] / sum
+			}
+		}
+	}
+}
+
+// reduceDensity folds the per-tile grids into the density field in
+// fixed tile order and refreshes the clamped overflow.
+func (g *analytic) reduceDensity() {
 	for i := range g.density {
 		g.density[i] = 0
 	}
@@ -256,9 +291,11 @@ func (g *analytic) ovfAt(bx, by int) float64 {
 const smoothAbsAlpha = 1.0
 
 // descend runs the fixed-schedule batched gradient descent. Each
-// iteration: rebuild density, then per tile compute wirelength +
-// density gradients and apply the update. rec/parent carry the
-// per-phase obs spans; recording never feeds the arithmetic.
+// iteration is two tile passes: wirelength + density gradients against
+// the current density field, then the position update fused with the
+// next iteration's density splat (a tile splats only the instances it
+// just moved, so no barrier is needed between the two). rec/parent
+// carry the per-phase obs spans; recording never feeds the arithmetic.
 func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 	iters := g.cfg.GDIterations
 	if iters <= 0 {
@@ -280,8 +317,9 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
+	g.forTiles(g.splatTile)
+	g.reduceDensity()
 	for it := 0; it < iters; it++ {
-		g.accumulateDensity()
 		ramp := float64(it+1) / float64(iters)
 		lambda := lambdaMax * ramp * ramp
 		var tileNorm [analyticTiles]float64
@@ -329,6 +367,24 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 			}
 			tileNorm[t] = norm
 		})
+		g.gradNorm = 0
+		for t := 0; t < analyticTiles; t++ { // fixed reduction order
+			g.gradNorm += tileNorm[t]
+		}
+		// Sampled before the update pass, while totalOverflow still
+		// describes the field this iteration's gradient was taken on.
+		if it%sampleEvery == 0 || it == iters-1 {
+			isp := sp.Child("stitch.analytic.iter", obs.Int("iter", it),
+				obs.Float("grad_norm", g.gradNorm),
+				obs.Float("overflow", g.totalOverflow))
+			isp.End()
+			// Live convergence gauges: a service scraping mid-run sees
+			// the descent's current state, not just its final values —
+			// grad_norm refusing to fall or overflow plateauing is
+			// diagnosable without waiting for the job to finish.
+			rec.SetGauge("stitch.analytic.grad_norm", g.gradNorm)
+			rec.SetGauge("stitch.analytic.overflow", g.totalOverflow)
+		}
 		// Normalized update: the step length is lr tiles for the
 		// strongest-pulled instance, proportionally less for the rest.
 		maxG := 0.0
@@ -340,8 +396,12 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 				maxG = a
 			}
 		}
+		// With a zero gradient nothing moves and the density field
+		// stands. The last iteration's positions are never splatted:
+		// the descent ends reporting the field its last gradient saw.
 		if maxG > 0 {
 			scale := lr / maxG
+			resplat := it < iters-1
 			g.forTiles(func(t, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					x := g.px[i] - scale*g.gx[i]
@@ -361,25 +421,15 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 					}
 					g.px[i], g.py[i] = x, y
 				}
+				if resplat {
+					g.splatTile(t, lo, hi)
+				}
 			})
-		}
-		g.gradNorm = 0
-		for t := 0; t < analyticTiles; t++ { // fixed reduction order
-			g.gradNorm += tileNorm[t]
+			if resplat {
+				g.reduceDensity()
+			}
 		}
 		lr *= lrCool
-		if it%sampleEvery == 0 || it == iters-1 {
-			isp := sp.Child("stitch.analytic.iter", obs.Int("iter", it),
-				obs.Float("grad_norm", g.gradNorm),
-				obs.Float("overflow", g.totalOverflow))
-			isp.End()
-			// Live convergence gauges: a service scraping mid-run sees
-			// the descent's current state, not just its final values —
-			// grad_norm refusing to fall or overflow plateauing is
-			// diagnosable without waiting for the job to finish.
-			rec.SetGauge("stitch.analytic.grad_norm", g.gradNorm)
-			rec.SetGauge("stitch.analytic.overflow", g.totalOverflow)
-		}
 	}
 	rec.Add("stitch.analytic.iters", int64(iters))
 	rec.SetGauge("stitch.analytic.grad_norm", g.gradNorm)
@@ -396,20 +446,8 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 func (g *analytic) legalize(a *annealer, rec *obs.Recorder, parent *obs.Span) (int, int) {
 	sp := obs.StartChild(rec, parent, "stitch.legalize",
 		obs.Int("instances", len(g.px)))
-	order := make([]int, len(g.p.Instances))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		ai := g.p.Blocks[g.p.Instances[order[i]].Block].Area()
-		aj := g.p.Blocks[g.p.Instances[order[j]].Block].Area()
-		if ai != aj {
-			return ai > aj
-		}
-		return order[i] < order[j]
-	})
 	fallbacks, unplaced := 0, 0
-	for _, ii := range order {
+	for _, ii := range g.pr.order {
 		bidx := g.p.Instances[ii].Block
 		b := &g.p.Blocks[bidx]
 		ox := int(math.Round(g.px[ii] - g.bw[ii]/2))
@@ -419,7 +457,7 @@ func (g *analytic) legalize(a *annealer, rec *obs.Recorder, parent *obs.Span) (i
 			// Nothing near the analytic position: first fit, exactly
 			// the greedy construction's move of last resort.
 			fallbacks++
-			ok, x, y = a.firstFit(b)
+			ok, x, y = a.firstFit(bidx)
 		}
 		if !ok {
 			unplaced++
@@ -440,12 +478,11 @@ func (g *analytic) legalize(a *annealer, rec *obs.Recorder, parent *obs.Span) (i
 // horizontal offset alone exceeds the best distance found. Ties prefer
 // the smaller column offset, then the lower row.
 func (a *annealer) snapToLegal(bidx, ox, oy int) (bool, int, int) {
-	b := &a.p.Blocks[bidx]
 	xs := a.pr.originsX[bidx]
-	if len(xs) == 0 || b.Height > a.p.Dev.Rows {
+	maxY := a.p.Dev.Rows - a.p.Blocks[bidx].Height
+	if len(xs) == 0 || maxY < 0 {
 		return false, 0, 0
 	}
-	maxY := a.p.Dev.Rows - b.Height
 	cy := oy
 	if cy < 0 {
 		cy = 0
@@ -479,28 +516,15 @@ func (a *annealer) snapToLegal(bidx, ox, oy int) (bool, int, int) {
 			break // every remaining column is at least this far
 		}
 		budget := bestDist - dx - 1 // must beat the incumbent
-		// Beyond this offset both probe rows leave the fabric, so the
-		// scan can stop regardless of the remaining distance budget.
-		lim := cy
-		if maxY-cy > lim {
-			lim = maxY - cy
-		}
-		if budget > lim {
-			budget = lim
-		}
-		for dy := 0; dy <= budget; dy++ {
-			y := cy - dy
-			if y >= 0 && a.fits(b, x, y) {
-				bestDist, bestX, bestY = dx+dy, x, y
-				break
+		// Rows outward from cy, the lower one first at equal distance:
+		// the nearest legal row of the column, if it is within budget.
+		if y, ok := nearestSetBit(a.legalRows(bidx, x), cy); ok {
+			dy := y - cy
+			if dy < 0 {
+				dy = -dy
 			}
-			if dy == 0 {
-				continue
-			}
-			y = cy + dy
-			if y <= maxY && a.fits(b, x, y) {
+			if dy <= budget {
 				bestDist, bestX, bestY = dx+dy, x, y
-				break
 			}
 		}
 	}

@@ -98,10 +98,10 @@ func (c *chain) finish() float64 {
 		if a.origins[ii].Placed {
 			continue
 		}
-		b := &a.p.Blocks[a.p.Instances[ii].Block]
-		if ok, x, y := a.firstFit(b); ok {
+		bidx := a.p.Instances[ii].Block
+		if ok, x, y := a.firstFit(bidx); ok {
 			a.setOrigin(ii, Origin{X: x, Y: y, Placed: true})
-			a.mark(b, x, y, true)
+			a.mark(&a.p.Blocks[bidx], x, y, true)
 			a.cost = a.totalCost()
 			replaced = true
 		}

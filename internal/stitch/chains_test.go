@@ -71,7 +71,8 @@ func TestFinalCostAlwaysInTrace(t *testing.T) {
 }
 
 // TestCheckIncremental: the debug cross-check recomputes every cached
-// quantity and panics on drift; a clean run must pass it in both modes.
+// quantity — net costs, total, and the occupancy bitmap from the
+// origins — and panics on drift; a clean run must pass it in both modes.
 func TestCheckIncremental(t *testing.T) {
 	for _, k := range []int{0, 4} {
 		res := Run(smallProblem(t, 14), Config{

@@ -105,7 +105,7 @@ func (a *annealer) adoptWindow(donor *annealer, x0, y0, w, h int) {
 		if old.Placed {
 			a.mark(b, old.X, old.Y, false)
 		}
-		if a.fits(b, od.X, od.Y) {
+		if a.fits(bidx, od.X, od.Y) {
 			a.setOrigin(ii, Origin{X: od.X, Y: od.Y, Placed: true})
 			a.mark(b, od.X, od.Y, true)
 			continue
@@ -125,10 +125,10 @@ func (a *annealer) adoptWindow(donor *annealer, x0, y0, w, h int) {
 		if a.origins[ii].Placed {
 			continue
 		}
-		b := &a.p.Blocks[a.p.Instances[ii].Block]
-		if ok, x, y := a.firstFit(b); ok {
+		bidx := a.p.Instances[ii].Block
+		if ok, x, y := a.firstFit(bidx); ok {
 			a.setOrigin(ii, Origin{X: x, Y: y, Placed: true})
-			a.mark(b, x, y, true)
+			a.mark(&a.p.Blocks[bidx], x, y, true)
 		}
 	}
 	a.refreshNetCosts()

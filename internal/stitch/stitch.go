@@ -15,11 +15,23 @@
 // is incremental: per-net costs are cached and moves apply delta
 // updates, with the exact same arithmetic as a full recomputation, so
 // results are bit-identical to the historical full-recompute annealer.
+//
+// Legality has one kernel, shared by every backend. A single point is
+// tested by fits: the block's row rule (on the device, on the BRAM/DSP
+// pitch of its column signature — a constant of the block, held in
+// prep) and one masked word test per occupied column. A whole column of
+// candidate origin rows is tested at once by legalRows, which smears
+// the occupied words of each footprint column over the span length and
+// returns the bitmask of rows that fit; firstFit and snapToLegal are
+// "lowest set bit" and "nearest set bit" over that mask. A proposed
+// move is tested against the full occupancy before its own footprint is
+// touched, so the common rejected move never writes the bitmap.
 package stitch
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -205,8 +217,9 @@ type Config struct {
 	// always invoked from the calling goroutine, never concurrently.
 	Progress func(chain, iter int, cost float64)
 	// CheckIncremental is a debug mode that periodically cross-checks
-	// the incremental cost state against a full recomputation and
-	// panics on drift. Expensive; for tests.
+	// the incremental state — cached net costs, running total, and the
+	// occupancy bitmap against one rebuilt from the origins — with a
+	// full recomputation and panics on drift. Expensive; for tests.
 	CheckIncremental bool
 	// Obs, when non-nil, records chain/segment/exchange spans and
 	// counters (stitch.moves, stitch.accepts, stitch.exchanges, ...).
@@ -313,25 +326,25 @@ func newOccupancy(dev *fabric.Device) *occupancy {
 	return &occupancy{words: w, bits: make([]uint64, dev.NumCols()*w)}
 }
 
-// mask returns the bit mask for rows [lo, hi] within word w.
-func rowMask(w, lo, hi int) uint64 {
-	base := w * 64
-	l, h := lo-base, hi-base
-	if l < 0 {
-		l = 0
-	}
-	if h > 63 {
-		h = 63
-	}
-	if h < 0 || l > 63 || l > h {
-		return 0
-	}
-	return (^uint64(0) >> (63 - uint(h))) &^ ((1 << uint(l)) - 1)
+// spanMasks locates rows [lo, hi] (0 <= lo <= hi) in a column's words:
+// the first and last word indices and the masks selecting the
+// interval's bits inside them. Words strictly between are covered
+// whole; when w0 == w1 the interval is first & last.
+func spanMasks(lo, hi int) (w0, w1 int, first, last uint64) {
+	return lo >> 6, hi >> 6, ^uint64(0) << uint(lo&63), ^uint64(0) >> uint(63-(hi&63))
 }
 
 func (o *occupancy) conflict(col, lo, hi int) bool {
-	for w := lo / 64; w <= hi/64; w++ {
-		if o.bits[col*o.words+w]&rowMask(w, lo, hi) != 0 {
+	w0, w1, first, last := spanMasks(lo, hi)
+	col *= o.words
+	if w0 == w1 {
+		return o.bits[col+w0]&first&last != 0
+	}
+	if o.bits[col+w0]&first != 0 || o.bits[col+w1]&last != 0 {
+		return true
+	}
+	for w := w0 + 1; w < w1; w++ {
+		if o.bits[col+w] != 0 {
 			return true
 		}
 	}
@@ -339,14 +352,74 @@ func (o *occupancy) conflict(col, lo, hi int) bool {
 }
 
 func (o *occupancy) set(col, lo, hi int, on bool) {
-	for w := lo / 64; w <= hi/64; w++ {
-		m := rowMask(w, lo, hi)
-		if on {
-			o.bits[col*o.words+w] |= m
-		} else {
-			o.bits[col*o.words+w] &^= m
+	w0, w1, first, last := spanMasks(lo, hi)
+	words := o.bits[col*o.words:]
+	if w0 == w1 {
+		first &= last
+		last = first
+	}
+	if on {
+		words[w0] |= first
+		for w := w0 + 1; w < w1; w++ {
+			words[w] = ^uint64(0)
+		}
+		words[w1] |= last
+		return
+	}
+	words[w0] &^= first
+	for w := w0 + 1; w < w1; w++ {
+		words[w] = 0
+	}
+	words[w1] &^= last
+}
+
+// orShiftDown ORs src shifted down by k rows into dst: bit r of dst
+// gains bit r+k of src, with zeros entering above the top word. dst and
+// src may be the same slice — words are visited in ascending order and
+// only read at or above the one being written.
+func orShiftDown(dst, src []uint64, k int) {
+	q, r := k>>6, uint(k&63)
+	for i := 0; i+q < len(src); i++ {
+		v := src[i+q] >> r
+		if i+q+1 < len(src) {
+			v |= src[i+q+1] << (64 - r) // a shift by 64 (r == 0) yields 0
+		}
+		dst[i] |= v
+	}
+}
+
+// nearestSetBit returns the set bit of rows closest to row c, the lower
+// one on a tie.
+func nearestSetBit(rows []uint64, c int) (int, bool) {
+	w, b := c>>6, uint(c&63)
+	below, above := -1, -1
+	if m := rows[w] & (^uint64(0) >> (63 - b)); m != 0 {
+		below = w<<6 + bits.Len64(m) - 1
+	} else {
+		for i := w - 1; i >= 0; i-- {
+			if rows[i] != 0 {
+				below = i<<6 + bits.Len64(rows[i]) - 1
+				break
+			}
 		}
 	}
+	if m := rows[w] & (^uint64(0) << b << 1); m != 0 {
+		above = w<<6 + bits.TrailingZeros64(m)
+	} else {
+		for i := w + 1; i < len(rows); i++ {
+			if rows[i] != 0 {
+				above = i<<6 + bits.TrailingZeros64(rows[i])
+				break
+			}
+		}
+	}
+	switch {
+	case below < 0 && above < 0:
+		return 0, false
+	case above < 0 || (below >= 0 && c-below <= above-c):
+		return below, true
+	}
+	return above, true
 }
 
 // prep holds the problem-derived lookup tables shared read-only by all
@@ -354,23 +427,66 @@ func (o *occupancy) set(col, lo, hi int, on bool) {
 type prep struct {
 	// originsX[b] caches the column-compatible X origins of block b.
 	originsX [][]int
+	// pitch[b] is the row-shift rule of block b: origin rows must be a
+	// multiple of it. 1 for pure-CLB footprints, the BRAM/DSP tile pitch
+	// when the home span holds such a column. Every x a block is ever
+	// tested at is signature-compatible with its home span, so the rule
+	// is a constant of the block, not of the move.
+	pitch []int
+	// validRows[b*words:(b+1)*words] is the bitmask of origin rows y
+	// that satisfy block b's row rule on this device: a multiple of the
+	// pitch with y+Height <= Rows. All zero when the block is taller
+	// than the device.
+	validRows []uint64
+	// order lists the instances area-descending (index-ascending on
+	// ties): the placement order of greedyInit and legalize.
+	order []int
 	// netsOf[i] lists net indices touching instance i.
 	netsOf [][]int
 }
 
 func newPrep(p *Problem) *prep {
+	words := (p.Dev.Rows + 63) / 64
 	pr := &prep{
-		originsX: make([][]int, len(p.Blocks)),
-		netsOf:   make([][]int, len(p.Instances)),
+		originsX:  make([][]int, len(p.Blocks)),
+		pitch:     make([]int, len(p.Blocks)),
+		validRows: make([]uint64, len(p.Blocks)*words),
+		order:     make([]int, len(p.Instances)),
+		netsOf:    make([][]int, len(p.Instances)),
 	}
+	areas := make([]int, len(p.Blocks))
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
+		areas[bi] = b.Area()
+		pr.pitch[bi] = 1
 		if len(b.Spans) == 0 {
 			pr.originsX[bi] = []int{1}
-			continue
+		} else {
+			pr.originsX[bi] = p.Dev.CompatibleOriginsX(b.HomeX, b.Width)
+			for x := max(b.HomeX, 0); x < min(b.HomeX+b.Width, p.Dev.NumCols()); x++ {
+				switch p.Dev.KindAt(x) {
+				case fabric.ColBRAM:
+					pr.pitch[bi] = lcm(pr.pitch[bi], fabric.BRAMRows)
+				case fabric.ColDSP:
+					pr.pitch[bi] = lcm(pr.pitch[bi], fabric.DSPRows)
+				}
+			}
 		}
-		pr.originsX[bi] = p.Dev.CompatibleOriginsX(b.HomeX, b.Width)
+		for y := 0; y+b.Height <= p.Dev.Rows; y += pr.pitch[bi] {
+			pr.validRows[bi*words+y>>6] |= 1 << uint(y&63)
+		}
 	}
+	for i := range pr.order {
+		pr.order[i] = i
+	}
+	sort.Slice(pr.order, func(i, j int) bool {
+		ai := areas[p.Instances[pr.order[i]].Block]
+		aj := areas[p.Instances[pr.order[j]].Block]
+		if ai != aj {
+			return ai > aj
+		}
+		return pr.order[i] < pr.order[j]
+	})
 	// Bucket nets by endpoint into one flat backing array (counting
 	// pass, then fill): per-instance append slices cost one allocation
 	// per instance, which dominated stitch.Run's allocation profile.
@@ -408,6 +524,15 @@ func newPrep(p *Problem) *prep {
 	return pr
 }
 
+// lcm is the least common multiple of two positive ints.
+func lcm(a, b int) int {
+	g, r := a, b
+	for r != 0 {
+		g, r = r, g%r
+	}
+	return a / g * b
+}
+
 // annealer carries the SA state of one chain.
 type annealer struct {
 	p   *Problem
@@ -415,6 +540,9 @@ type annealer struct {
 	cfg Config
 	rng *rand.Rand
 	occ *occupancy
+	// rows and smear are legalRows' result and working words; they live
+	// here so the kernel never allocates.
+	rows, smear []uint64
 
 	origins []Origin
 	// cx, cy cache the wirelength centers of placed instances; they are
@@ -446,12 +574,15 @@ func newAnnealer(p *Problem, pr *prep, cfg Config, seed int64) *annealer {
 			deg = len(nets)
 		}
 	}
+	occ := newOccupancy(p.Dev)
 	return &annealer{
 		p:           p,
 		pr:          pr,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(seed)),
-		occ:         newOccupancy(p.Dev),
+		occ:         occ,
+		rows:        make([]uint64, occ.words),
+		smear:       make([]uint64, occ.words),
 		origins:     make([]Origin, len(p.Instances)),
 		cx:          make([]float64, len(p.Instances)),
 		cy:          make([]float64, len(p.Instances)),
@@ -496,22 +627,60 @@ func Run(p *Problem, cfg Config) *Result {
 	panic(fmt.Sprintf("stitch: unknown backend %q (callers validate via ParseBackend)", cfg.Backend))
 }
 
-// fits reports whether block b placed at (x, y) avoids all occupied
-// slices and stays on the device with aligned BRAM/DSP rows.
-func (a *annealer) fits(b *Block, x, y int) bool {
-	dev := a.p.Dev
-	if y < 0 || y+b.Height > dev.Rows {
-		return false
-	}
-	if len(b.Spans) > 0 && !dev.RowShiftCompatible(x, x+b.Width-1, y) {
-		return false
-	}
+// rowOK is the occupancy-independent half of legality: block bidx at
+// origin row y stays on the device and lands BRAM/DSP tiles on sites.
+func (a *annealer) rowOK(bidx, y int) bool {
+	return y >= 0 && y+a.p.Blocks[bidx].Height <= a.p.Dev.Rows && y%a.pr.pitch[bidx] == 0
+}
+
+// overlaps reports whether block b at (x, y) touches an occupied slice.
+func (a *annealer) overlaps(b *Block, x, y int) bool {
 	for _, s := range b.Spans {
 		if a.occ.conflict(x+s.DX, y+s.Min, y+s.Max) {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// fits is the single-point legality predicate: block bidx placed at
+// (x, y) — x column-compatible with the block's home span — avoids all
+// occupied slices and stays on the device with aligned BRAM/DSP rows.
+func (a *annealer) fits(bidx, x, y int) bool {
+	return a.rowOK(bidx, y) && !a.overlaps(&a.p.Blocks[bidx], x, y)
+}
+
+// legalRows is fits for every origin row of column x at once: bit y of
+// the result is set exactly when fits(bidx, x, y). Per footprint column
+// the occupied words are smeared downward over the span length L by
+// log-doubling shifts (after the pass bit r says "some row of
+// [r, r+L-1] is occupied"), so origin row y is blocked by that column
+// when bit y+Min is set; the blocked rows of all columns are OR-ed,
+// inverted and cut down to the rows the block's row rule admits. The
+// result aliases a.rows and is valid until the next call.
+func (a *annealer) legalRows(bidx, x int) []uint64 {
+	nw := a.occ.words
+	rows, t := a.rows, a.smear
+	for i := range rows {
+		rows[i] = 0
+	}
+	for _, s := range a.p.Blocks[bidx].Spans {
+		copy(t, a.occ.bits[(x+s.DX)*nw:(x+s.DX+1)*nw])
+		n := s.Max - s.Min + 1
+		m := 1 // t covers windows of m rows
+		for ; 2*m <= n; m *= 2 {
+			orShiftDown(t, t, m)
+		}
+		if m < n {
+			orShiftDown(t, t, n-m) // n-m < m: the two windows still abut
+		}
+		orShiftDown(rows, t, s.Min)
+	}
+	valid := a.pr.validRows[bidx*nw : (bidx+1)*nw]
+	for i := range rows {
+		rows[i] = ^rows[i] & valid[i]
+	}
+	return rows
 }
 
 func (a *annealer) mark(b *Block, x, y int, on bool) {
@@ -532,45 +701,27 @@ func (a *annealer) setOrigin(ii int, o Origin) {
 
 // greedyInit places instances area-descending, first fit.
 func (a *annealer) greedyInit() {
-	order := make([]int, len(a.p.Instances))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		ai := a.p.Blocks[a.p.Instances[order[i]].Block].Area()
-		aj := a.p.Blocks[a.p.Instances[order[j]].Block].Area()
-		if ai != aj {
-			return ai > aj
-		}
-		return order[i] < order[j]
-	})
-	for _, ii := range order {
-		b := &a.p.Blocks[a.p.Instances[ii].Block]
-		if placed, x, y := a.firstFit(b); placed {
+	for _, ii := range a.pr.order {
+		bidx := a.p.Instances[ii].Block
+		if placed, x, y := a.firstFit(bidx); placed {
 			a.setOrigin(ii, Origin{X: x, Y: y, Placed: true})
-			a.mark(b, x, y, true)
+			a.mark(&a.p.Blocks[bidx], x, y, true)
 		}
 	}
 }
 
-func (a *annealer) firstFit(b *Block) (bool, int, int) {
-	for _, x := range a.pr.originsX[a.blockIndex(b)] {
-		for y := 0; y+b.Height <= a.p.Dev.Rows; y++ {
-			if a.fits(b, x, y) {
-				return true, x, y
+// firstFit returns the first legal origin of block bidx in column-major
+// order: the lowest legal row of the first compatible column that has
+// one.
+func (a *annealer) firstFit(bidx int) (bool, int, int) {
+	for _, x := range a.pr.originsX[bidx] {
+		for w, m := range a.legalRows(bidx, x) {
+			if m != 0 {
+				return true, x, w<<6 + bits.TrailingZeros64(m)
 			}
 		}
 	}
 	return false, 0, 0
-}
-
-func (a *annealer) blockIndex(b *Block) int {
-	for i := range a.p.Blocks {
-		if &a.p.Blocks[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // computeNetCost is the weighted Manhattan distance of one cost term:
@@ -688,17 +839,29 @@ func (a *annealer) tryMove(temp float64) {
 	}
 	ny := a.rng.Intn(maxY + 1)
 
-	old := a.origins[ii]
-	if old.Placed {
-		a.mark(b, old.X, old.Y, false)
-	}
-	if !a.fits(b, nx, ny) {
-		// Illegal move: overlap with other logic (§IV).
-		if old.Placed {
-			a.mark(b, old.X, old.Y, true)
-		}
-		a.illegal++
+	// Test the target against the full occupancy first. A conflict can
+	// only be with the instance's own footprint when the old and new
+	// bounding boxes overlap; only then is the old footprint lifted for
+	// a second look. The common rejected move never writes the bitmap.
+	if ny%a.pr.pitch[bidx] != 0 {
+		a.illegal++ // BRAM/DSP tiles off their sites
 		return
+	}
+	old := a.origins[ii]
+	lifted := false
+	if a.overlaps(b, nx, ny) {
+		maybeOwn := old.Placed && nx < old.X+b.Width && old.X < nx+b.Width &&
+			ny < old.Y+b.Height && old.Y < ny+b.Height
+		if maybeOwn {
+			a.mark(b, old.X, old.Y, false)
+			if lifted = !a.overlaps(b, nx, ny); !lifted {
+				a.mark(b, old.X, old.Y, true)
+			}
+		}
+		if !lifted {
+			a.illegal++ // overlap with other logic (§IV)
+			return
+		}
 	}
 	before := a.cachedInstCost(ii)
 	a.clearPending()
@@ -706,13 +869,16 @@ func (a *annealer) tryMove(temp float64) {
 	after := a.freshInstCost(ii)
 	delta := after - before
 	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
+		if old.Placed && !lifted {
+			a.mark(b, old.X, old.Y, false)
+		}
 		a.mark(b, nx, ny, true)
 		a.cost += delta
 		a.commitPending()
 		a.accepts++
 	} else {
 		a.setOrigin(ii, old)
-		if old.Placed {
+		if lifted {
 			a.mark(b, old.X, old.Y, true)
 		}
 	}
@@ -731,21 +897,26 @@ func (a *annealer) trySwap(temp float64) {
 	if !o1.Placed || !o2.Placed {
 		return
 	}
-	b1 := &a.p.Blocks[a.p.Instances[i1].Block]
-	b2 := &a.p.Blocks[a.p.Instances[i2].Block]
+	bi1, bi2 := a.p.Instances[i1].Block, a.p.Instances[i2].Block
+	b1, b2 := &a.p.Blocks[bi1], &a.p.Blocks[bi2]
 	// Column compatibility at the destination positions.
 	if !a.p.Dev.SignatureMatches(b1.HomeX, b1.Width, o2.X) ||
 		!a.p.Dev.SignatureMatches(b2.HomeX, b2.Width, o1.X) {
+		return
+	}
+	// The row rules need no bitmap; settle them before lifting anything.
+	if !a.rowOK(bi1, o2.Y) || !a.rowOK(bi2, o1.Y) {
+		a.illegal++
 		return
 	}
 	a.mark(b1, o1.X, o1.Y, false)
 	a.mark(b2, o2.X, o2.Y, false)
 	// b1 must be marked at its destination before b2 is checked, or the
 	// two swapped blocks could overlap each other.
-	ok := a.fits(b1, o2.X, o2.Y)
+	ok := !a.overlaps(b1, o2.X, o2.Y)
 	if ok {
 		a.mark(b1, o2.X, o2.Y, true)
-		ok = a.fits(b2, o1.X, o1.Y)
+		ok = !a.overlaps(b2, o1.X, o1.Y)
 		a.mark(b1, o2.X, o2.Y, false)
 	}
 	if !ok {
@@ -817,9 +988,27 @@ func (a *annealer) freshPairCost(i1, i2 int) float64 {
 	return c
 }
 
-// checkIncremental asserts the incremental cost state against a full
-// recomputation (the CheckIncremental debug mode).
+// checkIncremental asserts the incremental state against a full
+// recomputation (the CheckIncremental debug mode): every cached net
+// cost, the running total, and the occupancy bitmap rebuilt from the
+// origins — a stale footprint bit left by a move is invisible to the
+// cost checks.
 func (a *annealer) checkIncremental(it int) {
+	want := newOccupancy(a.p.Dev)
+	for ii, o := range a.origins {
+		if !o.Placed {
+			continue
+		}
+		for _, s := range a.p.Blocks[a.p.Instances[ii].Block].Spans {
+			want.set(o.X+s.DX, o.Y+s.Min, o.Y+s.Max, true)
+		}
+	}
+	for i, w := range want.bits {
+		if got := a.occ.bits[i]; got != w {
+			panic(fmt.Sprintf("stitch: occupancy drift at iter %d: column %d word %d holds %#x, origins say %#x",
+				it, i/want.words, i%want.words, got, w))
+		}
+	}
 	for ni := range a.netCost0 {
 		if got := a.computeNetCost(ni); got != a.netCost0[ni] {
 			panic(fmt.Sprintf("stitch: net %d cost cache drift at iter %d: cached %v, recomputed %v",
@@ -839,6 +1028,7 @@ func (a *annealer) fragmentation() (free, largestRect int) {
 	dev := a.p.Dev
 	w, h := dev.NumCols(), dev.Rows
 	heights := make([]int, w)
+	stack := make([]histEnt, 0, w)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if dev.IsCLBColumn(x) && !a.occ.conflict(x, y, y) {
@@ -849,17 +1039,22 @@ func (a *annealer) fragmentation() (free, largestRect int) {
 			}
 		}
 		// Largest rectangle in histogram via a stack.
-		if r := largestInHistogram(heights); r > largestRect {
+		if r := largestInHistogram(heights, stack); r > largestRect {
 			largestRect = r
 		}
 	}
 	return free, largestRect
 }
 
+// histEnt is one open bar on largestInHistogram's stack.
+type histEnt struct{ idx, h int }
+
 // largestInHistogram returns the largest rectangle under the histogram.
-func largestInHistogram(hs []int) int {
-	type ent struct{ idx, h int }
-	var stack []ent
+// stack is scratch (any contents, used from length 0): it never holds
+// more than len(hs) bars, so a caller scanning many rows passes one
+// slice of that capacity and the scan allocates nothing.
+func largestInHistogram(hs []int, stack []histEnt) int {
+	stack = stack[:0]
 	best := 0
 	for i := 0; i <= len(hs); i++ {
 		cur := 0
@@ -876,7 +1071,7 @@ func largestInHistogram(hs []int) int {
 			start = top.idx
 		}
 		if cur > 0 && (len(stack) == 0 || stack[len(stack)-1].h < cur) {
-			stack = append(stack, ent{start, cur})
+			stack = append(stack, histEnt{start, cur})
 		}
 	}
 	return best

@@ -33,21 +33,35 @@ func rectBlock(t *testing.T, dev *fabric.Device, name string, w, h int) Block {
 	return Block{}
 }
 
-func TestRowMask(t *testing.T) {
-	if rowMask(0, 0, 3) != 0xF {
-		t.Errorf("mask(0,0,3) = %x", rowMask(0, 0, 3))
+// spanBits ORs the span masks of rows [lo, hi] into a fresh column of
+// nw words, the way occupancy.set applies them.
+func spanBits(nw, lo, hi int) []uint64 {
+	o := &occupancy{words: nw, bits: make([]uint64, nw)}
+	o.set(0, lo, hi, true)
+	return o.bits
+}
+
+func TestSpanMasks(t *testing.T) {
+	cases := []struct {
+		lo, hi int
+		want   []uint64
+	}{
+		{0, 3, []uint64{0xF, 0}},
+		{64, 65, []uint64{0, 0x3}},
+		{63, 63, []uint64{1 << 63, 0}},
+		{0, 63, []uint64{^uint64(0), 0}},
+		{60, 70, []uint64{0xF000000000000000, 0x7F}},
+		{0, 127, []uint64{^uint64(0), ^uint64(0)}},
 	}
-	if rowMask(1, 64, 65) != 0x3 {
-		t.Errorf("mask(1,64,65) = %x", rowMask(1, 64, 65))
+	for _, c := range cases {
+		got := spanBits(2, c.lo, c.hi)
+		if got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("rows [%d, %d] = %x, want %x", c.lo, c.hi, got, c.want)
+		}
 	}
-	if rowMask(0, 70, 80) != 0 {
-		t.Errorf("out-of-word mask must be 0")
-	}
-	if rowMask(1, 0, 63) != 0 {
-		t.Errorf("preceding-word mask must be 0")
-	}
-	if rowMask(0, 60, 70) != 0xF000000000000000 {
-		t.Errorf("straddling mask = %x", rowMask(0, 60, 70))
+	w0, w1, first, last := spanMasks(60, 200)
+	if w0 != 0 || w1 != 3 || first != 0xF000000000000000 || last != 0x1FF {
+		t.Errorf("spanMasks(60, 200) = %d %d %x %x", w0, w1, first, last)
 	}
 }
 
@@ -218,21 +232,32 @@ func TestAdaptiveStopTerminatesEarly(t *testing.T) {
 	}
 }
 
-// Property: rowMask covers exactly hi-lo+1 bits across words.
-func TestRowMaskBitCountProperty(t *testing.T) {
-	f := func(lo8, span8 uint8) bool {
-		lo := int(lo8) % 300
-		hi := lo + int(span8)%40
+// Property: the span masks cover exactly rows lo..hi across words, and
+// conflict/clear see the same interval set wrote.
+func TestSpanMasksBitCountProperty(t *testing.T) {
+	f := func(lo16 uint16, span8 uint8) bool {
+		lo := int(lo16) % 300
+		hi := lo + int(span8)%140
+		o := &occupancy{words: 7, bits: make([]uint64, 7)}
+		o.set(0, lo, hi, true)
 		total := 0
-		for w := 0; w <= hi/64; w++ {
-			m := rowMask(w, lo, hi)
-			for ; m != 0; m &= m - 1 {
+		for r := 0; r < 7*64; r++ {
+			set := o.bits[r>>6]>>uint(r&63)&1 == 1
+			if set != (r >= lo && r <= hi) {
+				return false
+			}
+			if set {
 				total++
 			}
 		}
-		return total == hi-lo+1
+		if total != hi-lo+1 || !o.conflict(0, lo, lo) || !o.conflict(0, hi, hi) ||
+			(lo > 0 && o.conflict(0, 0, lo-1)) || o.conflict(0, hi+1, 7*64-1) {
+			return false
+		}
+		o.set(0, lo, hi, false)
+		return !o.conflict(0, 0, 7*64-1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
@@ -250,7 +275,7 @@ func TestLargestInHistogram(t *testing.T) {
 		{[]int{3, 0, 3}, 3},
 	}
 	for _, c := range cases {
-		if got := largestInHistogram(c.hs); got != c.want {
+		if got := largestInHistogram(c.hs, nil); got != c.want {
 			t.Errorf("largestInHistogram(%v) = %d, want %d", c.hs, got, c.want)
 		}
 	}
@@ -280,9 +305,10 @@ func TestFragmentationReported(t *testing.T) {
 }
 
 func TestSwapMovesPreserveLegality(t *testing.T) {
-	// A tight problem exercises swaps; final state must be overlap-free.
+	// A tight problem exercises swaps; final state must be overlap-free,
+	// and the bitmap must agree with the origins all the way there.
 	p := smallProblem(t, 40)
-	res := Run(p, Config{Seed: 9, Iterations: 30000})
+	res := Run(p, Config{Seed: 9, Iterations: 30000, CheckIncremental: true})
 	occ := newOccupancy(p.Dev)
 	for ii, o := range res.Origins {
 		if !o.Placed {

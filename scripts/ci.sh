@@ -32,14 +32,15 @@ echo "==> go test -shuffle=on (order independence)" >&2
 go test -shuffle="${CI_SHUFFLE_SEED:-1}" ./...
 
 # Fuzz smoke: each native fuzz target runs briefly from its seed corpus
-# (~30s total). This is a regression tripwire, not a bug hunt — longer
+# (~1 min total). This is a regression tripwire, not a bug hunt — longer
 # campaigns run with: go test -fuzz <Target> -fuzztime 10m <pkg>.
-echo "==> fuzz smoke (5 targets x ${CI_FUZZTIME:-10s})" >&2
+echo "==> fuzz smoke (6 targets x ${CI_FUZZTIME:-10s})" >&2
 go test -run '^$' -fuzz '^FuzzTextRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 go test -run '^$' -fuzz '^FuzzModuleContent$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 go test -run '^$' -fuzz '^FuzzElaborate$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/synth/
 go test -run '^$' -fuzz '^FuzzEstimatorRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" .
 go test -run '^$' -fuzz '^FuzzPartitionAssign$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/partition/
+go test -run '^$' -fuzz '^FuzzLegalRows$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/stitch/
 
 # Coverage gate: the differential-verification core (oracle, pblock,
 # stitch, partition) must not silently lose test coverage. The floor is
@@ -63,9 +64,12 @@ awk -v t="${total}" -v f="${floor}" 'BEGIN {
 # parallel fitness evaluation, the portfolio race, the sharded stitcher's
 # goroutine-per-shard fan-out and the partitioner's parallel offspring
 # evaluation all carry the same promise, so their determinism tests run
-# in the same configuration.
+# in the same configuration. So do the pinned trajectory digests (the
+# analytic descent's fused update+splat tile pass must produce the
+# literals recorded before it was fused, on any core count) and the
+# legality kernel's differential test against the per-row reference.
 echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
-GOMAXPROCS=4 go test -race -run 'TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestEvoDeterministic|TestPortfolioDeterministic|TestPortfolioEntrantsMatchSolo|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' ./internal/stitch/
+GOMAXPROCS=4 go test -race -run 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestEvoDeterministic|TestPortfolioDeterministic|TestPortfolioEntrantsMatchSolo|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' ./internal/stitch/
 GOMAXPROCS=4 go test -race -run 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' ./internal/partition/
 # The min-CF probe loop: speculative bisect workers share one place.Plan
 # (and its recycled site tables), and a reused plan must answer like a
