@@ -774,6 +774,48 @@ func BenchmarkModuleHash(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthCNV measures the front end of one cnvW1A1 compile:
+// elaborating and optimizing all 74 block types, which a warm compile
+// pays in full before it can look a single record up.
+func BenchmarkSynthCNV(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := cnv.CNVW1A1()
+		for ti := range d.Types {
+			if _, err := d.Module(ti); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRecordCodec measures one persistent-cache round trip of
+// weights_14's implementation record (4415 cell coordinates) through
+// the real store: encode, frame and write, then read, verify and decode.
+func BenchmarkRecordCodec(b *testing.B) {
+	m, rep, _, _ := weights14Probes(b)
+	rec, ok := pblock.RecordSearch(pblock.MinCF(fix.dev, m, rep, minCFBenchSearch, pblock.DefaultConfig()))
+	if !ok || !rec.Feasible {
+		b.Fatal("weights_14 has no cacheable implementation")
+	}
+	cache, err := implcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := implcache.Key("bench", "weights_14")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cache.Put(key, rec); err != nil {
+			b.Fatal(err)
+		}
+		var got pblock.ImplRecord
+		if !cache.Get(key, &got) || len(got.CellAt) != len(rec.CellAt) {
+			b.Fatal("stored record did not come back")
+		}
+	}
+}
+
 // BenchmarkRouteProbe measures one congestion probe.
 func BenchmarkRouteProbe(b *testing.B) {
 	fixtures(b)

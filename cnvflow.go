@@ -242,6 +242,7 @@ func (f *Flow) RunCNV(mode CFMode, opts CNVOptions) (*CNVResult, error) {
 		return nil, err
 	}
 	search := f.searchFor(im)
+	fps := f.fingerprints(search)
 	rec := im.Obs
 	root := rec.Start("flow.runcnv",
 		obs.String("cf_mode", mode.kind),
@@ -266,7 +267,7 @@ func (f *Flow) RunCNV(mode CFMode, opts CNVOptions) (*CNVResult, error) {
 			defer func() { lanes <- lane }()
 			sp := root.Child("implement.block",
 				obs.String("block", design.Types[ti].Name)).WithLane(lane + 1)
-			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.implementType(design, ti, mode, search, im.Cache, sp)
+			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.implementType(design, ti, mode, search, fps, im.Cache, sp)
 			if errs[ti] == nil {
 				sp.Set(obs.Float("cf", res.Blocks[ti].CF),
 					obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
@@ -351,7 +352,7 @@ func tallyHit(h blockHit, cacheHits *int, stats *CacheStats) {
 // CF mode, consulting the block cache when one is supplied. sp, when
 // non-nil, is the block's trace span; search/synth/place child spans
 // nest under it.
-func (f *Flow) implementType(d *cnv.Design, ti int, mode CFMode, search pblock.SearchConfig, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
+func (f *Flow) implementType(d *cnv.Design, ti int, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
 	ssp := sp.Child("synth.module")
 	m, err := d.Module(ti)
 	ssp.End()
@@ -362,7 +363,7 @@ func (f *Flow) implementType(d *cnv.Design, ti int, mode CFMode, search pblock.S
 	rep := place.QuickPlace(m)
 	psp.End()
 	search.Span = sp
-	sr, hit, err := f.cachedImplement(m, rep, mode, search, cache)
+	sr, hit, err := f.cachedImplement(m, rep, mode, search, fps, cache)
 	if err != nil {
 		return nil, ModuleResult{}, hit, err
 	}

@@ -300,6 +300,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		return nil, err
 	}
 	search := f.searchFor(im)
+	fps := f.fingerprints(search)
 	rec := im.Obs
 	root := rec.Start("flow.compile",
 		obs.String("cf_mode", mode.kind),
@@ -324,7 +325,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 			defer func() { lanes <- lane }()
 			sp := root.Child("implement.block",
 				obs.String("block", d.names[ti])).WithLane(lane + 1)
-			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, im.Cache, sp)
+			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
 			if errs[ti] == nil {
 				sp.Set(obs.Float("cf", res.Blocks[ti].CF),
 					obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
@@ -414,7 +415,7 @@ func hitName(kind int) string {
 // and handed to cachedImplement (module-keyed memory, then the
 // persistent store, then a fresh search). sp, when non-nil, is the
 // block's trace span.
-func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
+func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
 	var key string
 	if cache != nil {
 		key = cache.key(f.dev.Name, spec)
@@ -432,7 +433,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		return nil, ModuleResult{}, blockHit{}, err
 	}
 	search.Span = sp
-	sr, hit, err := f.cachedImplement(m, rep, mode, search, cache)
+	sr, hit, err := f.cachedImplement(m, rep, mode, search, fps, cache)
 	if err != nil {
 		return nil, ModuleResult{}, hit, err
 	}
@@ -453,12 +454,12 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 // rebuilds the placement via a Verify-audited warm start), and only
 // then a fresh search, whose outcome is written back to both layers.
 // It is the one implementation path shared by Compile and RunCNV.
-func (f *Flow) cachedImplement(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
+func (f *Flow) cachedImplement(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
 	if cache == nil {
 		sr, err := f.implementModule(m, rep, mode, search)
 		return sr, blockHit{}, err
 	}
-	key := f.blockDiskKey(m, rep, mode, search)
+	key := f.blockDiskKey(m, rep, mode, fps)
 	cache.mu.Lock()
 	if cache.byModule == nil {
 		cache.byModule = make(map[string]pblock.SearchResult)
@@ -563,13 +564,26 @@ func (f *Flow) missImplement(key string, m *netlist.Module, rep place.ShapeRepor
 	return sr, blockHit{stored: stored}, nil
 }
 
+// keyFingerprints are the parts of a block's persistent key that do not
+// depend on the block: the printed search window and oracle
+// configuration. A compile prints them once (fingerprints) and hands
+// them to every block's blockDiskKey.
+type keyFingerprints struct{ search, config string }
+
+func (f *Flow) fingerprints(search pblock.SearchConfig) keyFingerprints {
+	return keyFingerprints{
+		search: pblock.SearchFingerprint(search),
+		config: pblock.ConfigFingerprint(f.cfg),
+	}
+}
+
 // blockDiskKey addresses a block's persistent record by everything that
 // can change its implementation: device, optimized module content, CF
 // policy, the effective search and the oracle configuration. The
 // estimator mode folds the predicted CF into the key — a retrained
 // estimator addresses different records rather than being served stale
 // ones.
-func (f *Flow) blockDiskKey(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig) string {
+func (f *Flow) blockDiskKey(m *netlist.Module, rep place.ShapeReport, mode CFMode, fps keyFingerprints) string {
 	modeFP := mode.kind
 	switch mode.kind {
 	case "constant":
@@ -586,8 +600,8 @@ func (f *Flow) blockDiskKey(m *netlist.Module, rep place.ShapeReport, mode CFMod
 		f.dev.Name,
 		implcache.ModuleHash(m),
 		modeFP,
-		pblock.SearchFingerprint(search),
-		pblock.ConfigFingerprint(f.cfg),
+		fps.search,
+		fps.config,
 	)
 }
 

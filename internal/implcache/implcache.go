@@ -6,17 +6,25 @@
 // could change the verdict: any drift in the key parts addresses a
 // different file.
 //
+// A record is the value's own binary encoding (encoding.BinaryMarshaler)
+// in a frame that carries its length and CRC-32 (see Frame); a file that
+// is torn, truncated, bit-rotted or of another format version fails the
+// frame check and is a miss before any of its fields is decoded.
+//
 // The cache is safe for concurrent use within one process (atomic
 // counters, rename-into-place writes) and across processes (writers
-// produce complete files via temp-file + rename; readers treat
-// unparsable files as misses).
+// produce complete files via temp-file + rename).
 package implcache
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -44,14 +52,10 @@ func (s Stats) add(o Stats) Stats {
 	}
 }
 
-// StatsFile is the lifetime-counter sidecar at the cache root. Record
-// shards live in two-character subdirectories, so the name can never
-// collide with a record. Exported so auditing tools (internal/oracle's
-// fault injector walks the store) can distinguish the sidecar from
-// records without duplicating the name.
-const StatsFile = "stats.json"
-
-const statsFile = StatsFile
+// statsFile is the lifetime-counter sidecar at the cache root. Records
+// live in two-character subdirectories under RecordExt, so the name can
+// never collide with one.
+const statsFile = "stats.json"
 
 // statsFlushEvery bounds how many counted events may pass between
 // automatic flushes of the lifetime counters, so a crashed process
@@ -186,25 +190,73 @@ func ModuleHash(m *netlist.Module) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// RecordExt is the file extension of a record. Directories written
+// before format version 2 hold <key>.json files, which are never opened:
+// such a directory is simply cold (delete it to reclaim the space).
+const RecordExt = ".rec"
+
+// recordVersion is the version of the record format: the frame below
+// and the payload encodings of the values stored in it. Version 1 was
+// the unframed JSON of the first cache directories.
+const recordVersion = 2
+
+// A record file is a frameSize-byte header — the magic, recordVersion,
+// the payload length and the payload's CRC-32 (IEEE), the three numbers
+// as little-endian uint32 — followed by the payload.
+const (
+	frameMagic = "MFIR"
+	frameSize  = 16
+)
+
+// ErrFrame is returned (wrapped) by Unframe for bytes that are not a
+// complete, intact frame of the current version.
+var ErrFrame = errors.New("implcache: bad record frame")
+
+// Frame returns payload wrapped in a record frame.
+func Frame(payload []byte) []byte {
+	b := make([]byte, frameSize+len(payload))
+	copy(b, frameMagic)
+	binary.LittleEndian.PutUint32(b[4:], recordVersion)
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[12:], crc32.ChecksumIEEE(payload))
+	copy(b[frameSize:], payload)
+	return b
+}
+
+// Unframe checks data's magic, version, length and checksum and returns
+// the payload (a slice of data).
+func Unframe(data []byte) ([]byte, error) {
+	if len(data) < frameSize || string(data[:4]) != frameMagic {
+		return nil, fmt.Errorf("%w: no header", ErrFrame)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != recordVersion {
+		return nil, fmt.Errorf("%w: format version %d, want %d", ErrFrame, v, recordVersion)
+	}
+	payload := data[frameSize:]
+	if n := binary.LittleEndian.Uint32(data[8:]); uint64(n) != uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: %d payload bytes, header says %d", ErrFrame, len(payload), n)
+	}
+	if binary.LittleEndian.Uint32(data[12:]) != crc32.ChecksumIEEE(payload) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrFrame)
+	}
+	return payload, nil
+}
+
 // path maps a key to its record file, sharded by the first byte to keep
 // directory listings manageable for large datasets.
 func (c *Cache) path(key string) string {
 	if len(key) < 2 {
 		key = "00" + key
 	}
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return filepath.Join(c.dir, key[:2], key+RecordExt)
 }
 
-// Get loads the record stored under key into v. A missing, truncated or
-// unparsable file counts as a miss.
+// Get loads the record stored under key into v, which must implement
+// encoding.BinaryUnmarshaler. A missing file, a file that fails the
+// frame check (truncated, torn, bit-rotted, another version) and a
+// payload v rejects all count as a miss.
 func (c *Cache) Get(key string, v any) bool {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		c.countEvent()
-		return false
-	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if c.load(key, v) != nil {
 		c.misses.Add(1)
 		c.countEvent()
 		return false
@@ -214,13 +266,35 @@ func (c *Cache) Get(key string, v any) bool {
 	return true
 }
 
-// Put stores v under key. The write is atomic: concurrent readers see
-// either the old record or the complete new one, never a torn file.
+func (c *Cache) load(key string, v any) error {
+	u, ok := v.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return fmt.Errorf("implcache: %T does not implement encoding.BinaryUnmarshaler", v)
+	}
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return err
+	}
+	payload, err := Unframe(data)
+	if err != nil {
+		return err
+	}
+	return u.UnmarshalBinary(payload)
+}
+
+// Put stores v, which must implement encoding.BinaryMarshaler, under
+// key. The write is atomic: concurrent readers see either the old record
+// or the complete new one, never a torn file.
 func (c *Cache) Put(key string, v any) error {
-	data, err := json.Marshal(v)
+	m, ok := v.(encoding.BinaryMarshaler)
+	if !ok {
+		return fmt.Errorf("implcache: %T does not implement encoding.BinaryMarshaler", v)
+	}
+	payload, err := m.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("implcache: %w", err)
 	}
+	data := Frame(payload)
 	p := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("implcache: %w", err)
@@ -250,12 +324,11 @@ func (c *Cache) Put(key string, v any) error {
 }
 
 // Len counts the records currently on disk (test/diagnostic helper).
-// The stats sidecar is not a record and is excluded.
 func (c *Cache) Len() int {
 	n := 0
 	filepath.Walk(c.dir, func(_ string, info os.FileInfo, err error) error {
 		if err == nil && info != nil && !info.IsDir() &&
-			filepath.Ext(info.Name()) == ".json" && info.Name() != statsFile {
+			filepath.Ext(info.Name()) == RecordExt {
 			n++
 		}
 		return nil

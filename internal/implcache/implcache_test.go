@@ -1,8 +1,10 @@
 package implcache
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"macroflow/internal/cnv"
@@ -13,6 +15,22 @@ import (
 type record struct {
 	CF   float64
 	Runs int
+}
+
+func (r record) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 16)
+	binary.LittleEndian.PutUint64(b, math.Float64bits(r.CF))
+	binary.LittleEndian.PutUint64(b[8:], uint64(r.Runs))
+	return b, nil
+}
+
+func (r *record) UnmarshalBinary(b []byte) error {
+	if len(b) != 16 {
+		return errors.New("record: want 16 bytes")
+	}
+	r.CF = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	r.Runs = int(binary.LittleEndian.Uint64(b[8:]))
+	return nil
 }
 
 func TestRoundtripAndCounters(t *testing.T) {
@@ -69,6 +87,10 @@ func TestCrossProcessReopen(t *testing.T) {
 	}
 }
 
+// TestCorruptFileIsMiss: whatever is wrong with a record file — cut
+// short anywhere, one byte flipped anywhere, another format version, the
+// JSON of a version-1 directory, a payload the value rejects — the
+// lookup is a counted miss, and the next Put repairs the record.
 func TestCorruptFileIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -76,27 +98,68 @@ func TestCorruptFileIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key("x")
-	if err := c.Put(key, record{CF: 2}); err != nil {
+	if err := c.Put(key, record{CF: 2, Runs: 7}); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the record file mid-JSON.
-	var file string
-	filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		// Skip the stats sidecar — we want the record file itself.
-		if err == nil && !info.IsDir() && info.Name() != statsFile {
-			file = p
-		}
-		return nil
-	})
-	if file == "" {
-		t.Fatal("record file not found")
+	file := c.path(key)
+	good, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(file, []byte(`{"CF":`), 0o644); err != nil {
+	var damaged [][]byte
+	for n := 0; n < len(good); n++ {
+		damaged = append(damaged, good[:n]) // truncated at every length
+		flipped := append([]byte(nil), good...)
+		flipped[n] ^= 0x01
+		damaged = append(damaged, flipped) // every byte, header included
+	}
+	otherVersion := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(otherVersion[4:], recordVersion+1)
+	damaged = append(damaged,
+		otherVersion,
+		append(append([]byte(nil), good...), 0), // trailing garbage
+		[]byte(`{"CF":2,"Runs":7}`),             // a version-1 record
+		Frame([]byte("short")),                  // intact frame, payload the value rejects
+	)
+	for i, data := range damaged {
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats()
+		var got record
+		if c.Get(key, &got) {
+			t.Fatalf("damaged record %d (%d of %d bytes) was served: %+v", i, len(data), len(good), got)
+		}
+		if after := c.Stats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
+			t.Fatalf("damaged record %d: stats %+v -> %+v, want one more miss", i, before, after)
+		}
+	}
+	if err := c.Put(key, record{CF: 2, Runs: 7}); err != nil {
 		t.Fatal(err)
 	}
 	var got record
-	if c.Get(key, &got) {
-		t.Fatal("corrupt record must count as a miss")
+	if !c.Get(key, &got) || got != (record{CF: 2, Runs: 7}) {
+		t.Fatalf("record not repaired by Put: %+v", got)
+	}
+}
+
+// TestPlainValuesAreRejected: a value without a binary encoding is an
+// error on Put and a miss on Get — there is one record codec.
+func TestPlainValuesAreRejected(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type plain struct{ CF float64 }
+	if err := c.Put(Key("p"), plain{CF: 1}); err == nil {
+		t.Error("Put accepted a value without MarshalBinary")
+	}
+	if err := c.Put(Key("p"), record{CF: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var got plain
+	if c.Get(Key("p"), &got) {
+		t.Error("Get filled a value without UnmarshalBinary")
 	}
 }
 

@@ -115,6 +115,14 @@ type Module struct {
 	LogicDepth int
 
 	csIndex map[ControlSet]int32
+
+	// chainNext is the first carry-chain ID no cell in Cells[:chainSeen]
+	// uses; nextChain extends the scanned prefix instead of rescanning.
+	chainNext int32
+	chainSeen int
+	// sinkArena is the unused tail of the current chunk AddSink carves
+	// sink lists from.
+	sinkArena []CellID
 }
 
 // MarkOutput records net n as a module output.
@@ -169,14 +177,24 @@ func (m *Module) AddCarryChain(n int) []CellID {
 	return ids
 }
 
+// nextChain returns a chain ID above every chain in use. Cells also
+// arrive by direct append (ReadText, literal modules), so the counter is
+// not kept by AddCarryChain alone: each call scans the cells appended
+// since the last one, which keeps a module of many chains linear.
+// Renumbering (synth's compaction) only lowers IDs, so a counter that
+// missed it still never reuses one; a shrunken cell list starts the scan
+// over so that the IDs stay dense after it.
 func (m *Module) nextChain() int32 {
-	maxc := int32(NoID)
-	for i := range m.Cells {
-		if m.Cells[i].Chain > maxc {
-			maxc = m.Cells[i].Chain
+	if m.chainSeen > len(m.Cells) {
+		m.chainSeen, m.chainNext = 0, 0
+	}
+	for i := m.chainSeen; i < len(m.Cells); i++ {
+		if c := m.Cells[i].Chain; c >= m.chainNext {
+			m.chainNext = c + 1
 		}
 	}
-	return maxc + 1
+	m.chainSeen = len(m.Cells)
+	return m.chainNext
 }
 
 // AddNet appends a net and returns its ID.
@@ -187,7 +205,38 @@ func (m *Module) AddNet(driver CellID, sinks ...CellID) NetID {
 
 // AddSink connects an additional sink to an existing net.
 func (m *Module) AddSink(n NetID, sink CellID) {
-	m.Nets[n].Sinks = append(m.Nets[n].Sinks, sink)
+	s := m.Nets[n].Sinks
+	if len(s) == cap(s) {
+		s = m.growSinks(s)
+	}
+	m.Nets[n].Sinks = append(s, sink)
+}
+
+// sinkChunk is the size, in sinks, of one arena chunk. A module's nets
+// are mostly of fanout one to six, so growing each list on the heap
+// costs several allocations per net; carving the lists from chunks costs
+// one per sinkChunk sinks.
+const sinkChunk = 1024
+
+// growSinks returns s moved to a piece of the sink arena of twice its
+// capacity. The piece's capacity ends where the next piece begins, so an
+// append can never reach a neighbouring net's sinks. Lists too long to
+// share a chunk get a slice of their own.
+func (m *Module) growSinks(s []CellID) []CellID {
+	c := 2 * cap(s)
+	if c < 2 {
+		c = 2
+	}
+	if c > sinkChunk/4 {
+		return append(make([]CellID, 0, c), s...)
+	}
+	if c > len(m.sinkArena) {
+		m.sinkArena = make([]CellID, sinkChunk)
+	}
+	piece := m.sinkArena[:len(s):c]
+	m.sinkArena = m.sinkArena[c:]
+	copy(piece, s)
+	return piece
 }
 
 // NumCells returns the number of cells.

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,15 +9,17 @@ import (
 	"sort"
 
 	"macroflow/internal/implcache"
+	"macroflow/internal/pblock"
 	"macroflow/internal/stitch"
 )
 
 // Chaos injects the fault classes the oracle's checkers exist to catch:
 // corrupted persistent-cache entries, overlapping or dropped stitched
-// placements, and perturbed correction factors. Every mutation is
-// deterministic for a given seed, so a test that proves "this fault is
-// detected" stays reproducible. Chaos is test tooling — nothing in the
-// production flow constructs one.
+// placements, and perturbed correction factors — plus the damage the
+// cache itself must turn into a miss, torn and bit-rotted record files.
+// Every mutation is deterministic for a given seed, so a test that
+// proves "this fault is detected" stays reproducible. Chaos is test
+// tooling — nothing in the production flow constructs one.
 type Chaos struct {
 	rng *rand.Rand
 }
@@ -28,56 +29,104 @@ func NewChaos(seed int64) *Chaos {
 	return &Chaos{rng: rand.New(rand.NewSource(seed))}
 }
 
-// CorruptCacheEntry rewrites one persistent-cache record under dir so it
-// still parses and still passes the warm-start rebuild audit, but no
-// longer matches a fresh run: the stored CF is shifted while the stored
-// rectangle and placement are kept. This is exactly the corruption class
-// only the cache-equivalence checker can see — the rebuild path has no
-// way to know the CF is a lie. Returns the corrupted file's path.
-func (c *Chaos) CorruptCacheEntry(dir string) (string, error) {
+// cacheRecords lists the record files under a persistent-cache
+// directory, sorted.
+func cacheRecords(dir string) ([]string, error) {
 	var files []string
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info == nil || info.IsDir() {
 			return err
 		}
-		if filepath.Ext(path) == ".json" && filepath.Base(path) != implcache.StatsFile {
+		if filepath.Ext(path) == implcache.RecordExt {
 			files = append(files, path)
 		}
 		return nil
 	})
 	if err != nil {
-		return "", fmt.Errorf("oracle: chaos: %w", err)
+		return nil, fmt.Errorf("oracle: chaos: %w", err)
 	}
 	sort.Strings(files)
+	return files, nil
+}
+
+// CorruptCacheEntry rewrites one persistent-cache record under dir so it
+// still passes the frame check and the warm-start rebuild audit, but no
+// longer matches a fresh run: the stored CF is shifted through the
+// record codec while the stored rectangle and placement are kept, and
+// the record is framed again with a valid checksum. This is exactly the
+// corruption class only the cache-equivalence checker can see — neither
+// the checksum nor the rebuild path has a way to know the CF is a lie.
+// Returns the corrupted file's path.
+func (c *Chaos) CorruptCacheEntry(dir string) (string, error) {
+	files, err := cacheRecords(dir)
+	if err != nil {
+		return "", err
+	}
 	// Prefer feasible records: a corrupted CF on one is served through
 	// the warm rebuild, which is the interesting escape path.
-	perm := c.rng.Perm(len(files))
-	for _, fi := range perm {
+	for _, fi := range c.rng.Perm(len(files)) {
 		path := files[fi]
 		data, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
-		var rec map[string]any
-		if json.Unmarshal(data, &rec) != nil {
-			continue
-		}
-		feasible, _ := rec["Feasible"].(bool)
-		if !feasible {
-			continue
-		}
-		cf, _ := rec["CF"].(float64)
-		rec["CF"] = cf + 0.5 // still a plausible grid-adjacent value
-		out, err := json.Marshal(rec)
+		payload, err := implcache.Unframe(data)
 		if err != nil {
 			continue
 		}
-		if err := os.WriteFile(path, out, 0o644); err != nil {
+		var rec pblock.ImplRecord
+		if rec.UnmarshalBinary(payload) != nil || !rec.Feasible {
+			continue
+		}
+		rec.CF += 0.5 // still a plausible grid-adjacent value
+		out, err := rec.MarshalBinary()
+		if err != nil {
+			continue
+		}
+		if err := os.WriteFile(path, implcache.Frame(out), 0o644); err != nil {
 			return "", fmt.Errorf("oracle: chaos: %w", err)
 		}
 		return path, nil
 	}
 	return "", fmt.Errorf("oracle: chaos: no feasible cache record under %s", dir)
+}
+
+// TruncateCacheEntry cuts one record file under dir short at a random
+// length (possibly zero) — the torn write of a crashed or out-of-space
+// process. Returns the file's path.
+func (c *Chaos) TruncateCacheEntry(dir string) (string, error) {
+	return c.damageCacheEntry(dir, func(data []byte) []byte {
+		return data[:c.rng.Intn(len(data))]
+	})
+}
+
+// FlipCacheEntryByte inverts one random byte of one record file under
+// dir, header or payload — bit rot. Returns the file's path.
+func (c *Chaos) FlipCacheEntryByte(dir string) (string, error) {
+	return c.damageCacheEntry(dir, func(data []byte) []byte {
+		data[c.rng.Intn(len(data))] ^= 0xff
+		return data
+	})
+}
+
+// damageCacheEntry rewrites one randomly chosen, non-empty record file
+// under dir with damage applied to its bytes.
+func (c *Chaos) damageCacheEntry(dir string, damage func([]byte) []byte) (string, error) {
+	files, err := cacheRecords(dir)
+	if err != nil {
+		return "", err
+	}
+	for _, fi := range c.rng.Perm(len(files)) {
+		data, err := os.ReadFile(files[fi])
+		if err != nil || len(data) == 0 {
+			continue
+		}
+		if err := os.WriteFile(files[fi], damage(data), 0o644); err != nil {
+			return "", fmt.Errorf("oracle: chaos: %w", err)
+		}
+		return files[fi], nil
+	}
+	return "", fmt.Errorf("oracle: chaos: no cache record under %s", dir)
 }
 
 // OverlapPlacement perturbs a stitched placement so that one placed

@@ -14,7 +14,7 @@ import (
 var cnvWindow = SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
 
 // cnvSearchAll runs one search configuration over every cnvW1A1 block.
-func cnvSearchAll(t *testing.T, s SearchConfig) []SearchResult {
+func cnvSearchAll(t testing.TB, s SearchConfig) []SearchResult {
 	t.Helper()
 	dev := fabric.XC7Z020()
 	cfg := DefaultConfig()

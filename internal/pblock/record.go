@@ -1,8 +1,10 @@
 package pblock
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/implcache"
@@ -39,6 +41,137 @@ type ImplRecord struct {
 	Footprint  place.Footprint
 
 	Route route.Result
+}
+
+// ErrRecordFormat is returned (wrapped) by UnmarshalBinary for bytes
+// that are not a record MarshalBinary wrote.
+var ErrRecordFormat = errors.New("pblock: malformed implementation record")
+
+// The binary form of a record, all little-endian: one flags byte, then
+// recordWords 8-byte words (the scalar ints as int64, then the floats as
+// IEEE-754 bits, in the order MarshalBinary lists them), the footprint
+// column count and the cell count as uint32, three int64 words per
+// footprint column, and one packed (X, Y int16) pair per cell. The
+// length is a function of the two counts, so a decoder can reject a
+// short or long buffer before it trusts a field. implcache frames and
+// checksums these bytes; the layout is versioned by its frame (format
+// version 2 in internal/implcache).
+const (
+	flagFeasible = 1 << iota
+	flagNoFit
+	flagRouteFeasible
+	flagsKnown = flagFeasible | flagNoFit | flagRouteFeasible
+
+	recordWords  = 16
+	recordHeader = 1 + 8*recordWords + 4 + 4
+)
+
+// recordSize is the encoded length of a record with the given counts.
+func recordSize(cols, cells int) int { return recordHeader + 24*cols + 4*cells }
+
+// MarshalBinary encodes the record in the fixed layout above.
+func (r ImplRecord) MarshalBinary() ([]byte, error) {
+	b := make([]byte, recordSize(len(r.Footprint.Cols), len(r.CellAt)))
+	if r.Feasible {
+		b[0] |= flagFeasible
+	}
+	if r.NoFit {
+		b[0] |= flagNoFit
+	}
+	if r.Route.Feasible {
+		b[0] |= flagRouteFeasible
+	}
+	le := binary.LittleEndian
+	at := 1
+	word := func(v uint64) {
+		le.PutUint64(b[at:], v)
+		at += 8
+	}
+	for _, v := range []int{
+		r.ToolRuns, r.Rect.X0, r.Rect.Y0, r.Rect.X1, r.Rect.Y1,
+		r.TargetSlices, r.UsedSlices, r.Footprint.Width, r.Footprint.Rows,
+	} {
+		word(uint64(int64(v)))
+	}
+	for _, v := range []float64{
+		r.CF, r.Spread, r.Route.PeakUtil, r.Route.AvgUtil,
+		r.Route.OverflowFrac, r.Route.AvgNetHPWL, r.Route.TotalWirelength,
+	} {
+		word(math.Float64bits(v))
+	}
+	le.PutUint32(b[at:], uint32(len(r.Footprint.Cols)))
+	le.PutUint32(b[at+4:], uint32(len(r.CellAt)))
+	at += 8
+	for _, c := range r.Footprint.Cols {
+		word(uint64(int64(c.Min)))
+		word(uint64(int64(c.Max)))
+		word(uint64(int64(c.Used)))
+	}
+	for _, c := range r.CellAt {
+		le.PutUint16(b[at:], uint16(c.X))
+		le.PutUint16(b[at+2:], uint16(c.Y))
+		at += 4
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes bytes written by MarshalBinary. It accepts
+// exactly those: a buffer of another length than its counts call for, or
+// with unknown flag bits, is an ErrRecordFormat, and what it accepts
+// re-encodes to the same bytes.
+func (r *ImplRecord) UnmarshalBinary(b []byte) error {
+	if len(b) < recordHeader {
+		return fmt.Errorf("%w: %d bytes, header needs %d", ErrRecordFormat, len(b), recordHeader)
+	}
+	if b[0]&^flagsKnown != 0 {
+		return fmt.Errorf("%w: unknown flags %#x", ErrRecordFormat, b[0])
+	}
+	le := binary.LittleEndian
+	cols := int(le.Uint32(b[recordHeader-8:]))
+	cells := int(le.Uint32(b[recordHeader-4:]))
+	// Compare in uint64: the counts come from the file and their product
+	// with the element sizes must not wrap on a 32-bit int.
+	if uint64(len(b)) != uint64(recordHeader)+24*uint64(cols)+4*uint64(cells) {
+		return fmt.Errorf("%w: %d bytes for %d columns and %d cells", ErrRecordFormat, len(b), cols, cells)
+	}
+	at := 1
+	word := func() uint64 {
+		v := le.Uint64(b[at:])
+		at += 8
+		return v
+	}
+	*r = ImplRecord{
+		Feasible: b[0]&flagFeasible != 0,
+		NoFit:    b[0]&flagNoFit != 0,
+	}
+	r.Route.Feasible = b[0]&flagRouteFeasible != 0
+	for _, p := range []*int{
+		&r.ToolRuns, &r.Rect.X0, &r.Rect.Y0, &r.Rect.X1, &r.Rect.Y1,
+		&r.TargetSlices, &r.UsedSlices, &r.Footprint.Width, &r.Footprint.Rows,
+	} {
+		*p = int(int64(word()))
+	}
+	for _, p := range []*float64{
+		&r.CF, &r.Spread, &r.Route.PeakUtil, &r.Route.AvgUtil,
+		&r.Route.OverflowFrac, &r.Route.AvgNetHPWL, &r.Route.TotalWirelength,
+	} {
+		*p = math.Float64frombits(word())
+	}
+	at += 8 // the two counts
+	if cols > 0 {
+		r.Footprint.Cols = make([]place.RowSpan, cols)
+		for i := range r.Footprint.Cols {
+			r.Footprint.Cols[i] = place.RowSpan{Min: int(int64(word())), Max: int(int64(word())), Used: int(int64(word()))}
+		}
+	}
+	if cells > 0 {
+		r.CellAt = make([]place.Coord, cells)
+		for i := range r.CellAt {
+			r.CellAt[i] = place.Coord{X: int16(le.Uint16(b[at:])), Y: int16(le.Uint16(b[at+2:]))}
+			at += 4
+		}
+	}
+	return nil
 }
 
 // RecordSearch converts a MinCF outcome into its cacheable record. The

@@ -168,7 +168,8 @@ type placer struct {
 	dev    *fabric.Device
 	rect   fabric.Rect
 	spread float64
-	rng    *rand.Rand
+	rng    *rand.Rand // draws from src
+	src    streamSource
 
 	// sites holds the slices column-major: column c's rows are
 	// sites[cols[c].first : cols[c].first+rows].
@@ -235,9 +236,12 @@ func (p *placer) place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Pla
 		seed = p.plan.seed
 	}
 	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(seed))
+		p.rng = rand.New(&p.src)
+	}
+	if seed == p.plan.seed {
+		p.src.start(p.plan.stream)
 	} else {
-		p.rng.Seed(seed) // same stream as a new source, without the allocation
+		p.src.Seed(seed)
 	}
 	p.buildSites()
 	if opts.PreOccupy > 0 {

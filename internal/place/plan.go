@@ -26,8 +26,11 @@ type Plan struct {
 	// The cold packer's tables are built on its first run: a warm
 	// start (Options.Warm) that transplants cleanly never needs them.
 	once sync.Once
-	// seed is the default jitter seed, a hash of the module's content.
-	seed int64
+	// seed is the default jitter seed, a hash of the module's content,
+	// and stream the start of its random stream, which every probe on
+	// the default seed replays instead of seeding a generator.
+	seed   int64
+	stream *seedStream
 	// chains holds the cells of every carry chain bottom first, in
 	// placement order: longest chain first, ties by chain ID.
 	chains [][]netlist.CellID
@@ -108,6 +111,7 @@ func (pl *Plan) prepare() {
 	pl.once.Do(func() {
 		m := pl.m
 		pl.seed = contentSeed(m)
+		pl.stream = recordStream(pl.seed)
 
 		type chain struct {
 			id    int32

@@ -13,7 +13,6 @@ package synth
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"macroflow/internal/netlist"
 	"macroflow/internal/rtlgen"
@@ -23,6 +22,9 @@ import (
 // deterministic for a given spec.
 func Elaborate(spec rtlgen.Spec) (*netlist.Module, error) {
 	m := netlist.NewModule(spec.Name)
+	cells, nets := budget(spec)
+	m.Cells = make([]netlist.Cell, 0, cells)
+	m.Nets = make([]netlist.Net, 0, nets)
 	e := &elaborator{m: m}
 	for _, c := range spec.Components {
 		switch comp := c.(type) {
@@ -44,6 +46,96 @@ func Elaborate(spec rtlgen.Spec) (*netlist.Module, error) {
 		return nil, fmt.Errorf("synth: elaboration of %s produced invalid netlist: %w", spec.Name, err)
 	}
 	return m, nil
+}
+
+// maxBudget caps what Elaborate reserves up front; a larger module still
+// elaborates, growing by append.
+const maxBudget = 1 << 20
+
+// budget returns the cells and nets elaborating spec creates, so that
+// Elaborate allocates each array once instead of growing it through a
+// dozen doublings. It mirrors the arithmetic of the component methods
+// below (TestElaborateReservesExactly holds the two together); a wrong
+// count costs a reallocation, never a wrong netlist.
+func budget(spec rtlgen.Spec) (cells, nets int) {
+	for _, c := range spec.Components {
+		switch c := c.(type) {
+		case rtlgen.ShiftRegs:
+			if c.Count <= 0 || c.Length <= 0 {
+				continue
+			}
+			fanin, ncs := max(1, c.Fanin), max(1, c.ControlSets)
+			stages := c.Length
+			if !c.NoSRL {
+				stages = (c.Length + 31) / 32
+			}
+			perReg := treeLUTs(fanin) + stages
+			cells += c.Count * perReg
+			nets += c.Count*perReg + fanin + min(fanin, 8) + ncs
+		case rtlgen.LUTMemory:
+			if c.Width <= 0 || c.Depth <= 0 {
+				continue
+			}
+			n := 0
+			if bits := c.Width * c.Depth; bits >= 16*1024 && !c.ForceDistributed {
+				n = (bits + 32767) / 32768
+				nets += n + 1
+			} else {
+				banks := (c.Depth + 63) / 64
+				n = c.Width * banks
+				if banks > 1 {
+					n += c.Width * treeLUTs(banks)
+				}
+				nets += n + 2
+			}
+			cells += n
+		case rtlgen.SumOfSquares:
+			if c.Width <= 0 || c.Terms <= 0 {
+				continue
+			}
+			w := c.Width
+			sumW := 2*w + ceilLog2(c.Terms+1)
+			pps, adders, chainLen := w*(w+1)/2, max(1, w/2-1), (2*w+3)/4
+			cells += c.Terms*(pps+adders*chainLen) + (sumW+3)/4 + sumW
+			nets += c.Terms*(w+pps+adders) + 1 + sumW
+		case rtlgen.LFSRBank:
+			if c.Count <= 0 || c.Width <= 0 {
+				continue
+			}
+			perCells, perNets := c.Width+treeLUTs(4), c.Width+treeLUTs(4)
+			if c.UseCarry {
+				perCells += (c.Width + 3) / 4
+				perNets++
+			}
+			if c.UseSRL {
+				perCells++
+				perNets++
+			}
+			cells += c.Count * perCells
+			nets += c.Count*perNets + 1
+		case rtlgen.RandomLogic:
+			if c.LUTs <= 0 {
+				continue
+			}
+			depth := max(1, c.Depth)
+			cells += c.LUTs
+			nets += c.LUTs + max(4, min((c.LUTs+depth-1)/depth, 64))
+		}
+	}
+	return max(0, min(cells, maxBudget)), max(0, min(nets, maxBudget))
+}
+
+// treeLUTs returns the number of LUTs (and of nets) lutTree creates over
+// srcs source nets.
+func treeLUTs(srcs int) int {
+	total := 0
+	for {
+		srcs = (srcs + 5) / 6
+		total += srcs
+		if srcs <= 1 {
+			return total
+		}
+	}
 }
 
 // elaborator accumulates netlist state while walking components.
@@ -423,12 +515,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// sortedCopy returns a sorted copy of ids (helper for dedup keys).
-func sortedCopy(ids []netlist.NetID) []netlist.NetID {
-	out := make([]netlist.NetID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

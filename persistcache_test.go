@@ -1,7 +1,12 @@
 package macroflow
 
 import (
+	"reflect"
 	"testing"
+
+	"macroflow/internal/cnv"
+	"macroflow/internal/oracle"
+	"macroflow/internal/place"
 )
 
 // TestPersistentBlockCacheCrossProcess exercises the persistent layer
@@ -118,6 +123,119 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	for i := range second.Blocks {
 		if second.Blocks[i].CF != first.Blocks[i].CF {
 			t.Errorf("block %s: CF %.2f vs %.2f", second.Blocks[i].Name, second.Blocks[i].CF, first.Blocks[i].CF)
+		}
+	}
+}
+
+// TestBlockDiskKeyPinned pins the persistent key of one cnvW1A1 block
+// under two CF policies to the literals recorded before a compile
+// started printing the search and configuration fingerprints once per
+// call instead of once per block. A failure re-keys every record on
+// disk: that must be a decision, not a side effect.
+func TestBlockDiskKeyPinned(t *testing.T) {
+	f, err := NewFlow("xc7z020")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cnv.CNVW1A1()
+	m, err := d.Module(d.TypeIndex("mvau_l34"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := place.QuickPlace(m)
+	fps := f.fingerprints(f.searchFor(ImplementOptions{}))
+	for _, c := range []struct {
+		mode CFMode
+		want string
+	}{
+		{MinSweepCF(), "70b44992e1cba212e3ae07bf51bb1f6e815e19407842322e48abc4ba020e16d7"},
+		{ConstantCF(1.5), "7356d0071db3e523c5fa6e2d4ce982a911d327ab266d26f7208c62ec82663851"},
+	} {
+		if got := f.blockDiskKey(m, rep, c.mode, fps); got != c.want {
+			t.Errorf("blockDiskKey(mvau_l34, %s) = %s, want %s", c.mode.kind, got, c.want)
+		}
+	}
+}
+
+// TestDamagedCacheRecordIsMiss is the torn-write and bit-rot fault
+// class, end to end through Compile: a record file cut short or with a
+// byte flipped fails the frame check, counts as a persistent-layer miss,
+// and the block is searched afresh — so the compile equals an uncached
+// one, block for block, and leaves a repaired record behind.
+func TestDamagedCacheRecordIsMiss(t *testing.T) {
+	f := verifyFlow(t)
+	d := verifySmallDesign(t)
+	uncached, err := f.Compile(d, MinSweepCF(), CompileOptions{SkipStitch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(*oracle.Chaos, string) (string, error){
+		"truncated":    (*oracle.Chaos).TruncateCacheEntry,
+		"flipped byte": (*oracle.Chaos).FlipCacheEntryByte,
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			dir := t.TempDir()
+			warm, err := NewPersistentBlockCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Compile(d, MinSweepCF(), CompileOptions{
+				SkipStitch: true, Implement: ImplementOptions{Cache: warm},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			path, err := damage(oracle.NewChaos(seed), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// A fresh process over the damaged directory.
+			cold, err := NewPersistentBlockCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Compile(d, MinSweepCF(), CompileOptions{
+				SkipStitch: true, Implement: ImplementOptions{Cache: cold, Check: CheckFull},
+			})
+			if err != nil {
+				t.Fatalf("%s (seed %d): %v", name, seed, err)
+			}
+			blocks := len(res.Blocks)
+			if res.Cache.DiskHits != blocks-1 || res.Cache.Misses != 1 || res.Cache.Stores != 1 {
+				t.Errorf("%s %s: cache %+v, want %d disk hits, 1 miss, 1 store", name, path, res.Cache, blocks-1)
+			}
+			if st := cold.disk.Stats(); st.Misses != 1 || st.Hits != uint64(blocks-1) {
+				t.Errorf("%s %s: persistent layer counted %+v, want 1 miss and %d hits", name, path, st, blocks-1)
+			}
+			if !res.Verify.Ok() {
+				t.Errorf("%s %s: audit of the recovered compile failed:\n%s", name, path, res.Verify.String())
+			}
+			if res.ToolRuns == 0 {
+				t.Errorf("%s %s: no tool ran — the damaged record was served", name, path)
+			}
+			for i := range res.Blocks {
+				got, want := res.Blocks[i], uncached.Blocks[i]
+				got.ToolRuns, want.ToolRuns = 0, 0 // a cache hit reports no runs
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: block %s = %+v, uncached compile has %+v", name, path, want.Name, got, want)
+				}
+			}
+
+			// The fresh search rewrote the record: a third process hits
+			// every block.
+			again, err := NewPersistentBlockCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = f.Compile(d, MinSweepCF(), CompileOptions{
+				SkipStitch: true, Implement: ImplementOptions{Cache: again},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cache.DiskHits != blocks || res.ToolRuns != 0 {
+				t.Errorf("%s %s: after repair %+v with %d tool runs, want every block from disk", name, path, res.Cache, res.ToolRuns)
+			}
 		}
 	}
 }

@@ -34,13 +34,14 @@ go test -shuffle="${CI_SHUFFLE_SEED:-1}" ./...
 # Fuzz smoke: each native fuzz target runs briefly from its seed corpus
 # (~1 min total). This is a regression tripwire, not a bug hunt — longer
 # campaigns run with: go test -fuzz <Target> -fuzztime 10m <pkg>.
-echo "==> fuzz smoke (6 targets x ${CI_FUZZTIME:-10s})" >&2
+echo "==> fuzz smoke (7 targets x ${CI_FUZZTIME:-10s})" >&2
 go test -run '^$' -fuzz '^FuzzTextRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 go test -run '^$' -fuzz '^FuzzModuleContent$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 go test -run '^$' -fuzz '^FuzzElaborate$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/synth/
 go test -run '^$' -fuzz '^FuzzEstimatorRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" .
 go test -run '^$' -fuzz '^FuzzPartitionAssign$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/partition/
 go test -run '^$' -fuzz '^FuzzLegalRows$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/stitch/
+go test -run '^$' -fuzz '^FuzzImplRecord$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/pblock/
 
 # Coverage gate: the differential-verification core (oracle, pblock,
 # stitch, partition) must not silently lose test coverage. The floor is

@@ -32,14 +32,14 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	cache := NewBlockCache()
 
 	// Leader pass: compute the real result (and the key) once.
-	want, hit, err := f.cachedImplement(m, rep, MinSweepCF(), search, cache)
+	want, hit, err := f.cachedImplement(m, rep, MinSweepCF(), search, f.fingerprints(search), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit.kind != hitMiss {
 		t.Fatalf("first implement hit kind = %s, want miss", hitName(hit.kind))
 	}
-	key := f.blockDiskKey(m, rep, MinSweepCF(), search)
+	key := f.blockDiskKey(m, rep, MinSweepCF(), f.fingerprints(search))
 
 	// Re-stage the cache as if the leader were still in flight, with its
 	// result already published.
@@ -50,7 +50,7 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	cache.mu.Unlock()
 	close(fl.done)
 
-	got, hit2, err := f.cachedImplement(m, rep, MinSweepCF(), search, cache)
+	got, hit2, err := f.cachedImplement(m, rep, MinSweepCF(), search, f.fingerprints(search), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
