@@ -6,9 +6,10 @@
 // StitchParams maps onto macroflow.StitchOptions and ImplementParams
 // onto macroflow.ImplementOptions, field for field. The flat stitch
 // fields (iterations/chains/gdIterations) predate the per-backend
-// sub-objects and map onto the library's deprecated aliases; the
-// anneal/analytic/evo/portfolio sub-objects map onto the sub-structs
-// and win on conflict via the library's overlay. Compatibility policy:
+// sub-objects and stay accepted as wire-only aliases of them:
+// StitchParams.Options folds a flat field into its sub-object, and a
+// request that sets both to different values is rejected with
+// invalid_options. Compatibility policy:
 // within v1, fields are only ever added (always with omitempty
 // semantics on responses, as the sub-objects and the result's
 // portfolio report were); renames, removals or meaning changes require
@@ -179,14 +180,16 @@ type SearchWindow struct {
 	Max   float64 `json:"max"`
 }
 
-// StitchParams mirrors macroflow.StitchOptions (the structured surface;
-// recorder, progress callback and check level travel as wire-friendly
-// spellings). The per-backend sub-objects (anneal/analytic/evo/
-// portfolio) mirror the library's sub-structs and were added within v1;
-// the flat iterations/chains/gdIterations fields predate them and map
-// onto the library's deprecated aliases, so old clients keep working —
-// conflicts resolve through the library's overlay (the sub-object
-// wins, with a one-shot warning on the server).
+// StitchParams mirrors macroflow.StitchOptions (recorder, progress
+// callback and check level travel as wire-friendly spellings). The
+// per-backend sub-objects (anneal/analytic/evo/portfolio) mirror the
+// library's sub-structs and were added within v1; the flat
+// iterations/chains/gdIterations fields predate them and have no
+// library counterpart any more: Options folds each into
+// anneal.iterations / anneal.chains / analytic.gdIterations when that
+// field is unset, so old clients keep working, and rejects a request
+// that sets a flat field and its sub-object field to different values
+// (invalid_options, naming both JSON fields).
 type StitchParams struct {
 	Seed         int64            `json:"seed,omitempty"`
 	Iterations   int              `json:"iterations,omitempty"`

@@ -142,8 +142,8 @@ func TestParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := macroflow.StitchOptions{Seed: 7, Iterations: 9000, Chains: 2, AdaptiveStop: true,
-		TraceEvery: 128, Backend: "hybrid", GDIterations: 64, Check: macroflow.CheckSampled,
+	want := macroflow.StitchOptions{Seed: 7, AdaptiveStop: true,
+		TraceEvery: 128, Backend: "hybrid", Check: macroflow.CheckSampled,
 		Anneal:    macroflow.AnnealOptions{Chains: 2, Iterations: 9000, TempLadder: 2.5},
 		Analytic:  macroflow.AnalyticOptions{GDIterations: 64},
 		Evo:       macroflow.EvoOptions{Mu: 2, Lambda: 8, Generations: 10},
@@ -151,14 +151,49 @@ func TestParamsOptions(t *testing.T) {
 	if !reflect.DeepEqual(so, want) {
 		t.Errorf("StitchParams.Options() = %+v, want %+v", so, want)
 	}
-	// Flat-only wire params map onto the deprecated aliases, leaving the
-	// sub-structs zero so the library overlay resolves them.
-	flat, err := (StitchParams{Seed: 3, Iterations: 500, Chains: 1, Backend: "anneal"}).Options()
-	if err != nil {
-		t.Fatal(err)
+	// The flat wire aliases are folded into the sub-objects: flat-only
+	// equals sub-object-only, field by field, and a flat field fills in
+	// around a sub-object that leaves its counterpart unset.
+	for _, tc := range []struct {
+		name      string
+		flat, sub StitchParams
+	}{
+		{"iterations", StitchParams{Iterations: 500}, StitchParams{Anneal: &AnnealParams{Iterations: 500}}},
+		{"chains", StitchParams{Chains: 3}, StitchParams{Anneal: &AnnealParams{Chains: 3}}},
+		{"gdIterations", StitchParams{GDIterations: 32}, StitchParams{Analytic: &AnalyticParams{GDIterations: 32}}},
+		{"mixed", StitchParams{Iterations: 500, Anneal: &AnnealParams{Chains: 3, TempLadder: 2}},
+			StitchParams{Anneal: &AnnealParams{Iterations: 500, Chains: 3, TempLadder: 2}}},
+	} {
+		flat, err := tc.flat.Options()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sub, err := tc.sub.Options()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(flat, sub) {
+			t.Errorf("%s: flat spelling = %+v, sub-object spelling = %+v", tc.name, flat, sub)
+		}
 	}
-	if flat.Anneal != (macroflow.AnnealOptions{}) || flat.Evo != (macroflow.EvoOptions{}) {
-		t.Errorf("flat wire params populated sub-structs: %+v", flat)
+	// Both set and different is a typed error naming both JSON fields.
+	for _, tc := range []struct {
+		p         StitchParams
+		flat, sub string
+	}{
+		{StitchParams{Iterations: 400, Anneal: &AnnealParams{Iterations: 500}}, "stitch.iterations", "stitch.anneal.iterations"},
+		{StitchParams{Chains: 2, Anneal: &AnnealParams{Chains: 4}}, "stitch.chains", "stitch.anneal.chains"},
+		{StitchParams{GDIterations: 16, Analytic: &AnalyticParams{GDIterations: 32}}, "stitch.gdIterations", "stitch.analytic.gdIterations"},
+	} {
+		_, err := tc.p.Options()
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Code != ErrInvalidOptions {
+			t.Errorf("%s conflict: err = %v, want %s", tc.flat, err, ErrInvalidOptions)
+			continue
+		}
+		if !strings.Contains(ae.Message, tc.flat+" ") || !strings.Contains(ae.Message, tc.sub+" ") {
+			t.Errorf("conflict message %q does not name %s and %s", ae.Message, tc.flat, tc.sub)
+		}
 	}
 	if err := so.Validate(); err != nil {
 		t.Errorf("converted options failed the library's Validate: %v", err)

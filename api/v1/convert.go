@@ -154,10 +154,13 @@ func (d *DesignSpec) InstanceCounts() []int {
 	return counts
 }
 
-// Options converts the wire params into the structured
-// macroflow.StitchOptions (never the deprecated flat aliases). The
-// caller attaches recorder and progress callback; semantic validation
-// is the flow's StitchOptions.Validate.
+// Options converts the wire params into macroflow.StitchOptions. The
+// flat iterations/chains/gdIterations fields are folded into the
+// sub-objects here, once: a flat field fills its sub-object field when
+// that is zero, and both set to different values is an invalid_options
+// error naming the two JSON fields. The caller attaches recorder and
+// progress callback; semantic validation is the flow's
+// StitchOptions.Validate.
 func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
 	if err != nil {
@@ -165,12 +168,9 @@ func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 	}
 	o := macroflow.StitchOptions{
 		Seed:         p.Seed,
-		Iterations:   p.Iterations,
-		Chains:       p.Chains,
 		AdaptiveStop: p.AdaptiveStop,
 		TraceEvery:   p.TraceEvery,
 		Backend:      p.Backend,
-		GDIterations: p.GDIterations,
 		Check:        check,
 	}
 	if p.Anneal != nil {
@@ -182,6 +182,26 @@ func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 	}
 	if p.Analytic != nil {
 		o.Analytic = macroflow.AnalyticOptions{GDIterations: p.Analytic.GDIterations}
+	}
+	for _, alias := range []struct {
+		flat      int
+		sub       *int
+		flatField string
+		subField  string
+	}{
+		{p.Iterations, &o.Anneal.Iterations, "stitch.iterations", "stitch.anneal.iterations"},
+		{p.Chains, &o.Anneal.Chains, "stitch.chains", "stitch.anneal.chains"},
+		{p.GDIterations, &o.Analytic.GDIterations, "stitch.gdIterations", "stitch.analytic.gdIterations"},
+	} {
+		switch {
+		case alias.flat == 0 || alias.flat == *alias.sub:
+		case *alias.sub == 0:
+			*alias.sub = alias.flat
+		default:
+			return macroflow.StitchOptions{}, &Error{Code: ErrInvalidOptions,
+				Message: fmt.Sprintf("%s (%d) conflicts with %s (%d); set only one",
+					alias.flatField, alias.flat, alias.subField, *alias.sub)}
+		}
 	}
 	if p.Evo != nil {
 		o.Evo = macroflow.EvoOptions{
@@ -215,8 +235,7 @@ func (p *PartitionParams) Options() macroflow.PartitionOptions {
 	}
 }
 
-// Options converts the wire params into the structured
-// macroflow.ImplementOptions (never the deprecated flat aliases). The
+// Options converts the wire params into macroflow.ImplementOptions. The
 // caller attaches the shared cache and recorder.
 func (p ImplementParams) Options() (macroflow.ImplementOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
@@ -259,21 +278,20 @@ func ResultFromCompile(res *macroflow.CompileResult, skipStitch bool) *CompileRe
 	return out
 }
 
-// ResultFromCNV maps a macroflow.CNVResult onto the wire form.
+// ResultFromCNV maps a macroflow.CNVResult onto the wire form: the
+// compile it wraps plus the cnvW1A1 tallies.
 func ResultFromCNV(res *macroflow.CNVResult, skipStitch bool) *CompileResult {
-	out := &CompileResult{
-		Blocks:       blockResults(res.Blocks),
-		Instances:    append([]int(nil), res.Instances...),
-		ToolRuns:     res.TotalToolRuns,
-		FirstRunRate: res.FirstRunRate,
-		CacheHits:    res.CacheHits,
-		Cache:        cacheStats(res.Cache),
-		Verify:       verifySummary(res.Verify),
-	}
-	if !skipStitch {
-		out.Stitch = stitchSummary(&res.Stitch)
-	}
-	out.Partition = partitionSummary(res.Partition)
+	out := ResultFromCompile(&macroflow.CompileResult{
+		Blocks:    res.Blocks,
+		ToolRuns:  res.TotalToolRuns,
+		CacheHits: res.CacheHits,
+		Cache:     res.Cache,
+		Stitch:    res.Stitch,
+		Partition: res.Partition,
+		Verify:    res.Verify,
+	}, skipStitch)
+	out.Instances = append([]int(nil), res.Instances...)
+	out.FirstRunRate = res.FirstRunRate
 	return out
 }
 

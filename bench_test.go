@@ -54,12 +54,12 @@ func fixtures(tb testing.TB) {
 		fix.dataset = dataset.Balance(s, 75, 1)
 		fix.train, fix.test = dataset.Split(fix.dataset, 0.8, 1)
 
-		fix.stitch20 = buildStitchProblem(fix.dev, fix.design)
+		fix.stitch20 = benchStitchProblem(fix.dev, fix.design)
 	})
 }
 
-// buildStitchProblem implements every block at its minimal CF.
-func buildStitchProblem(dev *fabric.Device, d *cnv.Design) *stitch.Problem {
+// benchStitchProblem implements every block at its minimal CF.
+func benchStitchProblem(dev *fabric.Device, d *cnv.Design) *stitch.Problem {
 	cfg := pblock.DefaultConfig()
 	search := pblock.SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
 	prob := &stitch.Problem{Dev: dev}
@@ -849,8 +849,9 @@ func BenchmarkStitchMoves(b *testing.B) {
 // --- observability overhead --------------------------------------------
 //
 // The nil-recorder contract: instrumentation with Obs == nil must cost
-// at most 1% over the uninstrumented code (gated in scripts/ci.sh and
-// snapshotted by `scripts/bench.sh obs`). BenchmarkImplementNoObs calls
+// at most 1% over the uninstrumented code (gated in scripts/ci.sh; the
+// live-recorder cost is `trace.overhead_share` of `bash cmd/bench/run.sh`).
+// BenchmarkImplementNoObs calls
 // the raw, uninstrumented oracle (pblock.Implement) at a fixed CF over
 // the whole cnv block set; BenchmarkImplementObsNil drives the same
 // oracle once per block through the instrumented search path

@@ -199,15 +199,17 @@ func toolruns(c *ctx) {
 	est := c.nnEstimator(f45)
 
 	resE, err := f45.RunCNV(macroflow.EstimatorCF(est), macroflow.CNVOptions{
-		Seed: c.seed, SkipStitch: true,
-		Implement: macroflow.ImplementOptions{Obs: c.rec},
+		SkipStitch: true,
+		Stitch:     macroflow.StitchOptions{Seed: c.seed},
+		Implement:  macroflow.ImplementOptions{Obs: c.rec},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	resS, err := f45.RunCNV(macroflow.MinSweepCF(), macroflow.CNVOptions{
-		Seed: c.seed, SkipStitch: true,
-		Implement: macroflow.ImplementOptions{Obs: c.rec},
+		SkipStitch: true,
+		Stitch:     macroflow.StitchOptions{Seed: c.seed},
+		Implement:  macroflow.ImplementOptions{Obs: c.rec},
 	})
 	if err != nil {
 		log.Fatal(err)

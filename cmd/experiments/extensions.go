@@ -124,7 +124,8 @@ func overhead(c *ctx) {
 	for _, bias := range []float64{-0.10, -0.05, 0, 0.05, 0.10} {
 		est := base.WithBias(bias)
 		res, err := f.RunCNV(macroflow.EstimatorCF(est), macroflow.CNVOptions{
-			Seed: c.seed, SkipStitch: true,
+			SkipStitch: true,
+			Stitch:     macroflow.StitchOptions{Seed: c.seed},
 		})
 		if err != nil {
 			log.Fatal(err)

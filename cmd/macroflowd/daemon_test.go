@@ -89,11 +89,11 @@ func localResultBytes(t *testing.T, req *apiv1.CompileRequest, cache *macroflow.
 		cache = macroflow.NewBlockCache()
 	}
 	im.Cache = cache
+	opts := macroflow.CompileOptions{Stitch: so, Implement: im, SkipStitch: req.SkipStitch}
 	var wire *apiv1.CompileResult
 	if req.Design.Builtin != "" {
 		flow.SetSearch(0.5, 0.02, 3.0)
-		res, err := flow.RunCNV(macroflow.MinSweepCF(), macroflow.CNVOptions{
-			Stitch: so, Implement: im, SkipStitch: req.SkipStitch})
+		res, err := flow.RunCNV(macroflow.MinSweepCF(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +103,7 @@ func localResultBytes(t *testing.T, req *apiv1.CompileRequest, cache *macroflow.
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := flow.Compile(d, macroflow.MinSweepCF(), macroflow.CompileOptions{
-			Stitch: so, Implement: im, SkipStitch: req.SkipStitch})
+		res, err := flow.Compile(d, macroflow.MinSweepCF(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,6 +229,52 @@ func TestDaemonConcurrentDedup(t *testing.T) {
 	}
 	if st.Completed != n {
 		t.Errorf("completed = %d, want %d", st.Completed, n)
+	}
+}
+
+// TestDaemonRenamedBlockKeepsName: two jobs submit the same components
+// under different block names. The server's shared cache serves the
+// second — renaming is not a change — but with the second job's own
+// name: its bytes equal an in-process replay of both requests on a
+// fresh cache.
+func TestDaemonRenamedBlockKeepsName(t *testing.T) {
+	s, c := newTestServer(t, serverConfig{Workers: 1})
+	s.start()
+	defer s.drain()
+
+	req := func(name string) *apiv1.CompileRequest {
+		return &apiv1.CompileRequest{
+			Design: apiv1.DesignSpec{
+				Blocks: []apiv1.BlockSpec{{Name: name, Components: []apiv1.ComponentSpec{
+					{Kind: apiv1.CompShiftRegs, Count: 4, Length: 8, ControlSets: 2, Fanin: 4},
+					{Kind: apiv1.CompSumOfSquares, Width: 6, Terms: 2}}}},
+				Instances: []apiv1.InstanceSpec{{Name: "i0", Block: 0}},
+			},
+			Stitch: apiv1.StitchParams{Seed: 1, Anneal: &apiv1.AnnealParams{Iterations: 2000}},
+		}
+	}
+	local := macroflow.NewBlockCache()
+	var got, want []byte
+	for _, name := range []string{"alpha", "beta"} {
+		final := submitAndWait(t, c, req(name))
+		if final.State != apiv1.JobDone {
+			t.Fatalf("job %s state = %s (%v)", name, final.State, final.Error)
+		}
+		var err error
+		if got, err = c.RawResult(context.Background(), final.ID); err != nil {
+			t.Fatal(err)
+		}
+		want = localResultBytes(t, req(name), local)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("second job differs from the in-process replay:\n%s\nvs\n%s", got, want)
+	}
+	var res apiv1.CompileResult
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Blocks[0].Name != "beta" || res.CacheHits != 1 {
+		t.Errorf("second job: block %q with %d cache hits, want beta served from the cache", res.Blocks[0].Name, res.CacheHits)
 	}
 }
 
@@ -439,6 +484,8 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 			apiv1.ErrInvalidOptions, "macroflow: ImplementOptions.Workers must be >= 0 (got -1)"},
 		{"bad-check", func(r *apiv1.CompileRequest) { r.Stitch.Check = "everything" },
 			apiv1.ErrInvalidOptions, ""},
+		{"alias-conflict", func(r *apiv1.CompileRequest) { r.Stitch.Anneal = &apiv1.AnnealParams{Iterations: 500} },
+			apiv1.ErrInvalidOptions, "stitch.iterations (4000) conflicts with stitch.anneal.iterations (500)"},
 		{"bad-device", func(r *apiv1.CompileRequest) { r.Device = "virtex2" },
 			apiv1.ErrInvalidOptions, ""},
 		{"estimator-not-loaded", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "estimator"} },

@@ -367,6 +367,11 @@ func (s *server) compile(req *apiv1.CompileRequest, rec *macroflow.Recorder, pro
 	so.Obs, so.Progress = rec, progress
 	im.Obs, im.Cache = rec, s.cfg.Cache
 
+	opts := macroflow.CompileOptions{
+		Stitch: so, Implement: im,
+		Partition:  req.Partition.Options(),
+		SkipStitch: req.SkipStitch,
+	}
 	var wire *apiv1.CompileResult
 	if req.Design.Builtin != "" {
 		// The builtin cnvW1A1 flow defaults to the paper's search window.
@@ -374,11 +379,7 @@ func (s *server) compile(req *apiv1.CompileRequest, rec *macroflow.Recorder, pro
 		if w := req.Search; w != nil {
 			flow.SetSearch(w.Start, w.Step, w.Max)
 		}
-		res, err := flow.RunCNV(mode, macroflow.CNVOptions{
-			Stitch: so, Implement: im,
-			Partition:  req.Partition.Options(),
-			SkipStitch: req.SkipStitch,
-		})
+		res, err := flow.RunCNV(mode, opts)
 		if err != nil {
 			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
 		}
@@ -391,11 +392,7 @@ func (s *server) compile(req *apiv1.CompileRequest, rec *macroflow.Recorder, pro
 		if err != nil {
 			return nil, asAPIError(err)
 		}
-		res, err := flow.Compile(d, mode, macroflow.CompileOptions{
-			Stitch: so, Implement: im,
-			Partition:  req.Partition.Options(),
-			SkipStitch: req.SkipStitch,
-		})
+		res, err := flow.Compile(d, mode, opts)
 		if err != nil {
 			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
 		}
@@ -493,7 +490,7 @@ func (s *server) runAudit() {
 		return
 	}
 	res, err := flow.Compile(auditDesign(), macroflow.MinSweepCF(), macroflow.CompileOptions{
-		Stitch:    macroflow.StitchOptions{Seed: seed, Iterations: 2000, Check: macroflow.CheckSampled},
+		Stitch:    macroflow.StitchOptions{Seed: seed, Anneal: macroflow.AnnealOptions{Iterations: 2000}, Check: macroflow.CheckSampled},
 		Implement: macroflow.ImplementOptions{Cache: s.cfg.Cache, Check: macroflow.CheckSampled},
 	})
 	now := time.Now().UnixMilli()

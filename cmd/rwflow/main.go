@@ -64,7 +64,12 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	stitch := macroflow.StitchOptions{Seed: *seed, Iterations: *iters, GDIterations: *gdIters, Obs: rec}
+	stitch := macroflow.StitchOptions{
+		Seed:     *seed,
+		Anneal:   macroflow.AnnealOptions{Iterations: *iters},
+		Analytic: macroflow.AnalyticOptions{GDIterations: *gdIters},
+		Obs:      rec,
+	}
 	st.Apply(&stitch)
 	var part macroflow.PartitionOptions
 	pt.Apply(&part)

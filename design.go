@@ -74,18 +74,24 @@ func (d *Design) NumTypes() int { return len(d.types) }
 // NumInstances returns the number of block instances.
 func (d *Design) NumInstances() int { return len(d.instances) }
 
-// BlockCache stores pre-implemented blocks keyed by device and block
-// configuration — the premise of the whole flow: when one block of a
-// design changes, every other block's placed-and-routed result is reused
-// verbatim (the paper's Introduction scenario). An in-memory map serves
-// repeat compiles within one process; an optional persistent layer (see
-// NewPersistentBlockCache) carries implementations across processes.
+// BlockCache stores pre-implemented blocks — the premise of the whole
+// flow: when one block of a design changes, every other block's
+// placed-and-routed result is reused verbatim (the paper's Introduction
+// scenario). Implementations live in exactly one in-process map,
+// content-addressed by blockDiskKey (device, module hash, CF mode,
+// search window, oracle configuration), so a compile under a different
+// mode or window can never be served another mode's result. An optional
+// persistent layer under the same key (see NewPersistentBlockCache)
+// carries implementations across processes.
 type BlockCache struct {
 	mu sync.Mutex
-	m  map[string]cacheEntry
-	// byModule caches search results keyed by elaborated module content
-	// (blockDiskKey), serving flows whose inputs are modules rather than
-	// specs (RunCNV) and spec-keyed misses whose content is unchanged.
+	// front remembers, per spec (device + printed components, name
+	// excluded), the module hash and shape report its elaboration
+	// produced. It holds no implementation: a hit only spares computing
+	// the block's key by elaborating again, and the key it leads to is
+	// looked up in byModule like any other.
+	front map[string]frontEntry
+	// byModule holds the search results, keyed by blockDiskKey.
 	byModule map[string]pblock.SearchResult
 	// inflight dedupes concurrent identical searches (singleflight):
 	// while one goroutine — possibly serving another job in a
@@ -97,17 +103,18 @@ type BlockCache struct {
 	stats    CacheStats
 }
 
+// frontEntry is what a spec's elaboration contributes to its block key.
+type frontEntry struct {
+	hash string
+	rep  place.ShapeReport
+}
+
 // inflightSearch is one in-progress block implementation other callers
 // can wait on. sr/err are written exactly once, before done is closed.
 type inflightSearch struct {
 	done chan struct{}
 	sr   pblock.SearchResult
 	err  error
-}
-
-type cacheEntry struct {
-	impl   *pblock.Implementation
-	result ModuleResult
 }
 
 // CacheStats are a BlockCache's lifetime counters, split by layer.
@@ -135,8 +142,9 @@ type CacheStats struct {
 // NewBlockCache returns an empty in-memory cache.
 func NewBlockCache() *BlockCache {
 	return &BlockCache{
-		m:        make(map[string]cacheEntry),
+		front:    make(map[string]frontEntry),
 		byModule: make(map[string]pblock.SearchResult),
+		inflight: make(map[string]*inflightSearch),
 	}
 }
 
@@ -151,18 +159,16 @@ func NewPersistentBlockCache(dir string) (*BlockCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BlockCache{
-		m:        make(map[string]cacheEntry),
-		byModule: make(map[string]pblock.SearchResult),
-		disk:     disk,
-	}, nil
+	c := NewBlockCache()
+	c.disk = disk
+	return c, nil
 }
 
 // Len returns the number of block implementations held in memory.
 func (c *BlockCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return len(c.byModule)
 }
 
 // Stats returns a snapshot of the cache's hit/miss/store counters.
@@ -196,58 +202,24 @@ func (c *BlockCache) PersistentStats() (hits, misses, stores, negatives uint64) 
 	return s.Hits, s.Misses, s.Stores, s.Negatives
 }
 
-// key derives the cache key from the device and the full component
-// configuration of the spec (name excluded: renaming a block must not
-// fake a change, but any parameter change must).
-func (c *BlockCache) key(device string, s *Spec) string {
+// specKey derives the front-index key from the device and the full
+// component configuration of the spec (name excluded: renaming a block
+// must not fake a change, but any parameter change must).
+func specKey(device string, s *Spec) string {
 	return fmt.Sprintf("%s|%#v", device, s.inner.Components)
 }
 
-// CompileOptions tunes Flow.Compile.
+// CompileOptions tunes Flow.Compile (and, as CNVOptions, Flow.RunCNV).
 type CompileOptions struct {
-	// Stitch tunes the SA stitcher.
+	// Stitch tunes the stitcher.
 	Stitch StitchOptions
 	// Implement tunes block implementation.
 	Implement ImplementOptions
 	// Partition enables multi-region compilation (the zero value keeps
-	// the single-device stitch, byte-identical to previous releases).
+	// the single-device stitch).
 	Partition PartitionOptions
 	// SkipStitch implements the blocks only.
 	SkipStitch bool
-
-	// Cache, when non-nil, reuses pre-implemented blocks across calls.
-	// Conflicts with a different Implement.Cache are warned once; the
-	// structured field wins.
-	//
-	// Deprecated: set Implement.Cache.
-	Cache *BlockCache
-	// Seed drives stitching. Conflicts with Stitch.Seed are warned
-	// once; the structured field wins.
-	//
-	// Deprecated: set Stitch.Seed.
-	Seed int64
-	// StitchIterations is the SA budget (default 200,000). Conflicts
-	// with Stitch.Iterations are warned once; the structured field wins.
-	//
-	// Deprecated: set Stitch.Iterations.
-	StitchIterations int
-	// Workers bounds block-implementation parallelism. Conflicts with
-	// Implement.Workers are warned once; the structured field wins.
-	//
-	// Deprecated: set Implement.Workers.
-	Workers int
-}
-
-// stitchOptions resolves the effective stitch options, overlaying the
-// deprecated flat fields.
-func (o CompileOptions) stitchOptions() StitchOptions {
-	return o.Stitch.merged(o.Seed, o.StitchIterations, false)
-}
-
-// implementOptions resolves the effective implementation options,
-// overlaying the deprecated flat fields.
-func (o CompileOptions) implementOptions() ImplementOptions {
-	return o.Implement.merged(o.Workers, o.Cache)
 }
 
 // CompileResult is the outcome of compiling a generic design.
@@ -278,18 +250,13 @@ type CompileResult struct {
 
 // Compile implements every unique block of the design under the CF mode
 // (reusing cached implementations when a cache is supplied) and stitches
-// all instances onto the flow's device.
+// all instances onto the flow's device. It is the one compile pipeline:
+// RunCNV feeds the built-in cnvW1A1 design through it.
 func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileResult, error) {
 	if len(d.types) == 0 {
 		return nil, fmt.Errorf("macroflow: empty design")
 	}
-	res := &CompileResult{Blocks: make([]ModuleResult, len(d.types))}
-	impls := make([]*pblock.Implementation, len(d.types))
-	hits := make([]blockHit, len(d.types))
-	errs := make([]error, len(d.types))
-
-	im := opts.implementOptions()
-	so := opts.stitchOptions()
+	im, so := opts.Implement, opts.Stitch
 	if err := so.Validate(); err != nil {
 		return nil, err
 	}
@@ -299,6 +266,11 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if err := opts.Partition.Validate(); err != nil {
 		return nil, err
 	}
+	res := &CompileResult{Blocks: make([]ModuleResult, len(d.types))}
+	impls := make([]*pblock.Implementation, len(d.types))
+	hits := make([]blockHit, len(d.types))
+	errs := make([]error, len(d.types))
+
 	search := f.searchFor(im)
 	fps := f.fingerprints(search)
 	rec := im.Obs
@@ -306,6 +278,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		obs.String("cf_mode", mode.kind),
 		obs.Int("types", len(d.types)),
 		obs.Int("instances", len(d.instances)))
+	defer root.End()
 	// When the searches themselves probe speculatively, split the budget
 	// between block-level and probe-level parallelism.
 	workers := blockWorkers(im.Workers, search.Workers)
@@ -339,10 +312,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		if errs[ti] != nil {
 			return nil, fmt.Errorf("macroflow: block %s: %w", d.names[ti], errs[ti])
 		}
-		if hits[ti].kind == hitMiss {
-			res.ToolRuns += res.Blocks[ti].ToolRuns
-		}
-		tallyHit(hits[ti], &res.CacheHits, &res.Cache)
+		res.tally(res.Blocks[ti], hits[ti])
 	}
 	rec.Add("flow.tool_runs", int64(res.ToolRuns))
 	root.Set(obs.Int("tool_runs", res.ToolRuns),
@@ -352,10 +322,28 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	}
 	f.verifyBlocks(im.Check, mode, search, impls, res.Blocks, hits, res.Verify, rec, root)
 	if opts.SkipStitch {
-		root.End()
 		return res, nil
 	}
 
+	prob := f.stitchProblem(d, impls)
+	if opts.Partition.enabled() {
+		st, pr, err := f.stitchPartitioned(prob, so, opts.Partition, root, res.Verify)
+		if err != nil {
+			return nil, err
+		}
+		res.Stitch, res.Partition = st, pr
+	} else {
+		res.Stitch = f.stitchDesign(prob, so, root, res.Verify)
+	}
+	root.Set(obs.Float("final_cost", res.Stitch.FinalCost),
+		obs.Int("placed", res.Stitch.Placed),
+		obs.Int("unplaced", res.Stitch.Unplaced))
+	return res, nil
+}
+
+// stitchProblem converts the implemented block types plus the design's
+// instances and streams into a stitching task.
+func (f *Flow) stitchProblem(d *Design, impls []*pblock.Implementation) *stitch.Problem {
 	prob := &stitch.Problem{Dev: f.dev}
 	for ti := range d.types {
 		prob.Blocks = append(prob.Blocks, stitch.NewBlock(d.names[ti], impls[ti].Placement))
@@ -366,21 +354,29 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	for _, n := range d.nets {
 		prob.Nets = append(prob.Nets, stitch.Net{From: n.from, To: n.to, Weight: float64(n.width) / 16})
 	}
-	if opts.Partition.enabled() {
-		st, pr, err := f.stitchPartitioned(prob, so, opts.Partition, root, res.Verify)
-		if err != nil {
-			root.End()
-			return nil, err
+	return prob
+}
+
+// tally folds one block's outcome into the call's counters; only a
+// freshly searched block contributes tool runs.
+func (r *CompileResult) tally(b ModuleResult, h blockHit) {
+	switch h.kind {
+	case hitMem:
+		r.CacheHits++
+		r.Cache.MemHits++
+	case hitDisk:
+		r.CacheHits++
+		r.Cache.DiskHits++
+	case hitFlight:
+		r.CacheHits++
+		r.Cache.SingleflightHits++
+	default:
+		r.ToolRuns += b.ToolRuns
+		r.Cache.Misses++
+		if h.stored {
+			r.Cache.Stores++
 		}
-		res.Stitch, res.Partition = st, pr
-	} else {
-		res.Stitch = f.stitchDesign(prob, so, root, res.Verify)
 	}
-	root.Set(obs.Float("final_cost", res.Stitch.FinalCost),
-		obs.Int("placed", res.Stitch.Placed),
-		obs.Int("unplaced", res.Stitch.Unplaced))
-	root.End()
-	return res, nil
 }
 
 // blockHit reports how one block's implementation was obtained.
@@ -410,60 +406,66 @@ func hitName(kind int) string {
 	}
 }
 
-// compileBlock implements one block type: the spec-keyed in-process map
-// answers without elaborating at all; otherwise the block is elaborated
-// and handed to cachedImplement (module-keyed memory, then the
-// persistent store, then a fresh search). sp, when non-nil, is the
-// block's trace span.
+// compileBlock implements one block type — the one entry every block of
+// every design goes through. Without a cache the spec is elaborated and
+// searched. With one, the layers are consulted in order: the front
+// index (spec → module hash and shape report) spares a repeat compile
+// the elaboration it would only need to compute the block's key; the
+// key is then resolved by cachedImplement, which elaborates only when a
+// search or a disk rebuild has to run. sp, when non-nil, is the block's
+// trace span. The result's Name is always the requesting spec's.
 func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
-	var key string
-	if cache != nil {
-		key = cache.key(f.dev.Name, spec)
-		cache.mu.Lock()
-		if e, ok := cache.m[key]; ok {
-			cache.stats.MemHits++
-			cache.mu.Unlock()
-			search.Obs.Add("blockcache.mem_hit", 1)
-			return e.impl, e.result, blockHit{kind: hitMem}, nil
+	search.Span = sp
+	if cache == nil {
+		m, rep, err := f.compile(spec, sp)
+		if err != nil {
+			return nil, ModuleResult{}, blockHit{}, err
 		}
+		sr, err := f.implementModule(m, rep, mode, search)
+		if err != nil {
+			return nil, ModuleResult{}, blockHit{}, err
+		}
+		return sr.Impl, f.moduleResult(spec.Name(), rep, sr), blockHit{}, nil
+	}
+	fkey := specKey(f.dev.Name, spec)
+	cache.mu.Lock()
+	fe, known := cache.front[fkey]
+	cache.mu.Unlock()
+	var m *netlist.Module
+	if !known {
+		var err error
+		if m, fe.rep, err = f.compile(spec, sp); err != nil {
+			return nil, ModuleResult{}, blockHit{}, err
+		}
+		fe.hash = implcache.ModuleHash(m)
+		cache.mu.Lock()
+		cache.front[fkey] = fe
 		cache.mu.Unlock()
 	}
-	m, rep, err := f.compile(spec, sp)
-	if err != nil {
-		return nil, ModuleResult{}, blockHit{}, err
+	module := func() (*netlist.Module, error) {
+		if m != nil {
+			return m, nil
+		}
+		m, _, err := f.compile(spec, sp)
+		return m, err
 	}
-	search.Span = sp
-	sr, hit, err := f.cachedImplement(m, rep, mode, search, fps, cache)
+	sr, hit, err := f.cachedImplement(f.blockDiskKey(fe.hash, fe.rep, mode, fps), module, fe.rep, mode, search, cache)
 	if err != nil {
 		return nil, ModuleResult{}, hit, err
 	}
-	result := f.moduleResult(m, rep, sr)
-	if cache != nil {
-		cache.mu.Lock()
-		cache.m[key] = cacheEntry{impl: sr.Impl, result: result}
-		cache.mu.Unlock()
-	}
-	return sr.Impl, result, hit, nil
+	return sr.Impl, f.moduleResult(spec.Name(), fe.rep, sr), hit, nil
 }
 
-// cachedImplement implements an elaborated module under the CF mode,
-// consulting the cache layers in order: the module-keyed in-process map,
-// then the in-flight singleflight registry (an identical search already
-// running — in this job or a concurrent one sharing the cache — is
-// joined, not repeated), then the persistent store (a disk record
-// rebuilds the placement via a Verify-audited warm start), and only
-// then a fresh search, whose outcome is written back to both layers.
-// It is the one implementation path shared by Compile and RunCNV.
-func (f *Flow) cachedImplement(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
-	if cache == nil {
-		sr, err := f.implementModule(m, rep, mode, search)
-		return sr, blockHit{}, err
-	}
-	key := f.blockDiskKey(m, rep, mode, fps)
+// cachedImplement resolves a block key through the cache layers in
+// order: the in-process map, then the in-flight singleflight registry
+// (an identical search already running — in this job or a concurrent
+// one sharing the cache — is joined, not repeated), then the persistent
+// store (a disk record rebuilds the placement via a Verify-audited warm
+// start), and only then a fresh search, whose outcome is written back to
+// both layers. module elaborates the block; only the last two layers
+// call it.
+func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
 	cache.mu.Lock()
-	if cache.byModule == nil {
-		cache.byModule = make(map[string]pblock.SearchResult)
-	}
 	if sr, ok := cache.byModule[key]; ok {
 		cache.stats.MemHits++
 		cache.mu.Unlock()
@@ -486,20 +488,21 @@ func (f *Flow) cachedImplement(m *netlist.Module, rep place.ShapeReport, mode CF
 		return fl.sr, blockHit{kind: hitFlight}, nil
 	}
 	fl := &inflightSearch{done: make(chan struct{})}
-	if cache.inflight == nil {
-		cache.inflight = make(map[string]*inflightSearch)
-	}
 	cache.inflight[key] = fl
 	cache.mu.Unlock()
-	sr, hit, err := f.missImplement(key, m, rep, mode, search, cache)
+	var hit blockHit
+	m, err := module()
+	if err == nil {
+		fl.sr, hit, err = f.missImplement(key, m, rep, mode, search, cache)
+	}
 	// Publish before unregistering: byModule is already populated (on
 	// success), so a caller arriving in between gets a memory hit.
-	fl.sr, fl.err = sr, err
+	fl.err = err
 	cache.mu.Lock()
 	delete(cache.inflight, key)
 	cache.mu.Unlock()
 	close(fl.done)
-	return sr, hit, err
+	return fl.sr, hit, err
 }
 
 // missImplement resolves a block implementation the in-process map does
@@ -577,13 +580,13 @@ func (f *Flow) fingerprints(search pblock.SearchConfig) keyFingerprints {
 	}
 }
 
-// blockDiskKey addresses a block's persistent record by everything that
-// can change its implementation: device, optimized module content, CF
-// policy, the effective search and the oracle configuration. The
-// estimator mode folds the predicted CF into the key — a retrained
-// estimator addresses different records rather than being served stale
-// ones.
-func (f *Flow) blockDiskKey(m *netlist.Module, rep place.ShapeReport, mode CFMode, fps keyFingerprints) string {
+// blockDiskKey addresses a block's implementation — in memory and on
+// disk — by everything that can change it: device, optimized module
+// content (its implcache.ModuleHash), CF policy, the effective search
+// and the oracle configuration. The estimator mode folds the predicted
+// CF into the key — a retrained estimator addresses different records
+// rather than being served stale ones.
+func (f *Flow) blockDiskKey(moduleHash string, rep place.ShapeReport, mode CFMode, fps keyFingerprints) string {
 	modeFP := mode.kind
 	switch mode.kind {
 	case "constant":
@@ -598,15 +601,14 @@ func (f *Flow) blockDiskKey(m *netlist.Module, rep place.ShapeReport, mode CFMod
 	return implcache.Key(
 		"block",
 		f.dev.Name,
-		implcache.ModuleHash(m),
+		moduleHash,
 		modeFP,
 		fps.search,
 		fps.config,
 	)
 }
 
-// constantImplement is the escalating constant-CF policy shared with the
-// cnv flow.
+// constantImplement is the escalating constant-CF policy.
 func (f *Flow) constantImplement(m *netlist.Module, rep place.ShapeReport, cf float64, search pblock.SearchConfig) (pblock.SearchResult, error) {
 	ssp := obs.StartChild(search.Obs, search.Span, "search.constant",
 		obs.String("module", m.Name), obs.Float("cf0", cf))

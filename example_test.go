@@ -51,8 +51,9 @@ func ExampleFlow_Compile() {
 		}
 		prev = inst
 	}
-	res, err := flow.Compile(d, macroflow.MinSweepCF(),
-		macroflow.CompileOptions{Seed: 1, StitchIterations: 5000})
+	res, err := flow.Compile(d, macroflow.MinSweepCF(), macroflow.CompileOptions{
+		Stitch: macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 5000}},
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -75,7 +76,7 @@ func ExampleFlow_Compile_checked() {
 	_ = d.Connect(a, b, 16)
 
 	res, err := flow.Compile(d, macroflow.MinSweepCF(), macroflow.CompileOptions{
-		Stitch:    macroflow.StitchOptions{Seed: 1, Iterations: 5000, Check: macroflow.CheckFull},
+		Stitch:    macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 5000}, Check: macroflow.CheckFull},
 		Implement: macroflow.ImplementOptions{Check: macroflow.CheckFull},
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ func main() {
 	first, err := flow.Compile(pipeline(32), macroflow.MinSweepCF(),
 		macroflow.CompileOptions{
 			Implement: macroflow.ImplementOptions{Cache: cache},
-			Stitch:    macroflow.StitchOptions{Seed: 1, Iterations: 40000},
+			Stitch:    macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 40000}},
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -87,7 +87,7 @@ func main() {
 	second, err := flow.Compile(pipeline(48), macroflow.MinSweepCF(),
 		macroflow.CompileOptions{
 			Implement: macroflow.ImplementOptions{Cache: cache},
-			Stitch:    macroflow.StitchOptions{Seed: 1, Iterations: 40000},
+			Stitch:    macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 40000}},
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -100,7 +100,7 @@ func main() {
 	third, err := flow.Compile(pipeline(48), macroflow.MinSweepCF(),
 		macroflow.CompileOptions{
 			Implement: macroflow.ImplementOptions{Cache: cache},
-			Stitch:    macroflow.StitchOptions{Seed: 1, Iterations: 40000},
+			Stitch:    macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 40000}},
 		})
 	if err != nil {
 		log.Fatal(err)

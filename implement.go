@@ -57,9 +57,9 @@ func (f *Flow) compile(s *Spec, sp *obs.Span) (*netlist.Module, place.ShapeRepor
 	return m, rep, nil
 }
 
-func (f *Flow) moduleResult(m *netlist.Module, rep place.ShapeReport, sr pblock.SearchResult) ModuleResult {
+func (f *Flow) moduleResult(name string, rep place.ShapeReport, sr pblock.SearchResult) ModuleResult {
 	r := ModuleResult{
-		Name:        m.Name,
+		Name:        name,
 		CF:          sr.CF,
 		ToolRuns:    sr.ToolRuns,
 		EstSlices:   rep.EstSlices,
@@ -87,7 +87,7 @@ func (f *Flow) Implement(s *Spec, cf float64) (ModuleResult, error) {
 	if err != nil {
 		return ModuleResult{}, err
 	}
-	return f.moduleResult(m, rep, pblock.SearchResult{CF: cf, Impl: impl, ToolRuns: 1}), nil
+	return f.moduleResult(m.Name, rep, pblock.SearchResult{CF: cf, Impl: impl, ToolRuns: 1}), nil
 }
 
 // MinCF sweeps the correction factor at the configured resolution and
@@ -101,7 +101,7 @@ func (f *Flow) MinCF(s *Spec) (ModuleResult, error) {
 	if err != nil {
 		return ModuleResult{}, err
 	}
-	return f.moduleResult(m, rep, sr), nil
+	return f.moduleResult(m.Name, rep, sr), nil
 }
 
 // ImplementWithEstimator seeds the CF from the estimator and refines per
@@ -117,7 +117,7 @@ func (f *Flow) ImplementWithEstimator(s *Spec, e *Estimator) (ModuleResult, erro
 	if err != nil {
 		return ModuleResult{}, err
 	}
-	return f.moduleResult(m, rep, sr), nil
+	return f.moduleResult(m.Name, rep, sr), nil
 }
 
 // Features returns the estimator features of a spec — useful for

@@ -253,7 +253,7 @@ func buildGoldenRecorder() *Recorder {
 	r := newWithClock(time.Microsecond)
 	r.LaneLabel(1, "implement worker 0")
 	r.LaneLabel(1000, "stitch chain 0")
-	root := r.Start("flow.runcnv", Int("types", 2))
+	root := r.Start("flow.compile", Int("types", 2))
 	b0 := root.Child("implement.block", String("block", "mvau_0")).WithLane(1)
 	probe := b0.Child("oracle.probe", Float("cf", 1.5))
 	probe.Set(String("verdict", "feasible"))
@@ -263,7 +263,7 @@ func buildGoldenRecorder() *Recorder {
 	b1.End()
 	chain := root.Child("stitch.chain", Int("chain", 0)).WithLane(1000)
 	chain.End()
-	root.Event("options.alias_conflict", String("deprecated", "Seed"))
+	root.Event("oracle.violation", String("checker", "cost"))
 	root.End()
 	return r
 }

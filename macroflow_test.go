@@ -168,7 +168,7 @@ func TestRunCNVSkipStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetSearch(0.5, 0.02, 3.0)
-	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Seed: 1, SkipStitch: true})
+	res, err := f.RunCNV(MinSweepCF(), CNVOptions{SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRunCNVWithStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetSearch(0.5, 0.02, 3.0)
-	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Seed: 1, StitchIterations: 20000})
+	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 20000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func smallDesign(workerLUTs int) *Design {
 func TestCompileGenericDesign(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
-	res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Seed: 1, StitchIterations: 8000})
+	res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 8000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestCompileCacheReuse(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
 	cache := NewBlockCache()
-	first, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	first, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Errorf("first compile must not hit the cache")
 	}
 	// Change one block: the other must be served from the cache.
-	second, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	second, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Errorf("changed-block recompile must be cheaper: %d vs %d", second.ToolRuns, first.ToolRuns)
 	}
 	// Unchanged rebuild: zero tool runs.
-	third, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	third, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

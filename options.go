@@ -2,11 +2,8 @@ package macroflow
 
 import (
 	"fmt"
-	"log"
 	"runtime"
-	"sync"
 
-	"macroflow/internal/obs"
 	"macroflow/internal/pblock"
 	"macroflow/internal/stitch"
 )
@@ -63,12 +60,9 @@ type PortfolioOptions struct {
 	Threshold float64
 }
 
-// StitchOptions is the single stitch-tuning surface shared by RunCNV
-// and Compile (embed via CNVOptions.Stitch / CompileOptions.Stitch).
-// Per-backend parameters live in the Anneal/Analytic/Evo/Portfolio
-// sub-structs; the flat Iterations/Chains/GDIterations fields remain as
-// deprecated working aliases resolved through the same overlay pattern
-// as the CNVOptions flat fields (structured wins, conflicts warn once).
+// StitchOptions is the stitch-tuning surface of Compile and RunCNV
+// (CompileOptions.Stitch). Per-backend parameters live in the
+// Anneal/Analytic/Evo/Portfolio sub-structs.
 type StitchOptions struct {
 	// Seed drives every backend's random streams (chain seeds, the
 	// replica-exchange schedule, the analytic scatter, the evolutionary
@@ -82,19 +76,9 @@ type StitchOptions struct {
 	Evo EvoOptions
 	// Portfolio tunes the backend racer.
 	Portfolio PortfolioOptions
-	// Iterations is the total SA move budget. Conflicts with a non-zero
-	// Anneal.Iterations are warned once; the structured field wins.
-	//
-	// Deprecated: set Anneal.Iterations.
-	Iterations int
-	// Chains is the parallel-tempering replica count. Conflicts with a
-	// non-zero Anneal.Chains are warned once; the structured field wins.
-	//
-	// Deprecated: set Anneal.Chains.
-	Chains int
 	// AdaptiveStop lets the annealer terminate once a cost plateau is
-	// reached, making Iterations a convergence-speed measurement. With
-	// chains the plateau detection applies per chain.
+	// reached, making Anneal.Iterations a convergence-speed measurement.
+	// With chains the plateau detection applies per chain.
 	AdaptiveStop bool
 	// TraceEvery is the sampling interval, in iterations, of the
 	// StitchReport cost traces (Trace and per-chain Chains[i].Trace).
@@ -132,80 +116,6 @@ type StitchOptions struct {
 	// portfolio from (Seed, Portfolio.Backends) — regardless of
 	// GOMAXPROCS.
 	Backend string
-	// GDIterations is the analytic/hybrid gradient-descent budget.
-	// Conflicts with a non-zero Analytic.GDIterations are warned once;
-	// the structured field wins.
-	//
-	// Deprecated: set Analytic.GDIterations.
-	GDIterations int
-}
-
-// resolved overlays the deprecated flat per-backend aliases onto the
-// structured sub-structs; explicitly set structured fields win, and a
-// flat alias that conflicts with its structured counterpart logs a
-// one-shot warning and records an options.alias_conflict event.
-// stitchConfig calls it exactly once per run, so conflict counters
-// advance once per resolution, not once per Validate.
-func (o StitchOptions) resolved() StitchOptions {
-	if o.Iterations != 0 && o.Anneal.Iterations != 0 && o.Iterations != o.Anneal.Iterations {
-		warnAliasConflict(o.Obs, "Iterations", "Anneal.Iterations")
-	}
-	if o.Anneal.Iterations == 0 {
-		o.Anneal.Iterations = o.Iterations
-	}
-	if o.Chains != 0 && o.Anneal.Chains != 0 && o.Chains != o.Anneal.Chains {
-		warnAliasConflict(o.Obs, "Chains", "Anneal.Chains")
-	}
-	if o.Anneal.Chains == 0 {
-		o.Anneal.Chains = o.Chains
-	}
-	if o.GDIterations != 0 && o.Analytic.GDIterations != 0 && o.GDIterations != o.Analytic.GDIterations {
-		warnAliasConflict(o.Obs, "GDIterations", "Analytic.GDIterations")
-	}
-	if o.Analytic.GDIterations == 0 {
-		o.Analytic.GDIterations = o.GDIterations
-	}
-	return o
-}
-
-// merged overlays the deprecated flat aliases onto the structured
-// options; explicitly set structured fields win. A deprecated alias
-// that conflicts with its structured counterpart logs a one-shot
-// warning and records an options.alias_conflict event.
-func (o StitchOptions) merged(seed int64, iterations int, adaptiveStop bool) StitchOptions {
-	if o.Seed != 0 && seed != 0 && o.Seed != seed {
-		warnAliasConflict(o.Obs, "Seed", "Stitch.Seed")
-	}
-	if o.Seed == 0 {
-		o.Seed = seed
-	}
-	if o.Iterations != 0 && iterations != 0 && o.Iterations != iterations {
-		warnAliasConflict(o.Obs, "StitchIterations", "Stitch.Iterations")
-	}
-	if o.Iterations == 0 {
-		o.Iterations = iterations
-	}
-	if adaptiveStop {
-		o.AdaptiveStop = true
-	}
-	return o
-}
-
-// aliasWarned dedupes the one-shot deprecated-alias log lines (one per
-// conflicting field per process; the obs counter and event fire every
-// time a conflict is resolved).
-var aliasWarned sync.Map
-
-// warnAliasConflict reports that a deprecated flat option field was set
-// alongside its structured counterpart with a different value.
-func warnAliasConflict(rec *Recorder, deprecated, structured string) {
-	rec.Add("options.alias_conflict", 1)
-	rec.Event("options.alias_conflict",
-		obs.String("deprecated", deprecated), obs.String("structured", structured))
-	if _, seen := aliasWarned.LoadOrStore(deprecated, true); !seen {
-		log.Printf("macroflow: deprecated option %s conflicts with %s; the structured field wins — set only one",
-			deprecated, structured)
-	}
 }
 
 // Backend spellings accepted by StitchOptions.Backend (and the cmds'
@@ -226,15 +136,6 @@ const (
 // messages — and a typo fails in microseconds, not after the
 // implementation phase.
 func (o StitchOptions) Validate() error {
-	if o.Iterations < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Iterations must be >= 0 (got %d)", o.Iterations)
-	}
-	if o.Chains < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Chains must be >= 0 (got %d)", o.Chains)
-	}
-	if o.GDIterations < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.GDIterations must be >= 0 (got %d)", o.GDIterations)
-	}
 	if o.Anneal.Iterations < 0 {
 		return fmt.Errorf("macroflow: StitchOptions.Anneal.Iterations must be >= 0 (got %d)", o.Anneal.Iterations)
 	}
@@ -291,9 +192,8 @@ const (
 	SearchForceBisect
 )
 
-// ImplementOptions are the block-implementation knobs shared by RunCNV
-// and Compile (embed via CNVOptions.Implement / CompileOptions.Implement),
-// so the two entry points cannot drift apart.
+// ImplementOptions are the block-implementation knobs of Compile and
+// RunCNV (CompileOptions.Implement).
 type ImplementOptions struct {
 	// Workers bounds block-level implementation parallelism (default
 	// GOMAXPROCS). When the flow's search probes speculatively, the
@@ -346,26 +246,6 @@ func (o ImplementOptions) Validate() error {
 	return o.Check.Validate()
 }
 
-// merged overlays the deprecated flat aliases onto the structured
-// options. A deprecated alias that conflicts with its structured
-// counterpart logs a one-shot warning and records an
-// options.alias_conflict event.
-func (o ImplementOptions) merged(workers int, cache *BlockCache) ImplementOptions {
-	if o.Workers != 0 && workers != 0 && o.Workers != workers {
-		warnAliasConflict(o.Obs, "Workers", "Implement.Workers")
-	}
-	if o.Workers == 0 {
-		o.Workers = workers
-	}
-	if o.Cache != nil && cache != nil && o.Cache != cache {
-		warnAliasConflict(o.Obs, "Cache", "Implement.Cache")
-	}
-	if o.Cache == nil {
-		o.Cache = cache
-	}
-	return o
-}
-
 // searchFor resolves the effective search configuration of one call
 // from the flow's configuration plus the per-call overrides.
 func (f *Flow) searchFor(im ImplementOptions) pblock.SearchConfig {
@@ -400,13 +280,8 @@ func blockWorkers(requested, probeWorkers int) int {
 	return w
 }
 
-// stitchConfig maps the public options onto the annealer configuration.
-// It resolves the deprecated flat aliases into the per-backend
-// sub-structs exactly once — so a flat-only configuration produces the
-// same stitch.Config (and byte-identical results) as before the
-// sub-structs existed.
+// stitchConfig maps the public options onto the stitcher configuration.
 func stitchConfig(o StitchOptions) stitch.Config {
-	o = o.resolved()
 	scfg := stitch.DefaultConfig()
 	scfg.Seed = o.Seed
 	if o.Anneal.Iterations > 0 {
@@ -436,7 +311,7 @@ func stitchConfig(o StitchOptions) stitch.Config {
 }
 
 // stitchDesign runs the annealer on a prepared problem and assembles
-// the public report — the one stitching path behind RunCNV and Compile.
+// the public report.
 // parent, when non-nil, is the flow span the stitching spans nest under.
 // vr, when non-nil and o.Check is on, accumulates the oracle's
 // cross-check of the stitched result.
@@ -458,7 +333,7 @@ func (f *Flow) stitchDesign(prob *stitch.Problem, o StitchOptions, parent *Span,
 		FreeTiles:       sres.FreeTiles,
 		LargestFreeRect: sres.LargestFreeRect,
 		TraceEvery:      sres.TraceEvery,
-		Map:             renderStitch(f, prob, sres),
+		Map:             renderStitchMap(f.dev, prob, sres.Origins),
 	}
 	for _, p := range sres.CostTrace {
 		rep.Trace = append(rep.Trace, CostPoint{Iter: p.Iter, Cost: p.Cost})

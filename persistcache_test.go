@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"macroflow/internal/cnv"
+	"macroflow/internal/implcache"
 	"macroflow/internal/oracle"
 	"macroflow/internal/place"
 )
@@ -26,7 +27,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := flow.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: cold, SkipStitch: true})
+	first, err := flow.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cold}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: warm, SkipStitch: true})
+	second, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: warm}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	}
 
 	// Third compile in the same "process": the in-memory layer serves it.
-	third, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: warm, SkipStitch: true})
+	third, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: warm}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := lin.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: c1, SkipStitch: true})
+	first, err := lin.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: c1}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := bis.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: c2, SkipStitch: true})
+	second, err := bis.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: c2}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +144,7 @@ func TestBlockDiskKeyPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := place.QuickPlace(m)
+	hash := implcache.ModuleHash(m)
 	fps := f.fingerprints(f.searchFor(ImplementOptions{}))
 	for _, c := range []struct {
 		mode CFMode
@@ -151,7 +153,7 @@ func TestBlockDiskKeyPinned(t *testing.T) {
 		{MinSweepCF(), "70b44992e1cba212e3ae07bf51bb1f6e815e19407842322e48abc4ba020e16d7"},
 		{ConstantCF(1.5), "7356d0071db3e523c5fa6e2d4ce982a911d327ab266d26f7208c62ec82663851"},
 	} {
-		if got := f.blockDiskKey(m, rep, c.mode, fps); got != c.want {
+		if got := f.blockDiskKey(hash, rep, c.mode, fps); got != c.want {
 			t.Errorf("blockDiskKey(mvau_l34, %s) = %s, want %s", c.mode.kind, got, c.want)
 		}
 	}

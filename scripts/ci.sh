@@ -77,7 +77,10 @@ GOMAXPROCS=4 go test -race -run 'TestAssignDeterministic|TestAssignGOMAXPROCSInv
 # from-scratch placement on every rectangle of every sweep.
 GOMAXPROCS=4 go test -race -run 'TestBisectSharedPlanWorkers|TestBisectSharedPlanGOMAXPROCSInvariant|TestBisectParallelDeterministic' ./internal/pblock/
 GOMAXPROCS=4 go test -race -run 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus' ./internal/place/
-GOMAXPROCS=4 go test -race -run 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost' .
+# RunCNV is Compile of the cnvW1A1 design: the digests recorded before
+# the two pipelines were merged must reproduce, and the wrapper must
+# equal the direct compile field for field, lanes racing or not.
+GOMAXPROCS=4 go test -race -run 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile' .
 
 # Backend audits: every stitcher backend (all five, portfolio included)
 # through Compile under the full oracle audit (zero violations

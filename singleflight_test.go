@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"macroflow/internal/implcache"
+	"macroflow/internal/netlist"
 )
 
 // sfDesign builds a fresh one-block design (each concurrent caller gets
@@ -31,26 +34,28 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	search := f.searchFor(ImplementOptions{Obs: rec})
 	cache := NewBlockCache()
 
-	// Leader pass: compute the real result (and the key) once.
-	want, hit, err := f.cachedImplement(m, rep, MinSweepCF(), search, f.fingerprints(search), cache)
+	key := f.blockDiskKey(implcache.ModuleHash(m), rep, MinSweepCF(), f.fingerprints(search))
+	module := func() (*netlist.Module, error) { return m, nil }
+
+	// Leader pass: compute the real result once.
+	want, hit, err := f.cachedImplement(key, module, rep, MinSweepCF(), search, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit.kind != hitMiss {
 		t.Fatalf("first implement hit kind = %s, want miss", hitName(hit.kind))
 	}
-	key := f.blockDiskKey(m, rep, MinSweepCF(), f.fingerprints(search))
 
 	// Re-stage the cache as if the leader were still in flight, with its
 	// result already published.
 	cache.mu.Lock()
 	delete(cache.byModule, key)
 	fl := &inflightSearch{done: make(chan struct{}), sr: want}
-	cache.inflight = map[string]*inflightSearch{key: fl}
+	cache.inflight[key] = fl
 	cache.mu.Unlock()
 	close(fl.done)
 
-	got, hit2, err := f.cachedImplement(m, rep, MinSweepCF(), search, f.fingerprints(search), cache)
+	got, hit2, err := f.cachedImplement(key, module, rep, MinSweepCF(), search, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
