@@ -699,7 +699,7 @@ func BenchmarkPlaceDetailed(b *testing.B) {
 
 // --- the min-CF probe loop ------------------------------------------------
 //
-// A linear sweep is one place.Plan and hundreds of Plan.Place probes,
+// A linear sweep is one pblock.Plan and hundreds of Plan.Place probes,
 // about nine in ten of them placement rejects. These three pin the
 // per-probe costs on weights_14, the block with the longest sweep of
 // cnvW1A1: a reject and an accept on a reused plan (what a search pays
@@ -715,7 +715,7 @@ func weights14Probes(b *testing.B) (m *netlist.Module, rep place.ShapeReport, re
 	ti, rep := cnvModule(b, "weights_14")
 	m, _ = fix.design.Module(ti)
 	cfg := pblock.DefaultConfig()
-	plan := place.NewPlan(m, rep)
+	plan := pblock.NewPlan(m, rep)
 	for i := 0; ; i++ {
 		cf := math.Round((minCFBenchSearch.Start+float64(i)*minCFBenchSearch.Step)*50) / 50 // the sweep's grid
 		if cf > minCFBenchSearch.Max {
@@ -735,7 +735,10 @@ func weights14Probes(b *testing.B) (m *netlist.Module, rep place.ShapeReport, re
 	}
 }
 
-// BenchmarkPlaceReject measures a rejected probe on a reused plan.
+// BenchmarkPlaceReject measures a rejected probe on a reused plan: carry
+// chains, LUTRAM and flip-flops placed, then the logic LUTs turned away
+// by counting the slots left — as every placement reject of
+// weights_14's sweep is — without packing a single one.
 func BenchmarkPlaceReject(b *testing.B) {
 	m, rep, reject, _ := weights14Probes(b)
 	plan := place.NewPlan(m, rep)
@@ -816,7 +819,27 @@ func BenchmarkRecordCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteProbe measures one congestion probe.
+// BenchmarkCompileCold measures one cold cnvW1A1 compile — no cache, the
+// linear sweep, 200 k anneal moves: the cnv-cold op of cmd/bench with
+// its allocations. TestCompileColdBytes gates the bytes.
+func BenchmarkCompileCold(b *testing.B) {
+	f, err := NewFlow("xc7z020")
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.SetSearch(0.5, 0.02, 3.0)
+	opts := CNVOptions{Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 200000}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.RunCNV(MinSweepCF(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteProbe measures one congestion probe in a reused
+// route.Scratch, as a search's second and later probes run: 0 allocs.
 func BenchmarkRouteProbe(b *testing.B) {
 	fixtures(b)
 	ti, rep := cnvModule(b, "mvau_l34")
@@ -830,9 +853,12 @@ func BenchmarkRouteProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var scratch route.Scratch
+	_ = scratch.Route(pl, cfg.Route)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = route.Route(pl, cfg.Route)
+		_ = scratch.Route(pl, cfg.Route)
 	}
 }
 

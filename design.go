@@ -2,7 +2,9 @@ package macroflow
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"macroflow/internal/implcache"
 	"macroflow/internal/netlist"
@@ -10,6 +12,7 @@ import (
 	"macroflow/internal/pblock"
 	"macroflow/internal/place"
 	"macroflow/internal/stitch"
+	"macroflow/internal/synth"
 )
 
 // Design is a user-defined block design: unique block types, the
@@ -281,31 +284,34 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	defer root.End()
 	// When the searches themselves probe speculatively, split the budget
 	// between block-level and probe-level parallelism.
-	workers := blockWorkers(im.Workers, search.Workers)
+	workers := min(blockWorkers(im.Workers, search.Workers), len(d.types))
+	order := d.implementOrder()
+	var next atomic.Int32 // index into order of the next block to start
 	var wg sync.WaitGroup
-	// Lane pool: each slot doubles as a trace lane so concurrent block
-	// implementations render as parallel worker tracks.
-	lanes := make(chan int, workers)
 	for l := 0; l < workers; l++ {
-		lanes <- l
+		// A worker is a trace lane, so concurrent block implementations
+		// render as parallel worker tracks.
 		rec.LaneLabel(l+1, fmt.Sprintf("implement worker %d", l))
-	}
-	for ti := range d.types {
 		wg.Add(1)
-		go func(ti int) {
+		go func(lane int) {
 			defer wg.Done()
-			lane := <-lanes
-			defer func() { lanes <- lane }()
-			sp := root.Child("implement.block",
-				obs.String("block", d.names[ti])).WithLane(lane + 1)
-			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
-			if errs[ti] == nil {
-				sp.Set(obs.Float("cf", res.Blocks[ti].CF),
-					obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
-					obs.String("cache", hitName(hits[ti].kind)))
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				ti := order[k]
+				sp := root.Child("implement.block",
+					obs.String("block", d.names[ti])).WithLane(lane + 1)
+				impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
+				if errs[ti] == nil {
+					sp.Set(obs.Float("cf", res.Blocks[ti].CF),
+						obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
+						obs.String("cache", hitName(hits[ti].kind)))
+				}
+				sp.End()
 			}
-			sp.End()
-		}(ti)
+		}(l)
 	}
 	wg.Wait()
 	for ti := range d.types {
@@ -339,6 +345,22 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		obs.Int("placed", res.Stitch.Placed),
 		obs.Int("unplaced", res.Stitch.Unplaced))
 	return res, nil
+}
+
+// implementOrder lists the block types in the order the workers start
+// them: most cells first (synth.Cells, known without elaborating), ties
+// in declaration order. The compile ends when its longest block does, so
+// that block must not wait for a worker; the order decides only when a
+// block runs — a block's result is a function of its spec, and tallies
+// and errors are read in declaration order after the barrier.
+func (d *Design) implementOrder() []int {
+	cells := make([]int, len(d.types))
+	order := make([]int, len(d.types))
+	for ti, spec := range d.types {
+		cells[ti], order[ti] = synth.Cells(spec.inner), ti
+	}
+	sort.SliceStable(order, func(i, j int) bool { return cells[order[i]] > cells[order[j]] })
+	return order
 }
 
 // stitchProblem converts the implemented block types plus the design's
@@ -614,7 +636,7 @@ func (f *Flow) constantImplement(m *netlist.Module, rep place.ShapeReport, cf fl
 		obs.String("module", m.Name), obs.Float("cf0", cf))
 	oracle := search.Obs.Counter("mincf.oracle_runs")
 	runs := 0
-	plan := place.NewPlan(m, rep)
+	plan := pblock.NewPlan(m, rep)
 	for {
 		runs++
 		oracle.Add(1)

@@ -171,11 +171,13 @@ func (r ResourceCount) Covers(need ResourceCount) bool {
 	return r.BRAM >= need.BRAM && r.DSP >= need.DSP
 }
 
-// columnResources returns the resources of a single column over rows
-// [y0, y1] (inclusive). BRAM/DSP sites are counted only when their full
-// row pitch lies inside the range, mirroring the vendor rule that a
-// PBlock must contain whole RAMB36/DSP tiles to use them.
-func (d *Device) columnResources(x, y0, y1 int) ResourceCount {
+// ColumnResources returns the resources of the single column x, which
+// must be on the device, over rows [y0, y1] (inclusive), in closed form:
+// a column is uniform in y up to the BRAM/DSP pitch. BRAM/DSP sites are
+// counted only when their full row pitch lies inside the range,
+// mirroring the vendor rule that a PBlock must contain whole RAMB36/DSP
+// tiles to use them.
+func (d *Device) ColumnResources(x, y0, y1 int) ResourceCount {
 	var rc ResourceCount
 	rows := y1 - y0 + 1
 	if rows <= 0 {
@@ -211,7 +213,7 @@ func fullTiles(y0, y1, pitch int) int {
 func (d *Device) Resources() ResourceCount {
 	var rc ResourceCount
 	for x := range d.Columns {
-		rc = rc.Add(d.columnResources(x, 0, d.Rows-1))
+		rc = rc.Add(d.ColumnResources(x, 0, d.Rows-1))
 	}
 	return rc
 }

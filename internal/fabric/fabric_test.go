@@ -70,15 +70,15 @@ func TestColumnResourcesBRAMAlignment(t *testing.T) {
 		t.Fatal("no BRAM column found")
 	}
 	// A full-pitch window contains exactly one RAMB36.
-	if got := d.columnResources(bx, 0, BRAMRows-1).BRAM; got != 1 {
+	if got := d.ColumnResources(bx, 0, BRAMRows-1).BRAM; got != 1 {
 		t.Errorf("aligned %d-row window: BRAM = %d, want 1", BRAMRows, got)
 	}
 	// A misaligned window of the same height contains none.
-	if got := d.columnResources(bx, 1, BRAMRows).BRAM; got != 0 {
+	if got := d.ColumnResources(bx, 1, BRAMRows).BRAM; got != 0 {
 		t.Errorf("misaligned window: BRAM = %d, want 0", got)
 	}
 	// Ten aligned rows contain two.
-	if got := d.columnResources(bx, 0, 2*BRAMRows-1).BRAM; got != 2 {
+	if got := d.ColumnResources(bx, 0, 2*BRAMRows-1).BRAM; got != 2 {
 		t.Errorf("two-pitch window: BRAM = %d, want 2", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestCLBMColumnSliceTypes(t *testing.T) {
 			if !d.SliceTypeAt(x, 0) || d.SliceTypeAt(x, 1) {
 				t.Fatalf("col %d: CLBM must have slice 0 = M, slice 1 = L", x)
 			}
-			rc := d.columnResources(x, 0, 9)
+			rc := d.ColumnResources(x, 0, 9)
 			if rc.SlicesM != 10 || rc.SlicesL != 10 {
 				t.Fatalf("col %d: got %+v, want 10 M + 10 L", x, rc)
 			}

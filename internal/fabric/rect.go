@@ -53,7 +53,7 @@ func (d *Device) RectResources(r Rect) ResourceCount {
 		return rc
 	}
 	for x := max(r.X0, 0); x <= min(r.X1, len(d.Columns)-1); x++ {
-		rc = rc.Add(d.columnResources(x, y0, y1))
+		rc = rc.Add(d.ColumnResources(x, y0, y1))
 	}
 	return rc
 }

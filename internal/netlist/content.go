@@ -55,7 +55,7 @@ func (m *Module) WriteContent(w io.Writer) error {
 // contentFlushAt is the buffered size at which a contentWriter hands its
 // bytes on. Fields are appended whole, so the buffer's capacity leaves
 // room for one past the threshold.
-const contentFlushAt = 4096
+const contentFlushAt = 1024
 
 // contentWriter appends records to one reused buffer and writes it out
 // whenever it fills; the first write error sticks.

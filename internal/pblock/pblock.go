@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/implcache"
@@ -110,7 +111,7 @@ func Build(dev *fabric.Device, rep place.ShapeReport, cf float64, cfg Config) (P
 	bestSlices := -1
 	bestAspectOK := false
 	for h := hMin; h <= hMax; h++ {
-		w, ok := widthFor(dev, cfg, need, h)
+		w, have, ok := widthFor(dev, cfg, need, h)
 		if !ok {
 			continue
 		}
@@ -118,7 +119,7 @@ func Build(dev *fabric.Device, rep place.ShapeReport, cf float64, cfg Config) (P
 			X0: cfg.AnchorX, Y0: cfg.AnchorY,
 			X1: cfg.AnchorX + w - 1, Y1: cfg.AnchorY + h - 1,
 		}
-		slices := dev.RectResources(r).Slices()
+		slices := have.Slices()
 		aspectOK := w <= 3*h+2
 		switch {
 		case aspectOK && !bestAspectOK,
@@ -129,7 +130,7 @@ func Build(dev *fabric.Device, rep place.ShapeReport, cf float64, cfg Config) (P
 	if bestSlices < 0 {
 		// Nothing in the band fits; fall back to growing taller.
 		for h := hMax + 1; h <= dev.Rows-cfg.AnchorY; h++ {
-			w, ok := widthFor(dev, cfg, need, h)
+			w, _, ok := widthFor(dev, cfg, need, h)
 			if !ok {
 				continue
 			}
@@ -145,26 +146,23 @@ func Build(dev *fabric.Device, rep place.ShapeReport, cf float64, cfg Config) (P
 }
 
 // widthFor finds the smallest width at the configured anchor whose
-// rectangle of height h covers the demand; returns ok=false if no width
-// up to the device edge suffices.
-func widthFor(dev *fabric.Device, cfg Config, need fabric.ResourceCount, h int) (int, bool) {
-	y0 := cfg.AnchorY
-	y1 := y0 + h - 1
+// rectangle of height h covers the demand, and returns it with the
+// rectangle's resources; ok=false if no width up to the device edge
+// suffices.
+func widthFor(dev *fabric.Device, cfg Config, need fabric.ResourceCount, h int) (int, fabric.ResourceCount, bool) {
+	y0 := max(cfg.AnchorY, 0)
+	y1 := cfg.AnchorY + h - 1
 	if y1 >= dev.Rows {
-		return 0, false
+		return 0, fabric.ResourceCount{}, false
 	}
 	var have fabric.ResourceCount
-	for x := cfg.AnchorX; x < dev.NumCols(); x++ {
-		have = have.Add(colResources(dev, x, y0, y1))
+	for x := max(cfg.AnchorX, 0); x < dev.NumCols(); x++ {
+		have = have.Add(dev.ColumnResources(x, y0, y1))
 		if have.Covers(need) {
-			return x - cfg.AnchorX + 1, true
+			return x - cfg.AnchorX + 1, have, true
 		}
 	}
-	return 0, false
-}
-
-func colResources(dev *fabric.Device, x, y0, y1 int) fabric.ResourceCount {
-	return dev.RectResources(fabric.Rect{X0: x, Y0: y0, X1: x, Y1: y1})
+	return 0, fabric.ResourceCount{}, false
 }
 
 // Implementation is the result of implementing one module inside a
@@ -179,30 +177,71 @@ type Implementation struct {
 // routing. It returns an error when the module is infeasible at this cf.
 // It is the one-shot form of ImplementPlan.
 func Implement(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, cf float64, cfg Config) (*Implementation, error) {
-	return ImplementPlan(dev, place.NewPlan(m, rep), cf, cfg)
+	return ImplementPlan(dev, NewPlan(m, rep), cf, cfg)
+}
+
+// Plan is what a search keeps between its probes of one module: the
+// placement plan and the routing tables of finished probes, which the
+// next probe overwrites. Every search in this package owns one for its
+// duration; a verdict is the same from a fresh plan as from a reused
+// one. Safe for the concurrent probes of a bisect batch.
+type Plan struct {
+	*place.Plan
+
+	mu      sync.Mutex
+	routers []*route.Scratch // idle: one per probe that ever ran concurrently
+}
+
+// NewPlan returns the probe plan of module m with shape report rep.
+func NewPlan(m *netlist.Module, rep place.ShapeReport) *Plan {
+	return &Plan{Plan: place.NewPlan(m, rep)}
+}
+
+// route runs the routing probe in an idle scratch.
+func (p *Plan) route(pl *place.Placement, cfg route.Config) route.Result {
+	p.mu.Lock()
+	var s *route.Scratch
+	if n := len(p.routers); n > 0 {
+		s, p.routers = p.routers[n-1], p.routers[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s = new(route.Scratch)
+	}
+	rr := s.Route(pl, cfg)
+	p.mu.Lock()
+	p.routers = append(p.routers, s)
+	p.mu.Unlock()
+	return rr
 }
 
 // ImplementPlan is Implement for a caller that probes one module at
-// several correction factors: the plan carries the module, its shape
-// report and everything the placer derives from them alone, so only the
-// first probe pays for it. Every search in this package owns one plan
-// for its duration; a verdict is the same from a fresh plan as from a
-// reused one.
-func ImplementPlan(dev *fabric.Device, plan *place.Plan, cf float64, cfg Config) (*Implementation, error) {
+// several correction factors through one plan.
+func ImplementPlan(dev *fabric.Device, plan *Plan, cf float64, cfg Config) (*Implementation, error) {
 	pb, err := Build(dev, plan.Shape(), cf, cfg)
 	if err != nil {
 		return nil, err
 	}
 	pl, err := plan.Place(dev, pb.Rect, cfg.Place)
 	if err != nil {
-		return nil, fmt.Errorf("cf %.2f: %w", cf, err)
+		return nil, &placeError{cf, err}
 	}
-	rr := route.Route(pl, cfg.Route)
+	rr := plan.route(pl, cfg.Route)
 	if !rr.Feasible {
 		return nil, fmt.Errorf("cf %.2f: route infeasible (peak %.2f, overflow %.3f)", cf, rr.PeakUtil, rr.OverflowFrac)
 	}
 	return &Implementation{PBlock: pb, Placement: pl, Route: rr}, nil
 }
+
+// placeError is a probe's placement reject at one CF. A sweep discards
+// hundreds of them per block unread, so the text is formatted on demand.
+type placeError struct {
+	cf  float64
+	err error
+}
+
+func (e *placeError) Error() string { return fmt.Sprintf("cf %.2f: %v", e.cf, e.err) }
+func (e *placeError) Unwrap() error { return e.err }
 
 // Strategy selects the minimal-CF search algorithm.
 type Strategy int
@@ -343,7 +382,7 @@ func searchMinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s
 func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
 	runs := 0
 	oracle := s.Obs.Counter("mincf.oracle_runs")
-	plan := place.NewPlan(m, rep)
+	plan := NewPlan(m, rep)
 	for i := 0; ; i++ {
 		cf := s.cfAt(i)
 		if s.Step <= 0 || cf > s.Max+1e-9 {
@@ -402,7 +441,7 @@ func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
 	runs := 0
 	oracle := s.Obs.Counter("mincf.oracle_runs")
-	plan := place.NewPlan(m, rep)
+	plan := NewPlan(m, rep)
 	try := func(cf float64) (*Implementation, bool) {
 		runs++
 		oracle.Add(1)

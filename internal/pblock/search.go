@@ -42,7 +42,7 @@ type prober struct {
 	m   *netlist.Module
 	rep place.ShapeReport
 	// plan is shared by the concurrent probes of a batch.
-	plan *place.Plan
+	plan *Plan
 	s    SearchConfig
 	cfg  Config
 
@@ -54,7 +54,7 @@ type prober struct {
 
 func newProber(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *prober {
 	return &prober{
-		dev: dev, m: m, rep: rep, plan: place.NewPlan(m, rep), s: s, cfg: cfg,
+		dev: dev, m: m, rep: rep, plan: NewPlan(m, rep), s: s, cfg: cfg,
 		byRect: make(map[fabric.Rect]*probeOutcome),
 		n:      s.lastIndex(),
 		oracle: s.Obs.Counter("mincf.oracle_runs"),
@@ -138,7 +138,7 @@ func (p *prober) execute(r fabric.Rect, lane int) *probeOutcome {
 		return &probeOutcome{err: err}
 	}
 	rsp := sp.Child("route.probe")
-	rr := route.Route(pl, p.cfg.Route)
+	rr := p.plan.route(pl, p.cfg.Route)
 	rsp.End()
 	sp.Set(obs.String("verdict", routeVerdict(rr.Feasible)))
 	sp.End()

@@ -201,24 +201,9 @@ type placer struct {
 // place runs one probe. Everything it reads from earlier probes is
 // overwritten before use, so the outcome does not depend on them.
 func (p *placer) place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Placement, error) {
-	m, rep := p.plan.m, p.plan.rep
-	p.dev, p.rect = dev, rect
-	p.noCS = opts.IgnoreControlSets
-	p.layoutCols()
-	avail := len(p.cols) * p.rows
-	if avail == 0 {
-		return nil, &ErrInfeasible{Reason: "no slices in rectangle"}
-	}
-	need := rep.EstSlices
-	if need < 1 {
-		need = 1
-	}
-	p.spread = float64(avail) / float64(need)
-	if p.spread < 1 {
-		p.spread = 1
-	}
-	if opts.Compact {
-		p.spread = 1
+	m := p.plan.m
+	if err := p.open(dev, rect, opts); err != nil {
+		return nil, err
 	}
 	if opts.Warm != nil && opts.PreOccupy == 0 {
 		// A warm start cannot model foreign pre-occupation, so PreOccupy
@@ -227,9 +212,57 @@ func (p *placer) place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Pla
 			return pl, nil
 		}
 	}
+	if err := p.placeFixed(opts); err != nil {
+		return nil, err
+	}
+	if err := p.placeLUTs(); err != nil {
+		return nil, err
+	}
+	if err := p.placeBlocks(); err != nil {
+		return nil, err
+	}
 
-	// Cold start. The module-derived tables, the seed among them, are
-	// only needed from here on.
+	pl := &Placement{
+		Module:    m,
+		Rect:      rect,
+		CellAt:    p.cellAt,
+		Spread:    p.spread,
+		Footprint: p.footprint(),
+	}
+	for i := range p.sites {
+		if p.sites[i].used {
+			pl.UsedSlices++
+		}
+	}
+	p.cellAt = nil // the placement owns it now; the next probe gets its own
+	return pl, nil
+}
+
+// open points the placer at a rectangle: its slice columns and the
+// spread the module gets in them.
+func (p *placer) open(dev *fabric.Device, rect fabric.Rect, opts Options) error {
+	p.dev, p.rect = dev, rect
+	p.noCS = opts.IgnoreControlSets
+	p.layoutCols()
+	avail := len(p.cols) * p.rows
+	if avail == 0 {
+		return &ErrInfeasible{Reason: "no slices in rectangle"}
+	}
+	need := p.plan.rep.EstSlices
+	if need < 1 {
+		need = 1
+	}
+	p.spread = float64(avail) / float64(need)
+	if p.spread < 1 || opts.Compact {
+		p.spread = 1
+	}
+	return nil
+}
+
+// placeFixed starts a cold pack of the opened rectangle and places what
+// the logic LUTs then fill around: carry chains, LUTRAM/SRL, flip-flops.
+// The plan's tables, the seed among them, are only needed from here on.
+func (p *placer) placeFixed(opts Options) error {
 	p.plan.prepare()
 	seed := opts.Seed
 	if seed == 0 {
@@ -260,48 +293,26 @@ func (p *placer) place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Pla
 			p.freeM++
 		}
 	}
-	p.reserveM = rep.EstSlicesM
+	p.reserveM = p.plan.rep.EstSlicesM
 	p.setCaps()
 	p.planWindows()
 
-	if cap(p.cellAt) < len(m.Cells) {
-		p.cellAt = make([]Coord, len(m.Cells))
+	n := len(p.plan.m.Cells)
+	if cap(p.cellAt) < n {
+		p.cellAt = make([]Coord, n)
 	}
-	p.cellAt = p.cellAt[:len(m.Cells)]
+	p.cellAt = p.cellAt[:n]
 	for i := range p.cellAt {
 		p.cellAt[i] = Coord{-1, -1}
 	}
 
 	if err := p.placeCarry(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := p.placeMem(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := p.placeFFs(); err != nil {
-		return nil, err
-	}
-	if err := p.placeLUTs(); err != nil {
-		return nil, err
-	}
-	if err := p.placeBlocks(); err != nil {
-		return nil, err
-	}
-
-	pl := &Placement{
-		Module:    m,
-		Rect:      rect,
-		CellAt:    p.cellAt,
-		Spread:    p.spread,
-		Footprint: p.footprint(),
-	}
-	for i := range p.sites {
-		if p.sites[i].used {
-			pl.UsedSlices++
-		}
-	}
-	p.cellAt = nil // the placement owns it now; the next probe gets its own
-	return pl, nil
+	return p.placeFFs()
 }
 
 // layoutCols enumerates the slice columns of the rectangle, two per CLB
@@ -648,16 +659,46 @@ func (p *placer) placeFFs() error {
 	return nil
 }
 
-// placeLUTs packs logic LUTs netlist-aware: each LUT is pulled toward
-// the centroid of its already-placed input drivers (memory banks, carry
-// chains, registers, earlier LUTs), so read multiplexers land next to
-// their RAMs and dataflow stays local. LUTs with no placed inputs
-// continue from the previous cell's position.
+// placeLUTs packs the logic LUTs, if the rectangle can hold them. How
+// many the fill loop can place is fixed on entry — its second pass is
+// exhaustive, its first only takes slots the second would have filled —
+// so a probe that cannot place is rejected by counting, and the loop
+// runs only for probes that will (TestLUTCountMatchesFill).
 func (p *placer) placeLUTs() error {
-	pl := p.plan
-	if len(pl.luts) == 0 {
+	n := len(p.plan.luts)
+	if n == 0 {
 		return nil
 	}
+	placed := p.lutCapacity()
+	if placed >= n {
+		placed = p.fillLUTs()
+	}
+	if placed < n {
+		return &ErrInfeasible{Reason: fmt.Sprintf("LUT capacity exhausted (%d/%d placed)", placed, n)}
+	}
+	return nil
+}
+
+// lutCapacity counts the LUT slots left for logic: the free LUTs of
+// every slice that is not a memory slice.
+func (p *placer) lutCapacity() int {
+	total := 0
+	for i := range p.sites {
+		if s := &p.sites[i]; !s.mem {
+			total += int(s.lutFree)
+		}
+	}
+	return total
+}
+
+// fillLUTs packs logic LUTs netlist-aware and returns how many it
+// placed: each LUT is pulled toward the centroid of its already-placed
+// input drivers (memory banks, carry chains, registers, earlier LUTs),
+// so read multiplexers land next to their RAMs and dataflow stays
+// local. LUTs with no placed inputs continue from the previous cell's
+// position.
+func (p *placer) fillLUTs() int {
+	pl := p.plan
 	prev := Coord{int16(p.cols[0].x), int16(p.rect.Y0 + p.cols[0].lo)}
 	placedCount := 0
 	for pass := 0; pass < 2 && placedCount < len(pl.luts); pass++ {
@@ -666,8 +707,7 @@ func (p *placer) placeLUTs() error {
 			if room == 0 {
 				// No site is left under this pass's rules, so every
 				// remaining LUT would search in vain (and move nothing:
-				// prev only follows placements). Most probes of a sweep
-				// are rejected right here, in the exhaustive pass.
+				// prev only follows placements).
 				break
 			}
 			if p.cellAt[lut].X >= 0 {
@@ -690,10 +730,7 @@ func (p *placer) placeLUTs() error {
 			placedCount++
 		}
 	}
-	if placedCount < len(pl.luts) {
-		return &ErrInfeasible{Reason: fmt.Sprintf("LUT capacity exhausted (%d/%d placed)", placedCount, len(pl.luts))}
-	}
-	return nil
+	return placedCount
 }
 
 // lutFits reports whether slice s can accept one more LUT under the
@@ -760,11 +797,16 @@ func (p *placer) centroidOf(drv []netlist.CellID, prev Coord) Coord {
 // capacity.
 func (p *placer) findLUTSlot(want Coord, pass int) (*site, int) {
 	n := len(p.cols)
-	// Nearest column index for the desired x (columns are x-sorted, two
-	// slice columns per CLB column).
-	ci := 0
-	for ci < n-1 && p.cols[ci].x < int(want.X) {
-		ci++
+	// Nearest column index for the desired x: the first column at or
+	// right of it, the last one when there is none (columns are x-sorted,
+	// two slice columns per CLB column).
+	ci, hi := 0, n-1
+	for ci < hi {
+		if mid := (ci + hi) / 2; p.cols[mid].x < int(want.X) {
+			ci = mid + 1
+		} else {
+			hi = mid
+		}
 	}
 	maxD := n
 	if pass == 0 && maxD > 16 {

@@ -121,6 +121,7 @@ func (pl *Plan) prepare() {
 		chainByID := map[int32]*chain{}
 		memAt, ffAt := map[int32]int{}, map[int32]int{}
 		lutAt := make([]int32, len(m.Cells)) // LUT cell -> index in pl.luts
+		pl.luts = make([]netlist.CellID, 0, pl.rep.Stats.LUTs)
 		for ci := range m.Cells {
 			c := &m.Cells[ci]
 			id := netlist.CellID(ci)

@@ -2,8 +2,10 @@ package place_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macroflow/internal/cnv"
@@ -165,6 +167,107 @@ func TestPlanReuseMatchesOneShotCorpus(t *testing.T) {
 	}
 }
 
+// lutExhausted reports whether err is the LUT phase's capacity reject,
+// and its reason.
+func lutExhausted(err error) (string, bool) {
+	var inf *place.ErrInfeasible
+	if errors.As(err, &inf) && strings.HasPrefix(inf.Reason, "LUT capacity exhausted") {
+		return inf.Reason, true
+	}
+	return "", false
+}
+
+// checkLUTCount holds placeLUTs' counted reject against its reference,
+// the fill loop run to exhaustion, on every rectangle of m's sweep: the
+// count says "does not fit" exactly when the loop leaves a LUT unplaced,
+// the loop then placed exactly the counted capacity, and the probe's
+// error reads what the loop's own count would have printed.
+func checkLUTCount(t *testing.T, dev *fabric.Device, m *netlist.Module, opts place.Options) (probes, rejects, exact int) {
+	t.Helper()
+	rep := place.QuickPlace(m)
+	cfg := pblock.DefaultConfig()
+	cfg.Place = opts
+	plan := place.NewPlan(m, rep)
+	for _, w := range sweepProbes(dev, m, rep, cfg) {
+		reason, rejected := lutExhausted(w.err)
+		count, placed, luts, reached := place.LUTCountVsFill(plan, dev, w.rect, opts)
+		if !reached || luts == 0 {
+			if rejected {
+				t.Fatalf("%s %v: LUT reject from a probe that never reached the LUT phase", m.Name, w.rect)
+			}
+			continue
+		}
+		probes++
+		if (count < luts) != (placed < luts) {
+			t.Fatalf("%s %v: counted capacity %d, fill loop placed %d of %d LUTs", m.Name, w.rect, count, placed, luts)
+		}
+		if rejected != (placed < luts) {
+			t.Fatalf("%s %v: probe said %v, fill loop placed %d of %d LUTs", m.Name, w.rect, w.err, placed, luts)
+		}
+		if !rejected {
+			// count >= luts: the probe ran the loop, so no cell of a
+			// placement it returned may be left without a site.
+			for c := 0; w.err == nil && c < len(w.pl.CellAt); c++ {
+				if w.pl.CellAt[c].X < 0 {
+					t.Fatalf("%s %v: accepted with cell %d unplaced (counted capacity %d for %d LUTs)", m.Name, w.rect, c, count, luts)
+				}
+			}
+			if count == luts {
+				exact++
+			}
+			continue
+		}
+		rejects++
+		if placed != count {
+			t.Fatalf("%s %v: fill loop placed %d LUTs, counted capacity %d", m.Name, w.rect, placed, count)
+		}
+		if want := fmt.Sprintf("LUT capacity exhausted (%d/%d placed)", placed, luts); reason != want {
+			t.Fatalf("%s %v: reason %q, the fill loop's %q", m.Name, w.rect, reason, want)
+		}
+	}
+	return probes, rejects, exact
+}
+
+// TestLUTCountMatchesFill is the differential proof behind the counted
+// reject, over every rectangle of every cnvW1A1 block's sweep under
+// each of the placer's options, and a 200-module dataset mix cycling
+// through them.
+func TestLUTCountMatchesFill(t *testing.T) {
+	dev := fabric.XC7Z020()
+	variants := []place.Options{{}, {Compact: true}, {IgnoreControlSets: true}, {PreOccupy: 0.3}, {Seed: 7}}
+	probes, rejects, exact := 0, 0, 0
+	d := cnv.CNVW1A1()
+	for ti := range d.Types {
+		m, err := d.Module(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range variants {
+			p, r, e := checkLUTCount(t, dev, m, opts)
+			probes, rejects, exact = probes+p, rejects+r, exact+e
+		}
+	}
+	specs := rtlgen.GenerateMix(rand.New(rand.NewSource(7)), 200)
+	if testing.Short() {
+		specs = specs[:40]
+	}
+	for i, spec := range specs {
+		m, err := synth.Elaborate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := synth.Optimize(m); err != nil {
+			t.Fatal(err)
+		}
+		p, r, e := checkLUTCount(t, dev, m, variants[i%len(variants)])
+		probes, rejects, exact = probes+p, rejects+r, exact+e
+	}
+	if rejects == 0 || rejects == probes || exact == 0 {
+		t.Fatalf("%d probes, %d counted rejects, %d with capacity == LUTs: a side of the count went untested", probes, rejects, exact)
+	}
+	t.Logf("%d probes reached the LUT phase, %d rejected by the count, %d fit exactly", probes, rejects, exact)
+}
+
 // weights14Reject returns cnvW1A1's weights_14 — the block whose sweep is
 // the longest of the design — and the largest rectangle of that sweep
 // the placer rejects: the reject path at its most expensive.
@@ -188,7 +291,8 @@ func weights14Reject(t testing.TB) (*fabric.Device, *netlist.Module, place.Shape
 }
 
 // TestRejectedProbeAllocs gates the allocations of a rejected probe on a
-// reused plan: the site tables, the control-set table, the cell
+// reused plan — a reject by counting, like every placement reject of
+// weights_14's sweep: the site tables, the control-set table, the cell
 // coordinates and the random source are all inherited, so what is left
 // is the error value with its formatted reason: 4 allocations. The bound
 // leaves one more for the race detector, under which the measurement

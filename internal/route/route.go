@@ -72,22 +72,49 @@ type Result struct {
 	TotalWirelength float64
 }
 
-// bbox is a net bounding box in rect-local tile coordinates.
+// bbox is a net bounding box in rect-local tile coordinates — int16
+// like the place.Coord they come from: a module has one box per net.
 type bbox struct {
-	x0, y0, x1, y1 int
+	x0, y0, x1, y1 int16
 	q              float64 // fanout correction
 }
 
-func (b bbox) hpwl() float64 { return float64(b.x1 - b.x0 + b.y1 - b.y0) }
+func (b bbox) width() int  { return int(b.x1) - int(b.x0) + 1 }
+func (b bbox) height() int { return int(b.y1) - int(b.y0) + 1 }
 
-// Route probes the routability of a placement.
+func (b bbox) hpwl() float64 { return float64(b.width() + b.height() - 2) }
+
+// Route probes the routability of a placement. It is the one-shot form
+// of new(Scratch).Route(pl, cfg); a caller probing many placements of
+// one module should hold the Scratch.
 func Route(pl *place.Placement, cfg Config) Result {
+	return new(Scratch).Route(pl, cfg)
+}
+
+// Scratch is the working memory of a routing probe: the net boxes and
+// the per-tile demand and overflow maps. A probe overwrites whatever an
+// earlier one left before reading it, so the result is the same from a
+// fresh Scratch as from one any earlier probe has used. Not safe for
+// concurrent probes: concurrent callers hold one each.
+type Scratch struct {
+	boxes  []bbox
+	demand []float64
+	over   []bool
+}
+
+// Route probes the routability of a placement, like the package-level
+// Route, in the scratch's tables.
+func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
 	w, h := pl.Rect.Width(), pl.Rect.Height()
 	if w <= 0 || h <= 0 {
 		return Result{Feasible: false}
 	}
-	boxes := netBoxes(pl)
-	demand := make([]float64, w*h)
+	boxes := s.netBoxes(pl)
+	if cap(s.demand) < w*h {
+		s.demand, s.over = make([]float64, w*h), make([]bool, w*h)
+	}
+	demand := s.demand[:w*h]
+	clear(demand)
 	for _, b := range boxes {
 		addDemand(demand, w, b)
 	}
@@ -103,15 +130,11 @@ func Route(pl *place.Placement, cfg Config) Result {
 
 	// Detour pass: inflate every box that touches an overflowed tile and
 	// re-measure. This models rip-up-and-reroute spreading hotspots.
-	over := make([]bool, w*h)
+	over := s.over[:w*h]
 	for i, d := range demand {
-		if d > cfg.CapacityPerTile {
-			over[i] = true
-		}
+		over[i] = d > cfg.CapacityPerTile
 	}
-	for i := range demand {
-		demand[i] = 0
-	}
+	clear(demand)
 	for _, b := range boxes {
 		if touchesOverflow(over, w, b) {
 			b = inflate(b, cfg.DetourInflate, w, h)
@@ -125,9 +148,12 @@ func Route(pl *place.Placement, cfg Config) Result {
 
 // netBoxes computes the bounding box and fanout correction of every net
 // with at least two placed pins.
-func netBoxes(pl *place.Placement) []bbox {
+func (s *Scratch) netBoxes(pl *place.Placement) []bbox {
 	m := pl.Module
-	boxes := make([]bbox, 0, len(m.Nets))
+	if cap(s.boxes) < len(m.Nets) {
+		s.boxes = make([]bbox, 0, len(m.Nets))
+	}
+	boxes := s.boxes[:0]
 	for ni := range m.Nets {
 		n := &m.Nets[ni]
 		x0, y0 := math.MaxInt32, math.MaxInt32
@@ -157,14 +183,15 @@ func netBoxes(pl *place.Placement) []bbox {
 			pins++
 		}
 		add(n.Driver)
-		for _, s := range n.Sinks {
-			add(s)
+		for _, sink := range n.Sinks {
+			add(sink)
 		}
 		if pins < 2 || (x0 == x1 && y0 == y1) {
 			continue // intra-tile or degenerate: no channel demand
 		}
-		boxes = append(boxes, bbox{x0, y0, x1, y1, fanoutQ(pins)})
+		boxes = append(boxes, bbox{int16(x0), int16(y0), int16(x1), int16(y1), fanoutQ(pins)})
 	}
+	s.boxes = boxes
 	return boxes
 }
 
@@ -190,22 +217,20 @@ func fanoutQ(pins int) float64 {
 
 // addDemand spreads a net's expected wirelength uniformly over its box.
 func addDemand(demand []float64, w int, b bbox) {
-	bw, bh := b.x1-b.x0+1, b.y1-b.y0+1
 	wl := b.hpwl() * b.q
-	per := wl / float64(bw*bh)
-	for y := b.y0; y <= b.y1; y++ {
-		row := y * w
-		for x := b.x0; x <= b.x1; x++ {
-			demand[row+x] += per
+	per := wl / float64(b.width()*b.height())
+	for y := int(b.y0); y <= int(b.y1); y++ {
+		row := demand[y*w+int(b.x0) : y*w+int(b.x1)+1]
+		for x := range row {
+			row[x] += per
 		}
 	}
 }
 
 func touchesOverflow(over []bool, w int, b bbox) bool {
-	for y := b.y0; y <= b.y1; y++ {
-		row := y * w
-		for x := b.x0; x <= b.x1; x++ {
-			if over[row+x] {
+	for y := int(b.y0); y <= int(b.y1); y++ {
+		for _, o := range over[y*w+int(b.x0) : y*w+int(b.x1)+1] {
+			if o {
 				return true
 			}
 		}
@@ -214,13 +239,12 @@ func touchesOverflow(over []bool, w int, b bbox) bool {
 }
 
 func inflate(b bbox, f float64, w, h int) bbox {
-	bw, bh := float64(b.x1-b.x0+1), float64(b.y1-b.y0+1)
-	dx := int(math.Ceil(bw * (f - 1) / 2))
-	dy := int(math.Ceil(bh * (f - 1) / 2))
-	b.x0 = maxInt(0, b.x0-dx)
-	b.y0 = maxInt(0, b.y0-dy)
-	b.x1 = minInt(w-1, b.x1+dx)
-	b.y1 = minInt(h-1, b.y1+dy)
+	dx := int(math.Ceil(float64(b.width()) * (f - 1) / 2))
+	dy := int(math.Ceil(float64(b.height()) * (f - 1) / 2))
+	b.x0 = int16(maxInt(0, int(b.x0)-dx))
+	b.y0 = int16(maxInt(0, int(b.y0)-dy))
+	b.x1 = int16(minInt(w-1, int(b.x1)+dx))
+	b.y1 = int16(minInt(h-1, int(b.y1)+dy))
 	return b
 }
 

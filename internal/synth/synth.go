@@ -125,6 +125,14 @@ func budget(spec rtlgen.Spec) (cells, nets int) {
 	return max(0, min(cells, maxBudget)), max(0, min(nets, maxBudget))
 }
 
+// Cells returns the number of cells Elaborate creates for spec, in
+// closed form: what a spec costs to implement, known before anything is
+// elaborated.
+func Cells(spec rtlgen.Spec) int {
+	cells, _ := budget(spec)
+	return cells
+}
+
 // treeLUTs returns the number of LUTs (and of nets) lutTree creates over
 // srcs source nets.
 func treeLUTs(srcs int) int {

@@ -196,9 +196,11 @@ const (
 // RunCNV (CompileOptions.Implement).
 type ImplementOptions struct {
 	// Workers bounds block-level implementation parallelism (default
-	// GOMAXPROCS). When the flow's search probes speculatively, the
-	// block pool is divided by the probe width to keep total
-	// parallelism bounded.
+	// GOMAXPROCS). The workers start the blocks largest first (by the
+	// cell count of the spec), so the longest block never waits for a
+	// worker; no result depends on the order or on the worker count.
+	// When the flow's search probes speculatively, the block pool is
+	// divided by the probe width to keep total parallelism bounded.
 	Workers int
 	// Cache, when non-nil, reuses pre-implemented blocks across calls
 	// (and across processes when the cache has a persistent layer).

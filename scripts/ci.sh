@@ -76,11 +76,17 @@ GOMAXPROCS=4 go test -race -run 'TestAssignDeterministic|TestAssignGOMAXPROCSInv
 # (and its recycled site tables), and a reused plan must answer like a
 # from-scratch placement on every rectangle of every sweep.
 GOMAXPROCS=4 go test -race -run 'TestBisectSharedPlanWorkers|TestBisectSharedPlanGOMAXPROCSInvariant|TestBisectParallelDeterministic' ./internal/pblock/
-GOMAXPROCS=4 go test -race -run 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus' ./internal/place/
+# ... and turn a probe away by counting exactly when the fill loop it
+# skips would have come up short, with the same count in the error.
+GOMAXPROCS=4 go test -race -run 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' ./internal/place/
+GOMAXPROCS=4 go test -race -run 'TestRouteScratchMatchesOneShot' ./internal/route/
 # RunCNV is Compile of the cnvW1A1 design: the digests recorded before
 # the two pipelines were merged must reproduce, and the wrapper must
 # equal the direct compile field for field, lanes racing or not.
-GOMAXPROCS=4 go test -race -run 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile' .
+# Blocks start largest first on however many workers pull them: the
+# order is a function of the design, and no worker count, cache or
+# singleflight wait may change a field of the result.
+GOMAXPROCS=4 go test -race -run 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile|TestLaneOrderLargestFirst|TestCompileScheduleInvariant|TestCompileReportsLowestFailedBlock' .
 
 # Backend audits: every stitcher backend (all five, portfolio included)
 # through Compile under the full oracle audit (zero violations
