@@ -2,21 +2,33 @@
 // compile service (cmd/macroflowd): request/response structs with
 // explicit JSON tags, a typed error envelope, and a small Go client.
 //
-// The contract mirrors the library's structured options surface —
-// StitchParams maps onto macroflow.StitchOptions and ImplementParams
-// onto macroflow.ImplementOptions, field for field. The flat stitch
-// fields (iterations/chains/gdIterations) predate the per-backend
+// A record the library already has is declared once, on the library
+// type that owns it, JSON tags included, and appears here as a type
+// alias under its wire name (StitchSummary, BlockResult, CacheStats,
+// AnnealParams, ...): there is no second struct to keep in step and no
+// field-by-field copy. What stays a struct of this package carries a
+// wire-only spelling: StitchParams (the flat iterations/chains/
+// gdIterations aliases, check as a string, nil sub-object = absent),
+// ImplementParams and PartitionParams (string enums, nil = absent) and
+// the top-level CompileResult (instances, firstRunRate, nil stitch for
+// skipStitch jobs). The flat stitch fields predate the per-backend
 // sub-objects and stay accepted as wire-only aliases of them:
 // StitchParams.Options folds a flat field into its sub-object, and a
 // request that sets both to different values is rejected with
-// invalid_options. Compatibility policy:
-// within v1, fields are only ever added (always with omitempty
-// semantics on responses, as the sub-objects and the result's
-// portfolio report were); renames, removals or meaning changes require
-// a new version prefix.
-// Servers decode requests strictly (unknown fields are rejected, so a
-// typo'd option fails loudly instead of being silently ignored);
-// clients decode responses leniently (unknown fields are ignored, so
+// invalid_options.
+//
+// Compatibility policy: within v1, fields are only ever added (always
+// with omitempty semantics on responses, as the sub-objects were);
+// renames, removals or meaning changes require a new version prefix.
+// The one sanctioned removal is the parameters of a deleted solver:
+// stitch.evo, stitch.portfolio and partition.backend went with the evo
+// and portfolio stitchers and the evo partitioner, and the result's
+// portfolio object with them. Servers decode requests strictly
+// (unknown fields are rejected), which is what makes a stale client
+// that still sends such a field fail with bad_request — and one that
+// names a removed backend fail with invalid_options listing the
+// backends there are — instead of silently compiling with defaults.
+// Clients decode responses leniently (unknown fields are ignored, so
 // old clients keep working against newer v1 servers).
 package apiv1
 
@@ -24,6 +36,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"macroflow"
 )
 
 // Version is the contract version this package implements; PathPrefix
@@ -182,8 +196,8 @@ type SearchWindow struct {
 
 // StitchParams mirrors macroflow.StitchOptions (recorder, progress
 // callback and check level travel as wire-friendly spellings). The
-// per-backend sub-objects (anneal/analytic/evo/portfolio) mirror the
-// library's sub-structs and were added within v1; the flat
+// per-backend sub-objects (anneal/analytic) are the library's
+// sub-structs and were added within v1; the flat
 // iterations/chains/gdIterations fields predate them and have no
 // library counterpart any more: Options folds each into
 // anneal.iterations / anneal.chains / analytic.gdIterations when that
@@ -191,49 +205,27 @@ type SearchWindow struct {
 // that sets a flat field and its sub-object field to different values
 // (invalid_options, naming both JSON fields).
 type StitchParams struct {
-	Seed         int64            `json:"seed,omitempty"`
-	Iterations   int              `json:"iterations,omitempty"`
-	Chains       int              `json:"chains,omitempty"`
-	AdaptiveStop bool             `json:"adaptiveStop,omitempty"`
-	TraceEvery   int              `json:"traceEvery,omitempty"`
-	Backend      string           `json:"backend,omitempty"`      // anneal (default), analytic, hybrid, evo, portfolio
-	GDIterations int              `json:"gdIterations,omitempty"` // analytic/hybrid gradient-descent budget
-	Check        string           `json:"check,omitempty"`        // off (default), sampled, full
-	Anneal       *AnnealParams    `json:"anneal,omitempty"`
-	Analytic     *AnalyticParams  `json:"analytic,omitempty"`
-	Evo          *EvoParams       `json:"evo,omitempty"`
-	Portfolio    *PortfolioParams `json:"portfolio,omitempty"`
+	Seed         int64           `json:"seed,omitempty"`
+	Iterations   int             `json:"iterations,omitempty"`
+	Chains       int             `json:"chains,omitempty"`
+	AdaptiveStop bool            `json:"adaptiveStop,omitempty"`
+	TraceEvery   int             `json:"traceEvery,omitempty"`
+	Backend      string          `json:"backend,omitempty"`      // anneal (default), analytic, hybrid
+	GDIterations int             `json:"gdIterations,omitempty"` // analytic/hybrid gradient-descent budget
+	Check        string          `json:"check,omitempty"`        // off (default), sampled, full
+	Anneal       *AnnealParams   `json:"anneal,omitempty"`
+	Analytic     *AnalyticParams `json:"analytic,omitempty"`
 }
 
-// AnnealParams mirrors macroflow.AnnealOptions.
-type AnnealParams struct {
-	Chains     int     `json:"chains,omitempty"`
-	Iterations int     `json:"iterations,omitempty"`
-	TempLadder float64 `json:"tempLadder,omitempty"`
-}
+// AnnealParams is macroflow.AnnealOptions.
+type AnnealParams = macroflow.AnnealOptions
 
-// AnalyticParams mirrors macroflow.AnalyticOptions.
-type AnalyticParams struct {
-	GDIterations int `json:"gdIterations,omitempty"`
-}
-
-// EvoParams mirrors macroflow.EvoOptions.
-type EvoParams struct {
-	Mu          int `json:"mu,omitempty"`
-	Lambda      int `json:"lambda,omitempty"`
-	Generations int `json:"generations,omitempty"`
-}
-
-// PortfolioParams mirrors macroflow.PortfolioOptions.
-type PortfolioParams struct {
-	Backends  []string `json:"backends,omitempty"`
-	Threshold float64  `json:"threshold,omitempty"`
-}
+// AnalyticParams is macroflow.AnalyticOptions.
+type AnalyticParams = macroflow.AnalyticOptions
 
 // PartitionParams mirrors macroflow.PartitionOptions.
 type PartitionParams struct {
 	Shards      int     `json:"shards"`
-	Backend     string  `json:"backend,omitempty"` // greedy (default), evo
 	CutPenalty  float64 `json:"cutPenalty,omitempty"`
 	Refinements int     `json:"refinements,omitempty"`
 }
@@ -288,123 +280,30 @@ type CompileResult struct {
 	Verify *VerifySummary `json:"verify,omitempty"`
 }
 
-// PartitionSummary mirrors macroflow.PartitionReport.
-type PartitionSummary struct {
-	Backend    string          `json:"backend"`
-	Members    []MemberSummary `json:"members"`
-	CutNets    int             `json:"cutNets"`
-	CutWeight  float64         `json:"cutWeight"`
-	CutPenalty float64         `json:"cutPenalty"`
-	CutCost    float64         `json:"cutCost"`
-	TotalCost  float64         `json:"totalCost"`
-}
-
-// MemberSummary mirrors macroflow.MemberReport.
-type MemberSummary struct {
-	Name        string         `json:"name"`
-	Instances   int            `json:"instances"`
-	UsedSlices  int            `json:"usedSlices"`
-	CapSlices   int            `json:"capSlices"`
-	Utilization float64        `json:"utilization"`
-	Stitch      *StitchSummary `json:"stitch,omitempty"`
-}
-
-// BlockResult mirrors macroflow.ModuleResult.
-type BlockResult struct {
-	Name          string  `json:"name"`
-	CF            float64 `json:"cf"`
-	ToolRuns      int     `json:"toolRuns"`
-	EstSlices     int     `json:"estSlices"`
-	UsedSlices    int     `json:"usedSlices"`
-	PBlock        string  `json:"pblock"`
-	LongestPathNS float64 `json:"longestPathNs"`
-	Irregularity  float64 `json:"irregularity"`
-	MaxFanout     int     `json:"maxFanout"`
-	ControlSets   int     `json:"controlSets"`
-	CarryChains   int     `json:"carryChains"`
-}
-
-// CacheStats mirrors macroflow.CacheStats.
-type CacheStats struct {
-	MemHits          int `json:"memHits"`
-	DiskHits         int `json:"diskHits"`
-	SingleflightHits int `json:"singleflightHits"`
-	Misses           int `json:"misses"`
-	Stores           int `json:"stores"`
-	Negatives        int `json:"negatives"`
-}
-
-// StitchSummary mirrors macroflow.StitchReport (per-chain telemetry
-// and the cost trace included; the ASCII map is omitted unless small).
-type StitchSummary struct {
-	Backend         string        `json:"backend"`
-	GDIters         int           `json:"gdIters,omitempty"`
-	Placed          int           `json:"placed"`
-	Unplaced        int           `json:"unplaced"`
-	FinalCost       float64       `json:"finalCost"`
-	ConvergenceIter int           `json:"convergenceIter"`
-	IllegalMoves    int           `json:"illegalMoves"`
-	Iterations      int           `json:"iterations"`
-	Exchanges       int           `json:"exchanges,omitempty"`
-	FreeTiles       int           `json:"freeTiles"`
-	LargestFreeRect int           `json:"largestFreeRect"`
-	TraceEvery      int           `json:"traceEvery"`
-	Map             string        `json:"map,omitempty"`
-	Trace           []CostPoint   `json:"trace,omitempty"`
-	Chains          []ChainReport `json:"chains,omitempty"`
-	// Portfolio carries the cross-backend race telemetry of portfolio
-	// runs (absent otherwise). Added within v1.
-	Portfolio *PortfolioReport `json:"portfolio,omitempty"`
-}
-
-// PortfolioReport mirrors macroflow.PortfolioReport.
-type PortfolioReport struct {
-	Winner    int                `json:"winner"`
-	Threshold float64            `json:"threshold,omitempty"`
-	Entrants  []PortfolioEntrant `json:"entrants"`
-}
-
-// PortfolioEntrant mirrors macroflow.PortfolioEntrant: a ChainReport
-// (the entrant as a pseudo-chain) plus the racing outcome.
-type PortfolioEntrant struct {
-	ChainReport
-	Backend       string `json:"backend"`
-	Winner        bool   `json:"winner,omitempty"`
-	ThresholdIter int    `json:"thresholdIter"`
-	Iterations    int    `json:"iterations"`
-	Unplaced      int    `json:"unplaced,omitempty"`
-}
-
-// CostPoint mirrors macroflow.CostPoint.
-type CostPoint struct {
-	Iter int     `json:"iter"`
-	Cost float64 `json:"cost"`
-}
-
-// ChainReport mirrors macroflow.ChainReport.
-type ChainReport struct {
-	Chain        int         `json:"chain"`
-	InitTemp     float64     `json:"initTemp"`
-	Moves        int         `json:"moves"`
-	Accepts      int         `json:"accepts"`
-	IllegalMoves int         `json:"illegalMoves"`
-	Exchanges    int         `json:"exchanges,omitempty"`
-	FinalCost    float64     `json:"finalCost"`
-	Trace        []CostPoint `json:"trace,omitempty"`
-}
-
-// VerifySummary is the oracle cross-check outcome.
-type VerifySummary struct {
-	Checks     int         `json:"checks"`
-	Violations []Violation `json:"violations,omitempty"`
-}
-
-// Violation mirrors one broken contract found by the oracle.
-type Violation struct {
-	Checker string `json:"checker"`
-	Subject string `json:"subject"`
-	Detail  string `json:"detail"`
-}
+// The records of a result, each declared (fields, JSON tags, docs) on
+// the library type that owns it.
+type (
+	// PartitionSummary is macroflow.PartitionReport.
+	PartitionSummary = macroflow.PartitionReport
+	// MemberSummary is macroflow.MemberReport.
+	MemberSummary = macroflow.MemberReport
+	// BlockResult is macroflow.ModuleResult.
+	BlockResult = macroflow.ModuleResult
+	// CacheStats is macroflow.CacheStats.
+	CacheStats = macroflow.CacheStats
+	// StitchSummary is macroflow.StitchReport: per-chain telemetry, the
+	// cost trace and the ASCII map are always sent.
+	StitchSummary = macroflow.StitchReport
+	// CostPoint is macroflow.CostPoint.
+	CostPoint = macroflow.CostPoint
+	// ChainReport is macroflow.ChainReport.
+	ChainReport = macroflow.ChainReport
+	// VerifySummary is the oracle cross-check outcome,
+	// macroflow.VerifyReport.
+	VerifySummary = macroflow.VerifyReport
+	// Violation is macroflow.Violation: one broken contract.
+	Violation = macroflow.Violation
+)
 
 // Event is one entry of a job's streaming progress feed (JSONL over
 // GET /v1/jobs/{id}/events). Seq is dense per job, so a reconnecting

@@ -34,10 +34,8 @@ func fullRequest() *CompileRequest {
 		Search: &SearchWindow{Start: 0.9, Step: 0.02, Max: 2.5},
 		Stitch: StitchParams{Seed: 7, Iterations: 9000, Chains: 2, AdaptiveStop: true,
 			TraceEvery: 128, Backend: "hybrid", GDIterations: 64, Check: "sampled",
-			Anneal:    &AnnealParams{Chains: 2, Iterations: 9000, TempLadder: 2.5},
-			Analytic:  &AnalyticParams{GDIterations: 64},
-			Evo:       &EvoParams{Mu: 2, Lambda: 8, Generations: 10},
-			Portfolio: &PortfolioParams{Backends: []string{"anneal", "evo"}, Threshold: 4000}},
+			Anneal:   &AnnealParams{Chains: 2, Iterations: 9000, TempLadder: 2.5},
+			Analytic: &AnalyticParams{GDIterations: 64}},
 		Implement: ImplementParams{Workers: 2, Strategy: "bisect", ProbeWorkers: 2, Check: "off"},
 		Priority:  3,
 	}
@@ -62,7 +60,10 @@ func TestRequestRoundTrip(t *testing.T) {
 
 // TestDecodeRequestRejectsUnknownFields: a typo'd option must fail
 // loudly with the typed bad_request error, not silently compile with
-// defaults — at top level and inside nested objects alike.
+// defaults — at top level and inside nested objects alike. The fields
+// of the removed solvers (stitch.evo, stitch.portfolio,
+// partition.backend) are unknown fields now: a stale client that still
+// sends one, spelled exactly as v1 used to accept it, gets bad_request.
 func TestDecodeRequestRejectsUnknownFields(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,8 +73,9 @@ func TestDecodeRequestRejectsUnknownFields(t *testing.T) {
 		{"nested-stitch", `{"design":{"builtin":"cnvW1A1"},"stitch":{"sede":7}}`},
 		{"nested-component", `{"design":{"blocks":[{"name":"b","components":[{"kind":"logic","lust":4}]}]}}`},
 		{"nested-anneal", `{"design":{"builtin":"cnvW1A1"},"stitch":{"anneal":{"chians":2}}}`},
-		{"nested-evo", `{"design":{"builtin":"cnvW1A1"},"stitch":{"evo":{"mu":2,"lamda":8}}}`},
-		{"nested-portfolio", `{"design":{"builtin":"cnvW1A1"},"stitch":{"portfolio":{"bakends":["anneal"]}}}`},
+		{"nested-evo", `{"design":{"builtin":"cnvW1A1"},"stitch":{"backend":"evo","evo":{"mu":2,"lambda":8,"generations":10}}}`},
+		{"nested-portfolio", `{"design":{"builtin":"cnvW1A1"},"stitch":{"portfolio":{"backends":["anneal","hybrid"],"threshold":4000}}}`},
+		{"partition-backend", `{"design":{"builtin":"cnvW1A1"},"partition":{"shards":2,"backend":"greedy"}}`},
 		{"trailing-data", `{"design":{"builtin":"cnvW1A1"}} {"design":{"builtin":"cnvW1A1"}}`},
 		{"malformed", `{"design":`},
 	}
@@ -144,10 +146,8 @@ func TestParamsOptions(t *testing.T) {
 	}
 	want := macroflow.StitchOptions{Seed: 7, AdaptiveStop: true,
 		TraceEvery: 128, Backend: "hybrid", Check: macroflow.CheckSampled,
-		Anneal:    macroflow.AnnealOptions{Chains: 2, Iterations: 9000, TempLadder: 2.5},
-		Analytic:  macroflow.AnalyticOptions{GDIterations: 64},
-		Evo:       macroflow.EvoOptions{Mu: 2, Lambda: 8, Generations: 10},
-		Portfolio: macroflow.PortfolioOptions{Backends: []string{"anneal", "evo"}, Threshold: 4000}}
+		Anneal:   macroflow.AnnealOptions{Chains: 2, Iterations: 9000, TempLadder: 2.5},
+		Analytic: macroflow.AnalyticOptions{GDIterations: 64}}
 	if !reflect.DeepEqual(so, want) {
 		t.Errorf("StitchParams.Options() = %+v, want %+v", so, want)
 	}
@@ -226,27 +226,19 @@ func TestParamsOptions(t *testing.T) {
 	}
 }
 
-// TestStitchSummaryPortfolio: a portfolio run's cross-backend report
-// must survive the library → wire mapping and a JSON round trip (the
-// additive-within-v1 portfolio object of the result envelope).
-func TestStitchSummaryPortfolio(t *testing.T) {
-	trace := []macroflow.CostPoint{{Iter: 256, Cost: 500}, {Iter: 512, Cost: 123.5}}
-	rep := &macroflow.StitchReport{
-		Backend: "portfolio", Placed: 10, FinalCost: 123.5, Trace: trace,
-		Portfolio: &macroflow.PortfolioReport{
-			Winner:    1,
-			Threshold: 4000,
-			Entrants: []macroflow.PortfolioEntrant{
-				{ChainReport: macroflow.ChainReport{Chain: 0, Moves: 100, FinalCost: 200, Trace: trace},
-					Backend: "anneal", ThresholdIter: -1, Iterations: 100, Unplaced: 1},
-				{ChainReport: macroflow.ChainReport{Chain: 1, Moves: 90, FinalCost: 123.5, Trace: trace},
-					Backend: "evo", Winner: true, ThresholdIter: 256, Iterations: 90},
-			},
+// TestStitchSummaryRoundTrip: a stitch report must survive a JSON round
+// trip under its wire name, chains and traces included, and a report
+// without them must not grow empty objects.
+func TestStitchSummaryRoundTrip(t *testing.T) {
+	trace := []CostPoint{{Iter: 256, Cost: 500}, {Iter: 512, Cost: 123.5}}
+	sum := &StitchSummary{
+		Backend: "hybrid", GDIters: 64, Placed: 10, Unplaced: 1, FinalCost: 123.5,
+		ConvergenceIter: 256, IllegalMoves: 7, Iterations: 190, Exchanges: 3,
+		FreeTiles: 40, LargestFreeRect: 12, TraceEvery: 256, Map: "..A.\n", Trace: trace,
+		Chains: []ChainReport{
+			{Chain: 0, InitTemp: 1.5, Moves: 100, Accepts: 30, IllegalMoves: 4, Exchanges: 3, FinalCost: 123.5, Trace: trace},
+			{Chain: 1, InitTemp: 4.5, Moves: 90, Accepts: 60, IllegalMoves: 3, FinalCost: 200},
 		},
-	}
-	sum := stitchSummary(rep)
-	if sum.Portfolio == nil || sum.Portfolio.Winner != 1 || len(sum.Portfolio.Entrants) != 2 {
-		t.Fatalf("wire portfolio = %+v", sum.Portfolio)
 	}
 	data, err := json.Marshal(sum)
 	if err != nil {
@@ -257,14 +249,58 @@ func TestStitchSummaryPortfolio(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(&got, sum) {
-		t.Errorf("portfolio summary round trip diverged:\n got %+v\nwant %+v", &got, sum)
+		t.Errorf("summary round trip diverged:\n got %+v\nwant %+v", &got, sum)
 	}
-	if got.Portfolio.Entrants[1].Backend != "evo" || !got.Portfolio.Entrants[1].Winner {
-		t.Errorf("winner entrant lost its identity: %+v", got.Portfolio.Entrants[1])
+	bare, err := json.Marshal(&StitchSummary{Backend: "anneal"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Non-portfolio reports must not grow a portfolio object.
-	if s := stitchSummary(&macroflow.StitchReport{Backend: "anneal"}); s.Portfolio != nil {
-		t.Error("anneal summary attached a portfolio report")
+	for _, absent := range []string{"gdIters", "exchanges", "map", "trace", "chains", "portfolio"} {
+		if strings.Contains(string(bare), `"`+absent+`"`) {
+			t.Errorf("bare summary carries %q: %s", absent, bare)
+		}
+	}
+}
+
+// TestWireRecordsFullyTagged: every record the wire shares with the
+// library (the aliases in api.go) spells each exported field with an
+// explicit json tag, recursively — so a field added to a library type
+// cannot reach the wire under its Go name by accident; it fails here
+// until someone decides its wire name (or `json:"-"`).
+func TestWireRecordsFullyTagged(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(rt reflect.Type) {
+		for rt.Kind() == reflect.Pointer || rt.Kind() == reflect.Slice {
+			rt = rt.Elem()
+		}
+		if rt.Kind() != reflect.Struct || seen[rt] {
+			return
+		}
+		seen[rt] = true
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				t.Errorf("%s.%s has no json name", rt, f.Name)
+			}
+			walk(f.Type)
+		}
+	}
+	// A result reaches every result record; a request the two option
+	// sub-objects.
+	walk(reflect.TypeOf(CompileResult{}))
+	walk(reflect.TypeOf(CompileRequest{}))
+	for _, rec := range []any{
+		StitchSummary{}, ChainReport{}, CostPoint{}, BlockResult{}, CacheStats{}, PartitionSummary{},
+		MemberSummary{}, VerifySummary{}, Violation{}, AnnealParams{}, AnalyticParams{},
+	} {
+		if !seen[reflect.TypeOf(rec)] {
+			t.Errorf("%T is not reachable from a request or a result", rec)
+		}
 	}
 }
 

@@ -174,14 +174,10 @@ func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 		Check:        check,
 	}
 	if p.Anneal != nil {
-		o.Anneal = macroflow.AnnealOptions{
-			Chains:     p.Anneal.Chains,
-			Iterations: p.Anneal.Iterations,
-			TempLadder: p.Anneal.TempLadder,
-		}
+		o.Anneal = *p.Anneal
 	}
 	if p.Analytic != nil {
-		o.Analytic = macroflow.AnalyticOptions{GDIterations: p.Analytic.GDIterations}
+		o.Analytic = *p.Analytic
 	}
 	for _, alias := range []struct {
 		flat      int
@@ -203,19 +199,6 @@ func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 					alias.flatField, alias.flat, alias.subField, *alias.sub)}
 		}
 	}
-	if p.Evo != nil {
-		o.Evo = macroflow.EvoOptions{
-			Mu:          p.Evo.Mu,
-			Lambda:      p.Evo.Lambda,
-			Generations: p.Evo.Generations,
-		}
-	}
-	if p.Portfolio != nil {
-		o.Portfolio = macroflow.PortfolioOptions{
-			Backends:  append([]string(nil), p.Portfolio.Backends...),
-			Threshold: p.Portfolio.Threshold,
-		}
-	}
 	return o, nil
 }
 
@@ -229,7 +212,6 @@ func (p *PartitionParams) Options() macroflow.PartitionOptions {
 	}
 	return macroflow.PartitionOptions{
 		Shards:      p.Shards,
-		Backend:     p.Backend,
 		CutPenalty:  p.CutPenalty,
 		Refinements: p.Refinements,
 	}
@@ -263,18 +245,20 @@ func (p ImplementParams) Options() (macroflow.ImplementOptions, error) {
 }
 
 // ResultFromCompile maps a macroflow.CompileResult onto the wire form.
+// The records are the library's own (see the aliases in api.go), so
+// the wire result shares them with res rather than copying.
 func ResultFromCompile(res *macroflow.CompileResult, skipStitch bool) *CompileResult {
 	out := &CompileResult{
-		Blocks:    blockResults(res.Blocks),
+		Blocks:    res.Blocks,
 		ToolRuns:  res.ToolRuns,
 		CacheHits: res.CacheHits,
-		Cache:     cacheStats(res.Cache),
-		Verify:    verifySummary(res.Verify),
+		Cache:     res.Cache,
+		Partition: res.Partition,
+		Verify:    res.Verify,
 	}
 	if !skipStitch {
-		out.Stitch = stitchSummary(&res.Stitch)
+		out.Stitch = &res.Stitch
 	}
-	out.Partition = partitionSummary(res.Partition)
 	return out
 }
 
@@ -290,138 +274,7 @@ func ResultFromCNV(res *macroflow.CNVResult, skipStitch bool) *CompileResult {
 		Partition: res.Partition,
 		Verify:    res.Verify,
 	}, skipStitch)
-	out.Instances = append([]int(nil), res.Instances...)
+	out.Instances = res.Instances
 	out.FirstRunRate = res.FirstRunRate
-	return out
-}
-
-func partitionSummary(pr *macroflow.PartitionReport) *PartitionSummary {
-	if pr == nil {
-		return nil
-	}
-	out := &PartitionSummary{
-		Backend:    pr.Backend,
-		CutNets:    pr.CutNets,
-		CutWeight:  pr.CutWeight,
-		CutPenalty: pr.CutPenalty,
-		CutCost:    pr.CutCost,
-		TotalCost:  pr.TotalCost,
-	}
-	for i := range pr.Members {
-		m := &pr.Members[i]
-		out.Members = append(out.Members, MemberSummary{
-			Name:        m.Name,
-			Instances:   m.Instances,
-			UsedSlices:  m.UsedSlices,
-			CapSlices:   m.CapSlices,
-			Utilization: m.Utilization,
-			Stitch:      stitchSummary(&m.Stitch),
-		})
-	}
-	return out
-}
-
-func blockResults(blocks []macroflow.ModuleResult) []BlockResult {
-	out := make([]BlockResult, len(blocks))
-	for i, b := range blocks {
-		out[i] = BlockResult{
-			Name:          b.Name,
-			CF:            b.CF,
-			ToolRuns:      b.ToolRuns,
-			EstSlices:     b.EstSlices,
-			UsedSlices:    b.UsedSlices,
-			PBlock:        b.PBlock,
-			LongestPathNS: b.LongestPathNS,
-			Irregularity:  b.Irregularity,
-			MaxFanout:     b.MaxFanout,
-			ControlSets:   b.ControlSets,
-			CarryChains:   b.CarryChains,
-		}
-	}
-	return out
-}
-
-func cacheStats(s macroflow.CacheStats) CacheStats {
-	return CacheStats{
-		MemHits:          s.MemHits,
-		DiskHits:         s.DiskHits,
-		SingleflightHits: s.SingleflightHits,
-		Misses:           s.Misses,
-		Stores:           s.Stores,
-		Negatives:        s.Negatives,
-	}
-}
-
-func stitchSummary(r *macroflow.StitchReport) *StitchSummary {
-	out := &StitchSummary{
-		Backend:         r.Backend,
-		GDIters:         r.GDIters,
-		Placed:          r.Placed,
-		Unplaced:        r.Unplaced,
-		FinalCost:       r.FinalCost,
-		ConvergenceIter: r.ConvergenceIter,
-		IllegalMoves:    r.IllegalMoves,
-		Iterations:      r.Iterations,
-		Exchanges:       r.Exchanges,
-		FreeTiles:       r.FreeTiles,
-		LargestFreeRect: r.LargestFreeRect,
-		TraceEvery:      r.TraceEvery,
-		Map:             r.Map,
-		Trace:           costPoints(r.Trace),
-	}
-	for _, ch := range r.Chains {
-		out.Chains = append(out.Chains, chainReport(ch))
-	}
-	if r.Portfolio != nil {
-		wp := &PortfolioReport{
-			Winner:    r.Portfolio.Winner,
-			Threshold: r.Portfolio.Threshold,
-		}
-		for _, e := range r.Portfolio.Entrants {
-			wp.Entrants = append(wp.Entrants, PortfolioEntrant{
-				ChainReport:   chainReport(e.ChainReport),
-				Backend:       e.Backend,
-				Winner:        e.Winner,
-				ThresholdIter: e.ThresholdIter,
-				Iterations:    e.Iterations,
-				Unplaced:      e.Unplaced,
-			})
-		}
-		out.Portfolio = wp
-	}
-	return out
-}
-
-func chainReport(ch macroflow.ChainReport) ChainReport {
-	return ChainReport{
-		Chain:        ch.Chain,
-		InitTemp:     ch.InitTemp,
-		Moves:        ch.Moves,
-		Accepts:      ch.Accepts,
-		IllegalMoves: ch.IllegalMoves,
-		Exchanges:    ch.Exchanges,
-		FinalCost:    ch.FinalCost,
-		Trace:        costPoints(ch.Trace),
-	}
-}
-
-func costPoints(trace []macroflow.CostPoint) []CostPoint {
-	out := make([]CostPoint, len(trace))
-	for i, p := range trace {
-		out[i] = CostPoint{Iter: p.Iter, Cost: p.Cost}
-	}
-	return out
-}
-
-func verifySummary(vr *macroflow.VerifyReport) *VerifySummary {
-	if vr == nil {
-		return nil
-	}
-	out := &VerifySummary{Checks: vr.Checks}
-	for _, v := range vr.Violations {
-		out.Violations = append(out.Violations, Violation{
-			Checker: v.Checker, Subject: v.Subject, Detail: v.Detail,
-		})
-	}
 	return out
 }

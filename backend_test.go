@@ -22,7 +22,7 @@ func TestStitchBackendValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "backend") {
 		t.Errorf("RunCNV with a bad backend: err = %v, want backend error", err)
 	}
-	for _, ok := range []string{"", BackendAnneal, BackendAnalytic, BackendHybrid, BackendEvo, BackendPortfolio} {
+	for _, ok := range []string{"", BackendAnneal, BackendAnalytic, BackendHybrid} {
 		if err := (StitchOptions{Backend: ok}).Validate(); err != nil {
 			t.Errorf("validate(%q) = %v", ok, err)
 		}
@@ -35,7 +35,7 @@ func TestStitchBackendValidation(t *testing.T) {
 func TestCompileBackendsAuditClean(t *testing.T) {
 	f := verifyFlow(t)
 	d := verifySmallDesign(t)
-	for _, be := range []string{BackendAnneal, BackendAnalytic, BackendHybrid, BackendEvo, BackendPortfolio} {
+	for _, be := range []string{BackendAnneal, BackendAnalytic, BackendHybrid} {
 		res, err := f.Compile(d, MinSweepCF(), CompileOptions{
 			Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000}, Backend: be, Check: CheckFull},
 			Implement: ImplementOptions{Check: CheckFull},
@@ -53,26 +53,13 @@ func TestCompileBackendsAuditClean(t *testing.T) {
 			t.Errorf("report backend %q, want %q", res.Stitch.Backend, be)
 		}
 		// Only the analytic-seeded backends carry a gradient-descent
-		// budget; the move- and population-based ones must report zero.
-		// A portfolio report echoes its winner's, so either is legal there.
-		if usesGD := be == BackendAnalytic || be == BackendHybrid; be != BackendPortfolio {
-			if usesGD && res.Stitch.GDIters == 0 {
-				t.Errorf("backend %s does not echo its GD budget", be)
-			}
-			if !usesGD && res.Stitch.GDIters != 0 {
-				t.Errorf("backend %s reports %d GD iterations", be, res.Stitch.GDIters)
-			}
+		// budget; the pure annealer must report zero.
+		usesGD := be != BackendAnneal
+		if usesGD && res.Stitch.GDIters == 0 {
+			t.Errorf("backend %s does not echo its GD budget", be)
 		}
-		if be == BackendPortfolio {
-			pf := res.Stitch.Portfolio
-			if pf == nil || len(pf.Entrants) == 0 {
-				t.Fatalf("portfolio backend produced no PortfolioReport")
-			}
-			if pf.Winner < 0 || pf.Winner >= len(pf.Entrants) || !pf.Entrants[pf.Winner].Winner {
-				t.Errorf("portfolio winner index %d inconsistent with entrant flags", pf.Winner)
-			}
-		} else if res.Stitch.Portfolio != nil {
-			t.Errorf("backend %s attached a PortfolioReport", be)
+		if !usesGD && res.Stitch.GDIters != 0 {
+			t.Errorf("backend %s reports %d GD iterations", be, res.Stitch.GDIters)
 		}
 	}
 }
@@ -145,4 +132,49 @@ func stitchCNV(t *testing.T, f *Flow, backend string, seed int64) StitchReport {
 		t.Fatal(err)
 	}
 	return f.stitchDesign(fix.stitch20, so, nil, nil)
+}
+
+// TestHeadlineTracePinLeavesChainTrace: the headline Trace ends pinned
+// to FinalCost (penalties excluded) so IterToReach(FinalCost) resolves,
+// while the winning chain's own trace keeps the total the annealer saw
+// (penalties included). The stitcher hands out both over one backing
+// array, so the pin must land on a copy. xc7z020 is overfull (unplaced
+// instances, so the two costs differ), and both shapes end on a sample
+// the two traces hold in common rather than one appended to the
+// headline alone: four chains stopping adaptively on the sampling grid
+// (window 40960/16 = 10 x 256), and the analytic backend's single
+// iteration-0 sample.
+func TestHeadlineTracePinLeavesChainTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cnv flow in -short mode")
+	}
+	fixtures(t)
+	f := verifyFlow(t)
+	last := func(tr []CostPoint) CostPoint { return tr[len(tr)-1] }
+	for _, so := range []StitchOptions{
+		{Seed: 1, Anneal: AnnealOptions{Iterations: 40960, Chains: 4}, AdaptiveStop: true},
+		{Seed: 1, Backend: BackendAnalytic},
+	} {
+		rep := f.stitchDesign(fix.stitch20, so, nil, nil)
+		if rep.Unplaced == 0 {
+			t.Fatalf("%q: design fits, the pinned and the annealer's cost coincide", so.Backend)
+		}
+		if got := last(rep.Trace).Cost; got != rep.FinalCost {
+			t.Errorf("%q: headline trace ends at %v, want FinalCost %v", so.Backend, got, rep.FinalCost)
+		}
+		winner := -1
+		for i, ch := range rep.Chains {
+			if ch.FinalCost == rep.FinalCost && last(ch.Trace).Iter == last(rep.Trace).Iter {
+				winner = i
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("%q: no chain ends on the headline trace's last sample", so.Backend)
+		}
+		// stitch.DefaultConfig().UnplacedPenalty is 2000 per instance.
+		if got := last(rep.Chains[winner].Trace).Cost; got < rep.FinalCost+1000*float64(rep.Unplaced) {
+			t.Errorf("%q: winning chain's trace ends at %v, FinalCost is %v with %d unplaced: the headline pin wrote through",
+				so.Backend, got, rep.FinalCost, rep.Unplaced)
+		}
+	}
 }

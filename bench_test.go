@@ -338,65 +338,6 @@ func BenchmarkStitchAnneal10x(b *testing.B) {
 	b.ReportMetric(cost, "finalcost")
 }
 
-// BenchmarkStitchEvo10x measures the (μ+λ) evolutionary backend on the
-// 10× workload and the same 40,000-move budget as the annealer
-// baseline.
-func BenchmarkStitchEvo10x(b *testing.B) {
-	p := synthetic10x()
-	cfg := stitch.DefaultConfig()
-	cfg.Iterations = 40000
-	cfg.Backend = stitch.BackendEvo
-	var cost float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		cost = totalStitchCost(stitch.Run(p, cfg))
-	}
-	b.ReportMetric(cost, "finalcost")
-}
-
-// BenchmarkStitchPortfolio10x measures the backend race on the 10×
-// workload. Before timing it asserts the acceptance contract — the
-// portfolio over {anneal, hybrid, evo} must reach a final total cost no
-// worse than the best single backend at the same per-entrant budget
-// (aggregated over three seeds; it holds per seed by construction).
-func BenchmarkStitchPortfolio10x(b *testing.B) {
-	p := synthetic10x()
-	race := stitch.DefaultConfig()
-	race.Iterations = 40000
-	race.Backend = stitch.BackendPortfolio
-	solo := func(be stitch.Backend, seed int64) float64 {
-		cfg := stitch.DefaultConfig()
-		cfg.Iterations = race.Iterations
-		cfg.Backend = be
-		cfg.Seed = seed
-		return totalStitchCost(stitch.Run(p, cfg))
-	}
-	var raceCost, bestCost float64
-	for seed := int64(0); seed < 3; seed++ {
-		race.Seed = seed
-		raceCost += totalStitchCost(stitch.Run(p, race))
-		best := solo(stitch.BackendAnneal, seed)
-		for _, be := range []stitch.Backend{stitch.BackendHybrid, stitch.BackendEvo} {
-			if c := solo(be, seed); c < best {
-				best = c
-			}
-		}
-		bestCost += best
-	}
-	if raceCost > bestCost {
-		b.Errorf("portfolio cost %.0f, worse than the best single backend's %.0f",
-			raceCost/3, bestCost/3)
-	}
-	var cost float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		race.Seed = int64(i)
-		cost = totalStitchCost(stitch.Run(p, race))
-	}
-	b.ReportMetric(cost, "finalcost")
-}
-
 // BenchmarkStitchSharded10x measures the two-shard partitioned stitch
 // of the 10× workload: partitioner assignment plus parallel per-shard
 // hybrid runs. Before timing it asserts the regression bound — the

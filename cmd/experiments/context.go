@@ -64,9 +64,8 @@ type cnvLabel struct {
 const cnvSearchStart = 0.5 // §IV determines minimal CFs below 0.7 too
 
 // stitchOptions builds the stitcher options every cnv-flow experiment
-// shares: the -stitch-* flag group (backend, chains, evo parameters,
-// portfolio entrant list) applied on top of the run's seed and
-// iteration budget.
+// shares: the -stitch-* flag group (backend, chains) applied on top of
+// the run's seed and iteration budget.
 func (c *ctx) stitchOptions(seed int64) macroflow.StitchOptions {
 	o := macroflow.StitchOptions{Seed: seed, Anneal: macroflow.AnnealOptions{Iterations: c.stitchIters}, Obs: c.rec}
 	c.stitch.Apply(&o)

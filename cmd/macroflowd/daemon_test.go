@@ -480,6 +480,12 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}{
 		{"bad-backend", func(r *apiv1.CompileRequest) { r.Stitch.Backend = "bogus" },
 			apiv1.ErrInvalidOptions, `unknown backend "bogus"`},
+		// The removed solvers are unknown backends like any other: the
+		// library's message, listing exactly what is left.
+		{"removed-backend-evo", func(r *apiv1.CompileRequest) { r.Stitch.Backend = "evo" },
+			apiv1.ErrInvalidOptions, `stitch: unknown backend "evo" (want anneal, analytic or hybrid)`},
+		{"removed-backend-portfolio", func(r *apiv1.CompileRequest) { r.Stitch.Backend = "portfolio" },
+			apiv1.ErrInvalidOptions, `stitch: unknown backend "portfolio" (want anneal, analytic or hybrid)`},
 		{"negative-workers", func(r *apiv1.CompileRequest) { r.Implement.Workers = -1 },
 			apiv1.ErrInvalidOptions, "macroflow: ImplementOptions.Workers must be >= 0 (got -1)"},
 		{"bad-check", func(r *apiv1.CompileRequest) { r.Stitch.Check = "everything" },
@@ -509,22 +515,31 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		})
 	}
 
-	// Unknown fields die in the strict decoder with a 400 bad_request.
-	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"design":{"builtin":"cnvW1A1"},"iteratons":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown field gave HTTP %d, want 400", resp.StatusCode)
-	}
-	var env apiv1.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error == nil || env.Error.Code != apiv1.ErrBadRequest {
-		t.Errorf("unknown field envelope = %+v, want code %q", env.Error, apiv1.ErrBadRequest)
+	// Unknown fields die in the strict decoder with a 400 bad_request —
+	// a typo, and equally the request fields of the removed solvers from
+	// a client that still sends them.
+	for _, body := range []string{
+		`{"design":{"builtin":"cnvW1A1"},"iteratons":5}`,
+		`{"design":{"builtin":"cnvW1A1"},"stitch":{"evo":{"mu":4}}}`,
+		`{"design":{"builtin":"cnvW1A1"},"stitch":{"portfolio":{"backends":["anneal","hybrid"]}}}`,
+		`{"design":{"builtin":"cnvW1A1"},"partition":{"shards":2,"backend":"evo"}}`,
+	} {
+		resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+		var env apiv1.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Error == nil || env.Error.Code != apiv1.ErrBadRequest {
+			t.Errorf("%s: envelope = %+v, want code %q", body, env.Error, apiv1.ErrBadRequest)
+		}
 	}
 }
 

@@ -131,16 +131,16 @@ type job struct {
 	req      *apiv1.CompileRequest
 	index    int // heap index; -1 once popped or canceled
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	state         string
-	submittedMs   int64
-	startedMs     int64
-	finishedMs    int64
-	events        []apiv1.Event
-	spansDropped  int
-	result        []byte // server-encoded wire result (exact response bytes)
-	jerr          *apiv1.Error
+	mu           sync.Mutex
+	cond         *sync.Cond
+	state        string
+	submittedMs  int64
+	startedMs    int64
+	finishedMs   int64
+	events       []apiv1.Event
+	spansDropped int
+	result       []byte // server-encoded wire result (exact response bytes)
+	jerr         *apiv1.Error
 }
 
 func (j *job) emit(ev apiv1.Event) {
@@ -775,25 +775,18 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ph, pm, ps, pn := s.cfg.Cache.PersistentStats()
 	s.mu.Lock()
 	st := &apiv1.ServerStats{
-		Version:   apiv1.Version,
-		Device:    s.cfg.Device,
-		Workers:   s.cfg.Workers,
-		Draining:  s.draining,
-		Submitted: s.submitted,
-		Completed: s.completed,
-		Failed:    s.failed,
-		Canceled:  s.canceled,
-		Rejected:  s.rejected,
-		QueueLen:  s.queue.Len(),
-		Running:   s.running,
-		Cache: apiv1.CacheStats{
-			MemHits:          cs.MemHits,
-			DiskHits:         cs.DiskHits,
-			SingleflightHits: cs.SingleflightHits,
-			Misses:           cs.Misses,
-			Stores:           cs.Stores,
-			Negatives:        cs.Negatives,
-		},
+		Version:             apiv1.Version,
+		Device:              s.cfg.Device,
+		Workers:             s.cfg.Workers,
+		Draining:            s.draining,
+		Submitted:           s.submitted,
+		Completed:           s.completed,
+		Failed:              s.failed,
+		Canceled:            s.canceled,
+		Rejected:            s.rejected,
+		QueueLen:            s.queue.Len(),
+		Running:             s.running,
+		Cache:               cs,
 		PersistentHits:      ph,
 		PersistentMisses:    pm,
 		PersistentStores:    ps,

@@ -47,12 +47,9 @@ const (
 	mSLOBreaches = "macroflowd.slo_breaches_total"
 	mFlightDumps = "macroflowd.flight_dumps_total"
 	mJobLatency  = "macroflowd.job_latency_ms"
-	mQueueWait   = "macroflowd.queue_wait_ms"     // {priority="N"}
-	mStage       = "macroflowd.stage_latency_ms"  // {stage="synth|place|mincf|stitch|oracle"}
-	mProbes      = "macroflowd.probes_per_block"  // tool runs per searched block
-	// mPortfolioWins counts portfolio races by winning backend, so an
-	// operator can see which entrant actually pays for its slot.
-	mPortfolioWins = "macroflowd.portfolio_wins_total" // {backend="anneal|analytic|hybrid|evo"}
+	mQueueWait   = "macroflowd.queue_wait_ms"    // {priority="N"}
+	mStage       = "macroflowd.stage_latency_ms" // {stage="synth|place|mincf|stitch|oracle"}
+	mProbes      = "macroflowd.probes_per_block" // tool runs per searched block
 )
 
 // stageNames lists the per-stage latency label values /v1/stats reports.
@@ -86,17 +83,14 @@ func newTelemetry(cfg serverConfig) *telemetry {
 // spans never nest within each other (synth.elaborate and
 // synth.optimize are siblings, for every design; each
 // place.quick/place.detail IS one attempt), so every one is a sample.
-// Portfolio runs contribute one sample per entrant (each entrant's own
-// backend span) plus the race parent — the entrant samples are real
-// solver runs, not double-counted sub-steps; the stitch.entrant wrapper
-// itself is skipped because it only re-measures its child. Partitioned
-// runs likewise sample each stitch.shard (one anneal per fabric member)
-// and skip the stitch.sharded parent, which only fans out and reduces.
+// Partitioned runs sample each stitch.shard (one anneal per fabric
+// member) and skip the stitch.sharded parent, which only fans out and
+// reduces.
 func stageOf(name string) string {
 	switch name {
 	case "search.mincf", "search.estimate", "search.constant":
 		return "mincf"
-	case "stitch.chains", "stitch.analytic", "stitch.evo", "stitch.portfolio", "stitch.shard":
+	case "stitch.chains", "stitch.analytic", "stitch.shard":
 		return "stitch"
 	case "oracle.check":
 		return "oracle"
@@ -129,11 +123,6 @@ func (t *telemetry) jobSink(jobID string, base time.Duration, inner func(obs.Spa
 				t.rec.BucketHist(mProbes, nil).Observe(float64(runs))
 			}
 		}
-		if sr.Name == "stitch.portfolio" {
-			if be, ok := attrString(sr.Attrs, "winner_backend"); ok {
-				t.rec.Add(fmt.Sprintf("%s{backend=%q}", mPortfolioWins, be), 1)
-			}
-		}
 		if t.flight != nil {
 			fr := sr
 			fr.Start += base
@@ -157,17 +146,6 @@ func attrInt(attrs []obs.Attr, key string) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-func attrString(attrs []obs.Attr, key string) (string, bool) {
-	for _, a := range attrs {
-		if a.Key == key {
-			if v, ok := a.Val.(string); ok {
-				return v, true
-			}
-		}
-	}
-	return "", false
 }
 
 // absorb folds one finished job recorder's counters and gauges into the

@@ -306,20 +306,20 @@ func TestFlightRecorderDisabled(t *testing.T) {
 // TestStageOf pins the span→stage attribution table.
 func TestStageOf(t *testing.T) {
 	for name, want := range map[string]string{
-		"search.mincf":       "mincf",
-		"search.estimate":    "mincf",
-		"search.constant":    "mincf",
-		"stitch.chains":      "stitch",
-		"stitch.analytic":    "stitch",
-		"oracle.check":       "oracle",
-		"place.quick":        "place",
-		"place.detail":       "place",
-		"stitch.chain":       "", // child of stitch.chains, already counted
+		"search.mincf":         "mincf",
+		"search.estimate":      "mincf",
+		"search.constant":      "mincf",
+		"stitch.chains":        "stitch",
+		"stitch.analytic":      "stitch",
+		"oracle.check":         "oracle",
+		"place.quick":          "place",
+		"place.detail":         "place",
+		"stitch.chain":         "", // child of stitch.chains, already counted
 		"stitch.analytic.iter": "",
-		"oracle.probe":       "", // search probe, not an audit
-		"synth.elaborate":    "synth",
-		"synth.optimize":     "synth",
-		"flow.compile":       "",
+		"oracle.probe":         "", // search probe, not an audit
+		"synth.elaborate":      "synth",
+		"synth.optimize":       "synth",
+		"flow.compile":         "",
 	} {
 		if got := stageOf(name); got != want {
 			t.Errorf("stageOf(%q) = %q, want %q", name, got, want)

@@ -108,21 +108,6 @@ func main() {
 	if res.Stitch.GDIters > 0 {
 		fmt.Printf("analytic seed: %d gradient-descent iterations\n", res.Stitch.GDIters)
 	}
-	if pf := res.Stitch.Portfolio; pf != nil {
-		fmt.Printf("portfolio: entrant %d won", pf.Winner)
-		if pf.Threshold > 0 {
-			fmt.Printf(" (threshold %.0f)", pf.Threshold)
-		}
-		fmt.Println()
-		for _, e := range pf.Entrants {
-			mark := " "
-			if e.Winner {
-				mark = "*"
-			}
-			fmt.Printf("  %s %-9s final=%.0f unplaced=%d moves=%d thresholdIter=%d\n",
-				mark, e.Backend, e.FinalCost, e.Unplaced, e.Moves, e.ThresholdIter)
-		}
-	}
 	if pr := res.Partition; pr != nil {
 		fmt.Printf("partition (%s): %d cut nets (weight %.0f, penalty %.2g); combined cost %.0f\n",
 			pr.Backend, pr.CutNets, pr.CutWeight, pr.CutPenalty, pr.TotalCost)
@@ -145,11 +130,4 @@ func main() {
 	if err := obsFlags.Flush(rec, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

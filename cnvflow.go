@@ -32,102 +32,53 @@ func MinSweepCF() CFMode { return CFMode{kind: "minsweep"} }
 // per §VIII.
 func EstimatorCF(e *Estimator) CFMode { return CFMode{kind: "estimator", estimator: e} }
 
-// StitchReport summarizes the SA stitching of the full design.
+// StitchReport summarizes the stitching of the full design (or, inside
+// a MemberReport, of one shard). The JSON tags are the api/v1 wire
+// spelling (apiv1.StitchSummary is this type), and the field order is
+// the wire's field order.
 type StitchReport struct {
 	// Backend echoes the validated stitcher backend the run used
-	// ("anneal", "analytic", "hybrid", "evo" or "portfolio").
-	Backend string
+	// ("anneal", "analytic" or "hybrid").
+	Backend string `json:"backend"`
 	// GDIters is the analytic gradient-descent iteration count of the
 	// run (0 for the pure anneal backend).
-	GDIters         int
-	Placed          int
-	Unplaced        int
-	FinalCost       float64
-	ConvergenceIter int
+	GDIters         int     `json:"gdIters,omitempty"`
+	Placed          int     `json:"placed"`
+	Unplaced        int     `json:"unplaced"`
+	FinalCost       float64 `json:"finalCost"`
+	ConvergenceIter int     `json:"convergenceIter"`
 	// IllegalMoves and Iterations sum over all chains.
-	IllegalMoves int
-	Iterations   int
+	IllegalMoves int `json:"illegalMoves"`
+	Iterations   int `json:"iterations"`
 	// Exchanges counts accepted replica exchanges (0 for serial runs).
-	Exchanges int
+	Exchanges int `json:"exchanges,omitempty"`
 	// FreeTiles and LargestFreeRect describe the leftover fabric: a
 	// large free rectangle alongside unplaced blocks indicates dead
 	// spots and column-incompatibility losses rather than raw area
 	// exhaustion (§IV).
-	FreeTiles       int
-	LargestFreeRect int
-	// Map is an ASCII occupancy rendering of the device (Fig. 5/13).
-	Map string
-	// Trace samples the annealing cost curve of the winning chain
-	// (every TraceEvery iterations, plus the final point).
-	Trace []CostPoint
+	FreeTiles       int `json:"freeTiles"`
+	LargestFreeRect int `json:"largestFreeRect"`
 	// TraceEvery is the sampling interval Trace and the per-chain
 	// traces were recorded at — StitchOptions.TraceEvery after
 	// validation (default 256).
-	TraceEvery int
+	TraceEvery int `json:"traceEvery"`
+	// Map is an ASCII occupancy rendering of the device (Fig. 5/13);
+	// empty in a MemberReport, whose origins are drawn on the aggregate
+	// report's map.
+	Map string `json:"map,omitempty"`
+	// Trace samples the annealing cost curve of the winning chain
+	// (every TraceEvery iterations, plus the final point, which is
+	// pinned to FinalCost).
+	Trace []CostPoint `json:"trace,omitempty"`
 	// Chains holds per-chain telemetry (one entry for serial runs).
-	Chains []ChainReport
-	// Portfolio holds the cross-backend race telemetry of a portfolio
-	// run (nil for single-backend runs); the rest of the report is the
-	// winning entrant's.
-	Portfolio *PortfolioReport
-}
-
-// PortfolioReport is the cross-backend telemetry of a portfolio run:
-// one entrant per raced backend, each reported like a pseudo-chain plus
-// its racing outcome.
-type PortfolioReport struct {
-	// Winner indexes the entrant whose placement the report carries.
-	Winner int
-	// Threshold echoes the first-to-threshold total cost the race was
-	// configured with (0 = best final cost at budget).
-	Threshold float64
-	// Entrants holds one entry per raced backend, in configured order.
-	Entrants []PortfolioEntrant
-}
-
-// PortfolioEntrant extends ChainReport with one portfolio entrant's
-// racing outcome: Moves/Accepts/IllegalMoves sum over the entrant's own
-// chains, Trace is its winning chain's cost curve, and Chain is the
-// entrant index.
-type PortfolioEntrant struct {
-	ChainReport
-	// Backend is the entrant's solver.
-	Backend string
-	// Winner marks the entrant whose placement the report carries.
-	Winner bool
-	// ThresholdIter is the first trace iteration at which the entrant's
-	// total cost reached the threshold; -1 when it never did or no
-	// threshold was set.
-	ThresholdIter int
-	// Iterations is the entrant's executed move count (all chains).
-	Iterations int
-	// Unplaced is the entrant's final unplaced-instance count.
-	Unplaced int
+	Chains []ChainReport `json:"chains,omitempty"`
 }
 
 // CostPoint is one sample of the SA cost curve.
-type CostPoint struct {
-	Iter int
-	Cost float64
-}
+type CostPoint = stitch.CostSample
 
 // ChainReport is the telemetry of one annealing chain.
-type ChainReport struct {
-	// Chain is the temperature-ladder position (0 = coldest).
-	Chain int
-	// InitTemp is the chain's starting temperature.
-	InitTemp float64
-	// Moves, Accepts and IllegalMoves count the chain's proposals.
-	Moves        int
-	Accepts      int
-	IllegalMoves int
-	// Exchanges counts accepted replica exchanges involving the chain.
-	Exchanges int
-	// FinalCost is the chain's final wirelength cost (no penalties).
-	FinalCost float64
-	// Trace samples the chain's cost curve every TraceEvery iterations.
-	Trace []CostPoint
-}
+type ChainReport = stitch.ChainStats
 
 // IterToReach returns the first sampled iteration at which the cost was
 // at or below the threshold, or -1 if never reached. Comparing one run's

@@ -120,26 +120,27 @@ type inflightSearch struct {
 	err  error
 }
 
-// CacheStats are a BlockCache's lifetime counters, split by layer.
+// CacheStats are a BlockCache's lifetime counters, split by layer
+// (apiv1.CacheStats is this type; the JSON tags are the wire spelling).
 type CacheStats struct {
 	// MemHits counts blocks served from the in-process map.
-	MemHits int
+	MemHits int `json:"memHits"`
 	// DiskHits counts blocks rebuilt from the persistent layer.
-	DiskHits int
+	DiskHits int `json:"diskHits"`
 	// SingleflightHits counts blocks whose search was deduplicated
 	// against an identical in-flight implementation: another goroutine
 	// (possibly another job sharing the cache in a daemon) was already
 	// computing the same content-addressed record, so this call waited
 	// and shared its result instead of repeating the search.
-	SingleflightHits int
+	SingleflightHits int `json:"singleflightHits"`
 	// Misses counts blocks that had to be implemented from scratch.
-	Misses int
+	Misses int `json:"misses"`
 	// Stores counts records written to the persistent layer.
-	Stores int
+	Stores int `json:"stores"`
 	// Negatives counts persistent-layer records that replayed a cached
 	// infeasibility verdict (the search is skipped, but no
 	// implementation is produced).
-	Negatives int
+	Negatives int `json:"negatives"`
 }
 
 // NewBlockCache returns an empty in-memory cache.

@@ -13,27 +13,28 @@ import (
 	"macroflow/internal/timing"
 )
 
-// ModuleResult is the public outcome of implementing one module.
+// ModuleResult is the public outcome of implementing one module
+// (apiv1.BlockResult is this type; the JSON tags are the wire spelling).
 type ModuleResult struct {
-	Name string
+	Name string `json:"name"`
 	// CF is the correction factor the module was implemented with.
-	CF float64
+	CF float64 `json:"cf"`
 	// ToolRuns counts place-and-route attempts spent finding it.
-	ToolRuns int
+	ToolRuns int `json:"toolRuns"`
 	// EstSlices is the optimistic quick-placement estimate.
-	EstSlices int
+	EstSlices int `json:"estSlices"`
 	// UsedSlices is the slice count of the final placement.
-	UsedSlices int
+	UsedSlices int `json:"usedSlices"`
 	// PBlock is the area constraint in tile coordinates.
-	PBlock string
+	PBlock string `json:"pblock"`
 	// LongestPathNS is the estimated critical path.
-	LongestPathNS float64
+	LongestPathNS float64 `json:"longestPathNs"`
 	// Irregularity measures footprint raggedness (0 = rectangle).
-	Irregularity float64
+	Irregularity float64 `json:"irregularity"`
 	// MaxFanout, ControlSets, CarryChains summarize the synthesis stats.
-	MaxFanout   int
-	ControlSets int
-	CarryChains int
+	MaxFanout   int `json:"maxFanout"`
+	ControlSets int `json:"controlSets"`
+	CarryChains int `json:"carryChains"`
 }
 
 // compile elaborates and optimizes a spec. sp, when non-nil, is the

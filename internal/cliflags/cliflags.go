@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"strings"
 
 	"macroflow"
 	"macroflow/internal/obs"
@@ -27,19 +26,14 @@ import (
 
 // Canonical usage strings (the spelling new commands get for "").
 const (
-	traceUsage   = "write a Chrome trace_event JSON (or JSONL with a .jsonl extension) of the run to this file"
-	metricsUsage = "print the per-phase span/metric summary to stderr at exit"
-	cacheUsage   = "persistent implementation cache directory (reused across runs)"
-	strategyUsage = "min-CF search strategy: linear (paper sweep) or bisect (same CFs, O(log) runs)"
-	chainsUsage   = "parallel-tempering chains (0/1 = serial; results depend only on -seed and this value)"
-	backendUsage  = "stitcher backend: anneal, analytic, hybrid (analytic seed + annealing), evo ((μ+λ) evolutionary), or portfolio (race -stitch-portfolio backends)"
-	checkUsage    = "oracle cross-check level: off, sampled or full"
-	evoMuUsage    = "evo backend: survivors per generation (0 = default 4)"
-	evoLambdaUsage = "evo backend: offspring per generation (0 = default 8)"
-	evoGensUsage   = "evo backend: generations (0 = default 16)"
-	portfolioUsage = "portfolio backend: comma-separated entrant list (default anneal,hybrid,evo)"
+	traceUsage     = "write a Chrome trace_event JSON (or JSONL with a .jsonl extension) of the run to this file"
+	metricsUsage   = "print the per-phase span/metric summary to stderr at exit"
+	cacheUsage     = "persistent implementation cache directory (reused across runs)"
+	strategyUsage  = "min-CF search strategy: linear (paper sweep) or bisect (same CFs, O(log) runs)"
+	chainsUsage    = "parallel-tempering chains (0/1 = serial; results depend only on -seed and this value)"
+	backendUsage   = "stitcher backend: anneal, analytic, or hybrid (analytic seed + annealing)"
+	checkUsage     = "oracle cross-check level: off, sampled or full"
 	partitionUsage = "carve the device into this many row shards and stitch each in parallel (0 = single-device)"
-	partitionBackendUsage = "partitioner backend: greedy (refined construction) or evo ((μ+λ) over assignments)"
 )
 
 // Obs holds the -trace/-metrics observability flags.
@@ -124,23 +118,14 @@ func (s *Strategy) Parse() (macroflow.SearchStrategy, error) {
 }
 
 // Stitch holds the shared -stitch-* flag group: chains and backend
-// selection plus the evolutionary and portfolio backend parameters.
+// selection.
 type Stitch struct {
 	Chains  int
 	Backend string
-	// EvoMu/EvoLambda/EvoGenerations are the evo backend's (μ+λ)
-	// parameters (0 = library defaults).
-	EvoMu          int
-	EvoLambda      int
-	EvoGenerations int
-	// Portfolio is the portfolio backend's comma-separated entrant list
-	// ("" = library default anneal,hybrid,evo).
-	Portfolio string
 }
 
-// AddStitch registers -stitch-chains (default 0), -stitch-backend
-// (default "anneal"), the -stitch-evo-* parameter trio and
-// -stitch-portfolio. chainsUsageOverride keeps a command's historic
+// AddStitch registers -stitch-chains (default 0) and -stitch-backend
+// (default "anneal"). chainsUsageOverride keeps a command's historic
 // -stitch-chains help text; "" selects the canonical one.
 func AddStitch(fs *flag.FlagSet, chainsUsageOverride string) *Stitch {
 	u := chainsUsageOverride
@@ -150,52 +135,26 @@ func AddStitch(fs *flag.FlagSet, chainsUsageOverride string) *Stitch {
 	s := &Stitch{}
 	fs.IntVar(&s.Chains, "stitch-chains", 0, u)
 	fs.StringVar(&s.Backend, "stitch-backend", "anneal", backendUsage)
-	fs.IntVar(&s.EvoMu, "stitch-evo-mu", 0, evoMuUsage)
-	fs.IntVar(&s.EvoLambda, "stitch-evo-lambda", 0, evoLambdaUsage)
-	fs.IntVar(&s.EvoGenerations, "stitch-evo-generations", 0, evoGensUsage)
-	fs.StringVar(&s.Portfolio, "stitch-portfolio", "", portfolioUsage)
 	return s
 }
 
-// Apply maps the flag group onto the structured per-backend options:
-// backend and chains as before, the evo trio into Evo, and the parsed
-// portfolio list into Portfolio.Backends. Validation stays with
-// StitchOptions.Validate, so every command rejects bad spellings with
-// the library's message.
+// Apply maps the flag group onto the structured options. Validation
+// stays with StitchOptions.Validate, so every command rejects bad
+// spellings with the library's message.
 func (s *Stitch) Apply(o *macroflow.StitchOptions) {
 	o.Backend = s.Backend
 	o.Anneal.Chains = s.Chains
-	o.Evo.Mu = s.EvoMu
-	o.Evo.Lambda = s.EvoLambda
-	o.Evo.Generations = s.EvoGenerations
-	o.Portfolio.Backends = s.PortfolioBackends()
 }
 
-// PortfolioBackends parses the -stitch-portfolio comma list (nil when
-// the flag is unset, selecting the library default).
-func (s *Stitch) PortfolioBackends() []string {
-	if s.Portfolio == "" {
-		return nil
-	}
-	var out []string
-	for _, b := range strings.Split(s.Portfolio, ",") {
-		out = append(out, strings.TrimSpace(b))
-	}
-	return out
-}
-
-// Partition holds the -partition flag group: how many fabric shards to
-// carve the device into and which assignment backend distributes the
-// instances across them.
+// Partition holds the -partition flag: how many fabric shards to carve
+// the device into.
 type Partition struct {
-	Shards  int
-	Backend string
+	Shards int
 }
 
-// AddPartition registers -partition (default 0: single-device) and
-// -partition-backend (default "greedy"). usageOverride keeps a
-// command's historic -partition help text; "" selects the canonical
-// one.
+// AddPartition registers -partition (default 0: single-device).
+// usageOverride keeps a command's historic -partition help text; ""
+// selects the canonical one.
 func AddPartition(fs *flag.FlagSet, usageOverride string) *Partition {
 	u := usageOverride
 	if u == "" {
@@ -203,16 +162,13 @@ func AddPartition(fs *flag.FlagSet, usageOverride string) *Partition {
 	}
 	p := &Partition{}
 	fs.IntVar(&p.Shards, "partition", 0, u)
-	fs.StringVar(&p.Backend, "partition-backend", "greedy", partitionBackendUsage)
 	return p
 }
 
-// Apply maps the flag group onto the library options. Validation stays
-// with PartitionOptions.Validate, so every command rejects bad
-// spellings with the library's message.
+// Apply maps the flag onto the library options. Validation stays with
+// PartitionOptions.Validate.
 func (p *Partition) Apply(o *macroflow.PartitionOptions) {
 	o.Shards = p.Shards
-	o.Backend = p.Backend
 }
 
 // Telemetry holds the service-telemetry flags of long-running daemons:

@@ -18,20 +18,18 @@ func TestFlagNamesAndDefaults(t *testing.T) {
 	AddCache(fs, "")
 	AddStrategy(fs)
 	AddStitch(fs, "")
+	AddPartition(fs, "")
 	AddCheck(fs, "")
 
 	want := map[string]string{
-		"trace":                  "",
-		"metrics":                "false",
-		"cache":                  "",
-		"strategy":               "linear",
-		"stitch-chains":          "0",
-		"stitch-backend":         "anneal",
-		"stitch-evo-mu":          "0",
-		"stitch-evo-lambda":      "0",
-		"stitch-evo-generations": "0",
-		"stitch-portfolio":       "",
-		"check":                  "off",
+		"trace":          "",
+		"metrics":        "false",
+		"cache":          "",
+		"strategy":       "linear",
+		"stitch-chains":  "0",
+		"stitch-backend": "anneal",
+		"partition":      "0",
+		"check":          "off",
 	}
 	got := map[string]string{}
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
@@ -101,36 +99,59 @@ func TestStrategyParse(t *testing.T) {
 	}
 }
 
-// TestStitchApply: the flag group maps onto the structured per-backend
-// sub-structs — backend + chains as before, the evo trio, and the
-// portfolio comma list split and trimmed (unset → nil, keeping the
-// library default).
+// TestStitchApply: the flag group maps onto the structured options —
+// backend and chains — and the result passes the library's validation.
 func TestStitchApply(t *testing.T) {
-	s := &Stitch{
-		Chains: 4, Backend: "portfolio",
-		EvoMu: 6, EvoLambda: 12, EvoGenerations: 20,
-		Portfolio: "anneal, hybrid,evo",
-	}
 	var o macroflow.StitchOptions
-	s.Apply(&o)
-	if o.Backend != "portfolio" || o.Anneal.Chains != 4 {
+	(&Stitch{Chains: 4, Backend: "hybrid"}).Apply(&o)
+	if o.Backend != "hybrid" || o.Anneal.Chains != 4 {
 		t.Errorf("backend/chains = %q/%d", o.Backend, o.Anneal.Chains)
-	}
-	if o.Evo.Mu != 6 || o.Evo.Lambda != 12 || o.Evo.Generations != 20 {
-		t.Errorf("evo = %+v", o.Evo)
-	}
-	if want := []string{"anneal", "hybrid", "evo"}; len(o.Portfolio.Backends) != 3 ||
-		o.Portfolio.Backends[0] != want[0] || o.Portfolio.Backends[1] != want[1] ||
-		o.Portfolio.Backends[2] != want[2] {
-		t.Errorf("portfolio backends = %v, want %v", o.Portfolio.Backends, want)
-	}
-	var o2 macroflow.StitchOptions
-	(&Stitch{Backend: "anneal"}).Apply(&o2)
-	if o2.Portfolio.Backends != nil {
-		t.Errorf("unset -stitch-portfolio produced %v, want nil", o2.Portfolio.Backends)
 	}
 	if err := o.Validate(); err != nil {
 		t.Errorf("applied options failed validation: %v", err)
+	}
+	var po macroflow.PartitionOptions
+	(&Partition{Shards: 3}).Apply(&po)
+	if po.Shards != 3 {
+		t.Errorf("shards = %d, want 3", po.Shards)
+	}
+}
+
+// TestRemovedFlagsFailLoudly: the flags of the deleted solvers are not
+// registered any more, so a stale command line (rwflow and experiments
+// register exactly this group) stops with the flag package's own "not
+// defined" error instead of running with a parameter silently dropped;
+// and a removed backend named through a flag that still exists is
+// rejected by the library with the message the daemon sends too.
+func TestRemovedFlagsFailLoudly(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stitch-evo-mu", "4"},
+		{"-stitch-evo-lambda", "8"},
+		{"-stitch-evo-generations", "16"},
+		{"-stitch-portfolio", "anneal,hybrid"},
+		{"-partition-backend", "evo"},
+	} {
+		fs := flag.NewFlagSet("rwflow", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		AddStitch(fs, "")
+		AddPartition(fs, "")
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)
+		}
+	}
+	for _, be := range []string{"evo", "portfolio"} {
+		fs := flag.NewFlagSet("rwflow", flag.ContinueOnError)
+		st := AddStitch(fs, "")
+		if err := fs.Parse([]string{"-stitch-backend", be}); err != nil {
+			t.Fatal(err)
+		}
+		var o macroflow.StitchOptions
+		st.Apply(&o)
+		err := o.Validate()
+		if err == nil || !strings.Contains(err.Error(), "want anneal, analytic or hybrid") {
+			t.Errorf("-stitch-backend %s: Validate() = %v, want the list anneal, analytic or hybrid", be, err)
+		}
 	}
 }
 

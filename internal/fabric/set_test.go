@@ -10,21 +10,21 @@ func TestRegionBoundary(t *testing.T) {
 	cases := []struct {
 		row, region int
 	}{
-		{0, 0},     // bottom of the die is region 0
-		{1, 0},     // interior row
-		{49, 0},    // last row below the first boundary
-		{50, 1},    // exactly on the first boundary: region above
-		{51, 1},    // first interior row of region 1
-		{99, 1},    // last row of region 1
-		{100, 2},   // second boundary
-		{149, 2},   // region 2 interior
-		{150, 3},   // third boundary
-		{200, 4},   // two-shard carve point of the 7-region part
-		{249, 4},   // region 4 interior
-		{250, 5},   // fifth boundary
-		{299, 5},   // region 5 interior
-		{300, 6},   // last boundary
-		{349, 6},   // top row of the die
+		{0, 0},   // bottom of the die is region 0
+		{1, 0},   // interior row
+		{49, 0},  // last row below the first boundary
+		{50, 1},  // exactly on the first boundary: region above
+		{51, 1},  // first interior row of region 1
+		{99, 1},  // last row of region 1
+		{100, 2}, // second boundary
+		{149, 2}, // region 2 interior
+		{150, 3}, // third boundary
+		{200, 4}, // two-shard carve point of the 7-region part
+		{249, 4}, // region 4 interior
+		{250, 5}, // fifth boundary
+		{299, 5}, // region 5 interior
+		{300, 6}, // last boundary
+		{349, 6}, // top row of the die
 	}
 	for _, c := range cases {
 		if got := d.Region(c.row); got != c.region {

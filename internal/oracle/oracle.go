@@ -38,14 +38,15 @@ const (
 	CheckerPartition      = "partition"
 )
 
-// Violation is one broken contract found by a checker.
+// Violation is one broken contract found by a checker (also its
+// api/v1 wire form, hence the JSON tags).
 type Violation struct {
 	// Checker names the contract that failed (Checker* constants).
-	Checker string
+	Checker string `json:"checker"`
 	// Subject is the block, instance or artifact the violation is about.
-	Subject string
+	Subject string `json:"subject"`
 	// Detail is the human-readable discrepancy.
-	Detail string
+	Detail string `json:"detail"`
 }
 
 // String renders the violation on one line.
@@ -55,13 +56,14 @@ func (v Violation) String() string {
 
 // Report accumulates the outcome of a verification pass: how many
 // contract checks ran and every violation found. The zero value is
-// ready to use.
+// ready to use. It is also the api/v1 wire form of a verification
+// outcome (apiv1.VerifySummary), hence the JSON tags.
 type Report struct {
 	// Checks counts individual contract checks performed (a clean run
 	// with Checks == 0 verified nothing).
-	Checks int
+	Checks int `json:"checks"`
 	// Violations lists every broken contract, in discovery order.
-	Violations []Violation
+	Violations []Violation `json:"violations,omitempty"`
 }
 
 // count tallies one performed check.

@@ -48,28 +48,24 @@ func decodeProblem(data []byte) *partition.Problem {
 }
 
 // FuzzPartitionAssign: arbitrary bytes decode to blocks/nets/members;
-// both backends must return a valid assignment or a typed error, and
-// never panic. ci.sh runs this as a smoke target.
+// Assign must return a valid assignment or a typed error, and never
+// panic. ci.sh runs this as a smoke target.
 func FuzzPartitionAssign(f *testing.F) {
 	f.Add([]byte{}, int64(0))
 	f.Add([]byte{2, 10, 10, 4, 8, 12, 8, 3, 6, 3, 4, 1, 2, 0, 1, 2, 3}, int64(1))
 	f.Add([]byte{1, 255, 255, 31, 63, 2, 63, 31, 3, 7, 63, 31, 3, 7, 1, 70, 70, 8}, int64(7))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		p := decodeProblem(data)
-		for _, be := range []partition.Backend{partition.BackendGreedy, partition.BackendEvo} {
-			a, err := partition.Assign(p, partition.Config{
-				Seed: seed, Backend: be, Mu: 2, Lambda: 2, Generations: 1,
-			})
-			if err != nil {
-				if !typedError(err) {
-					t.Fatalf("%s: untyped error: %v", be, err)
-				}
-				continue
+		a, err := partition.Assign(p, partition.Config{Seed: seed})
+		if err != nil {
+			if !typedError(err) {
+				t.Fatalf("untyped error: %v", err)
 			}
-			if !assignmentValid(p, a) {
-				t.Fatalf("%s: invalid assignment for %d instances on %d members",
-					be, len(p.Demand), len(p.Capacity))
-			}
+			return
+		}
+		if !assignmentValid(p, a) {
+			t.Fatalf("invalid assignment for %d instances on %d members",
+				len(p.Demand), len(p.Capacity))
 		}
 	})
 }

@@ -5,14 +5,13 @@
 // whose endpoints land in different members — the bandwidth that must
 // cross device or shard boundaries).
 //
-// Two backends share the deterministic machinery: BackendGreedy places
-// instances demand-descending onto the feasible member with the
-// smallest cut increase and then runs deterministic single-instance
-// refinement passes; BackendEvo layers a (μ+λ) evolutionary search
-// over the same move primitives, mirroring the stitch EA's determinism
-// discipline (serial child planning from one master rng, parallel
-// child evaluation, ordered reduction, stable sort). Either way the
-// assignment is a pure function of (Problem, Config.Seed, backend).
+// There is one backend: BackendGreedy places instances
+// demand-descending onto the feasible member with the smallest cut
+// increase and then runs deterministic single-instance refinement
+// passes. The assignment is a pure function of the Problem. Backends
+// stay addressed by name (Config.Backend, ParseBackend) so that a
+// caller naming one this build does not have gets an error, not a
+// different algorithm.
 package partition
 
 import (
@@ -32,8 +31,6 @@ const (
 	// BackendGreedy is the deterministic greedy + refinement
 	// partitioner (the default).
 	BackendGreedy Backend = "greedy"
-	// BackendEvo is the (μ+λ) evolutionary partitioner.
-	BackendEvo Backend = "evo"
 )
 
 // ParseBackend maps the flag spellings onto a Backend ("" = greedy).
@@ -41,10 +38,8 @@ func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
 	case "", BackendGreedy:
 		return BackendGreedy, nil
-	case BackendEvo:
-		return BackendEvo, nil
 	}
-	return BackendGreedy, fmt.Errorf("partition: unknown backend %q (want greedy or evo)", s)
+	return BackendGreedy, fmt.Errorf("partition: unknown backend %q (want greedy)", s)
 }
 
 // Net is one weighted connection between two instances.
@@ -114,17 +109,18 @@ func BlockDemand(dev *fabric.Device, b *stitch.Block) fabric.ResourceCount {
 
 // Config tunes the partitioner.
 type Config struct {
-	Seed    int64
+	// Seed is accepted for every backend; the greedy one draws no
+	// random numbers and ignores it.
+	Seed int64
+	// Backend names the algorithm ("" = greedy); Assign rejects a name
+	// ParseBackend does not know.
 	Backend Backend
 	// Refinements bounds the greedy backend's refinement passes
 	// (default 8; each pass sweeps all instances once and stops early
 	// when a sweep moves nothing).
 	Refinements int
-	// Mu, Lambda and Generations size the evolutionary backend
-	// (defaults 4, 8, 16).
-	Mu, Lambda, Generations int
-	// Obs/Span carry the observability context (recording never feeds
-	// the seeded rng).
+	// Obs/Span carry the observability context (recording never
+	// changes the assignment).
 	Obs  *obs.Recorder
 	Span *obs.Span
 }
@@ -162,8 +158,8 @@ func (e *BadNetError) Error() string {
 	return fmt.Sprintf("partition: net %d references instance %d outside the problem", e.Net, e.Endpoint)
 }
 
-// Assign partitions the problem. The result is deterministic in
-// (Problem, Config.Seed, Config.Backend).
+// Assign partitions the problem. The result is a pure function of
+// (Problem, Config.Refinements).
 func Assign(p *Problem, cfg Config) (*Assignment, error) {
 	if len(p.Capacity) == 0 {
 		return nil, ErrNoMembers
@@ -186,13 +182,7 @@ func Assign(p *Problem, cfg Config) (*Assignment, error) {
 		obs.Int("members", len(p.Capacity)), obs.Int("instances", len(p.Demand)))
 	defer sp.End()
 
-	var a *Assignment
-	switch be {
-	case BackendGreedy:
-		a, err = greedyAssign(p, cfg)
-	case BackendEvo:
-		a, err = evoAssign(p, cfg)
-	}
+	a, err := greedyAssign(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +258,8 @@ func (p *Problem) cutDelta(member []int, nets [][]int, i, k int) float64 {
 }
 
 // demandOrder returns instance indices sorted demand-descending (total
-// slices, then BRAM+DSP, then index) — the bin-packing order both
-// backends construct from.
+// slices, then BRAM+DSP, then index) — the bin-packing order the
+// construction places in.
 func (p *Problem) demandOrder() []int {
 	order := make([]int, len(p.Demand))
 	for i := range order {
@@ -288,20 +278,17 @@ func (p *Problem) demandOrder() []int {
 	return order
 }
 
-// construct places instances in the given order, each onto the
+// construct places instances demand-descending, each onto the
 // feasible member with the lowest cut increase (ties: lowest member
-// index). A nil order means demand-descending.
-func (p *Problem) construct(order []int) ([]int, error) {
-	if order == nil {
-		order = p.demandOrder()
-	}
+// index).
+func (p *Problem) construct() ([]int, error) {
 	member := make([]int, len(p.Demand))
 	for i := range member {
 		member[i] = -1
 	}
 	util := make([]fabric.ResourceCount, len(p.Capacity))
 	nets := p.netsOf()
-	for _, i := range order {
+	for _, i := range p.demandOrder() {
 		best, bestDelta := -1, math.Inf(1)
 		for k := range p.Capacity {
 			if !p.fits(util, k, p.Demand[i]) {
@@ -352,19 +339,10 @@ func (p *Problem) refine(member []int, util []fabric.ResourceCount, nets [][]int
 	return moved
 }
 
-// finish packages a member slice into an Assignment.
-func (p *Problem) finish(member []int) *Assignment {
-	return &Assignment{
-		Member: member,
-		Cut:    p.cutOf(member),
-		Util:   p.utilOf(member),
-	}
-}
-
-// greedyAssign is the default backend: demand-descending construction
-// plus bounded refinement passes.
+// greedyAssign is the backend: demand-descending construction plus
+// bounded refinement passes.
 func greedyAssign(p *Problem, cfg Config) (*Assignment, error) {
-	member, err := p.construct(nil)
+	member, err := p.construct()
 	if err != nil {
 		return nil, err
 	}
@@ -379,5 +357,5 @@ func greedyAssign(p *Problem, cfg Config) (*Assignment, error) {
 			break
 		}
 	}
-	return p.finish(member), nil
+	return &Assignment{Member: member, Cut: p.cutOf(member), Util: util}, nil
 }

@@ -80,19 +80,14 @@ func assignmentValid(p *partition.Problem, a *partition.Assignment) bool {
 	return cut == a.Cut
 }
 
-// TestAssignProperty is the randomized battery: every (problem, seed,
-// backend) draw yields either a complete, overlap-free,
-// capacity-feasible assignment with a correct cut, or a typed error.
+// TestAssignProperty is the randomized battery: every problem draw
+// yields either a complete, overlap-free, capacity-feasible assignment
+// with a correct cut, or a typed error.
 func TestAssignProperty(t *testing.T) {
-	prop := func(seed int64, useEvo bool) bool {
+	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng)
-		cfg := partition.Config{Seed: seed}
-		if useEvo {
-			cfg.Backend = partition.BackendEvo
-			cfg.Mu, cfg.Lambda, cfg.Generations = 3, 4, 3
-		}
-		a, err := partition.Assign(p, cfg)
+		a, err := partition.Assign(p, partition.Config{Seed: seed})
 		if err != nil {
 			return typedError(err)
 		}
@@ -115,70 +110,43 @@ func partitionFixture(t testing.TB) *partition.Problem {
 	return partition.FromStitch(sp, set)
 }
 
-// TestAssignDeterministic pins the determinism contract for both
-// backends: identical (Problem, Seed) give identical assignments.
+// TestAssignDeterministic pins the determinism contract: identical
+// problems give identical, valid assignments.
 func TestAssignDeterministic(t *testing.T) {
 	p := partitionFixture(t)
-	for _, be := range []partition.Backend{partition.BackendGreedy, partition.BackendEvo} {
-		cfg := partition.Config{Seed: 11, Backend: be, Generations: 4}
-		a, err := partition.Assign(p, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		b, err := partition.Assign(p, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: assignment differs across runs", be)
-		}
-		if !assignmentValid(p, a) {
-			t.Errorf("%s: invalid assignment on the synthetic fixture", be)
-		}
+	cfg := partition.Config{Seed: 11}
+	a, err := partition.Assign(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := partition.Assign(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("assignment differs across runs")
+	}
+	if !assignmentValid(p, a) {
+		t.Error("invalid assignment on the synthetic fixture")
 	}
 }
 
-// TestAssignGOMAXPROCSInvariant checks the evolutionary backend's
-// parallel child evaluation does not leak scheduling into the result.
+// TestAssignGOMAXPROCSInvariant holds Assign to the determinism
+// contract the sharded stitcher builds on: the core count must not
+// leak into the assignment.
 func TestAssignGOMAXPROCSInvariant(t *testing.T) {
 	p := partitionFixture(t)
 	at := func(procs int) *partition.Assignment {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		a, err := partition.Assign(p, partition.Config{
-			Seed: 7, Backend: partition.BackendEvo, Generations: 4,
-		})
+		a, err := partition.Assign(p, partition.Config{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a
 	}
 	if a, b := at(1), at(4); !reflect.DeepEqual(a, b) {
-		t.Error("evo assignment differs across GOMAXPROCS")
-	}
-}
-
-// TestEvoNeverWorseThanFounder: the EA's population always contains
-// the greedy construction, so its cut can't exceed the unrefined
-// greedy construction's cut. (Greedy's refinement may still win
-// overall; this only pins the founder invariant.)
-func TestEvoNeverWorseThanFounder(t *testing.T) {
-	p := partitionFixture(t)
-	evo, err := partition.Assign(p, partition.Config{
-		Seed: 3, Backend: partition.BackendEvo, Generations: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := partition.Assign(p, partition.Config{Seed: 3, Refinements: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow greedy's refinement advantage but not an unboundedly worse
-	// evo: the founder guarantee caps evo at the construction cut,
-	// which refinement only improves.
-	if evo.Cut > 2*greedy.Cut+1 {
-		t.Errorf("evo cut %v far above greedy cut %v", evo.Cut, greedy.Cut)
+		t.Error("assignment differs across GOMAXPROCS")
 	}
 }
 
@@ -218,7 +186,7 @@ func TestParseBackend(t *testing.T) {
 	}{
 		{"", partition.BackendGreedy, true},
 		{"greedy", partition.BackendGreedy, true},
-		{"evo", partition.BackendEvo, true},
+		{"evo", "", false},
 		{"annealing", "", false},
 	} {
 		got, err := partition.ParseBackend(tc.in)
@@ -244,9 +212,9 @@ func TestBlockDemand(t *testing.T) {
 		}
 	}
 	b := &stitch.Block{HomeX: 0, Spans: []stitch.ColSpan{
-		{DX: col[fabric.ColCLBL], Min: 0, Max: 9},  // 10 rows CLBL
-		{DX: col[fabric.ColBRAM], Min: 0, Max: 6},  // 7 rows → 2 BRAM tiles
-		{DX: col[fabric.ColDSP], Min: 0, Max: 4},   // 5 rows → 1 DSP tile
+		{DX: col[fabric.ColCLBL], Min: 0, Max: 9}, // 10 rows CLBL
+		{DX: col[fabric.ColBRAM], Min: 0, Max: 6}, // 7 rows → 2 BRAM tiles
+		{DX: col[fabric.ColDSP], Min: 0, Max: 4},  // 5 rows → 1 DSP tile
 	}}
 	got := partition.BlockDemand(dev, b)
 	want := fabric.ResourceCount{

@@ -49,12 +49,8 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAnalytic, nil
 	case BackendHybrid:
 		return BackendHybrid, nil
-	case BackendEvo:
-		return BackendEvo, nil
-	case BackendPortfolio:
-		return BackendPortfolio, nil
 	}
-	return BackendAnneal, fmt.Errorf("stitch: unknown backend %q (want anneal, analytic, hybrid, evo or portfolio)", s)
+	return BackendAnneal, fmt.Errorf("stitch: unknown backend %q (want anneal, analytic or hybrid)", s)
 }
 
 // analyticTiles is the fixed goroutine-tile count of the batched update

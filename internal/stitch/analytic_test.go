@@ -3,6 +3,7 @@ package stitch
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"macroflow/internal/fabric"
@@ -23,8 +24,13 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := ParseBackend("gradient"); err == nil {
-		t.Error("ParseBackend accepted an unknown spelling")
+	// Removed solvers are unknown spellings like any other, and the
+	// message lists exactly what is left.
+	for _, bad := range []string{"gradient", "evo", "portfolio"} {
+		_, err := ParseBackend(bad)
+		if err == nil || !strings.Contains(err.Error(), "want anneal, analytic or hybrid") {
+			t.Errorf("ParseBackend(%q) = %v, want an error listing anneal, analytic or hybrid", bad, err)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ func TestLegalizedPlacementsPassOracle(t *testing.T) {
 	for _, tc := range problems {
 		for _, be := range []stitch.Backend{
 			stitch.BackendAnneal, stitch.BackendAnalytic, stitch.BackendHybrid,
-			stitch.BackendEvo, stitch.BackendPortfolio,
 		} {
 			for seed := int64(0); seed < 3; seed++ {
 				cfg := stitch.DefaultConfig()

@@ -22,7 +22,7 @@ import (
 )
 
 // shardSeedStride separates the per-shard seeds from each other and
-// from the chain/evo/analytic strides already in use.
+// from the chain and analytic strides already in use.
 const shardSeedStride = 15485863
 
 // Shard is one member target of a sharded run: a device view plus the

@@ -158,24 +158,6 @@ type Config struct {
 	// GDIterations is the analytic backend's gradient-descent budget
 	// (default 256); ignored by BackendAnneal.
 	GDIterations int
-	// Mu and Lambda size the evolutionary backend's (μ+λ) population:
-	// Mu survivors per generation, Lambda offspring (defaults 4 and 8).
-	// Ignored by the other backends; see evo.go.
-	Mu, Lambda int
-	// Generations is the evolutionary backend's generation count
-	// (default 16); the mutation budget per offspring is
-	// Iterations/(Generations·Lambda) annealer moves.
-	Generations int
-	// Backends is the portfolio backend's entrant list (default anneal,
-	// hybrid, evo). Each entrant runs its backend with the full
-	// Iterations budget and the same Seed — bit-identical to a solo run
-	// of that backend; see portfolio.go. Nested "portfolio" entrants are
-	// invalid.
-	Backends []Backend
-	// Threshold, when > 0, is the portfolio's first-to-threshold total
-	// cost (penalties included): the entrant whose cost trace first dips
-	// to it wins. 0 selects best-final-cost-at-budget.
-	Threshold float64
 	// Iterations is the total SA move budget (default 200,000). With
 	// Chains > 1 the budget is divided evenly across the chains.
 	Iterations int
@@ -283,36 +265,36 @@ type Result struct {
 	// GDIters is the analytic gradient-descent iteration count of the
 	// run (0 for the pure annealer backend).
 	GDIters int
-	// Portfolio holds the per-entrant telemetry of a portfolio run (nil
-	// for single-backend runs); the rest of the Result is the winning
-	// entrant's, verbatim.
-	Portfolio []EntrantStats
 }
 
-// ChainStats is the telemetry of one annealing chain.
+// ChainStats is the telemetry of one annealing chain. It is also the
+// public report of a chain (macroflow.ChainReport) and its api/v1 wire
+// form, hence the JSON tags.
 type ChainStats struct {
 	// Chain is the ladder position (0 = coldest).
-	Chain int
+	Chain int `json:"chain"`
 	// InitTemp is the chain's starting temperature.
-	InitTemp float64
+	InitTemp float64 `json:"initTemp"`
 	// Moves is the number of SA moves the chain proposed.
-	Moves int
+	Moves int `json:"moves"`
 	// Accepts counts accepted (relocation or swap) proposals.
-	Accepts int
+	Accepts int `json:"accepts"`
 	// IllegalMoves counts proposals rejected for overlap.
-	IllegalMoves int
+	IllegalMoves int `json:"illegalMoves"`
 	// Exchanges counts accepted replica exchanges involving the chain.
-	Exchanges int
+	Exchanges int `json:"exchanges,omitempty"`
 	// FinalCost is the chain's final wirelength cost (no penalties).
-	FinalCost float64
-	// Trace samples the chain's cost curve every TraceEvery iterations.
-	Trace []CostSample
+	FinalCost float64 `json:"finalCost"`
+	// Trace samples the chain's cost curve every TraceEvery iterations
+	// (total cost, unplaced penalties included).
+	Trace []CostSample `json:"trace,omitempty"`
 }
 
-// CostSample is one point of the annealing cost curve.
+// CostSample is one point of the annealing cost curve (also
+// macroflow.CostPoint and its api/v1 wire form).
 type CostSample struct {
-	Iter int
-	Cost float64
+	Iter int     `json:"iter"`
+	Cost float64 `json:"cost"`
 }
 
 // occupancy is a per-column row bitset over the device.
@@ -619,10 +601,6 @@ func Run(p *Problem, cfg Config) *Result {
 		return runChains(p, newPrep(p), cfg)
 	case BackendAnalytic:
 		return runAnalytic(p, newPrep(p), cfg)
-	case BackendEvo:
-		return runEvo(p, newPrep(p), cfg)
-	case BackendPortfolio:
-		return runPortfolio(p, cfg)
 	}
 	panic(fmt.Sprintf("stitch: unknown backend %q (callers validate via ParseBackend)", cfg.Backend))
 }

@@ -140,7 +140,7 @@ func TestStitchTrajectoryPinned(t *testing.T) {
 	for s := int64(1); s <= 3; s++ {
 		s := s
 		p := Synthetic(fabric.XC7Z045(), 10, s)
-		for _, be := range []Backend{BackendHybrid, BackendAnalytic, BackendEvo} {
+		for _, be := range []Backend{BackendHybrid, BackendAnalytic} {
 			be := be
 			name := fmt.Sprintf("synthetic10x/%s/seed%d", be, s)
 			pins = append(pins, pin{
@@ -200,14 +200,11 @@ var pinnedTrajectories = map[string]string{
 	"cnv/anneal/seed3":            "2cd4a2fce45a2060b247361ec09a4344381fa6ad3111cb8c329bbc42222d117e",
 	"synthetic10x/hybrid/seed1":   "72d909218054876577067a76f7916c1808940e7ae36491aa293648a3fff680df",
 	"synthetic10x/analytic/seed1": "e7e3db8ab9083c1579def0b2b58e8754dee28e14d64c1617debe32c8be157d11",
-	"synthetic10x/evo/seed1":      "7bbafdea25beb72ed03de398253bd2404666e9b9b687465aa9bbe589fa8a0d5a",
 	"synthetic10x/sharded/seed1":  "caa301f35cc104f5d257c588a8076b18dfe9dd18de8a5ccbaeaec7913a95a62f",
 	"synthetic10x/hybrid/seed2":   "bf05b99edce39858db711b63eb3a21ceb4ad3e819a72328eb798f07d155be960",
 	"synthetic10x/analytic/seed2": "843421f2823d62b041ab9a1ad147da841a7255634f16a887598dffa4a7b5d34d",
-	"synthetic10x/evo/seed2":      "2e409abcd553845720bdcf45e63745cec0e64c8bdac6e45bb6af40d1ddcf926d",
 	"synthetic10x/sharded/seed2":  "980d6f229652af77abf93d37e5db20f92e375fc995fb781578d51211d2bfa0a7",
 	"synthetic10x/hybrid/seed3":   "0518a5a1e5a6b9bd633b1917e914308ba76b15a1e5e92055d6c6b9f3415d0e60",
 	"synthetic10x/analytic/seed3": "d28f13d03f0e221ca217d7b437b73a1f30c0c5f360a476addcd6926fab66e834",
-	"synthetic10x/evo/seed3":      "edc5567761b90b05eb3a89f37a1c9fc895011a57eeee876ed604d2cfe0515cb3",
 	"synthetic10x/sharded/seed3":  "d26edfe3d3b6f6eb7bc0b92492d06b04343e454f79b3a69f6efd291ea82eaff7",
 }

@@ -10,72 +10,41 @@ import (
 
 // AnnealOptions tunes the parallel-tempering annealer (backends
 // "anneal" and "hybrid"; the hybrid's annealing phase reads the same
-// knobs).
+// knobs). The JSON tags are the api/v1 wire spelling
+// (apiv1.AnnealParams is this type).
 type AnnealOptions struct {
 	// Chains runs K parallel-tempering replicas with a geometric
 	// temperature ladder and fixed replica-exchange barriers, returning
 	// the best chain's result. 0 or 1 keeps the single serial chain,
 	// bit-identical to previous releases. Results are bit-reproducible
 	// for a given (Seed, Chains) pair regardless of GOMAXPROCS.
-	Chains int
+	Chains int `json:"chains,omitempty"`
 	// Iterations is the total SA move budget (default 200,000), divided
-	// evenly across chains when Chains > 1. It also bounds the evo
-	// backend's total mutation moves and every portfolio entrant's
-	// budget — it is the cross-backend budget knob.
-	Iterations int
+	// evenly across chains when Chains > 1.
+	Iterations int `json:"iterations,omitempty"`
 	// TempLadder is the temperature multiplier between adjacent chains
 	// (0 selects the calibrated default of 3.0; values >= 1 otherwise).
-	TempLadder float64
+	TempLadder float64 `json:"tempLadder,omitempty"`
 }
 
 // AnalyticOptions tunes the gradient-descent global placer (backends
-// "analytic" and "hybrid").
+// "analytic" and "hybrid"); apiv1.AnalyticParams is this type.
 type AnalyticOptions struct {
 	// GDIterations is the gradient-descent budget (default 256).
-	GDIterations int
-}
-
-// EvoOptions tunes the (μ+λ) evolutionary placer (backend "evo").
-type EvoOptions struct {
-	// Mu is the survivor count per generation (default 4).
-	Mu int
-	// Lambda is the offspring count per generation (default 8).
-	Lambda int
-	// Generations is the generation count (default 16); each offspring
-	// mutates for Iterations/(Generations·Lambda) annealer moves.
-	Generations int
-}
-
-// PortfolioOptions tunes the backend racer (backend "portfolio").
-type PortfolioOptions struct {
-	// Backends lists the entrants (default anneal, hybrid, evo). Each
-	// entrant runs with the full Iterations budget and the same Seed —
-	// bit-identical to a solo run of that backend. "portfolio" cannot
-	// nest.
-	Backends []string
-	// Threshold, when > 0, selects first-to-threshold racing: the
-	// entrant whose cost trace (total cost, unplaced penalties
-	// included) first dips to Threshold wins. 0 selects best final
-	// cost at budget.
-	Threshold float64
+	GDIterations int `json:"gdIterations,omitempty"`
 }
 
 // StitchOptions is the stitch-tuning surface of Compile and RunCNV
 // (CompileOptions.Stitch). Per-backend parameters live in the
-// Anneal/Analytic/Evo/Portfolio sub-structs.
+// Anneal/Analytic sub-structs.
 type StitchOptions struct {
 	// Seed drives every backend's random streams (chain seeds, the
-	// replica-exchange schedule, the analytic scatter, the evolutionary
-	// per-offspring seeds).
+	// replica-exchange schedule, the analytic scatter).
 	Seed int64
 	// Anneal tunes the parallel-tempering annealer.
 	Anneal AnnealOptions
 	// Analytic tunes the gradient-descent global placer.
 	Analytic AnalyticOptions
-	// Evo tunes the (μ+λ) evolutionary placer.
-	Evo EvoOptions
-	// Portfolio tunes the backend racer.
-	Portfolio PortfolioOptions
 	// AdaptiveStop lets the annealer terminate once a cost plateau is
 	// reached, making Anneal.Iterations a convergence-speed measurement.
 	// With chains the plateau detection applies per chain.
@@ -107,14 +76,13 @@ type StitchOptions struct {
 	// Backend selects the stitching algorithm: BackendAnneal ("" or
 	// "anneal", the default — byte-identical to previous releases),
 	// BackendAnalytic ("analytic", gradient-descent global placement
-	// plus snap-to-legal, no annealing), BackendHybrid ("hybrid", the
-	// analytic placement seeds the annealer's cold chain), BackendEvo
-	// ("evo", the (μ+λ) evolutionary placer) or BackendPortfolio
-	// ("portfolio", racing Portfolio.Backends under one budget). Unknown
+	// plus snap-to-legal, no annealing) or BackendHybrid ("hybrid", the
+	// analytic placement seeds the annealer's cold chain). Unknown
 	// spellings fail RunCNV/Compile before any work is done. All
-	// backends are bit-reproducible from (Seed, Chains, Backend) — the
-	// portfolio from (Seed, Portfolio.Backends) — regardless of
-	// GOMAXPROCS.
+	// backends are bit-reproducible from (Seed, Chains, Backend)
+	// regardless of GOMAXPROCS. To take the best of several, loop
+	// Compile over the backends with one shared Implement.Cache: every
+	// block after the first compile is a cache hit.
 	Backend string
 }
 
@@ -122,11 +90,9 @@ type StitchOptions struct {
 // -stitch-backend flags); re-exported so callers need not import
 // internal/stitch.
 const (
-	BackendAnneal    = string(stitch.BackendAnneal)
-	BackendAnalytic  = string(stitch.BackendAnalytic)
-	BackendHybrid    = string(stitch.BackendHybrid)
-	BackendEvo       = string(stitch.BackendEvo)
-	BackendPortfolio = string(stitch.BackendPortfolio)
+	BackendAnneal   = string(stitch.BackendAnneal)
+	BackendAnalytic = string(stitch.BackendAnalytic)
+	BackendHybrid   = string(stitch.BackendHybrid)
 )
 
 // Validate rejects option combinations the stitcher would refuse: an
@@ -147,30 +113,6 @@ func (o StitchOptions) Validate() error {
 	}
 	if o.Analytic.GDIterations < 0 {
 		return fmt.Errorf("macroflow: StitchOptions.Analytic.GDIterations must be >= 0 (got %d)", o.Analytic.GDIterations)
-	}
-	if o.Evo.Mu < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Evo.Mu must be >= 0 (got %d)", o.Evo.Mu)
-	}
-	if o.Evo.Lambda < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Evo.Lambda must be >= 0 (got %d)", o.Evo.Lambda)
-	}
-	if o.Evo.Generations < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Evo.Generations must be >= 0 (got %d)", o.Evo.Generations)
-	}
-	if o.Portfolio.Threshold < 0 {
-		return fmt.Errorf("macroflow: StitchOptions.Portfolio.Threshold must be >= 0 (got %g)", o.Portfolio.Threshold)
-	}
-	for i, b := range o.Portfolio.Backends {
-		if b == "" {
-			return fmt.Errorf("macroflow: StitchOptions.Portfolio.Backends[%d] is empty (want anneal, analytic, hybrid or evo)", i)
-		}
-		be, err := stitch.ParseBackend(b)
-		if err != nil {
-			return err
-		}
-		if be == stitch.BackendPortfolio {
-			return fmt.Errorf("macroflow: StitchOptions.Portfolio.Backends[%d] must not nest %q", i, b)
-		}
 	}
 	if err := o.Check.Validate(); err != nil {
 		return err
@@ -301,18 +243,10 @@ func stitchConfig(o StitchOptions) stitch.Config {
 	// ParseBackend here only normalizes "" to the anneal default.
 	scfg.Backend, _ = stitch.ParseBackend(o.Backend)
 	scfg.GDIterations = o.Analytic.GDIterations
-	scfg.Mu = o.Evo.Mu
-	scfg.Lambda = o.Evo.Lambda
-	scfg.Generations = o.Evo.Generations
-	for _, b := range o.Portfolio.Backends {
-		be, _ := stitch.ParseBackend(b)
-		scfg.Backends = append(scfg.Backends, be)
-	}
-	scfg.Threshold = o.Portfolio.Threshold
 	return scfg
 }
 
-// stitchDesign runs the annealer on a prepared problem and assembles
+// stitchDesign runs the stitcher on a prepared problem and assembles
 // the public report.
 // parent, when non-nil, is the flow span the stitching spans nest under.
 // vr, when non-nil and o.Check is on, accumulates the oracle's
@@ -322,68 +256,39 @@ func (f *Flow) stitchDesign(prob *stitch.Problem, o StitchOptions, parent *Span,
 	scfg.Span = parent
 	sres := stitch.Run(prob, scfg)
 	verifyStitch(o.Check, prob, sres, vr, o.Obs, parent)
+	rep := newStitchReport(scfg.Backend, sres)
+	rep.Map = renderStitchMap(f.dev, prob, sres.Origins)
+	return rep
+}
+
+// newStitchReport is the one place a stitch.Result becomes a
+// StitchReport (a whole design's, or one shard's); the caller adds the
+// Map, which needs the device.
+func newStitchReport(backend stitch.Backend, r *stitch.Result) StitchReport {
 	rep := StitchReport{
-		Backend:         string(scfg.Backend),
-		GDIters:         sres.GDIters,
-		Placed:          sres.Placed,
-		Unplaced:        sres.Unplaced,
-		FinalCost:       sres.FinalCost,
-		ConvergenceIter: sres.ConvergenceIter,
-		IllegalMoves:    sres.IllegalMoves,
-		Iterations:      sres.Iterations,
-		Exchanges:       sres.Exchanges,
-		FreeTiles:       sres.FreeTiles,
-		LargestFreeRect: sres.LargestFreeRect,
-		TraceEvery:      sres.TraceEvery,
-		Map:             renderStitchMap(f.dev, prob, sres.Origins),
-	}
-	for _, p := range sres.CostTrace {
-		rep.Trace = append(rep.Trace, CostPoint{Iter: p.Iter, Cost: p.Cost})
+		Backend:         string(backend),
+		GDIters:         r.GDIters,
+		Placed:          r.Placed,
+		Unplaced:        r.Unplaced,
+		FinalCost:       r.FinalCost,
+		ConvergenceIter: r.ConvergenceIter,
+		IllegalMoves:    r.IllegalMoves,
+		Iterations:      r.Iterations,
+		Exchanges:       r.Exchanges,
+		FreeTiles:       r.FreeTiles,
+		LargestFreeRect: r.LargestFreeRect,
+		TraceEvery:      r.TraceEvery,
+		Chains:          r.Chains,
 	}
 	// The annealer's trace samples its total cost, unplaced penalties
 	// included; the headline FinalCost excludes them. Pin the final
 	// sample (always present) to FinalCost so IterToReach(FinalCost)
-	// resolves even when the design overflows the device.
-	if n := len(rep.Trace); n > 0 {
+	// resolves even when the design overflows the device. The pin goes
+	// onto a copy: r.CostTrace shares its backing array with the
+	// winning chain's Chains[w].Trace, which keeps the annealer's total.
+	if n := len(r.CostTrace); n > 0 {
+		rep.Trace = append([]CostPoint(nil), r.CostTrace...)
 		rep.Trace[n-1].Cost = rep.FinalCost
 	}
-	for _, cs := range sres.Chains {
-		rep.Chains = append(rep.Chains, chainReport(cs))
-	}
-	if len(sres.Portfolio) > 0 {
-		pr := &PortfolioReport{Threshold: o.Portfolio.Threshold}
-		for ei, e := range sres.Portfolio {
-			if e.Winner {
-				pr.Winner = ei
-			}
-			pr.Entrants = append(pr.Entrants, PortfolioEntrant{
-				ChainReport:   chainReport(e.ChainStats),
-				Backend:       string(e.Backend),
-				Winner:        e.Winner,
-				ThresholdIter: e.ThresholdIter,
-				Iterations:    e.Iterations,
-				Unplaced:      e.Unplaced,
-			})
-		}
-		rep.Portfolio = pr
-	}
 	return rep
-}
-
-// chainReport converts one chain's (or portfolio pseudo-chain's)
-// telemetry to the public report shape.
-func chainReport(cs stitch.ChainStats) ChainReport {
-	cr := ChainReport{
-		Chain:        cs.Chain,
-		InitTemp:     cs.InitTemp,
-		Moves:        cs.Moves,
-		Accepts:      cs.Accepts,
-		IllegalMoves: cs.IllegalMoves,
-		Exchanges:    cs.Exchanges,
-		FinalCost:    cs.FinalCost,
-	}
-	for _, p := range cs.Trace {
-		cr.Trace = append(cr.Trace, CostPoint{Iter: p.Iter, Cost: p.Cost})
-	}
-	return cr
 }

@@ -157,22 +157,13 @@ func TestOptionsValidate(t *testing.T) {
 			Anneal: AnnealOptions{Iterations: 100, Chains: 2}, Analytic: AnalyticOptions{GDIterations: 10}}, true},
 		{"bad-backend", StitchOptions{Backend: "bogus"}, false},
 		{"bad-check", StitchOptions{Check: CheckLevel(42)}, false},
-		{"structured-full", StitchOptions{Backend: BackendPortfolio,
-			Anneal:    AnnealOptions{Chains: 4, Iterations: 100, TempLadder: 2.5},
-			Analytic:  AnalyticOptions{GDIterations: 64},
-			Evo:       EvoOptions{Mu: 2, Lambda: 8, Generations: 10},
-			Portfolio: PortfolioOptions{Backends: []string{"anneal", "evo"}, Threshold: 5000}}, true},
+		{"structured-full", StitchOptions{Backend: BackendHybrid,
+			Anneal:   AnnealOptions{Chains: 4, Iterations: 100, TempLadder: 2.5},
+			Analytic: AnalyticOptions{GDIterations: 64}}, true},
 		{"negative-anneal-iterations", StitchOptions{Anneal: AnnealOptions{Iterations: -1}}, false},
 		{"negative-anneal-chains", StitchOptions{Anneal: AnnealOptions{Chains: -1}}, false},
 		{"temp-ladder-below-one", StitchOptions{Anneal: AnnealOptions{TempLadder: 0.5}}, false},
 		{"negative-analytic-gd", StitchOptions{Analytic: AnalyticOptions{GDIterations: -1}}, false},
-		{"negative-evo-mu", StitchOptions{Evo: EvoOptions{Mu: -1}}, false},
-		{"negative-evo-lambda", StitchOptions{Evo: EvoOptions{Lambda: -1}}, false},
-		{"negative-evo-generations", StitchOptions{Evo: EvoOptions{Generations: -1}}, false},
-		{"negative-threshold", StitchOptions{Portfolio: PortfolioOptions{Threshold: -1}}, false},
-		{"empty-portfolio-entrant", StitchOptions{Portfolio: PortfolioOptions{Backends: []string{"anneal", ""}}}, false},
-		{"unknown-portfolio-entrant", StitchOptions{Portfolio: PortfolioOptions{Backends: []string{"genetic"}}}, false},
-		{"nested-portfolio", StitchOptions{Portfolio: PortfolioOptions{Backends: []string{"portfolio"}}}, false},
 	}
 	for _, tc := range stitchCases {
 		if err := tc.o.Validate(); (err == nil) != tc.ok {

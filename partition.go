@@ -19,17 +19,12 @@ type PartitionOptions struct {
 	// Shards is the number of clock-region bands to carve the device
 	// into (0 disables partitioning; 1 is a valid degenerate run).
 	Shards int
-	// Backend selects the partitioning algorithm: "" or "greedy" (the
-	// deterministic demand-descending construction plus refinement
-	// sweeps) or "evo" (the (μ+λ) evolutionary partitioner). Both are
-	// bit-reproducible from (Seed, member set).
-	Backend string
 	// CutPenalty weighs the cross-shard cut bandwidth in the combined
 	// objective (TotalCost = Σ shard wirelength + CutPenalty × cut
 	// weight). 0 selects the default of 1.
 	CutPenalty float64
-	// Refinements bounds the greedy backend's refinement passes
-	// (0 selects the partitioner default of 8).
+	// Refinements bounds the partitioner's refinement passes (0 selects
+	// the partitioner default of 8).
 	Refinements int
 }
 
@@ -49,46 +44,48 @@ func (o PartitionOptions) Validate() error {
 	if o.Refinements < 0 {
 		return fmt.Errorf("macroflow: PartitionOptions.Refinements must be >= 0 (got %d)", o.Refinements)
 	}
-	_, err := partition.ParseBackend(o.Backend)
-	return err
+	return nil
 }
 
-// MemberReport is one fabric-set member's share of a partitioned run.
+// MemberReport is one fabric-set member's share of a partitioned run
+// (apiv1.MemberSummary is this type; the JSON tags are the wire
+// spelling).
 type MemberReport struct {
 	// Name identifies the member ("shard0", ...).
-	Name string
+	Name string `json:"name"`
 	// Instances counts the spec instances assigned to this member.
-	Instances int
+	Instances int `json:"instances"`
 	// UsedSlices/CapSlices are the member's assigned slice demand and
 	// slice capacity; Utilization is their ratio.
-	UsedSlices  int
-	CapSlices   int
-	Utilization float64
+	UsedSlices  int     `json:"usedSlices"`
+	CapSlices   int     `json:"capSlices"`
+	Utilization float64 `json:"utilization"`
 	// Stitch is the member's own stitching report (shard-local
 	// coordinates; the parent-level origins are already merged into the
 	// aggregate report's map).
-	Stitch StitchReport
+	Stitch StitchReport `json:"stitch"`
 }
 
 // PartitionReport is the outcome of a partitioned compilation: the
-// assignment quality plus one report per member.
+// assignment quality plus one report per member
+// (apiv1.PartitionSummary is this type).
 type PartitionReport struct {
-	// Backend echoes the partitioner backend that produced the
-	// assignment.
-	Backend string
+	// Backend echoes the partitioner that produced the assignment
+	// ("greedy", the only one).
+	Backend string `json:"backend"`
 	// Members holds one report per fabric-set member, in member order.
-	Members []MemberReport
+	Members []MemberReport `json:"members"`
 	// CutNets counts the nets whose endpoints landed in different
 	// members; CutWeight is their summed weight.
-	CutNets   int
-	CutWeight float64
+	CutNets   int     `json:"cutNets"`
+	CutWeight float64 `json:"cutWeight"`
 	// CutPenalty is the effective cut weight multiplier; CutCost is
 	// CutPenalty × CutWeight.
-	CutPenalty float64
-	CutCost    float64
+	CutPenalty float64 `json:"cutPenalty"`
+	CutCost    float64 `json:"cutCost"`
 	// TotalCost is the combined objective: the shards' summed final
 	// wirelength plus CutCost.
-	TotalCost float64
+	TotalCost float64 `json:"totalCost"`
 }
 
 // stitchPartitioned is the partitioned counterpart of stitchDesign:
@@ -106,7 +103,6 @@ func (f *Flow) stitchPartitioned(prob *stitch.Problem, so StitchOptions, po Part
 	pp := partition.FromStitch(prob, set)
 	assign, err := partition.Assign(pp, partition.Config{
 		Seed:        so.Seed,
-		Backend:     partition.Backend(po.Backend),
 		Refinements: po.Refinements,
 		Obs:         so.Obs,
 		Span:        parent,
@@ -126,9 +122,8 @@ func (f *Flow) stitchPartitioned(prob *stitch.Problem, so StitchOptions, po Part
 	if cutPenalty == 0 {
 		cutPenalty = 1
 	}
-	be, _ := partition.ParseBackend(po.Backend)
 	pr := &PartitionReport{
-		Backend:    string(be),
+		Backend:    string(partition.BackendGreedy),
 		CutNets:    len(sres.CutNets),
 		CutWeight:  sres.CutWeight,
 		CutPenalty: cutPenalty,
@@ -136,34 +131,11 @@ func (f *Flow) stitchPartitioned(prob *stitch.Problem, so StitchOptions, po Part
 	}
 	pr.TotalCost = sres.FinalCost + pr.CutCost
 	for k, m := range set.Members {
-		r := sres.Results[k]
 		mrep := MemberReport{
 			Name:       m.Name,
 			UsedSlices: assign.Util[k].Slices(),
 			CapSlices:  m.Capacity.Slices(),
-			Stitch: StitchReport{
-				Backend:         string(scfg.Backend),
-				GDIters:         r.GDIters,
-				Placed:          r.Placed,
-				Unplaced:        r.Unplaced,
-				FinalCost:       r.FinalCost,
-				ConvergenceIter: r.ConvergenceIter,
-				IllegalMoves:    r.IllegalMoves,
-				Iterations:      r.Iterations,
-				Exchanges:       r.Exchanges,
-				FreeTiles:       r.FreeTiles,
-				LargestFreeRect: r.LargestFreeRect,
-				TraceEvery:      r.TraceEvery,
-			},
-		}
-		for _, p := range r.CostTrace {
-			mrep.Stitch.Trace = append(mrep.Stitch.Trace, CostPoint{Iter: p.Iter, Cost: p.Cost})
-		}
-		if n := len(mrep.Stitch.Trace); n > 0 {
-			mrep.Stitch.Trace[n-1].Cost = r.FinalCost
-		}
-		for _, cs := range r.Chains {
-			mrep.Stitch.Chains = append(mrep.Stitch.Chains, chainReport(cs))
+			Stitch:     newStitchReport(scfg.Backend, sres.Results[k]),
 		}
 		for _, a := range assign.Member {
 			if a == k {

@@ -112,11 +112,9 @@ func TestPartitionOptionsValidate(t *testing.T) {
 	}{
 		{"zero", PartitionOptions{}, true},
 		{"two shards", PartitionOptions{Shards: 2}, true},
-		{"evo", PartitionOptions{Shards: 2, Backend: "evo"}, true},
 		{"negative shards", PartitionOptions{Shards: -1}, false},
 		{"negative penalty", PartitionOptions{Shards: 2, CutPenalty: -1}, false},
 		{"negative refinements", PartitionOptions{Shards: 2, Refinements: -2}, false},
-		{"bad backend", PartitionOptions{Shards: 2, Backend: "quantum"}, false},
 	} {
 		err := tc.o.Validate()
 		if tc.ok && err != nil {
@@ -130,9 +128,9 @@ func TestPartitionOptionsValidate(t *testing.T) {
 	f := verifyFlow(t)
 	d := verifySmallDesign(t)
 	if _, err := f.Compile(d, MinSweepCF(), CompileOptions{
-		Partition: PartitionOptions{Shards: 2, Backend: "quantum"},
+		Partition: PartitionOptions{Shards: -2},
 	}); err == nil {
-		t.Error("Compile accepted a bad partition backend")
+		t.Error("Compile accepted a negative shard count")
 	}
 }
 

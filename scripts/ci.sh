@@ -6,6 +6,33 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# run_listed 'TestA|TestB|...' <go test flags and packages>
+# is go test -run with that list, after checking the list: go test -run
+# skips an entry that matches nothing without a word, so a deleted or
+# renamed test would shrink a gate silently. Every entry (a regexp, as
+# -run reads it; several are prefixes of a family of tests) must match
+# at least one test go test -list shows in the named packages.
+run_listed() {
+	names="$1"
+	shift
+	have="$(go test -list . "$@" | grep '^Test')"
+	for name in $(echo "${names}" | tr '|' ' '); do
+		if ! echo "${have}" | grep -Eq "${name}"; then
+			echo "ci: no test matches ${name} in: $*  (fix the -run list)" >&2
+			exit 1
+		fi
+	done
+	go test -run "${names}" "$@"
+}
+
+echo "==> gofmt -l" >&2
+unformatted="$(git ls-files '*.go' | xargs gofmt -l)"
+if [ -n "${unformatted}" ]; then
+	echo "ci: gofmt -l lists:" >&2
+	echo "${unformatted}" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..." >&2
 go vet ./...
 
@@ -61,46 +88,50 @@ awk -v t="${total}" -v f="${floor}" 'BEGIN {
 # The multi-chain stitcher promises bit-identical results regardless of
 # core count; re-run its determinism suite under the race detector at a
 # parallelism the default run may not have exercised. The analytic
-# backend's goroutine-tiled gradient descent, the evolutionary placer's
-# parallel fitness evaluation, the portfolio race, the sharded stitcher's
-# goroutine-per-shard fan-out and the partitioner's parallel offspring
-# evaluation all carry the same promise, so their determinism tests run
-# in the same configuration. So do the pinned trajectory digests (the
+# backend's goroutine-tiled gradient descent and the sharded stitcher's
+# goroutine-per-shard fan-out carry the same promise, so their
+# determinism tests run in the same configuration, and the partitioner's
+# alongside. So do the pinned trajectory digests (the
 # analytic descent's fused update+splat tile pass must produce the
 # literals recorded before it was fused, on any core count) and the
 # legality kernel's differential test against the per-row reference.
 echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
-GOMAXPROCS=4 go test -race -run 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestEvoDeterministic|TestPortfolioDeterministic|TestPortfolioEntrantsMatchSolo|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' ./internal/stitch/
-GOMAXPROCS=4 go test -race -run 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' ./internal/partition/
+export GOMAXPROCS=4
+run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
+run_listed 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' -race ./internal/partition/
 # The min-CF probe loop: speculative bisect workers share one place.Plan
 # (and its recycled site tables), and a reused plan must answer like a
 # from-scratch placement on every rectangle of every sweep.
-GOMAXPROCS=4 go test -race -run 'TestBisectSharedPlanWorkers|TestBisectSharedPlanGOMAXPROCSInvariant|TestBisectParallelDeterministic' ./internal/pblock/
+run_listed 'TestBisectSharedPlanWorkers|TestBisectSharedPlanGOMAXPROCSInvariant|TestBisectParallelDeterministic' -race ./internal/pblock/
 # ... and turn a probe away by counting exactly when the fill loop it
 # skips would have come up short, with the same count in the error.
-GOMAXPROCS=4 go test -race -run 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' ./internal/place/
-GOMAXPROCS=4 go test -race -run 'TestRouteScratchMatchesOneShot' ./internal/route/
+run_listed 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' -race ./internal/place/
+run_listed 'TestRouteScratchMatchesOneShot' -race ./internal/route/
 # RunCNV is Compile of the cnvW1A1 design: the digests recorded before
 # the two pipelines were merged must reproduce, and the wrapper must
 # equal the direct compile field for field, lanes racing or not.
 # Blocks start largest first on however many workers pull them: the
 # order is a function of the design, and no worker count, cache or
 # singleflight wait may change a field of the result.
-GOMAXPROCS=4 go test -race -run 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile|TestLaneOrderLargestFirst|TestCompileScheduleInvariant|TestCompileReportsLowestFailedBlock' .
+run_listed 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile|TestLaneOrderLargestFirst|TestCompileScheduleInvariant|TestCompileReportsLowestFailedBlock' -race .
+# ... and the bytes the daemon serves for a result are pinned per job
+# shape, on any core count.
+run_listed 'TestWireResultPinned' -race ./api/v1/
+unset GOMAXPROCS
 
-# Backend audits: every stitcher backend (all five, portfolio included)
-# through Compile under the full oracle audit (zero violations
+# Backend audits: every stitcher backend (all three) through Compile
+# under the full oracle audit (zero violations
 # required), the cnvW1A1 flow on the hybrid backend recounted end to
 # end, and the two-shard partitioned compile with the partition
 # assignment, every shard placement and the cut weight all recounted.
 echo "==> stitch backend oracle audits (-check full)" >&2
-go test -run 'TestCompileBackendsAuditClean|TestRunCNVHybridFullAudit|TestLegalizedPlacementsPassOracle|TestCompilePartitionedFullAudit' . ./internal/stitch/
+run_listed 'TestCompileBackendsAuditClean|TestRunCNVHybridFullAudit|TestLegalizedPlacementsPassOracle|TestCompilePartitionedFullAudit' . ./internal/stitch/
 
 # Telemetry plane: boot an in-process daemon, run a job, and require
 # GET /metrics to parse as strict Prometheus text with the service
 # series present — plus the flight recorder's anomaly-dump path.
 echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder)" >&2
-go test -race -count=1 -run 'TestMetricsEndpoint|TestFlightRecorder' ./cmd/macroflowd/
+run_listed 'TestMetricsEndpoint|TestFlightRecorder' -race -count=1 ./cmd/macroflowd/
 
 # Daemon smoke: build the real macroflowd binary under -race, start it
 # on a random port, submit a compile over HTTP, assert the result is
