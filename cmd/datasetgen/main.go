@@ -55,21 +55,17 @@ func main() {
 	cfg.Search.Strategy = searchStrategy
 	cfg.Search.Workers = *probeWorkers
 	cfg.Search.Obs = rec
-	var cache *implcache.Cache
 	if *cacheDir != "" {
-		var err error
-		cache, err = implcache.Open(*cacheDir)
-		if err != nil {
+		if cfg.Cache, err = implcache.Open(*cacheDir); err != nil {
 			log.Fatal(err)
 		}
-		cfg.Search.Cache = cache
 	}
 
 	samples, err := dataset.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if cache != nil {
+	if cache := cfg.Cache; cache != nil {
 		st := cache.Stats()
 		log.Printf("cache %s: %d hits, %d misses, %d stores, %d negative verdicts (this run)",
 			*cacheDir, st.Hits, st.Misses, st.Stores, st.Negatives)

@@ -28,7 +28,6 @@ type ctx struct {
 	stitchIters int
 	stitch      *cliflags.Stitch
 	partition   *cliflags.Partition
-	cacheDir    string
 	check       macroflow.CheckLevel
 
 	// rec collects spans and metrics when -trace/-metrics is set (nil
@@ -37,8 +36,10 @@ type ctx struct {
 	rec *macroflow.Recorder
 	cur *macroflow.Span
 
-	onceCache sync.Once
-	cache     *implcache.Cache
+	// cache is the persistent implementation cache named by -cache: nil
+	// when the flag is unset (the default, which keeps every output
+	// bit-identical to the paper-fidelity flow).
+	cache *implcache.Cache
 
 	onceData sync.Once
 	samples  []dataset.Sample
@@ -81,29 +82,12 @@ func (c *ctx) partitionOptions() macroflow.PartitionOptions {
 	return o
 }
 
-// implCache lazily opens the persistent implementation cache named by
-// -cache, or returns nil when the flag is unset (the default, which
-// keeps every output bit-identical to the paper-fidelity flow).
-func (c *ctx) implCache() *implcache.Cache {
-	c.onceCache.Do(func() {
-		if c.cacheDir == "" {
-			return
-		}
-		cache, err := implcache.Open(c.cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.cache = cache
-	})
-	return c.cache
-}
-
 func (c *ctx) dataset() ([]dataset.Sample, []dataset.Sample, []dataset.Sample, []dataset.Sample) {
 	c.onceData.Do(func() {
 		cfg := dataset.DefaultConfig()
 		cfg.Modules = c.modules
 		cfg.Seed = c.seed
-		cfg.Search.Cache = c.implCache()
+		cfg.Cache = c.cache
 		cfg.Search.Obs = c.rec
 		cfg.Search.Span = c.cur
 		log.Printf("generating %d-module dataset ...", cfg.Modules)
@@ -127,7 +111,7 @@ func (c *ctx) cnvLabels() []cnvLabel {
 		dev := fabric.XC7Z020()
 		d := cnv.CNVW1A1()
 		cfg := pblock.DefaultConfig()
-		search := pblock.SearchConfig{Start: cnvSearchStart, Step: 0.02, Max: 3.0, Cache: c.implCache(), Obs: c.rec}
+		search := pblock.SearchConfig{Start: cnvSearchStart, Step: 0.02, Max: 3.0, Obs: c.rec}
 		labels := make([]cnvLabel, len(d.Types))
 		var wg sync.WaitGroup
 		workers := runtime.GOMAXPROCS(0)
@@ -146,16 +130,24 @@ func (c *ctx) cnvLabels() []cnvLabel {
 				sp := root.Child("implement.block",
 					obs.String("block", d.Types[ti].Name)).WithLane(lane + 1)
 				defer sp.End()
-				m, err := d.Module(ti)
+				m, rep, err := pblock.FrontEnd(d.Types[ti].Spec, sp)
 				if err != nil {
 					log.Fatal(err)
 				}
-				rep := place.QuickPlace(m)
 				bsearch := search
 				bsearch.Span = sp
-				res, err := pblock.MinCF(dev, m, rep, bsearch, cfg)
+				key := ""
+				if c.cache != nil {
+					key = pblock.SweepKey(dev, m, bsearch, cfg)
+				}
+				res, outcome, err := pblock.ReadThrough(c.cache, key, dev, m, rep, bsearch, cfg, func() (pblock.SearchResult, error) {
+					return pblock.MinCF(dev, m, rep, bsearch, cfg)
+				})
 				if err != nil {
 					log.Fatalf("%s: %v", d.Types[ti].Name, err)
+				}
+				if outcome.Served() {
+					res.ToolRuns = 0 // the runs of this process, not of the one that searched
 				}
 				sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
 				labels[ti] = cnvLabel{

@@ -13,7 +13,6 @@ import (
 	"macroflow/internal/place"
 	"macroflow/internal/route"
 	"macroflow/internal/rtlgen"
-	"macroflow/internal/synth"
 )
 
 // ablation quantifies how much each §V mechanism contributes to the
@@ -53,15 +52,8 @@ func ablation(c *ctx) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			m, err := synth.Elaborate(specs[i])
-			if err != nil {
-				return
-			}
-			if _, err := synth.Optimize(m); err != nil {
-				return
-			}
-			rep := place.QuickPlace(m)
-			if rep.EstSlices < 6 {
+			m, rep, err := pblock.FrontEnd(specs[i], nil)
+			if err != nil || rep.EstSlices < 6 {
 				return
 			}
 			search := pblock.SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
@@ -168,13 +160,8 @@ func maze(c *ctx) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			m, err := synth.Elaborate(specs[i])
-			if err != nil {
-				return
-			}
-			synth.Optimize(m)
-			rep := place.QuickPlace(m)
-			if rep.EstSlices < 12 || rep.EstSlices > 600 {
+			m, rep, err := pblock.FrontEnd(specs[i], nil)
+			if err != nil || rep.EstSlices < 12 || rep.EstSlices > 600 {
 				return
 			}
 			for _, cf := range []float64{1.0, 1.4} {

@@ -24,11 +24,10 @@ func fig3(c *ctx) {
 	labels := c.cnvLabels()
 	for _, name := range []string{"weights_14", "mvau_18"} {
 		ti := d.TypeIndex(name)
-		m, err := d.Module(ti)
+		m, rep, err := pblock.FrontEnd(d.Types[ti].Spec, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := place.QuickPlace(m)
 		lbl := labels[ti]
 		fmt.Printf("\n--- %s ---\n", name)
 		if impl, err := pblock.Implement(dev, m, rep, 1.5, cfg); err == nil {

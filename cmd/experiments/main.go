@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"macroflow/internal/cliflags"
+	"macroflow/internal/implcache"
 )
 
 func main() {
@@ -66,8 +67,12 @@ func main() {
 		stitchIters: *stitchIters,
 		stitch:      st,
 		partition:   pt,
-		cacheDir:    *cacheDir,
 		check:       checkLevel,
+	}
+	if *cacheDir != "" {
+		if c.cache, err = implcache.Open(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
 	}
 	// The recorder is only allocated when asked for: a nil *Recorder
 	// disables all recording, keeping the default outputs byte-identical.

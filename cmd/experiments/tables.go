@@ -12,7 +12,6 @@ import (
 	"macroflow/internal/fabric"
 	"macroflow/internal/ml"
 	"macroflow/internal/pblock"
-	"macroflow/internal/place"
 	"macroflow/internal/timing"
 )
 
@@ -31,11 +30,10 @@ func table1(c *ctx) {
 	fmt.Fprintf(w, "CF*\t1.5\tmin\t1.5\tmin\t-\n")
 	for _, name := range []string{"mvau_18", "weights_14"} {
 		ti := d.TypeIndex(name)
-		m, err := d.Module(ti)
+		m, rep, err := pblock.FrontEnd(d.Types[ti].Spec, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := place.QuickPlace(m)
 
 		var s15, sMin int
 		var t15, tMin float64
@@ -106,11 +104,6 @@ func table2(c *ctx) {
 	lr := &ml.LinearRegression{}
 	fmt.Printf("\nLinear Regression (9 inputs): %.1f%% mean relative error\n",
 		100*evalOn(lr, ml.LinRegSet, train, test))
-
-	// Extension beyond the paper: gradient-boosted trees.
-	gb := &ml.GradientBoost{Trees: c.trees / 2, MaxDepth: 4, Seed: c.seed}
-	fmt.Printf("Gradient Boosting (all features, extension): %.1f%%\n",
-		100*evalOn(gb, ml.All, train, test))
 	fmt.Println("\n(paper: DT 7.4/7.4/5.4/5.2, RF 6.2/5.9/4.8/4.9, NN 5.1, linreg 9.4)")
 }
 

@@ -517,19 +517,28 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 
 	// Unknown fields die in the strict decoder with a 400 bad_request —
 	// a typo, and equally the request fields of the removed solvers from
-	// a client that still sends them.
-	for _, body := range []string{
+	// a client that still sends them. So does a body past
+	// maxRequestBytes, however well-formed: it is not read to its end.
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := `{"design":{"builtin":"cnvW1A1"}` + strings.Repeat(" ", maxRequestBytes) + `}`
+	bodies := []string{
 		`{"design":{"builtin":"cnvW1A1"},"iteratons":5}`,
 		`{"design":{"builtin":"cnvW1A1"},"stitch":{"evo":{"mu":4}}}`,
 		`{"design":{"builtin":"cnvW1A1"},"stitch":{"portfolio":{"backends":["anneal","hybrid"]}}}`,
 		`{"design":{"builtin":"cnvW1A1"},"partition":{"shards":2,"backend":"evo"}}`,
-	} {
+		oversized,
+	}
+	for _, body := range bodies {
+		label := body[:min(len(body), 80)]
 		resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != 400 {
-			t.Errorf("%s: HTTP %d, want 400", body, resp.StatusCode)
+			t.Errorf("%s: HTTP %d, want 400", label, resp.StatusCode)
 		}
 		var env apiv1.ErrorEnvelope
 		err = json.NewDecoder(resp.Body).Decode(&env)
@@ -538,8 +547,19 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		if env.Error == nil || env.Error.Code != apiv1.ErrBadRequest {
-			t.Errorf("%s: envelope = %+v, want code %q", body, env.Error, apiv1.ErrBadRequest)
+			t.Errorf("%s: envelope = %+v, want code %q", label, env.Error, apiv1.ErrBadRequest)
 		}
+	}
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Rejected - before.Rejected; got != int64(len(bodies)) {
+		t.Errorf("%d rejections counted for %d bad bodies", got, len(bodies))
+	}
+	// None of it cost the next valid job anything.
+	if final := submitAndWait(t, c, smallReq(1)); final.State != apiv1.JobDone {
+		t.Errorf("valid job after the rejected ones ended %s, want %s", final.State, apiv1.JobDone)
 	}
 }
 

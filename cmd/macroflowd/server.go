@@ -574,8 +574,14 @@ func writeError(w http.ResponseWriter, e *apiv1.Error) {
 	writeJSON(w, httpStatus(e.Code), apiv1.ErrorEnvelope{Error: e})
 }
 
+// maxRequestBytes bounds a submitted request body; a longer one is a
+// bad_request. The largest body the daemon's tests and the benchmark's
+// daemon-dse workload send is under 2 KB, and cnvW1A1 spelled out as a
+// custom design (74 block types, 175 instances) is some tens of KB.
+const maxRequestBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := apiv1.DecodeRequest(r.Body)
+	req, err := apiv1.DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.reject("invalid")
 		writeError(w, asAPIError(err))

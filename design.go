@@ -440,7 +440,7 @@ func hitName(kind int) string {
 func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
 	search.Span = sp
 	if cache == nil {
-		m, rep, err := f.compile(spec, sp)
+		m, rep, err := pblock.FrontEnd(spec.inner, sp)
 		if err != nil {
 			return nil, ModuleResult{}, blockHit{}, err
 		}
@@ -457,7 +457,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 	var m *netlist.Module
 	if !known {
 		var err error
-		if m, fe.rep, err = f.compile(spec, sp); err != nil {
+		if m, fe.rep, err = pblock.FrontEnd(spec.inner, sp); err != nil {
 			return nil, ModuleResult{}, blockHit{}, err
 		}
 		fe.hash = implcache.ModuleHash(m)
@@ -469,7 +469,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		if m != nil {
 			return m, nil
 		}
-		m, _, err := f.compile(spec, sp)
+		m, _, err := pblock.FrontEnd(spec.inner, sp)
 		return m, err
 	}
 	sr, hit, err := f.cachedImplement(f.blockDiskKey(fe.hash, fe.rep, mode, fps), module, fe.rep, mode, search, cache)
@@ -529,65 +529,39 @@ func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error
 }
 
 // missImplement resolves a block implementation the in-process map does
-// not hold: the persistent store first, then a fresh search. Callers
-// hold the key's singleflight slot.
+// not hold, through the persistent layer's read-through (a plain search
+// for a memory-only cache), and keeps the in-memory layer's books: the
+// map entry and the cache's lifetime counters. Callers hold the key's
+// singleflight slot.
 func (f *Flow) missImplement(key string, m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
-	if cache.disk != nil {
-		var rec pblock.ImplRecord
-		if cache.disk.Get(key, &rec) {
-			rsp := obs.StartChild(search.Obs, search.Span, "cache.rebuild")
-			sr, rerr, ok := rec.Rebuild(f.dev, m, rep, search, f.cfg)
-			if ok {
-				if rerr != nil {
-					// Negative verdict replayed from disk: the cached
-					// record proves the block infeasible, no search runs.
-					rsp.Set(obs.String("verdict", "negative"))
-					rsp.End()
-					search.Obs.Add("blockcache.negative", 1)
-					cache.disk.NoteNegative()
-					cache.mu.Lock()
-					cache.stats.Negatives++
-					cache.mu.Unlock()
-					return pblock.SearchResult{}, blockHit{}, rerr
-				}
-				rsp.Set(obs.String("verdict", "warm"))
-				rsp.End()
-				search.Obs.Add("blockcache.disk_hit", 1)
-				cache.mu.Lock()
-				cache.byModule[key] = sr
-				cache.stats.DiskHits++
-				cache.mu.Unlock()
-				return sr, blockHit{kind: hitDisk}, nil
-			}
-			rsp.Set(obs.String("verdict", "stale"))
-			rsp.End()
-		}
+	sr, outcome, err := pblock.ReadThrough(cache.disk, key, f.dev, m, rep, search, f.cfg, func() (pblock.SearchResult, error) {
+		return f.implementModule(m, rep, mode, search)
+	})
+	if !outcome.Served() {
+		search.Obs.Add("blockcache.miss", 1)
 	}
-	search.Obs.Add("blockcache.miss", 1)
-	sr, err := f.implementModule(m, rep, mode, search)
-	stored := false
-	if cache.disk != nil {
-		if rec, ok := pblock.RecordSearch(sr, err); ok {
-			// Best effort: a failed store degrades to a future miss.
-			if cache.disk.Put(key, rec) == nil {
-				stored = true
-			}
-		}
-	}
+	hit := blockHit{stored: outcome.Stored()}
 	cache.mu.Lock()
-	cache.stats.Misses++
+	switch outcome {
+	case pblock.CacheNegative:
+		cache.stats.Negatives++
+	case pblock.CacheWarm:
+		hit.kind = hitDisk
+		cache.stats.DiskHits++
+	default:
+		cache.stats.Misses++
+		if err == nil && hit.stored {
+			cache.stats.Stores++
+		}
+	}
 	if err == nil {
 		cache.byModule[key] = sr
-		if stored {
-			cache.stats.Stores++
-			search.Obs.Add("blockcache.store", 1)
-		}
 	}
 	cache.mu.Unlock()
 	if err != nil {
-		return pblock.SearchResult{}, blockHit{stored: stored}, err
+		return pblock.SearchResult{}, hit, err
 	}
-	return sr, blockHit{stored: stored}, nil
+	return sr, hit, nil
 }
 
 // keyFingerprints are the parts of a block's persistent key that do not
@@ -603,12 +577,10 @@ func (f *Flow) fingerprints(search pblock.SearchConfig) keyFingerprints {
 	}
 }
 
-// blockDiskKey addresses a block's implementation — in memory and on
-// disk — by everything that can change it: device, optimized module
-// content (its implcache.ModuleHash), CF policy, the effective search
-// and the oracle configuration. The estimator mode folds the predicted
-// CF into the key — a retrained estimator addresses different records
-// rather than being served stale ones.
+// blockDiskKey is the block's pblock.BlockKey — its address in memory
+// and on disk — under the CF policy's fingerprint. The estimator mode
+// folds the predicted CF into it: a retrained estimator addresses
+// different records rather than being served stale ones.
 func (f *Flow) blockDiskKey(moduleHash string, rep place.ShapeReport, mode CFMode, fps keyFingerprints) string {
 	modeFP := mode.kind
 	switch mode.kind {
@@ -621,14 +593,7 @@ func (f *Flow) blockDiskKey(moduleHash string, rep place.ShapeReport, mode CFMod
 			modeFP = fmt.Sprintf("estimator:%.6f", mode.estimator.predict(rep))
 		}
 	}
-	return implcache.Key(
-		"block",
-		f.dev.Name,
-		moduleHash,
-		modeFP,
-		fps.search,
-		fps.config,
-	)
+	return pblock.BlockKey(f.dev.Name, moduleHash, modeFP, fps.search, fps.config)
 }
 
 // constantImplement is the escalating constant-CF policy.

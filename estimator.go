@@ -6,6 +6,7 @@ import (
 
 	"macroflow/internal/dataset"
 	"macroflow/internal/ml"
+	"macroflow/internal/pblock"
 	"macroflow/internal/place"
 )
 
@@ -18,8 +19,6 @@ const (
 	NeuralNetwork    EstimatorKind = "nn"
 	DecisionTree     EstimatorKind = "dtree"
 	RandomForest     EstimatorKind = "rforest"
-	// GradientBoost is an extension beyond the paper's four families.
-	GradientBoost EstimatorKind = "gboost"
 )
 
 // FeatureSetKind selects the Table II feature set.
@@ -82,7 +81,7 @@ func (e *Estimator) predict(rep place.ShapeReport) float64 {
 // PredictSpec returns the estimated minimal CF of a spec without
 // implementing it.
 func (f *Flow) PredictSpec(e *Estimator, s *Spec) (float64, error) {
-	_, rep, err := f.compile(s, nil)
+	_, rep, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -172,8 +171,6 @@ func (f *Flow) TrainEstimator(kind EstimatorKind, features FeatureSetKind, opts 
 		model = &ml.DecisionTree{MaxDepth: 20, Seed: opts.Seed}
 	case RandomForest:
 		model = &ml.RandomForest{Trees: opts.Trees, MaxDepth: 20, Seed: opts.Seed}
-	case GradientBoost:
-		model = &ml.GradientBoost{Trees: opts.Trees, MaxDepth: 4, Seed: opts.Seed}
 	default:
 		return nil, TrainReport{}, fmt.Errorf("macroflow: unknown estimator kind %q", kind)
 	}

@@ -2,6 +2,7 @@ package macroflow
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"macroflow/internal/ml"
@@ -21,8 +22,6 @@ func tinyFitModel(t testing.TB, kind EstimatorKind) ml.Model {
 		model = &ml.DecisionTree{MaxDepth: 3, Seed: 1}
 	case RandomForest:
 		model = &ml.RandomForest{Trees: 3, MaxDepth: 3, Seed: 1}
-	case GradientBoost:
-		model = &ml.GradientBoost{Trees: 3, MaxDepth: 2, Seed: 1}
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
@@ -44,14 +43,16 @@ func tinyFitModel(t testing.TB, kind EstimatorKind) ml.Model {
 
 // allEstimatorKinds lists every model family Save/Load must round-trip.
 var allEstimatorKinds = []EstimatorKind{
-	LinearRegression, NeuralNetwork, DecisionTree, RandomForest, GradientBoost,
+	LinearRegression, NeuralNetwork, DecisionTree, RandomForest,
 }
 
 // FuzzEstimatorRoundTrip feeds arbitrary bytes to LoadEstimator (which
 // must never panic) and, for accepted inputs, requires Save→Load→Save to
 // be byte-stable. The seed corpus holds a saved estimator of each of the
-// five model families, so the mutator starts from every serialization
-// shape the format supports.
+// four model families, so the mutator starts from every serialization
+// shape the format supports — plus savedGboost and, in testdata, a file
+// the parent of the commit that removed gradient boosting wrote: a family
+// since removed must be turned away like any other unknown kind.
 func FuzzEstimatorRoundTrip(f *testing.F) {
 	for _, kind := range allEstimatorKinds {
 		e := &Estimator{model: tinyFitModel(f, kind), fs: ml.LinRegSet, kind: kind}
@@ -64,6 +65,7 @@ func FuzzEstimatorRoundTrip(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"kind":"linreg","featureSet":"nope","model":{}}`))
 	f.Add([]byte("not json at all"))
+	f.Add([]byte(savedGboost))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := LoadEstimator(bytes.NewReader(data))
@@ -91,7 +93,7 @@ func FuzzEstimatorRoundTrip(f *testing.F) {
 	})
 }
 
-// TestEstimatorRoundTripAllKinds pins the five-family Save/Load
+// TestEstimatorRoundTripAllKinds pins the four-family Save/Load
 // round-trip as a plain test, so it runs even when fuzzing is skipped.
 func TestEstimatorRoundTripAllKinds(t *testing.T) {
 	for _, kind := range allEstimatorKinds {
@@ -114,5 +116,19 @@ func TestEstimatorRoundTripAllKinds(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 			t.Errorf("%s: serialization not byte-stable", kind)
 		}
+	}
+}
+
+// savedGboost is an estimator file as SaveEstimator wrote it while
+// gradient boosting was a fifth family.
+const savedGboost = `{"kind":"gboost","featureSet":"LinReg9","model":{"kind":"gboost","boost":{"base":0.95,"lr":0.1,"stages":[{"nodes":[{"f":-1,"t":0,"l":0,"r":0,"v":0.02}],"p":10}]}}}`
+
+// TestLoadEstimatorRejectsRemovedKind: a file saved when gradient
+// boosting was a fifth family is an unknown kind to the loader, not a
+// panic and not a silently different model.
+func TestLoadEstimatorRejectsRemovedKind(t *testing.T) {
+	_, err := LoadEstimator(strings.NewReader(savedGboost))
+	if err == nil || !strings.Contains(err.Error(), `ml: unknown model kind "gboost"`) {
+		t.Fatalf("LoadEstimator of a gboost file: err = %v, want ml: unknown model kind \"gboost\"", err)
 	}
 }

@@ -5,11 +5,8 @@ import (
 	"io"
 
 	"macroflow/internal/ml"
-	"macroflow/internal/netlist"
-	"macroflow/internal/obs"
 	"macroflow/internal/pblock"
 	"macroflow/internal/place"
-	"macroflow/internal/synth"
 	"macroflow/internal/timing"
 )
 
@@ -37,27 +34,6 @@ type ModuleResult struct {
 	CarryChains int `json:"carryChains"`
 }
 
-// compile elaborates and optimizes a spec. sp, when non-nil, is the
-// trace span the synthesis and quick-place child spans nest under.
-func (f *Flow) compile(s *Spec, sp *obs.Span) (*netlist.Module, place.ShapeReport, error) {
-	esp := sp.Child("synth.elaborate")
-	m, err := synth.Elaborate(s.inner)
-	esp.End()
-	if err != nil {
-		return nil, place.ShapeReport{}, err
-	}
-	osp := sp.Child("synth.optimize")
-	_, err = synth.Optimize(m)
-	osp.End()
-	if err != nil {
-		return nil, place.ShapeReport{}, err
-	}
-	qsp := sp.Child("place.quick")
-	rep := place.QuickPlace(m)
-	qsp.End()
-	return m, rep, nil
-}
-
 func (f *Flow) moduleResult(name string, rep place.ShapeReport, sr pblock.SearchResult) ModuleResult {
 	r := ModuleResult{
 		Name:        name,
@@ -80,7 +56,7 @@ func (f *Flow) moduleResult(name string, rep place.ShapeReport, sr pblock.Search
 // Implement places and routes the module inside a PBlock built with a
 // fixed correction factor.
 func (f *Flow) Implement(s *Spec, cf float64) (ModuleResult, error) {
-	m, rep, err := f.compile(s, nil)
+	m, rep, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return ModuleResult{}, err
 	}
@@ -94,7 +70,7 @@ func (f *Flow) Implement(s *Spec, cf float64) (ModuleResult, error) {
 // MinCF sweeps the correction factor at the configured resolution and
 // returns the first (minimal) feasible implementation.
 func (f *Flow) MinCF(s *Spec) (ModuleResult, error) {
-	m, rep, err := f.compile(s, nil)
+	m, rep, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return ModuleResult{}, err
 	}
@@ -109,7 +85,7 @@ func (f *Flow) MinCF(s *Spec) (ModuleResult, error) {
 // the paper's §VIII procedure (coarse +0.1 steps up on underestimates,
 // then a fine 0.02 scan of the last interval).
 func (f *Flow) ImplementWithEstimator(s *Spec, e *Estimator) (ModuleResult, error) {
-	m, rep, err := f.compile(s, nil)
+	m, rep, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return ModuleResult{}, err
 	}
@@ -124,7 +100,7 @@ func (f *Flow) ImplementWithEstimator(s *Spec, e *Estimator) (ModuleResult, erro
 // Features returns the estimator features of a spec — useful for
 // inspecting what the models see.
 func (f *Flow) Features(s *Spec) (map[string]float64, error) {
-	_, rep, err := f.compile(s, nil)
+	_, rep, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +124,7 @@ func (r ModuleResult) String() string {
 // the line-oriented text format of the netlist package — useful for
 // inspecting what elaboration produced for a block.
 func (f *Flow) DumpNetlist(w io.Writer, s *Spec) error {
-	m, _, err := f.compile(s, nil)
+	m, _, err := pblock.FrontEnd(s.inner, nil)
 	if err != nil {
 		return err
 	}

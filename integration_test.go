@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"macroflow/internal/fabric"
+	"macroflow/internal/pblock"
 	"macroflow/internal/place"
 	"macroflow/internal/route"
 )
@@ -49,7 +50,7 @@ func TestFlowEndToEndInvariants(t *testing.T) {
 
 	// Stage 3: the placement behind the result passes the independent
 	// legality audit and the precise maze router agrees it routes.
-	m, rep, err := f.compile(spec, nil)
+	m, rep, err := pblock.FrontEnd(spec.inner, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 const (
 	traceUsage     = "write a Chrome trace_event JSON (or JSONL with a .jsonl extension) of the run to this file"
 	metricsUsage   = "print the per-phase span/metric summary to stderr at exit"
-	cacheUsage     = "persistent implementation cache directory (reused across runs)"
+	cacheUsage     = "persistent implementation cache directory: one record per block or label, shared by every run and tool pointed at it"
 	strategyUsage  = "min-CF search strategy: linear (paper sweep) or bisect (same CFs, O(log) runs)"
 	chainsUsage    = "parallel-tempering chains (0/1 = serial; results depend only on -seed and this value)"
 	backendUsage   = "stitcher backend: anneal, analytic, or hybrid (analytic seed + annealing)"

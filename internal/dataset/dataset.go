@@ -13,13 +13,12 @@ import (
 	"sync"
 
 	"macroflow/internal/fabric"
+	"macroflow/internal/implcache"
 	"macroflow/internal/ml"
 	"macroflow/internal/netlist"
 	"macroflow/internal/obs"
 	"macroflow/internal/pblock"
-	"macroflow/internal/place"
 	"macroflow/internal/rtlgen"
-	"macroflow/internal/synth"
 )
 
 // Sample is one labeled module: its estimator features and the measured
@@ -47,6 +46,12 @@ type Config struct {
 	Flow pblock.Config
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
+	// Cache, when non-nil, is the persistent implementation cache labels
+	// are read through: a module a previous run labelled — or a compile
+	// implemented under the min-sweep policy on the same window and
+	// configuration — is served from its record, and fresh labels are
+	// stored.
+	Cache *implcache.Cache
 }
 
 // DefaultConfig returns the paper's dataset parameters.
@@ -144,25 +149,15 @@ func Generate(cfg Config) ([]Sample, error) {
 	return out, nil
 }
 
-// label elaborates, optimizes and measures one spec. ok=false marks a
-// module filtered out because no CF in range is feasible.
+// label runs one spec through the block path — front end, then the
+// min-sweep search behind the cache's read-through — and extracts its
+// sample. ok=false marks a module filtered out because no CF in range is
+// feasible.
 func label(cfg Config, spec rtlgen.Spec) (Sample, bool, error) {
-	sp := cfg.Search.Span
-	esp := sp.Child("synth.elaborate")
-	m, err := synth.Elaborate(spec)
-	esp.End()
+	m, rep, err := pblock.FrontEnd(spec, cfg.Search.Span)
 	if err != nil {
 		return Sample{}, false, err
 	}
-	osp := sp.Child("synth.optimize")
-	_, err = synth.Optimize(m)
-	osp.End()
-	if err != nil {
-		return Sample{}, false, err
-	}
-	qsp := sp.Child("place.quick")
-	rep := place.QuickPlace(m)
-	qsp.End()
 	// Tiny modules are excluded, as in §VIII: "we removed the modules
 	// that had one or two tiles from the evaluation, as their PBlock is
 	// straightforward and they do not require an estimator". Their CF is
@@ -170,7 +165,13 @@ func label(cfg Config, spec rtlgen.Spec) (Sample, bool, error) {
 	if rep.EstSlices < 6 {
 		return Sample{}, false, nil
 	}
-	res, err := pblock.MinCF(cfg.Device, m, rep, cfg.Search, cfg.Flow)
+	key := ""
+	if cfg.Cache != nil {
+		key = pblock.SweepKey(cfg.Device, m, cfg.Search, cfg.Flow)
+	}
+	res, _, err := pblock.ReadThrough(cfg.Cache, key, cfg.Device, m, rep, cfg.Search, cfg.Flow, func() (pblock.SearchResult, error) {
+		return pblock.MinCF(cfg.Device, m, rep, cfg.Search, cfg.Flow)
+	})
 	if err != nil {
 		return Sample{}, false, nil // unlabelable: filter, not fail
 	}

@@ -95,9 +95,6 @@ func Open(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns this process's hit/miss/store/negative counters (zero
 // at every Open). For counters that survive reopens and processes, see
 // LifetimeStats.

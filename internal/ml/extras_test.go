@@ -127,36 +127,3 @@ func TestNeuralNetDropoutTrains(t *testing.T) {
 		t.Error("dropout must be seed-deterministic")
 	}
 }
-
-func TestGradientBoostBeatsSingleTree(t *testing.T) {
-	Xtr, ytr := makeNonlinearNoisy(400, 41, 0.1)
-	Xte, yte := makeNonlinear(100, 42)
-	dt := &DecisionTree{MaxDepth: 4}
-	if err := dt.Fit(Xtr, ytr); err != nil {
-		t.Fatal(err)
-	}
-	gb := &GradientBoost{Trees: 200, MaxDepth: 4}
-	if err := gb.Fit(Xtr, ytr); err != nil {
-		t.Fatal(err)
-	}
-	dtErr := MeanRelError(PredictAll(dt, Xte), yte)
-	gbErr := MeanRelError(PredictAll(gb, Xte), yte)
-	if gbErr >= dtErr {
-		t.Errorf("boosting (%.4f) must beat one shallow tree (%.4f)", gbErr, dtErr)
-	}
-	imp := gb.FeatureImportance()
-	sum := 0.0
-	for _, v := range imp {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importance sums to %f", sum)
-	}
-}
-
-func TestGradientBoostRejectsEmpty(t *testing.T) {
-	gb := &GradientBoost{}
-	if err := gb.Fit(nil, nil); err == nil {
-		t.Error("empty data must fail")
-	}
-}

@@ -27,16 +27,6 @@ func SaveModel(w io.Writer, m Model) error {
 		for i, tr := range t.forest {
 			env.Forest.Trees[i] = tr.dto()
 		}
-	case *GradientBoost:
-		env.Kind = "gboost"
-		env.Boost = &boostDTO{
-			Base:         t.base,
-			LearningRate: t.LearningRate,
-			Stages:       make([]*treeDTO, len(t.stages)),
-		}
-		for i, tr := range t.stages {
-			env.Boost.Stages[i] = tr.dto()
-		}
 	default:
 		return fmt.Errorf("ml: cannot serialize %T", m)
 	}
@@ -76,16 +66,6 @@ func LoadModel(r io.Reader) (Model, error) {
 			rf.forest = append(rf.forest, td.model())
 		}
 		return rf, nil
-	case "gboost":
-		if env.Boost == nil {
-			return nil, fmt.Errorf("ml: missing gboost payload")
-		}
-		gb := &GradientBoost{base: env.Boost.Base, LearningRate: env.Boost.LearningRate}
-		gb.Trees = len(env.Boost.Stages)
-		for _, td := range env.Boost.Stages {
-			gb.stages = append(gb.stages, td.model())
-		}
-		return gb, nil
 	}
 	return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
 }
@@ -96,7 +76,6 @@ type envelope struct {
 	NN     *nnDTO            `json:"nn,omitempty"`
 	Tree   *treeDTO          `json:"tree,omitempty"`
 	Forest *forestDTO        `json:"forest,omitempty"`
-	Boost  *boostDTO         `json:"boost,omitempty"`
 }
 
 type nnDTO struct {
@@ -165,12 +144,4 @@ func (d *treeDTO) model() *DecisionTree {
 type forestDTO struct {
 	Trees      []*treeDTO `json:"trees"`
 	Importance []float64  `json:"importance,omitempty"`
-}
-
-// boostDTO serializes a GradientBoost: the constant base prediction,
-// the shrinkage every stage is applied with, and the stage trees.
-type boostDTO struct {
-	Base         float64    `json:"base"`
-	LearningRate float64    `json:"lr"`
-	Stages       []*treeDTO `json:"stages"`
 }

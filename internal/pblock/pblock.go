@@ -18,11 +18,12 @@ import (
 	"sync"
 
 	"macroflow/internal/fabric"
-	"macroflow/internal/implcache"
 	"macroflow/internal/netlist"
 	"macroflow/internal/obs"
 	"macroflow/internal/place"
 	"macroflow/internal/route"
+	"macroflow/internal/rtlgen"
+	"macroflow/internal/synth"
 )
 
 // PBlock is a sized area constraint for one module.
@@ -64,6 +65,29 @@ func DefaultConfig() Config {
 // ErrNoFit is returned when no PBlock on the device can satisfy the
 // module's resource demand at the requested correction factor.
 var ErrNoFit = errors.New("pblock: module does not fit on device")
+
+// FrontEnd is the first layer of every block's path: it elaborates and
+// optimizes the spec and quick-places the module, returning what Build
+// and the searches size and probe. sp, when non-nil, is the span the
+// synth.elaborate, synth.optimize and place.quick children nest under.
+func FrontEnd(spec rtlgen.Spec, sp *obs.Span) (*netlist.Module, place.ShapeReport, error) {
+	esp := sp.Child("synth.elaborate")
+	m, err := synth.Elaborate(spec)
+	esp.End()
+	if err != nil {
+		return nil, place.ShapeReport{}, err
+	}
+	osp := sp.Child("synth.optimize")
+	_, err = synth.Optimize(m)
+	osp.End()
+	if err != nil {
+		return nil, place.ShapeReport{}, err
+	}
+	qsp := sp.Child("place.quick")
+	rep := place.QuickPlace(m)
+	qsp.End()
+	return m, rep, nil
+}
 
 // Build sizes a PBlock for the module described by rep at correction
 // factor cf, anchored at the canonical origin.
@@ -280,15 +304,9 @@ type SearchConfig struct {
 	// searches inside their own worker pools should divide the outer
 	// pool by Workers to keep total goroutines bounded.
 	Workers int
-	// Cache, when non-nil, short-circuits whole searches with verdicts
-	// persisted by previous process runs and stores new verdicts. Cache
-	// hits report ToolRuns == 0. Keys are content-addressed over the
-	// device, module content, search window and oracle configuration, so
-	// stale entries are unreachable rather than invalidated.
-	Cache *implcache.Cache
 	// Obs, when non-nil, records search spans (search.mincf,
 	// oracle.probe with per-probe place/route children) and counters
-	// (mincf.oracle_runs, implcache.hit/miss/...). Nil disables all
+	// (mincf.oracle_runs, mincf.probes_per_block). Nil disables all
 	// recording at no cost. Obs and Span are excluded from
 	// SearchFingerprint: observability never changes verdicts.
 	Obs *obs.Recorder
@@ -331,19 +349,12 @@ type SearchResult struct {
 // MinCF finds the minimal feasible correction factor on the search grid.
 // The default linear strategy sweeps from s.Start in s.Step increments
 // until the first feasible implementation — the paper's ground-truth
-// procedure; StrategyBisect returns the same CF with O(log) probes. A
-// non-nil s.Cache is consulted first and updated after fresh searches.
+// procedure; StrategyBisect returns the same CF with O(log) probes.
 func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
 	sp := obs.StartChild(s.Obs, s.Span, "search.mincf",
 		obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
 	s.Span = sp
-	var res SearchResult
-	var err error
-	if s.Cache != nil {
-		res, err = cachedMinCF(dev, m, rep, s, cfg)
-	} else {
-		res, err = searchMinCF(dev, m, rep, s, cfg)
-	}
+	res, err := searchMinCF(dev, m, rep, s, cfg)
 	sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
 	sp.End()
 	recordProbes(s.Obs, res.ToolRuns)
@@ -353,8 +364,9 @@ func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s Searc
 // recordProbes feeds the per-block probe count into the
 // mincf.probes_per_block histogram — the solver-health series a live
 // service watches to spot searches degrading (estimator drift, cache
-// misses, pathological modules). Cache-served searches (0 runs) are
-// excluded: the histogram measures search effort, not cache luck.
+// misses, pathological modules). A search that could not probe at all
+// (an empty window) adds no sample, and neither does a block the cache
+// served: ReadThrough never calls the search then.
 func recordProbes(rec *obs.Recorder, runs int) {
 	if runs > 0 {
 		rec.Observe("mincf.probes_per_block", float64(runs))
@@ -368,7 +380,7 @@ func (st Strategy) name() string {
 	return "linear"
 }
 
-// searchMinCF dispatches to the configured strategy, bypassing the cache.
+// searchMinCF dispatches to the configured strategy.
 func searchMinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
 	if s.Strategy == StrategyBisect {
 		return minCFBisect(dev, m, rep, s, cfg)

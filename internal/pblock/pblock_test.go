@@ -9,19 +9,15 @@ import (
 	"macroflow/internal/netlist"
 	"macroflow/internal/place"
 	"macroflow/internal/rtlgen"
-	"macroflow/internal/synth"
 )
 
 func module(t *testing.T, spec rtlgen.Spec) (*netlist.Module, place.ShapeReport) {
 	t.Helper()
-	m, err := synth.Elaborate(spec)
+	m, rep, err := FrontEnd(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := synth.Optimize(m); err != nil {
-		t.Fatal(err)
-	}
-	return m, place.QuickPlace(m)
+	return m, rep
 }
 
 func TestBuildCoversDemand(t *testing.T) {

@@ -249,70 +249,97 @@ func (r ImplRecord) Rebuild(dev *fabric.Device, m *netlist.Module, rep place.Sha
 	}, nil, true
 }
 
-// cachedMinCF wraps searchMinCF with the persistent cache: a hit
-// short-circuits the whole search (and reports ToolRuns == 0, since no
-// place-and-route ran in this process); a miss runs the configured
-// strategy and stores the outcome for future processes.
-func cachedMinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	key := searchCacheKey(dev, m, s, cfg)
+// CacheOutcome says how ReadThrough came by its result.
+type CacheOutcome int
+
+const (
+	// CacheMiss: the search ran and nothing was written (no cache, an
+	// outcome with no record form, or a failed store).
+	CacheMiss CacheOutcome = iota
+	// CacheStored: no record was found; the search ran and its record
+	// was written.
+	CacheStored
+	// CacheStale: a record was found but no longer audits clean against
+	// the module; the search ran and its record replaced the stale one.
+	CacheStale
+	// CacheWarm: a record rebuilt the implementation; no search ran.
+	CacheWarm
+	// CacheNegative: a record replayed an infeasibility verdict (the
+	// returned error); no search ran.
+	CacheNegative
+)
+
+// Served reports whether the cache answered: no place-and-route ran in
+// this call.
+func (o CacheOutcome) Served() bool { return o == CacheWarm || o == CacheNegative }
+
+// Stored reports whether the call wrote a record.
+func (o CacheOutcome) Stored() bool { return o == CacheStored || o == CacheStale }
+
+// ReadThrough is the persistent layer of the block path: the record
+// stored under key is rebuilt and returned (a feasible record through
+// Rebuild's Verify-audited warm start, a negative one as its error);
+// with no usable record, search runs and its outcome is stored for
+// future processes. A served result is the original search's, ToolRuns
+// included — a caller reporting the runs of this process reads
+// Served. A nil cache is a plain search. s lends its Obs and Span:
+// the rebuild records a cache.rebuild span, and the blockcache.disk_hit /
+// .negative / .stale / .store counters move with the outcome.
+func ReadThrough(c *implcache.Cache, key string, dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config, search func() (SearchResult, error)) (SearchResult, CacheOutcome, error) {
+	if c == nil {
+		res, err := search()
+		return res, CacheMiss, err
+	}
+	outcome := CacheStored
 	var rec ImplRecord
-	if s.Cache.Get(key, &rec) {
+	if c.Get(key, &rec) {
 		rsp := obs.StartChild(s.Obs, s.Span, "cache.rebuild")
 		res, err, ok := rec.Rebuild(dev, m, rep, s, cfg)
-		rsp.Set(obs.String("verdict", rebuildVerdict(err, ok)))
-		rsp.End()
-		if ok {
-			s.Obs.Add("implcache.hit", 1)
-			if err != nil {
-				s.Obs.Add("implcache.negative", 1)
-				s.Cache.NoteNegative()
-			} else {
-				s.Obs.Add("place.warm_rebuilds", 1)
-			}
-			res.ToolRuns = 0
-			return res, err
+		verdict := func(v string) {
+			rsp.Set(obs.String("verdict", v))
+			rsp.End()
 		}
-		// A record that no longer audits clean re-runs the search.
-		s.Obs.Add("implcache.rebuild_fallback", 1)
-	} else {
-		s.Obs.Add("implcache.miss", 1)
-	}
-	res, err := searchMinCF(dev, m, rep, s, cfg)
-	if rec, ok := RecordSearch(res, err); ok {
-		// Best effort: a failed store degrades to a future miss.
-		if s.Cache.Put(key, rec) == nil {
-			s.Obs.Add("implcache.store", 1)
+		switch {
+		case !ok:
+			verdict("stale")
+			s.Obs.Add("blockcache.stale", 1)
+			outcome = CacheStale
+		case err != nil:
+			verdict("negative")
+			s.Obs.Add("blockcache.negative", 1)
+			c.NoteNegative()
+			return SearchResult{}, CacheNegative, err
+		default:
+			verdict("warm")
+			s.Obs.Add("blockcache.disk_hit", 1)
+			return res, CacheWarm, nil
 		}
 	}
-	return res, err
-}
-
-func rebuildVerdict(err error, ok bool) string {
-	switch {
-	case !ok:
-		return "stale"
-	case err != nil:
-		return "negative"
-	default:
-		return "warm"
+	res, err := search()
+	// Best effort: a failed store degrades to a future miss.
+	if rec, ok := RecordSearch(res, err); !ok || c.Put(key, rec) != nil {
+		return res, CacheMiss, err
 	}
+	s.Obs.Add("blockcache.store", 1)
+	return res, outcome, err
 }
 
-// searchCacheKey addresses a search outcome by everything that can
-// change it: device, module content, search window and oracle
-// configuration.
-func searchCacheKey(dev *fabric.Device, m *netlist.Module, s SearchConfig, cfg Config) string {
-	return implcache.Key(
-		"mincf",
-		dev.Name,
-		implcache.ModuleHash(m),
-		SearchFingerprint(s),
-		ConfigFingerprint(cfg),
-	)
+// BlockKey addresses a block's implementation record by everything that
+// can change it: device, optimized module content (implcache.ModuleHash),
+// the CF policy's fingerprint, the search window (SearchFingerprint) and
+// the oracle configuration (ConfigFingerprint).
+func BlockKey(device, moduleHash, modeFP, searchFP, configFP string) string {
+	return implcache.Key("block", device, moduleHash, modeFP, searchFP, configFP)
+}
+
+// SweepKey is the BlockKey of a module's minimal-CF sweep — the record a
+// label and a block compiled under the min-sweep policy share.
+func SweepKey(dev *fabric.Device, m *netlist.Module, s SearchConfig, cfg Config) string {
+	return BlockKey(dev.Name, implcache.ModuleHash(m), "minsweep", SearchFingerprint(s), ConfigFingerprint(cfg))
 }
 
 // SearchFingerprint serializes the verdict-relevant part of a search
-// window. Strategy, Workers and Cache are deliberately excluded: both
+// window. Strategy and Workers are deliberately excluded: both
 // strategies return the same CF on the same window, so their verdicts
 // are interchangeable across processes and configurations.
 func SearchFingerprint(s SearchConfig) string {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"macroflow/internal/fabric"
-	"macroflow/internal/implcache"
 	"macroflow/internal/pblock"
 )
 
@@ -80,8 +79,8 @@ func (f *Flow) Device() DeviceInfo {
 }
 
 // SetSearch overrides the CF search window (start, step, max). The paper
-// uses start 0.9 at step 0.02. The search strategy, probe parallelism and
-// implementation cache configured on the flow are preserved.
+// uses start 0.9 at step 0.02. The search strategy and probe parallelism
+// configured on the flow are preserved.
 func (f *Flow) SetSearch(start, step, max float64) {
 	f.search.Start = start
 	f.search.Step = step
@@ -117,30 +116,4 @@ func (f *Flow) SetSearchStrategy(s SearchStrategy) {
 // pools divide those pools by n to keep total parallelism bounded.
 func (f *Flow) SetProbeWorkers(n int) {
 	f.search.Workers = n
-}
-
-// UseImplCache attaches a persistent minimal-CF search cache rooted at
-// dir. Searches whose outcome a previous process already computed are
-// served from disk (reporting zero tool runs) with their placements
-// rebuilt and re-verified; fresh outcomes are stored for future
-// processes. The cache is content-addressed, so changing the device,
-// module, search window or oracle configuration can never serve a stale
-// record.
-func (f *Flow) UseImplCache(dir string) error {
-	c, err := implcache.Open(dir)
-	if err != nil {
-		return err
-	}
-	f.search.Cache = c
-	return nil
-}
-
-// ImplCacheStats reports the hit/miss/store counters of the cache
-// attached with UseImplCache (zero value when none is attached).
-func (f *Flow) ImplCacheStats() (hits, misses, stores uint64) {
-	if f.search.Cache == nil {
-		return 0, 0, 0
-	}
-	s := f.search.Cache.Stats()
-	return s.Hits, s.Misses, s.Stores
 }

@@ -386,16 +386,3 @@ func TestDesignValidation(t *testing.T) {
 		t.Error("empty design must fail")
 	}
 }
-
-func TestTrainEstimatorGradientBoost(t *testing.T) {
-	f, est, rep := trainQuick(t, GradientBoost, FeaturesAll)
-	if rep.MeanRelError <= 0 || rep.MeanRelError > 0.5 {
-		t.Errorf("implausible error %.3f", rep.MeanRelError)
-	}
-	if rep.Importance == nil {
-		t.Error("boosted trees must report importance")
-	}
-	if _, err := f.PredictSpec(est, testSpec("gb_probe")); err != nil {
-		t.Fatal(err)
-	}
-}

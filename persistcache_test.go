@@ -1,13 +1,16 @@
 package macroflow
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"macroflow/internal/cnv"
+	"macroflow/internal/dataset"
 	"macroflow/internal/implcache"
 	"macroflow/internal/oracle"
 	"macroflow/internal/place"
+	"macroflow/internal/rtlgen"
 )
 
 // TestPersistentBlockCacheCrossProcess exercises the persistent layer
@@ -239,5 +242,99 @@ func TestDamagedCacheRecordIsMiss(t *testing.T) {
 				t.Errorf("%s %s: after repair %+v with %d tool runs, want every block from disk", name, path, res.Cache, res.ToolRuns)
 			}
 		}
+	}
+}
+
+// TestLabelAndBlockShareRecord: a module labelled by dataset.Generate and
+// the same module compiled under MinSweepCF (same window, same oracle
+// configuration) are one record under one key, so whichever runs first
+// serves the other — a labelled corpus compiles with zero tool runs, and
+// a compiled design labels with zero oracle runs.
+func TestLabelAndBlockShareRecord(t *testing.T) {
+	cfg := dataset.DefaultConfig()
+	cfg.Modules, cfg.Seed = 12, 5
+	want, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := make(map[string]float64, len(want))
+	for _, s := range want {
+		labelled[s.Name] = s.CF
+	}
+	// The specs Generate labelled, as a design.
+	design := func() *Design {
+		d := NewDesign()
+		for _, spec := range rtlgen.GenerateMix(rand.New(rand.NewSource(cfg.Seed)), cfg.Modules) {
+			if _, ok := labelled[spec.Name]; ok {
+				d.AddBlockType(&Spec{inner: spec})
+			}
+		}
+		return d
+	}
+	n := design().NumTypes()
+	if n < 6 || n != len(want) {
+		t.Fatalf("%d of %d generated modules labelled into %d block types: pick a seed with more, uniquely named", len(want), cfg.Modules, n)
+	}
+	compile := func(dir string) *CompileResult {
+		t.Helper()
+		flow, err := NewFlow("xc7z020")
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow.SetSearch(cfg.Search.Start, cfg.Search.Step, cfg.Search.Max)
+		cache, err := NewPersistentBlockCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := flow.Compile(design(), MinSweepCF(), CompileOptions{SkipStitch: true, Implement: ImplementOptions{Cache: cache}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	generate := func(dir string) ([]dataset.Sample, *Recorder) {
+		t.Helper()
+		c := cfg
+		c.Cache, err = implcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Search.Obs = NewRecorder()
+		got, err := dataset.Generate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, c.Search.Obs
+	}
+
+	// Labels first: the compile is served from the labels' records.
+	dir := t.TempDir()
+	if got, _ := generate(dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("labelling through a cache changed the samples")
+	}
+	res := compile(dir)
+	if res.Cache.DiskHits != n || res.ToolRuns != 0 {
+		t.Errorf("compile after labelling: %+v, %d tool runs; want %d disk hits and 0 runs", res.Cache, res.ToolRuns, n)
+	}
+	for _, b := range res.Blocks {
+		if b.CF != labelled[b.Name] {
+			t.Errorf("block %s compiled at CF %.2f, labelled %.2f", b.Name, b.CF, labelled[b.Name])
+		}
+	}
+
+	// Compile first: the labels are served from the blocks' records.
+	dir = t.TempDir()
+	if res := compile(dir); res.Cache.Stores != n {
+		t.Fatalf("cold compile stored %d records, want %d", res.Cache.Stores, n)
+	}
+	got, rec := generate(dir)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("labels served from compiled blocks differ from searched labels")
+	}
+	if runs := rec.CounterValue("mincf.oracle_runs"); runs != 0 {
+		t.Errorf("labelling after the compile ran the oracle %d times, want 0", runs)
+	}
+	if hits := rec.CounterValue("blockcache.disk_hit"); hits != int64(n) {
+		t.Errorf("labelling after the compile: %d disk hits, want %d", hits, n)
 	}
 }

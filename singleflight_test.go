@@ -7,6 +7,7 @@ import (
 
 	"macroflow/internal/implcache"
 	"macroflow/internal/netlist"
+	"macroflow/internal/pblock"
 )
 
 // sfDesign builds a fresh one-block design (each concurrent caller gets
@@ -26,7 +27,7 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
 	spec := NewSpec("sf_logic").Logic(96, 4, 2)
-	m, rep, err := f.compile(spec, nil)
+	m, rep, err := pblock.FrontEnd(spec.inner, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

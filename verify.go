@@ -108,10 +108,10 @@ func (f *Flow) verifyBlocks(level CheckLevel, mode CFMode, search pblock.SearchC
 	sp := obs.StartChild(rec, parent, "oracle.check",
 		obs.String("phase", "implement"), obs.String("level", level.String()))
 	beforeChecks, beforeViol := vr.Checks, len(vr.Violations)
-	// The oracle must not trust — or perturb — the audited run's caches
-	// and traces: probes run cold and unrecorded.
+	// The oracle must not perturb the audited run's traces: probes run
+	// unrecorded (and cold — a search holds no cache).
 	s := search
-	s.Obs, s.Span, s.Cache = nil, nil, nil
+	s.Obs, s.Span = nil, nil
 	for ti := range impls {
 		if impls[ti] == nil || impls[ti].Placement == nil || !level.sampleBlock(ti) {
 			continue
