@@ -196,25 +196,15 @@ type SearchWindow struct {
 
 // StitchParams mirrors macroflow.StitchOptions (recorder, progress
 // callback and check level travel as wire-friendly spellings). The
-// per-backend sub-objects (anneal/analytic) are the library's
-// sub-structs and were added within v1; the flat
-// iterations/chains/gdIterations fields predate them and have no
-// library counterpart any more: Options folds each into
-// anneal.iterations / anneal.chains / analytic.gdIterations when that
-// field is unset, so old clients keep working, and rejects a request
-// that sets a flat field and its sub-object field to different values
-// (invalid_options, naming both JSON fields).
+// per-backend budgets live in the anneal/analytic sub-objects, which are
+// the library's own sub-structs.
 type StitchParams struct {
-	Seed         int64           `json:"seed,omitempty"`
-	Iterations   int             `json:"iterations,omitempty"`
-	Chains       int             `json:"chains,omitempty"`
-	AdaptiveStop bool            `json:"adaptiveStop,omitempty"`
-	TraceEvery   int             `json:"traceEvery,omitempty"`
-	Backend      string          `json:"backend,omitempty"`      // anneal (default), analytic, hybrid
-	GDIterations int             `json:"gdIterations,omitempty"` // analytic/hybrid gradient-descent budget
-	Check        string          `json:"check,omitempty"`        // off (default), sampled, full
-	Anneal       *AnnealParams   `json:"anneal,omitempty"`
-	Analytic     *AnalyticParams `json:"analytic,omitempty"`
+	Seed       int64           `json:"seed,omitempty"`
+	TraceEvery int             `json:"traceEvery,omitempty"`
+	Backend    string          `json:"backend,omitempty"` // anneal (default), analytic, hybrid
+	Check      string          `json:"check,omitempty"`   // off (default), sampled, full
+	Anneal     *AnnealParams   `json:"anneal,omitempty"`
+	Analytic   *AnalyticParams `json:"analytic,omitempty"`
 }
 
 // AnnealParams is macroflow.AnnealOptions.
@@ -232,10 +222,9 @@ type PartitionParams struct {
 
 // ImplementParams mirrors macroflow.ImplementOptions.
 type ImplementParams struct {
-	Workers      int    `json:"workers,omitempty"`
-	Strategy     string `json:"strategy,omitempty"` // default, linear, bisect
-	ProbeWorkers int    `json:"probeWorkers,omitempty"`
-	Check        string `json:"check,omitempty"` // off (default), sampled, full
+	Workers  int    `json:"workers,omitempty"`
+	Strategy string `json:"strategy,omitempty"` // default, linear, bisect
+	Check    string `json:"check,omitempty"`    // off (default), sampled, full
 }
 
 // JobStatus is one job's public state.

@@ -32,11 +32,10 @@ func fullRequest() *CompileRequest {
 		},
 		Mode:   ModeSpec{Kind: "constant", CF: 1.5},
 		Search: &SearchWindow{Start: 0.9, Step: 0.02, Max: 2.5},
-		Stitch: StitchParams{Seed: 7, Iterations: 9000, Chains: 2, AdaptiveStop: true,
-			TraceEvery: 128, Backend: "hybrid", GDIterations: 64, Check: "sampled",
-			Anneal:   &AnnealParams{Chains: 2, Iterations: 9000, TempLadder: 2.5},
+		Stitch: StitchParams{Seed: 7, TraceEvery: 128, Backend: "hybrid", Check: "sampled",
+			Anneal:   &AnnealParams{Chains: 2, Iterations: 9000},
 			Analytic: &AnalyticParams{GDIterations: 64}},
-		Implement: ImplementParams{Workers: 2, Strategy: "bisect", ProbeWorkers: 2, Check: "off"},
+		Implement: ImplementParams{Workers: 2, Strategy: "bisect", Check: "off"},
 		Priority:  3,
 	}
 }
@@ -117,6 +116,13 @@ func TestRequestValidate(t *testing.T) {
 		{"bad-mode", func(r *CompileRequest) { r.Mode.Kind = "oracle" }, false},
 		{"constant-without-cf", func(r *CompileRequest) { r.Mode = ModeSpec{Kind: "constant"} }, false},
 		{"bad-search-window", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 2, Step: 0.02, Max: 1} }, false},
+		// A step off the 0.02 CF grid re-probes every grid CF: 1e-9 would
+		// pin a daemon worker for ~2e9 probes.
+		{"off-grid-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 0.001, Max: 3} }, false},
+		{"zero-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Max: 3} }, false},
+		{"tiny-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 1e-9, Max: 3} }, false},
+		{"between-grid-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 0.03, Max: 3} }, false},
+		{"coarse-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 0.1, Max: 3} }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,56 +150,12 @@ func TestParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := macroflow.StitchOptions{Seed: 7, AdaptiveStop: true,
+	want := macroflow.StitchOptions{Seed: 7,
 		TraceEvery: 128, Backend: "hybrid", Check: macroflow.CheckSampled,
-		Anneal:   macroflow.AnnealOptions{Chains: 2, Iterations: 9000, TempLadder: 2.5},
+		Anneal:   macroflow.AnnealOptions{Chains: 2, Iterations: 9000},
 		Analytic: macroflow.AnalyticOptions{GDIterations: 64}}
 	if !reflect.DeepEqual(so, want) {
 		t.Errorf("StitchParams.Options() = %+v, want %+v", so, want)
-	}
-	// The flat wire aliases are folded into the sub-objects: flat-only
-	// equals sub-object-only, field by field, and a flat field fills in
-	// around a sub-object that leaves its counterpart unset.
-	for _, tc := range []struct {
-		name      string
-		flat, sub StitchParams
-	}{
-		{"iterations", StitchParams{Iterations: 500}, StitchParams{Anneal: &AnnealParams{Iterations: 500}}},
-		{"chains", StitchParams{Chains: 3}, StitchParams{Anneal: &AnnealParams{Chains: 3}}},
-		{"gdIterations", StitchParams{GDIterations: 32}, StitchParams{Analytic: &AnalyticParams{GDIterations: 32}}},
-		{"mixed", StitchParams{Iterations: 500, Anneal: &AnnealParams{Chains: 3, TempLadder: 2}},
-			StitchParams{Anneal: &AnnealParams{Iterations: 500, Chains: 3, TempLadder: 2}}},
-	} {
-		flat, err := tc.flat.Options()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		sub, err := tc.sub.Options()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(flat, sub) {
-			t.Errorf("%s: flat spelling = %+v, sub-object spelling = %+v", tc.name, flat, sub)
-		}
-	}
-	// Both set and different is a typed error naming both JSON fields.
-	for _, tc := range []struct {
-		p         StitchParams
-		flat, sub string
-	}{
-		{StitchParams{Iterations: 400, Anneal: &AnnealParams{Iterations: 500}}, "stitch.iterations", "stitch.anneal.iterations"},
-		{StitchParams{Chains: 2, Anneal: &AnnealParams{Chains: 4}}, "stitch.chains", "stitch.anneal.chains"},
-		{StitchParams{GDIterations: 16, Analytic: &AnalyticParams{GDIterations: 32}}, "stitch.gdIterations", "stitch.analytic.gdIterations"},
-	} {
-		_, err := tc.p.Options()
-		var ae *Error
-		if !errors.As(err, &ae) || ae.Code != ErrInvalidOptions {
-			t.Errorf("%s conflict: err = %v, want %s", tc.flat, err, ErrInvalidOptions)
-			continue
-		}
-		if !strings.Contains(ae.Message, tc.flat+" ") || !strings.Contains(ae.Message, tc.sub+" ") {
-			t.Errorf("conflict message %q does not name %s and %s", ae.Message, tc.flat, tc.sub)
-		}
 	}
 	if err := so.Validate(); err != nil {
 		t.Errorf("converted options failed the library's Validate: %v", err)
@@ -206,7 +168,7 @@ func TestParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Workers != 2 || im.Strategy != macroflow.SearchForceBisect || im.ProbeWorkers != 2 {
+	if im.Workers != 2 || im.Strategy != macroflow.SearchForceBisect {
 		t.Errorf("ImplementParams.Options() = %+v", im)
 	}
 	for spelling, want := range map[string]macroflow.SearchChoice{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"macroflow"
+	"macroflow/internal/pblock"
 )
 
 // BuiltinCNVW1A1 is the one builtin design spelling DesignSpec.Builtin
@@ -36,9 +37,14 @@ func (r *CompileRequest) Validate() error {
 		return &Error{Code: ErrInvalidOptions,
 			Message: fmt.Sprintf("constant mode needs cf > 0 (got %g)", r.Mode.CF)}
 	}
-	if s := r.Search; s != nil && (s.Start <= 0 || s.Step <= 0 || s.Max < s.Start) {
-		return &Error{Code: ErrInvalidOptions,
-			Message: fmt.Sprintf("bad search window start=%g step=%g max=%g", s.Start, s.Step, s.Max)}
+	if s := r.Search; s != nil {
+		if s.Start <= 0 || s.Max < s.Start {
+			return &Error{Code: ErrInvalidOptions,
+				Message: fmt.Sprintf("bad search window start=%g step=%g max=%g", s.Start, s.Step, s.Max)}
+		}
+		if err := (pblock.SearchConfig{Start: s.Start, Step: s.Step, Max: s.Max}).Validate(); err != nil {
+			return &Error{Code: ErrInvalidOptions, Message: err.Error()}
+		}
 	}
 	return nil
 }
@@ -155,49 +161,24 @@ func (d *DesignSpec) InstanceCounts() []int {
 }
 
 // Options converts the wire params into macroflow.StitchOptions. The
-// flat iterations/chains/gdIterations fields are folded into the
-// sub-objects here, once: a flat field fills its sub-object field when
-// that is zero, and both set to different values is an invalid_options
-// error naming the two JSON fields. The caller attaches recorder and
-// progress callback; semantic validation is the flow's
-// StitchOptions.Validate.
+// caller attaches recorder and progress callback; semantic validation is
+// the flow's StitchOptions.Validate.
 func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
 	if err != nil {
 		return macroflow.StitchOptions{}, &Error{Code: ErrInvalidOptions, Message: err.Error()}
 	}
 	o := macroflow.StitchOptions{
-		Seed:         p.Seed,
-		AdaptiveStop: p.AdaptiveStop,
-		TraceEvery:   p.TraceEvery,
-		Backend:      p.Backend,
-		Check:        check,
+		Seed:       p.Seed,
+		TraceEvery: p.TraceEvery,
+		Backend:    p.Backend,
+		Check:      check,
 	}
 	if p.Anneal != nil {
 		o.Anneal = *p.Anneal
 	}
 	if p.Analytic != nil {
 		o.Analytic = *p.Analytic
-	}
-	for _, alias := range []struct {
-		flat      int
-		sub       *int
-		flatField string
-		subField  string
-	}{
-		{p.Iterations, &o.Anneal.Iterations, "stitch.iterations", "stitch.anneal.iterations"},
-		{p.Chains, &o.Anneal.Chains, "stitch.chains", "stitch.anneal.chains"},
-		{p.GDIterations, &o.Analytic.GDIterations, "stitch.gdIterations", "stitch.analytic.gdIterations"},
-	} {
-		switch {
-		case alias.flat == 0 || alias.flat == *alias.sub:
-		case *alias.sub == 0:
-			*alias.sub = alias.flat
-		default:
-			return macroflow.StitchOptions{}, &Error{Code: ErrInvalidOptions,
-				Message: fmt.Sprintf("%s (%d) conflicts with %s (%d); set only one",
-					alias.flatField, alias.flat, alias.subField, *alias.sub)}
-		}
 	}
 	return o, nil
 }
@@ -237,10 +218,9 @@ func (p ImplementParams) Options() (macroflow.ImplementOptions, error) {
 			Message: fmt.Sprintf("unknown search strategy %q (default, linear, bisect)", p.Strategy)}
 	}
 	return macroflow.ImplementOptions{
-		Workers:      p.Workers,
-		Strategy:     strategy,
-		ProbeWorkers: p.ProbeWorkers,
-		Check:        check,
+		Workers:  p.Workers,
+		Strategy: strategy,
+		Check:    check,
 	}, nil
 }
 

@@ -139,11 +139,9 @@ func stitchCNV(t *testing.T, f *Flow, backend string, seed int64) StitchReport {
 // while the winning chain's own trace keeps the total the annealer saw
 // (penalties included). The stitcher hands out both over one backing
 // array, so the pin must land on a copy. xc7z020 is overfull (unplaced
-// instances, so the two costs differ), and both shapes end on a sample
-// the two traces hold in common rather than one appended to the
-// headline alone: four chains stopping adaptively on the sampling grid
-// (window 40960/16 = 10 x 256), and the analytic backend's single
-// iteration-0 sample.
+// instances, so the two costs differ), and the analytic backend's
+// single iteration-0 sample is one the two traces hold in common rather
+// than one appended to the headline alone.
 func TestHeadlineTracePinLeavesChainTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cnv flow in -short mode")
@@ -151,30 +149,26 @@ func TestHeadlineTracePinLeavesChainTrace(t *testing.T) {
 	fixtures(t)
 	f := verifyFlow(t)
 	last := func(tr []CostPoint) CostPoint { return tr[len(tr)-1] }
-	for _, so := range []StitchOptions{
-		{Seed: 1, Anneal: AnnealOptions{Iterations: 40960, Chains: 4}, AdaptiveStop: true},
-		{Seed: 1, Backend: BackendAnalytic},
-	} {
-		rep := f.stitchDesign(fix.stitch20, so, nil, nil)
-		if rep.Unplaced == 0 {
-			t.Fatalf("%q: design fits, the pinned and the annealer's cost coincide", so.Backend)
+	so := StitchOptions{Seed: 1, Backend: BackendAnalytic}
+	rep := f.stitchDesign(fix.stitch20, so, nil, nil)
+	if rep.Unplaced == 0 {
+		t.Fatalf("%q: design fits, the pinned and the annealer's cost coincide", so.Backend)
+	}
+	if got := last(rep.Trace).Cost; got != rep.FinalCost {
+		t.Errorf("%q: headline trace ends at %v, want FinalCost %v", so.Backend, got, rep.FinalCost)
+	}
+	winner := -1
+	for i, ch := range rep.Chains {
+		if ch.FinalCost == rep.FinalCost && last(ch.Trace).Iter == last(rep.Trace).Iter {
+			winner = i
 		}
-		if got := last(rep.Trace).Cost; got != rep.FinalCost {
-			t.Errorf("%q: headline trace ends at %v, want FinalCost %v", so.Backend, got, rep.FinalCost)
-		}
-		winner := -1
-		for i, ch := range rep.Chains {
-			if ch.FinalCost == rep.FinalCost && last(ch.Trace).Iter == last(rep.Trace).Iter {
-				winner = i
-			}
-		}
-		if winner < 0 {
-			t.Fatalf("%q: no chain ends on the headline trace's last sample", so.Backend)
-		}
-		// stitch.DefaultConfig().UnplacedPenalty is 2000 per instance.
-		if got := last(rep.Chains[winner].Trace).Cost; got < rep.FinalCost+1000*float64(rep.Unplaced) {
-			t.Errorf("%q: winning chain's trace ends at %v, FinalCost is %v with %d unplaced: the headline pin wrote through",
-				so.Backend, got, rep.FinalCost, rep.Unplaced)
-		}
+	}
+	if winner < 0 {
+		t.Fatalf("%q: no chain ends on the headline trace's last sample", so.Backend)
+	}
+	// stitch.DefaultConfig().UnplacedPenalty is 2000 per instance.
+	if got := last(rep.Chains[winner].Trace).Cost; got < rep.FinalCost+1000*float64(rep.Unplaced) {
+		t.Errorf("%q: winning chain's trace ends at %v, FinalCost is %v with %d unplaced: the headline pin wrote through",
+			so.Backend, got, rep.FinalCost, rep.Unplaced)
 	}
 }

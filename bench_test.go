@@ -6,6 +6,8 @@ package macroflow
 
 import (
 	"math"
+	"os"
+	"os/exec"
 	"sync"
 	"testing"
 
@@ -864,3 +866,20 @@ func BenchmarkImplementObsNil(b *testing.B) { runImplementObsBench(b, nil) }
 // BenchmarkImplementObsLive measures the instrumented path with a live
 // recorder attached (ungated; for reference).
 func BenchmarkImplementObsLive(b *testing.B) { runImplementObsBench(b, obs.New()) }
+
+// TestBenchHarnessBuilds: cmd/bench is a module of its own (replace
+// macroflow => ../..), so no ./... pattern reaches it, yet its adapter
+// calls straight into this package and internal/*. Vetting it from here
+// compiles the harness and its tests, so go test ./... fails the moment
+// a change to this module stops the benchmark building.
+func TestBenchHarnessBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a second module")
+	}
+	cmd := exec.Command("go", "vet", ".")
+	cmd.Dir = "cmd/bench"
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in cmd/bench: %v\n%s", err, out)
+	}
+}

@@ -28,7 +28,6 @@ func main() {
 	capBin := flag.Int("cap", 75, "max samples per 0.02 CF bin (0 = no balancing)")
 	out := flag.String("o", "", "output CSV path (default stdout)")
 	strategy := cliflags.AddStrategy(flag.CommandLine)
-	probeWorkers := flag.Int("probe-workers", 1, "speculative parallel probes per bisect search (deterministic results)")
 	cacheDir := cliflags.AddCache(flag.CommandLine, "")
 	obsFlags := cliflags.AddObs(flag.CommandLine, "")
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Search.Strategy = searchStrategy
-	cfg.Search.Workers = *probeWorkers
 	cfg.Search.Obs = rec
 	if *cacheDir != "" {
 		if cfg.Cache, err = implcache.Open(*cacheDir); err != nil {

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"fmt"
 	"log"
-	"runtime"
 	"sync"
 
 	"macroflow"
@@ -113,55 +111,41 @@ func (c *ctx) cnvLabels() []cnvLabel {
 		cfg := pblock.DefaultConfig()
 		search := pblock.SearchConfig{Start: cnvSearchStart, Step: 0.02, Max: 3.0, Obs: c.rec}
 		labels := make([]cnvLabel, len(d.Types))
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
 		root := obs.StartChild(c.rec, c.cur, "cnv.labels", obs.Int("types", len(d.Types)))
-		lanes := make(chan int, workers)
-		for l := 0; l < workers; l++ {
-			lanes <- l
-			c.rec.LaneLabel(l+1, fmt.Sprintf("implement worker %d", l))
-		}
-		for ti := range d.Types {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				lane := <-lanes
-				defer func() { lanes <- lane }()
-				sp := root.Child("implement.block",
-					obs.String("block", d.Types[ti].Name)).WithLane(lane + 1)
-				defer sp.End()
-				m, rep, err := pblock.FrontEnd(d.Types[ti].Spec, sp)
-				if err != nil {
-					log.Fatal(err)
-				}
-				bsearch := search
-				bsearch.Span = sp
-				key := ""
-				if c.cache != nil {
-					key = pblock.SweepKey(dev, m, bsearch, cfg)
-				}
-				res, outcome, err := pblock.ReadThrough(c.cache, key, dev, m, rep, bsearch, cfg, func() (pblock.SearchResult, error) {
-					return pblock.MinCF(dev, m, rep, bsearch, cfg)
-				})
-				if err != nil {
-					log.Fatalf("%s: %v", d.Types[ti].Name, err)
-				}
-				if outcome.Served() {
-					res.ToolRuns = 0 // the runs of this process, not of the one that searched
-				}
-				sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
-				labels[ti] = cnvLabel{
-					Name:      d.Types[ti].Name,
-					Rep:       rep,
-					CF:        res.CF,
-					Used:      res.Impl.Placement.UsedSlices,
-					ToolRuns:  res.ToolRuns,
-					Impl:      res.Impl,
-					Instances: d.InstanceCount(ti),
-				}
-			}(ti)
-		}
-		wg.Wait()
+		c.rec.Lanes("implement worker", 0, len(d.Types), func(ti, lane int) {
+			sp := root.Child("implement.block",
+				obs.String("block", d.Types[ti].Name)).WithLane(lane)
+			defer sp.End()
+			m, rep, err := pblock.FrontEnd(d.Types[ti].Spec, sp)
+			if err != nil {
+				log.Fatal(err)
+			}
+			bsearch := search
+			bsearch.Span = sp
+			key := ""
+			if c.cache != nil {
+				key = pblock.SweepKey(dev, m, bsearch, cfg)
+			}
+			res, outcome, err := pblock.ReadThrough(c.cache, key, dev, m, rep, bsearch, cfg, func() (pblock.SearchResult, error) {
+				return pblock.MinCF(dev, m, rep, bsearch, cfg)
+			})
+			if err != nil {
+				log.Fatalf("%s: %v", d.Types[ti].Name, err)
+			}
+			if outcome.Served() {
+				res.ToolRuns = 0 // the runs of this process, not of the one that searched
+			}
+			sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
+			labels[ti] = cnvLabel{
+				Name:      d.Types[ti].Name,
+				Rep:       rep,
+				CF:        res.CF,
+				Used:      res.Impl.Placement.UsedSlices,
+				ToolRuns:  res.ToolRuns,
+				Impl:      res.Impl,
+				Instances: d.InstanceCount(ti),
+			}
+		})
 		root.End()
 		c.cnvMin = labels
 	})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"macroflow"
 	"macroflow/internal/fabric"
@@ -44,36 +42,27 @@ func ablation(c *ctx) {
 		ok  bool
 	}
 	rows := make([]row, len(specs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m, rep, err := pblock.FrontEnd(specs[i], nil)
-			if err != nil || rep.EstSlices < 6 {
-				return
+	c.rec.Lanes("ablation worker", 0, len(specs), func(i, _ int) {
+		m, rep, err := pblock.FrontEnd(specs[i], nil)
+		if err != nil || rep.EstSlices < 6 {
+			return
+		}
+		search := pblock.SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
+		ok := true
+		var cfs [4]float64
+		for vi, v := range variants {
+			cfg := pblock.DefaultConfig()
+			cfg.Place.IgnoreControlSets = v.noCS
+			cfg.Route.AssumeRoutable = v.noRt
+			res, err := pblock.MinCF(dev, m, rep, search, cfg)
+			if err != nil {
+				ok = false
+				break
 			}
-			search := pblock.SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
-			ok := true
-			var cfs [4]float64
-			for vi, v := range variants {
-				cfg := pblock.DefaultConfig()
-				cfg.Place.IgnoreControlSets = v.noCS
-				cfg.Route.AssumeRoutable = v.noRt
-				res, err := pblock.MinCF(dev, m, rep, search, cfg)
-				if err != nil {
-					ok = false
-					break
-				}
-				cfs[vi] = res.CF
-			}
-			rows[i] = row{cfs, ok}
-		}(i)
-	}
-	wg.Wait()
+			cfs[vi] = res.CF
+		}
+		rows[i] = row{cfs, ok}
+	})
 
 	var sums [4]float64
 	cnt := 0
@@ -150,42 +139,31 @@ func maze(c *ctx) {
 		aFeas, mFeas bool
 		aWire, mWire float64
 	}
-	probes := make([]probe, 0, 2*len(specs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m, rep, err := pblock.FrontEnd(specs[i], nil)
-			if err != nil || rep.EstSlices < 12 || rep.EstSlices > 600 {
-				return
+	cfs := []float64{1.0, 1.4}
+	probes := make([]probe, len(cfs)*len(specs)) // slot per (module, CF): a fixed order
+	c.rec.Lanes("maze worker", 0, len(specs), func(i, _ int) {
+		m, rep, err := pblock.FrontEnd(specs[i], nil)
+		if err != nil || rep.EstSlices < 12 || rep.EstSlices > 600 {
+			return
+		}
+		for k, cf := range cfs {
+			pb, err := pblock.Build(dev, rep, cf, cfg)
+			if err != nil {
+				continue
 			}
-			for _, cf := range []float64{1.0, 1.4} {
-				pb, err := pblock.Build(dev, rep, cf, cfg)
-				if err != nil {
-					continue
-				}
-				pl, err := place.Place(dev, m, rep, pb.Rect, cfg.Place)
-				if err != nil {
-					continue
-				}
-				a := route.Route(pl, cfg.Route)
-				mz := route.RouteMaze(pl, route.DefaultMazeConfig())
-				mu.Lock()
-				probes = append(probes, probe{
-					ok:    true,
-					aFeas: a.Feasible, mFeas: mz.Feasible,
-					aWire: a.TotalWirelength, mWire: float64(mz.TotalWirelength),
-				})
-				mu.Unlock()
+			pl, err := place.Place(dev, m, rep, pb.Rect, cfg.Place)
+			if err != nil {
+				continue
 			}
-		}(i)
-	}
-	wg.Wait()
+			a := route.Route(pl, cfg.Route)
+			mz := route.RouteMaze(pl, route.DefaultMazeConfig())
+			probes[len(cfs)*i+k] = probe{
+				ok:    true,
+				aFeas: a.Feasible, mFeas: mz.Feasible,
+				aWire: a.TotalWirelength, mWire: float64(mz.TotalWirelength),
+			}
+		}
+	})
 
 	agree, total := 0, 0
 	wireRatioSum, wireCnt := 0.0, 0

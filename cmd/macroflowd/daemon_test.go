@@ -48,7 +48,7 @@ func smallReq(seed int64) *apiv1.CompileRequest {
 			Instances: []apiv1.InstanceSpec{{Name: "l0", Block: 0}, {Name: "s0", Block: 1}},
 			Nets:      []apiv1.NetSpec{{From: 0, To: 1, Width: 8}},
 		},
-		Stitch: apiv1.StitchParams{Seed: seed, Iterations: 4000},
+		Stitch: apiv1.StitchParams{Seed: seed, Anneal: &apiv1.AnnealParams{Iterations: 4000}},
 	}
 }
 
@@ -131,7 +131,7 @@ func TestDaemonCNVByteIdentical(t *testing.T) {
 	// those counters are part of the wire bytes under comparison.
 	req := &apiv1.CompileRequest{
 		Design:    apiv1.DesignSpec{Builtin: apiv1.BuiltinCNVW1A1},
-		Stitch:    apiv1.StitchParams{Seed: 1, Iterations: 20000},
+		Stitch:    apiv1.StitchParams{Seed: 1, Anneal: &apiv1.AnnealParams{Iterations: 20000}},
 		Implement: apiv1.ImplementParams{Workers: 1},
 	}
 	final := submitAndWait(t, c, req)
@@ -490,8 +490,10 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 			apiv1.ErrInvalidOptions, "macroflow: ImplementOptions.Workers must be >= 0 (got -1)"},
 		{"bad-check", func(r *apiv1.CompileRequest) { r.Stitch.Check = "everything" },
 			apiv1.ErrInvalidOptions, ""},
-		{"alias-conflict", func(r *apiv1.CompileRequest) { r.Stitch.Anneal = &apiv1.AnnealParams{Iterations: 500} },
-			apiv1.ErrInvalidOptions, "stitch.iterations (4000) conflicts with stitch.anneal.iterations (500)"},
+		// A step off the 0.02 CF grid would re-probe every grid CF (1e-9:
+		// ~2e9 probes on a worker nobody can cancel); it dies at admission.
+		{"off-grid-step", func(r *apiv1.CompileRequest) { r.Search = &apiv1.SearchWindow{Start: 0.9, Step: 1e-9, Max: 3} },
+			apiv1.ErrInvalidOptions, "pblock: search step 1e-09 is not a positive multiple of the 0.02 CF grid"},
 		{"bad-device", func(r *apiv1.CompileRequest) { r.Device = "virtex2" },
 			apiv1.ErrInvalidOptions, ""},
 		{"estimator-not-loaded", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "estimator"} },
@@ -516,12 +518,16 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}
 
 	// Unknown fields die in the strict decoder with a 400 bad_request —
-	// a typo, and equally the request fields of the removed solvers from
-	// a client that still sends them. So does a body past
-	// maxRequestBytes, however well-formed: it is not read to its end.
+	// a typo, and equally the request fields of the removed solvers,
+	// knobs and flat aliases from a client that still sends them. So
+	// does a body past maxRequestBytes, however well-formed: it is not
+	// read to its end.
 	before, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if before.Submitted != 0 {
+		t.Errorf("%d of the invalid requests were admitted to the queue", before.Submitted)
 	}
 	oversized := `{"design":{"builtin":"cnvW1A1"}` + strings.Repeat(" ", maxRequestBytes) + `}`
 	bodies := []string{
@@ -529,6 +535,10 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		`{"design":{"builtin":"cnvW1A1"},"stitch":{"evo":{"mu":4}}}`,
 		`{"design":{"builtin":"cnvW1A1"},"stitch":{"portfolio":{"backends":["anneal","hybrid"]}}}`,
 		`{"design":{"builtin":"cnvW1A1"},"partition":{"shards":2,"backend":"evo"}}`,
+		`{"design":{"builtin":"cnvW1A1"},"implement":{"probeWorkers":4}}`,
+		`{"design":{"builtin":"cnvW1A1"},"stitch":{"adaptiveStop":true}}`,
+		`{"design":{"builtin":"cnvW1A1"},"stitch":{"iterations":4000}}`,
+		`{"design":{"builtin":"cnvW1A1"},"stitch":{"anneal":{"tempLadder":2.5}}}`,
 		oversized,
 	}
 	for _, body := range bodies {

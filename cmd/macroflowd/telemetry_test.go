@@ -178,7 +178,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	// A warm 4000-move smallReq can finish inside the 1ms SLO; a larger
 	// move budget makes the breach deterministic instead of a timing race.
 	req := smallReq(2)
-	req.Stitch.Iterations = 400000
+	req.Stitch.Anneal.Iterations = 400000
 	final := submitAndWait(t, c, req)
 	if final.State != apiv1.JobDone {
 		t.Fatalf("job state = %s (%v)", final.State, final.Error)
@@ -262,7 +262,7 @@ func TestFlightRecorderDisabled(t *testing.T) {
 
 	// Same deterministic-breach budget as TestFlightRecorderDump.
 	req := smallReq(3)
-	req.Stitch.Iterations = 400000
+	req.Stitch.Anneal.Iterations = 400000
 	final := submitAndWait(t, c, req)
 	if final.State != apiv1.JobDone {
 		t.Fatalf("job state = %s (%v)", final.State, final.Error)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"macroflow/internal/implcache"
 	"macroflow/internal/netlist"
@@ -270,12 +269,15 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if err := opts.Partition.Validate(); err != nil {
 		return nil, err
 	}
+	search := f.searchFor(im)
+	if err := search.Validate(); err != nil {
+		return nil, err
+	}
 	res := &CompileResult{Blocks: make([]ModuleResult, len(d.types))}
 	impls := make([]*pblock.Implementation, len(d.types))
 	hits := make([]blockHit, len(d.types))
 	errs := make([]error, len(d.types))
 
-	search := f.searchFor(im)
 	fps := f.fingerprints(search)
 	rec := im.Obs
 	root := rec.Start("flow.compile",
@@ -283,38 +285,21 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		obs.Int("types", len(d.types)),
 		obs.Int("instances", len(d.instances)))
 	defer root.End()
-	// When the searches themselves probe speculatively, split the budget
-	// between block-level and probe-level parallelism.
-	workers := min(blockWorkers(im.Workers, search.Workers), len(d.types))
+	// Blocks are the one level of parallelism; inside one, the search
+	// probes serially (DESIGN.md, "Search strategies").
 	order := d.implementOrder()
-	var next atomic.Int32 // index into order of the next block to start
-	var wg sync.WaitGroup
-	for l := 0; l < workers; l++ {
-		// A worker is a trace lane, so concurrent block implementations
-		// render as parallel worker tracks.
-		rec.LaneLabel(l+1, fmt.Sprintf("implement worker %d", l))
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				ti := order[k]
-				sp := root.Child("implement.block",
-					obs.String("block", d.names[ti])).WithLane(lane + 1)
-				impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
-				if errs[ti] == nil {
-					sp.Set(obs.Float("cf", res.Blocks[ti].CF),
-						obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
-						obs.String("cache", hitName(hits[ti].kind)))
-				}
-				sp.End()
-			}
-		}(l)
-	}
-	wg.Wait()
+	rec.Lanes("implement worker", im.Workers, len(order), func(k, lane int) {
+		ti := order[k]
+		sp := root.Child("implement.block",
+			obs.String("block", d.names[ti])).WithLane(lane)
+		impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
+		if errs[ti] == nil {
+			sp.Set(obs.Float("cf", res.Blocks[ti].CF),
+				obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
+				obs.String("cache", hitName(hits[ti].kind)))
+		}
+		sp.End()
+	})
 	for ti := range d.types {
 		if errs[ti] != nil {
 			return nil, fmt.Errorf("macroflow: block %s: %w", d.names[ti], errs[ti])

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/implcache"
@@ -79,17 +78,12 @@ func Generate(cfg Config) ([]Sample, error) {
 	if cfg.Search.Step <= 0 {
 		cfg.Search = pblock.DefaultSearch()
 	}
+	if err := cfg.Search.Validate(); err != nil {
+		return nil, err
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	// When each search probes speculatively in parallel, split the budget
-	// between module-level and probe-level parallelism.
-	if pw := cfg.Search.Workers; pw > 1 {
-		workers = (workers + pw - 1) / pw
-		if workers < 1 {
-			workers = 1
-		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -105,36 +99,21 @@ func Generate(cfg Config) ([]Sample, error) {
 		err    error
 	}
 	slots := make([]slot, len(specs))
-	var wg sync.WaitGroup
-	// Lane pool: each slot doubles as a trace lane so concurrent module
-	// labeling renders as parallel worker tracks.
-	lanes := make(chan int, workers)
-	for l := 0; l < workers; l++ {
-		lanes <- l
-		rec.LaneLabel(l+1, fmt.Sprintf("dataset worker %d", l))
-	}
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lane := <-lanes
-			defer func() { lanes <- lane }()
-			sp := root.Child("dataset.module",
-				obs.String("module", specs[i].Name)).WithLane(lane + 1)
-			mcfg := cfg
-			mcfg.Search.Span = sp
-			s, ok, err := label(mcfg, specs[i])
-			if err == nil {
-				sp.Set(obs.String("kept", fmt.Sprintf("%t", ok)))
-				if ok {
-					sp.Set(obs.Float("cf", s.CF))
-				}
+	rec.Lanes("dataset worker", workers, len(specs), func(i, lane int) {
+		sp := root.Child("dataset.module",
+			obs.String("module", specs[i].Name)).WithLane(lane)
+		mcfg := cfg
+		mcfg.Search.Span = sp
+		s, ok, err := label(mcfg, specs[i])
+		if err == nil {
+			sp.Set(obs.String("kept", fmt.Sprintf("%t", ok)))
+			if ok {
+				sp.Set(obs.Float("cf", s.CF))
 			}
-			sp.End()
-			slots[i] = slot{sample: s, ok: ok, err: err}
-		}(i)
-	}
-	wg.Wait()
+		}
+		sp.End()
+		slots[i] = slot{sample: s, ok: ok, err: err}
+	})
 	root.End()
 
 	out := make([]Sample, 0, len(specs))

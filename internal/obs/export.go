@@ -237,8 +237,8 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes the span set as Chrome trace_event JSON
 // ({"traceEvents": [...]}), loadable in chrome://tracing and Perfetto.
-// Each lane becomes a "thread" so parallel probe workers and tempering
-// chains render side by side; zero-duration spans become instants. A
+// Each lane becomes a "thread" so parallel implement workers and
+// tempering chains render side by side; zero-duration spans become instants. A
 // nil recorder writes an empty trace.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var spans []SpanRecord

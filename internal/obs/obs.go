@@ -17,6 +17,8 @@
 package obs
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +53,7 @@ type SpanRecord struct {
 	Parent int64 // 0 = root span
 	Name   string
 	// Lane is the rendering lane (Chrome trace "thread"): concurrent
-	// spans — parallel probe workers, tempering chains — are assigned
+	// spans — implement workers, tempering chains — are assigned
 	// distinct lanes so they draw side by side on a timeline.
 	Lane  int
 	Start time.Duration
@@ -159,8 +161,8 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 }
 
 // WithLane moves the span to a rendering lane and returns the span, so
-// it chains off Start/Child. Concurrent spans (probe workers, tempering
-// chains) should sit on distinct lanes.
+// it chains off Start/Child. Concurrent spans (implement workers,
+// tempering chains) should sit on distinct lanes.
 func (s *Span) WithLane(lane int) *Span {
 	if s != nil {
 		s.mu.Lock()
@@ -276,6 +278,36 @@ func (r *Recorder) LaneLabel(lane int, label string) {
 	}
 	r.laneNames[lane] = label
 	r.mu.Unlock()
+}
+
+// Lanes runs fn(i, lane) for every i in [0, n) on min(workers, n)
+// goroutines and returns when all calls have. Each goroutine is one
+// rendering lane — lanes 1..workers, labelled "<label> 0", "<label> 1",
+// ... — so the spans fn moves to its lane (WithLane) draw as parallel
+// worker tracks. The goroutines pull the next index in ascending order:
+// a caller that wants a start order passes its own order[i]. workers < 1
+// selects GOMAXPROCS. A nil recorder runs the same loop, unlabelled.
+func (r *Recorder) Lanes(label string, workers, n int, fn func(i, lane int)) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for lane := 1; lane <= min(workers, n); lane++ {
+		r.LaneLabel(lane, fmt.Sprintf("%s %d", label, lane-1))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i, lane)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Spans returns a snapshot of the finished spans, ordered by start time

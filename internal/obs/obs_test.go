@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -175,7 +176,58 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers one recorder from ProbeWorkers×Chains
+// TestLanesRunsEveryIndexOnce: for any worker count — one, fewer than,
+// as many as or more than the items — every index runs exactly once, on
+// a lane in [1, workers] that no other goroutine holds at the time, and
+// an empty range returns without calling fn. A nil recorder runs the
+// same loop. Run under -race (scripts/ci.sh does).
+func TestLanesRunsEveryIndexOnce(t *testing.T) {
+	const n = 37
+	for _, r := range []*Recorder{nil, New()} {
+		for _, workers := range []int{1, 3, n, n + 5} {
+			ran := make([]int, n) // written by index: -race proves no index runs twice at once
+			busy := make([]atomic.Bool, workers+1)
+			r.Lanes("test worker", workers, n, func(i, lane int) {
+				if lane < 1 || lane > workers {
+					t.Errorf("workers=%d: index %d ran on lane %d", workers, i, lane)
+					return
+				}
+				if busy[lane].Swap(true) {
+					t.Errorf("workers=%d: lane %d ran two indices at once", workers, lane)
+				}
+				ran[i]++
+				busy[lane].Store(false)
+			})
+			for i, c := range ran {
+				if c != 1 {
+					t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
+				}
+			}
+		}
+		if r != nil && (r.laneNames[1] != "test worker 0" || r.laneNames[n] != fmt.Sprint("test worker ", n-1) || len(r.laneNames) != n) {
+			t.Errorf("lane labels %v: want lanes 1..%d named \"test worker <lane-1>\"", r.laneNames, n)
+		}
+		r.Lanes("test worker", 4, 0, func(i, lane int) { t.Errorf("n=0 called fn(%d, %d)", i, lane) })
+		// workers < 1 selects GOMAXPROCS: the range still completes.
+		var calls atomic.Int64
+		r.Lanes("test worker", 0, n, func(int, int) { calls.Add(1) })
+		if calls.Load() != n {
+			t.Errorf("workers=0: %d calls, want %d", calls.Load(), n)
+		}
+	}
+}
+
+// TestLanesHandsOutIndicesInOrder: one worker sees 0, 1, 2, ... — the
+// order a caller's order[i] indirection relies on.
+func TestLanesHandsOutIndicesInOrder(t *testing.T) {
+	var got []int
+	New().Lanes("test worker", 1, 5, func(i, _ int) { got = append(got, i) })
+	if fmt.Sprint(got) != "[0 1 2 3 4]" {
+		t.Errorf("one worker ran %v, want ascending order", got)
+	}
+}
+
+// TestConcurrentRecording hammers one recorder from workers×chains
 // goroutines — span trees, lane labels and all three metric kinds — and
 // checks the totals. Run under -race (scripts/ci.sh does) this is the
 // concurrency-safety proof for the hot-path instrumentation.

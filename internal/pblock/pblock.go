@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
@@ -205,38 +204,18 @@ func Implement(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, cf 
 }
 
 // Plan is what a search keeps between its probes of one module: the
-// placement plan and the routing tables of finished probes, which the
+// placement plan and the routing tables of the finished probe, which the
 // next probe overwrites. Every search in this package owns one for its
-// duration; a verdict is the same from a fresh plan as from a reused
-// one. Safe for the concurrent probes of a bisect batch.
+// duration, on one goroutine; a verdict is the same from a fresh plan as
+// from a reused one.
 type Plan struct {
 	*place.Plan
-
-	mu      sync.Mutex
-	routers []*route.Scratch // idle: one per probe that ever ran concurrently
+	router route.Scratch
 }
 
 // NewPlan returns the probe plan of module m with shape report rep.
 func NewPlan(m *netlist.Module, rep place.ShapeReport) *Plan {
 	return &Plan{Plan: place.NewPlan(m, rep)}
-}
-
-// route runs the routing probe in an idle scratch.
-func (p *Plan) route(pl *place.Placement, cfg route.Config) route.Result {
-	p.mu.Lock()
-	var s *route.Scratch
-	if n := len(p.routers); n > 0 {
-		s, p.routers = p.routers[n-1], p.routers[:n-1]
-	}
-	p.mu.Unlock()
-	if s == nil {
-		s = new(route.Scratch)
-	}
-	rr := s.Route(pl, cfg)
-	p.mu.Lock()
-	p.routers = append(p.routers, s)
-	p.mu.Unlock()
-	return rr
 }
 
 // ImplementPlan is Implement for a caller that probes one module at
@@ -250,7 +229,7 @@ func ImplementPlan(dev *fabric.Device, plan *Plan, cf float64, cfg Config) (*Imp
 	if err != nil {
 		return nil, &placeError{cf, err}
 	}
-	rr := plan.route(pl, cfg.Route)
+	rr := plan.router.Route(pl, cfg.Route)
 	if !rr.Feasible {
 		return nil, fmt.Errorf("cf %.2f: route infeasible (peak %.2f, overflow %.3f)", cf, rr.PeakUtil, rr.OverflowFrac)
 	}
@@ -292,18 +271,11 @@ const (
 // SearchConfig controls the minimal-CF search.
 type SearchConfig struct {
 	Start float64 // first CF probed (paper: 0.9 for the dataset)
-	Step  float64 // resolution (paper: 0.02)
+	Step  float64 // resolution, a multiple of the 0.02 grid (paper: 0.02)
 	Max   float64 // give up above this CF
 	// Strategy selects the search algorithm; the zero value is the
 	// paper-fidelity linear sweep.
 	Strategy Strategy
-	// Workers > 1 enables speculative parallel probes for the bisection
-	// strategy: up to Workers candidate CFs are implemented concurrently
-	// per round and the results merge deterministically, so the returned
-	// CF is bit-identical to the serial bisection's. Callers running
-	// searches inside their own worker pools should divide the outer
-	// pool by Workers to keep total goroutines bounded.
-	Workers int
 	// Obs, when non-nil, records search spans (search.mincf,
 	// oracle.probe with per-probe place/route children) and counters
 	// (mincf.oracle_runs, mincf.probes_per_block). Nil disables all
@@ -321,10 +293,23 @@ func (s SearchConfig) cfAt(i int) float64 {
 	return roundCF(s.Start + float64(i)*s.Step)
 }
 
+// Validate rejects a Step that is not a positive multiple of the CF
+// grid. cfAt snaps every probed CF to the grid, so a finer step would
+// probe each grid CF grid/Step times over, and a step between grid
+// multiples would skip grid CFs unevenly.
+func (s SearchConfig) Validate() error {
+	// Written as "not a whole number of grid steps, at least one" so
+	// that a NaN step fails too.
+	if k := s.Step * gridPerUnit; !(k > 1-1e-9 && math.Abs(k-math.Round(k)) < 1e-9) {
+		return fmt.Errorf("pblock: search step %g is not a positive multiple of the %g CF grid", s.Step, 1.0/gridPerUnit)
+	}
+	return nil
+}
+
 // lastIndex returns the highest grid index not exceeding Max, or -1 for
 // an empty window.
 func (s SearchConfig) lastIndex() int {
-	if s.Step <= 0 || s.cfAt(0) > s.Max+1e-9 {
+	if s.cfAt(0) > s.Max+1e-9 {
 		return -1
 	}
 	i := 0
@@ -349,8 +334,12 @@ type SearchResult struct {
 // MinCF finds the minimal feasible correction factor on the search grid.
 // The default linear strategy sweeps from s.Start in s.Step increments
 // until the first feasible implementation — the paper's ground-truth
-// procedure; StrategyBisect returns the same CF with O(log) probes.
+// procedure; StrategyBisect returns the same CF with O(log) probes. A
+// window s.Validate rejects is an error before any probe.
 func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
+	if err := s.Validate(); err != nil {
+		return SearchResult{}, err
+	}
 	sp := obs.StartChild(s.Obs, s.Span, "search.mincf",
 		obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
 	s.Span = sp
@@ -397,7 +386,7 @@ func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s
 	plan := NewPlan(m, rep)
 	for i := 0; ; i++ {
 		cf := s.cfAt(i)
-		if s.Step <= 0 || cf > s.Max+1e-9 {
+		if cf > s.Max+1e-9 {
 			break
 		}
 		runs++
@@ -438,6 +427,9 @@ func errNoFeasible(s SearchConfig, m *netlist.Module) error {
 // feasible CF. The returned ToolRuns counts every implement attempt, the
 // paper's run-time metric.
 func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
+	if err := s.Validate(); err != nil {
+		return SearchResult{}, err
+	}
 	sp := obs.StartChild(s.Obs, s.Span, "search.estimate",
 		obs.String("module", m.Name), obs.Float("est", est))
 	s.Span = sp
@@ -500,7 +492,10 @@ func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 	return SearchResult{CF: cf, Impl: impl, ToolRuns: runs}, nil
 }
 
-// roundCF snaps a CF to the paper's 0.02 grid to avoid float drift.
+// gridPerUnit is the resolution of the CF grid, the paper's 0.02.
+const gridPerUnit = 50
+
+// roundCF snaps a CF to the grid to avoid float drift.
 func roundCF(cf float64) float64 {
-	return math.Round(cf*50) / 50
+	return math.Round(cf*gridPerUnit) / gridPerUnit
 }

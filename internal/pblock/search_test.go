@@ -1,12 +1,19 @@
 package pblock
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"macroflow/internal/cnv"
 	"macroflow/internal/fabric"
+	"macroflow/internal/netlist"
 	"macroflow/internal/obs"
+	"macroflow/internal/place"
 	"macroflow/internal/rtlgen"
 )
 
@@ -17,74 +24,119 @@ func sampleSpecs(n int) []rtlgen.Spec {
 	return rtlgen.GenerateMix(rng, n)
 }
 
-// TestBisectMatchesLinear is the core equivalence property: for a sample
-// of generated modules, the bisect strategy must return exactly the CF
-// the linear sweep returns (and agree on errors), while spending
-// substantially fewer place-and-route runs in aggregate.
+// cnvWindow is the search window every cnvW1A1 compile uses.
+var cnvWindow = SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
+
+// cnvSearchAll runs one search configuration over every cnvW1A1 block.
+func cnvSearchAll(t testing.TB, s SearchConfig) []SearchResult {
+	t.Helper()
+	dev := fabric.XC7Z020()
+	cfg := DefaultConfig()
+	d := cnv.CNVW1A1()
+	out := make([]SearchResult, len(d.Types))
+	for ti := range d.Types {
+		m, err := d.Module(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MinCF(dev, m, place.QuickPlace(m), s, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		out[ti] = res
+	}
+	return out
+}
+
+// TestBisectMatchesLinear is the core equivalence property: the bisect
+// strategy must return exactly the CF the linear sweep returns (and
+// agree on errors), while spending substantially fewer place-and-route
+// runs in aggregate. Two inputs: a sample of generated modules, and the
+// 74 cnvW1A1 blocks, whose per-block (name, CF, tool runs) sequence is
+// pinned — one probe more or fewer anywhere in the gallop, the
+// bisection, the confirmation walk or the route scan moves the digest.
 func TestBisectMatchesLinear(t *testing.T) {
 	dev := fabric.XC7Z020()
 	cfg := DefaultConfig()
-	linear := SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
-	bisect := linear
+	bisect := cnvWindow
 	bisect.Strategy = StrategyBisect
 
-	linRuns, bisRuns, compared := 0, 0, 0
+	type block struct {
+		m   *netlist.Module
+		rep place.ShapeReport
+	}
+	var corpus, cnvBlocks []block
 	for _, spec := range sampleSpecs(16) {
 		m, rep := module(t, spec)
-		lr, lerr := MinCF(dev, m, rep, linear, cfg)
-		br, berr := MinCF(dev, m, rep, bisect, cfg)
-		if (lerr == nil) != (berr == nil) {
-			t.Fatalf("%s: error mismatch: linear %v, bisect %v", spec.Name, lerr, berr)
-		}
-		if lerr != nil {
-			if errors.Is(lerr, ErrNoFit) != errors.Is(berr, ErrNoFit) {
-				t.Fatalf("%s: error kind mismatch: linear %v, bisect %v", spec.Name, lerr, berr)
-			}
-			continue
-		}
-		if lr.CF != br.CF {
-			t.Fatalf("%s: CF mismatch: linear %.2f, bisect %.2f", spec.Name, lr.CF, br.CF)
-		}
-		if br.Impl == nil || br.Impl.Route.Feasible != true {
-			t.Fatalf("%s: bisect returned no feasible implementation", spec.Name)
-		}
-		if br.Impl.PBlock.Rect != lr.Impl.PBlock.Rect {
-			t.Fatalf("%s: PBlock mismatch: linear %v, bisect %v", spec.Name, lr.Impl.PBlock.Rect, br.Impl.PBlock.Rect)
-		}
-		linRuns += lr.ToolRuns
-		bisRuns += br.ToolRuns
-		compared++
+		corpus = append(corpus, block{m, rep})
 	}
-	if compared == 0 {
-		t.Fatal("no modules compared")
+	d := cnv.CNVW1A1()
+	for ti := range d.Types {
+		m, err := d.Module(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cnvBlocks = append(cnvBlocks, block{m, place.QuickPlace(m)})
 	}
-	if bisRuns*3 > linRuns {
-		t.Errorf("bisect used %d runs vs linear %d: want at least 3x fewer", bisRuns, linRuns)
-	}
-	t.Logf("aggregate over %d modules: linear %d runs, bisect %d runs (%.1fx)",
-		compared, linRuns, bisRuns, float64(linRuns)/float64(bisRuns))
-}
 
-// TestBisectParallelDeterministic checks the speculative-probe merge:
-// the returned CF must be bit-identical for any Workers setting.
-func TestBisectParallelDeterministic(t *testing.T) {
-	dev := fabric.XC7Z020()
-	cfg := DefaultConfig()
-	for _, spec := range sampleSpecs(6) {
-		m, rep := module(t, spec)
-		base := SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0, Strategy: StrategyBisect}
-		ref, refErr := MinCF(dev, m, rep, base, cfg)
-		for _, w := range []int{2, 5, 16} {
-			s := base
-			s.Workers = w
-			r, err := MinCF(dev, m, rep, s, cfg)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s workers=%d: error mismatch: %v vs %v", spec.Name, w, err, refErr)
+	for _, in := range []struct {
+		name   string
+		blocks []block
+		// The pinned totals and digest of the input ("" leaves it unpinned).
+		linRuns, bisRuns int
+		digest           string
+	}{
+		{name: "corpus", blocks: corpus},
+		{name: "cnvW1A1", blocks: cnvBlocks, linRuns: 870, bisRuns: 229, digest: "2c2b42738a2b757e"},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			linRuns, bisRuns, compared := 0, 0, 0
+			h := sha256.New()
+			for _, b := range in.blocks {
+				name := b.m.Name
+				lr, lerr := MinCF(dev, b.m, b.rep, cnvWindow, cfg)
+				br, berr := MinCF(dev, b.m, b.rep, bisect, cfg)
+				if (lerr == nil) != (berr == nil) {
+					t.Fatalf("%s: error mismatch: linear %v, bisect %v", name, lerr, berr)
+				}
+				if lerr != nil {
+					if errors.Is(lerr, ErrNoFit) != errors.Is(berr, ErrNoFit) {
+						t.Fatalf("%s: error kind mismatch: linear %v, bisect %v", name, lerr, berr)
+					}
+					continue
+				}
+				if lr.CF != br.CF {
+					t.Fatalf("%s: CF mismatch: linear %.2f, bisect %.2f", name, lr.CF, br.CF)
+				}
+				if br.Impl == nil || br.Impl.Route.Feasible != true {
+					t.Fatalf("%s: bisect returned no feasible implementation", name)
+				}
+				if br.Impl.PBlock.Rect != lr.Impl.PBlock.Rect {
+					t.Fatalf("%s: PBlock mismatch: linear %v, bisect %v", name, lr.Impl.PBlock.Rect, br.Impl.PBlock.Rect)
+				}
+				fmt.Fprintf(h, "%s %.2f %d\n", name, br.CF, br.ToolRuns)
+				linRuns += lr.ToolRuns
+				bisRuns += br.ToolRuns
+				compared++
 			}
-			if err == nil && r.CF != ref.CF {
-				t.Fatalf("%s workers=%d: CF %.2f, want %.2f", spec.Name, w, r.CF, ref.CF)
+			if compared == 0 {
+				t.Fatal("no modules compared")
 			}
-		}
+			if bisRuns*3 > linRuns {
+				t.Errorf("bisect used %d runs vs linear %d: want at least 3x fewer", bisRuns, linRuns)
+			}
+			t.Logf("aggregate over %d modules: linear %d runs, bisect %d runs (%.1fx)",
+				compared, linRuns, bisRuns, float64(linRuns)/float64(bisRuns))
+			if in.digest == "" {
+				return
+			}
+			if linRuns != in.linRuns || bisRuns != in.bisRuns {
+				t.Errorf("tool runs: linear %d, bisect %d; pinned %d, %d", linRuns, bisRuns, in.linRuns, in.bisRuns)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != in.digest {
+				t.Errorf("per-block (name, CF, tool runs) digest %s, pinned %s", got, in.digest)
+			}
+		})
 	}
 }
 
@@ -278,6 +330,46 @@ func TestBisectMinimalityExhaustive(t *testing.T) {
 				t.Errorf("%s: returned CF %.2f but %.2f below it is feasible", spec.Name, r.CF, cf)
 				break
 			}
+		}
+	}
+}
+
+// TestOffGridStepIsAnError: cfAt snaps every probed CF to the 0.02 grid,
+// so a step that is not a positive multiple of it made the searches
+// probe the same CF over and over (0.001: 411 tool runs where the grid
+// step takes 22; 1e-9: never ends). Both searches, under both
+// strategies, now return the error before the first probe, and a valid
+// step still probes.
+func TestOffGridStepIsAnError(t *testing.T) {
+	dev := fabric.XC7Z020()
+	cfg := DefaultConfig()
+	m, rep := module(t, sampleSpecs(1)[0])
+	for _, tc := range []struct {
+		step float64
+		ok   bool
+	}{
+		{0.02, true}, {0.04, true}, {0.1, true}, {1, true},
+		{0, false}, {-0.02, false}, {0.001, false}, {1e-9, false}, {0.01, false}, {0.03, false}, {math.NaN(), false},
+	} {
+		rec := obs.New()
+		s := SearchConfig{Start: 0.9, Step: tc.step, Max: 3.0, Obs: rec}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("step %g: Validate() = %v, want ok=%v", tc.step, err, tc.ok)
+		}
+		if tc.ok {
+			continue
+		}
+		for _, st := range []Strategy{StrategyLinear, StrategyBisect} {
+			s.Strategy = st
+			if res, err := MinCF(dev, m, rep, s, cfg); err == nil || res.ToolRuns != 0 {
+				t.Errorf("step %g, %s: MinCF = %+v, %v; want an error and no tool run", tc.step, st.name(), res, err)
+			}
+		}
+		if res, err := FromEstimate(dev, m, rep, 1.0, s, cfg); err == nil || res.ToolRuns != 0 {
+			t.Errorf("step %g: FromEstimate = %+v, %v; want an error and no tool run", tc.step, res, err)
+		}
+		if n := rec.CounterValue("mincf.oracle_runs"); n != 0 {
+			t.Errorf("step %g: %d oracle runs before the step was rejected", tc.step, n)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package place
 import (
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
@@ -15,17 +14,17 @@ import (
 // every phase, each LUT's input drivers — is the same for all of them,
 // so the search builds one Plan and calls Plan.Place per rectangle.
 //
-// A Plan is safe for concurrent Place calls (the bisect search's
-// speculative workers share one). It also keeps the site tables of
-// finished probes for the next probe to overwrite, so it should live
-// exactly as long as the search that owns it.
+// A Plan belongs to one search, and so to one goroutine: probes run
+// one at a time. It keeps the finished probe's site tables for the next
+// probe to overwrite, so it should live exactly as long as the search
+// that owns it.
 type Plan struct {
 	m   *netlist.Module
 	rep ShapeReport
 
 	// The cold packer's tables are built on its first run: a warm
 	// start (Options.Warm) that transplants cleanly never needs them.
-	once sync.Once
+	prepared bool
 	// seed is the default jitter seed, a hash of the module's content,
 	// and stream the start of its random stream, which every probe on
 	// the default seed replays instead of seeding a generator.
@@ -46,8 +45,7 @@ type Plan struct {
 	drivers     []netlist.CellID
 	brams, dsps []netlist.CellID
 
-	mu   sync.Mutex
-	idle []*placer // finished probes' placers, buffers and all
+	probe *placer // the last probe's placer, buffers and all
 }
 
 // seqGroup is the sequential cells of one kind set sharing a control set.
@@ -79,20 +77,10 @@ func Place(dev *fabric.Device, m *netlist.Module, rep ShapeReport, rect fabric.R
 // rect, opts) only — identical whether the plan is fresh or has served
 // any number of earlier probes.
 func (pl *Plan) Place(dev *fabric.Device, rect fabric.Rect, opts Options) (*Placement, error) {
-	pl.mu.Lock()
-	var p *placer
-	if n := len(pl.idle); n > 0 {
-		p, pl.idle = pl.idle[n-1], pl.idle[:n-1]
+	if pl.probe == nil {
+		pl.probe = &placer{plan: pl}
 	}
-	pl.mu.Unlock()
-	if p == nil {
-		p = &placer{plan: pl}
-	}
-	res, err := p.place(dev, rect, opts)
-	pl.mu.Lock()
-	pl.idle = append(pl.idle, p)
-	pl.mu.Unlock()
-	return res, err
+	return pl.probe.place(dev, rect, opts)
 }
 
 // contentSeed derives the default jitter seed from the module's
@@ -108,86 +96,88 @@ func contentSeed(m *netlist.Module) int64 {
 
 // prepare derives the cold packer's tables, once.
 func (pl *Plan) prepare() {
-	pl.once.Do(func() {
-		m := pl.m
-		pl.seed = contentSeed(m)
-		pl.stream = recordStream(pl.seed)
+	if pl.prepared {
+		return
+	}
+	pl.prepared = true
+	m := pl.m
+	pl.seed = contentSeed(m)
+	pl.stream = recordStream(pl.seed)
 
-		type chain struct {
-			id    int32
-			cells []netlist.CellID
-		}
-		var chains []*chain
-		chainByID := map[int32]*chain{}
-		memAt, ffAt := map[int32]int{}, map[int32]int{}
-		lutAt := make([]int32, len(m.Cells)) // LUT cell -> index in pl.luts
-		pl.luts = make([]netlist.CellID, 0, pl.rep.Stats.LUTs)
-		for ci := range m.Cells {
-			c := &m.Cells[ci]
-			id := netlist.CellID(ci)
-			switch {
-			case c.Kind == netlist.CellCarry:
-				ch, ok := chainByID[c.Chain]
-				if !ok {
-					ch = &chain{id: c.Chain}
-					chainByID[c.Chain] = ch
-					chains = append(chains, ch)
-				}
-				for int(c.ChainPos) >= len(ch.cells) {
-					ch.cells = append(ch.cells, netlist.NoID)
-				}
-				ch.cells[c.ChainPos] = id
-			case c.Kind.NeedsMSlice():
-				pl.mem = addToGroup(pl.mem, memAt, c.ControlSet, id)
-			case c.Kind == netlist.CellFF:
-				pl.ffs = addToGroup(pl.ffs, ffAt, c.ControlSet, id)
-			case c.Kind == netlist.CellLUT:
-				lutAt[ci] = int32(len(pl.luts))
-				pl.luts = append(pl.luts, id)
-			case c.Kind == netlist.CellBRAM:
-				pl.brams = append(pl.brams, id)
-			case c.Kind == netlist.CellDSP:
-				pl.dsps = append(pl.dsps, id)
+	type chain struct {
+		id    int32
+		cells []netlist.CellID
+	}
+	var chains []*chain
+	chainByID := map[int32]*chain{}
+	memAt, ffAt := map[int32]int{}, map[int32]int{}
+	lutAt := make([]int32, len(m.Cells)) // LUT cell -> index in pl.luts
+	pl.luts = make([]netlist.CellID, 0, pl.rep.Stats.LUTs)
+	for ci := range m.Cells {
+		c := &m.Cells[ci]
+		id := netlist.CellID(ci)
+		switch {
+		case c.Kind == netlist.CellCarry:
+			ch, ok := chainByID[c.Chain]
+			if !ok {
+				ch = &chain{id: c.Chain}
+				chainByID[c.Chain] = ch
+				chains = append(chains, ch)
 			}
-		}
-		sort.Slice(chains, func(i, j int) bool {
-			if len(chains[i].cells) != len(chains[j].cells) {
-				return len(chains[i].cells) > len(chains[j].cells)
+			for int(c.ChainPos) >= len(ch.cells) {
+				ch.cells = append(ch.cells, netlist.NoID)
 			}
-			return chains[i].id < chains[j].id
-		})
-		for _, ch := range chains {
-			pl.chains = append(pl.chains, ch.cells)
+			ch.cells[c.ChainPos] = id
+		case c.Kind.NeedsMSlice():
+			pl.mem = addToGroup(pl.mem, memAt, c.ControlSet, id)
+		case c.Kind == netlist.CellFF:
+			pl.ffs = addToGroup(pl.ffs, ffAt, c.ControlSet, id)
+		case c.Kind == netlist.CellLUT:
+			lutAt[ci] = int32(len(pl.luts))
+			pl.luts = append(pl.luts, id)
+		case c.Kind == netlist.CellBRAM:
+			pl.brams = append(pl.brams, id)
+		case c.Kind == netlist.CellDSP:
+			pl.dsps = append(pl.dsps, id)
 		}
-		sort.Slice(pl.mem, func(i, j int) bool { return pl.mem[i].cs < pl.mem[j].cs })
-		sort.Slice(pl.ffs, func(i, j int) bool { return pl.ffs[i].cs < pl.ffs[j].cs })
+	}
+	sort.Slice(chains, func(i, j int) bool {
+		if len(chains[i].cells) != len(chains[j].cells) {
+			return len(chains[i].cells) > len(chains[j].cells)
+		}
+		return chains[i].id < chains[j].id
+	})
+	for _, ch := range chains {
+		pl.chains = append(pl.chains, ch.cells)
+	}
+	sort.Slice(pl.mem, func(i, j int) bool { return pl.mem[i].cs < pl.mem[j].cs })
+	sort.Slice(pl.ffs, func(i, j int) bool { return pl.ffs[i].cs < pl.ffs[j].cs })
 
-		// Each LUT's input drivers in net order, as one CSR array: count
-		// per LUT, prefix-sum, then fill through a cursor per LUT.
-		lutSinks := func(fn func(lut int32, driver netlist.CellID)) {
-			for ni := range m.Nets {
-				n := &m.Nets[ni]
-				if n.Driver == netlist.NoID {
-					continue
-				}
-				for _, s := range n.Sinks {
-					if m.Cells[s].Kind == netlist.CellLUT {
-						fn(lutAt[s], n.Driver)
-					}
+	// Each LUT's input drivers in net order, as one CSR array: count
+	// per LUT, prefix-sum, then fill through a cursor per LUT.
+	lutSinks := func(fn func(lut int32, driver netlist.CellID)) {
+		for ni := range m.Nets {
+			n := &m.Nets[ni]
+			if n.Driver == netlist.NoID {
+				continue
+			}
+			for _, s := range n.Sinks {
+				if m.Cells[s].Kind == netlist.CellLUT {
+					fn(lutAt[s], n.Driver)
 				}
 			}
 		}
-		pl.driverStart = make([]int32, len(pl.luts)+1)
-		lutSinks(func(lut int32, _ netlist.CellID) { pl.driverStart[lut+1]++ })
-		for i := range pl.luts {
-			pl.driverStart[i+1] += pl.driverStart[i]
-		}
-		pl.drivers = make([]netlist.CellID, pl.driverStart[len(pl.luts)])
-		cursor := append([]int32(nil), pl.driverStart[:len(pl.luts)]...)
-		lutSinks(func(lut int32, driver netlist.CellID) {
-			pl.drivers[cursor[lut]] = driver
-			cursor[lut]++
-		})
+	}
+	pl.driverStart = make([]int32, len(pl.luts)+1)
+	lutSinks(func(lut int32, _ netlist.CellID) { pl.driverStart[lut+1]++ })
+	for i := range pl.luts {
+		pl.driverStart[i+1] += pl.driverStart[i]
+	}
+	pl.drivers = make([]netlist.CellID, pl.driverStart[len(pl.luts)])
+	cursor := append([]int32(nil), pl.driverStart[:len(pl.luts)]...)
+	lutSinks(func(lut int32, driver netlist.CellID) {
+		pl.drivers[cursor[lut]] = driver
+		cursor[lut]++
 	})
 }
 

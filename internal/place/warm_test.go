@@ -138,7 +138,7 @@ func TestWarmStartSkipsColdTables(t *testing.T) {
 	if plan.driverStart != nil || plan.seed != 0 {
 		t.Fatal("a clean transplant built the cold packer's tables")
 	}
-	if p := plan.idle[0]; p.rng != nil || len(p.sites) != 0 {
+	if p := plan.probe; p.rng != nil || len(p.sites) != 0 {
 		t.Fatal("a clean transplant seeded a random source or built site tables")
 	}
 	// A rectangle the old placement does not fit falls back to the cold

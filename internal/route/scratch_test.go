@@ -27,8 +27,6 @@ func sameBits(a, b route.Result) bool {
 // descending — each probe inherits tables left by another module, by a
 // larger rectangle, by a probe that took the detour pass or by one that
 // returned before it — and answers bit for bit like a fresh route.Route.
-// The concurrent use, one Scratch per speculative probe out of a
-// search's pool, is pblock's TestBisectSharedPlanWorkers under -race.
 func TestRouteScratchMatchesOneShot(t *testing.T) {
 	dev := fabric.XC7Z020()
 	cfg := pblock.DefaultConfig()

@@ -22,24 +22,22 @@ const (
 	coldShareDen = 20
 )
 
+// ladderRatio is the temperature multiplier between adjacent chains. The
+// ladder is anchored at the top: chain k-1 runs at the historical
+// exploratory temperature InitTemp·cost, and each colder chain divides
+// by ladderRatio, so chain 0 refines near-greedily.
+const ladderRatio = 3.0
+
 // chain is one annealing replica plus its schedule state.
 type chain struct {
 	a   *annealer
 	idx int
 	// it is the next iteration index to execute; budget the per-chain
-	// move allowance.
+	// move allowance, which every chain runs to the end.
 	it, budget int
-	// stopIter is the index the adaptive stop fired at, valid when
-	// stopped.
-	stopIter int
-	temp     float64
-	initTemp float64
-	cooling  float64
-	// adaptive-stop state
-	stopWindow  int
-	stopFrac    float64
-	windowStart float64
-	stopped     bool
+	temp       float64
+	initTemp   float64
+	cooling    float64
 
 	// every is the validated cost-trace sampling interval
 	// (Config.TraceEvery after defaulting).
@@ -49,22 +47,14 @@ type chain struct {
 	exchanges int
 }
 
-// iterations returns the chain's executed-iterations metric.
-func (c *chain) iterations() int {
-	if c.stopped {
-		return c.stopIter
-	}
-	return c.budget
-}
-
 // runSegment advances the chain by up to n moves. It is the historical
-// serial loop body verbatim — move, cool, sample, stop-check — so a
-// single full-budget segment is bit-identical to the pre-chain annealer.
+// serial loop body verbatim — move, cool, sample — so a single
+// full-budget segment is bit-identical to the pre-chain annealer.
 // progress is nil except on the serial path (chains report progress at
 // the exchange barriers instead, from the calling goroutine).
 func (c *chain) runSegment(n int, progress func(chain, iter int, cost float64)) {
 	a := c.a
-	for ; n > 0 && !c.stopped && c.it < c.budget; n-- {
+	for ; n > 0 && c.it < c.budget; n-- {
 		it := c.it
 		a.tryMove(c.temp)
 		c.temp *= c.cooling
@@ -76,14 +66,6 @@ func (c *chain) runSegment(n int, progress func(chain, iter int, cost float64)) 
 		}
 		if a.cfg.CheckIncremental && it%1024 == 0 {
 			a.checkIncremental(it)
-		}
-		if c.stopWindow > 0 && it > 0 && it%c.stopWindow == 0 {
-			if c.windowStart-a.cost < c.stopFrac*a.cost {
-				c.stopped = true
-				c.stopIter = it
-				break
-			}
-			c.windowStart = a.cost
 		}
 		c.it = it + 1
 	}
@@ -199,12 +181,12 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 			a.cloneStateFrom(chains[0].a)
 		}
 		// The ladder spans from the historical exploratory temperature
-		// (hottest chain, c = k-1) down by TempLadder per rung, so the
+		// (hottest chain, c = k-1) down by ladderRatio per rung, so the
 		// coldest chain refines near-greedily while the hot replicas keep
 		// escaping local minima for it. With k = 1 the anchor reduces to
 		// InitTemp — the serial schedule.
-		anchor := cfg.InitTemp / math.Pow(cfg.TempLadder, float64(k-1))
-		temp := a.cost * anchor * math.Pow(cfg.TempLadder, float64(ci))
+		anchor := cfg.InitTemp / math.Pow(ladderRatio, float64(k-1))
+		temp := a.cost * anchor * math.Pow(ladderRatio, float64(ci))
 		if temp <= 0 {
 			temp = 1
 		}
@@ -216,21 +198,14 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 		if ci > 0 {
 			cooling = 1
 		}
-		stopFrac := cfg.StopFrac
-		if stopFrac <= 0 {
-			stopFrac = 0.005
-		}
 		chains[ci] = &chain{
-			a:           a,
-			idx:         ci,
-			budget:      budgets[ci],
-			temp:        temp,
-			initTemp:    temp,
-			cooling:     cooling,
-			stopWindow:  cfg.StopWindow,
-			stopFrac:    stopFrac,
-			windowStart: a.cost,
-			every:       cfg.TraceEvery,
+			a:        a,
+			idx:      ci,
+			budget:   budgets[ci],
+			temp:     temp,
+			initTemp: temp,
+			cooling:  cooling,
+			every:    cfg.TraceEvery,
 			// Preallocated to the sampling grid plus the pinned final
 			// point, so runSegment's trace appends never reallocate.
 			trace: make([]CostSample, 0, budgets[ci]/cfg.TraceEvery+2),
@@ -406,7 +381,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 	res.FinalCost = final - float64(res.Unplaced)*a.cfg.UnplacedPenalty
 
 	trace := w.trace
-	executed := w.iterations()
+	executed := w.budget
 	// Always record the final (iteration, cost) point, so reaching the
 	// final cost is always observable in the trace even when the run
 	// ends off the 256-iteration sampling grid.
@@ -431,7 +406,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 	}
 
 	for _, c := range chains {
-		res.Iterations += c.iterations()
+		res.Iterations += c.budget
 		res.IllegalMoves += c.a.illegal
 		cfinal := finals[c.idx]
 		unplaced := 0

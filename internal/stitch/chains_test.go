@@ -48,10 +48,9 @@ func TestSingleChainMatchesSerial(t *testing.T) {
 // sampling grid, so reaching the final cost is always observable.
 func TestFinalCostAlwaysInTrace(t *testing.T) {
 	for _, cfg := range []Config{
-		{Seed: 1, Iterations: 5000},                    // 5000 % 256 != 0
-		{Seed: 1, Iterations: 5000, Chains: 3},         //
-		{Seed: 5, Iterations: 40000, StopWindow: 1000}, // adaptive stop
-		{Seed: 2, Iterations: 4096},                    // on-grid end
+		{Seed: 1, Iterations: 5000},            // 5000 % 256 != 0
+		{Seed: 1, Iterations: 5000, Chains: 3}, //
+		{Seed: 2, Iterations: 4096},            // on-grid end
 	} {
 		res := Run(smallProblem(t, 10), cfg)
 		if len(res.CostTrace) == 0 {

@@ -166,13 +166,6 @@ type Config struct {
 	InitTemp float64
 	// UnplacedPenalty is the per-unplaced-instance cost (default 2,000).
 	UnplacedPenalty float64
-	// StopWindow enables adaptive termination: when a window of this
-	// many iterations improves the cost by less than StopFrac
-	// (relative), the annealer stops early. 0 disables. With chains the
-	// window applies per chain.
-	StopWindow int
-	// StopFrac is the relative improvement threshold (default 0.005).
-	StopFrac float64
 	// Chains is the number of parallel-tempering replicas. 0 or 1 runs
 	// the single serial chain, bit-identical to the historical
 	// annealer. K > 1 runs K chains with per-chain derived seeds and a
@@ -180,11 +173,6 @@ type Config struct {
 	// replica-exchange schedule; the result is bit-reproducible for a
 	// given (Seed, Chains) pair regardless of GOMAXPROCS.
 	Chains int
-	// TempLadder is the temperature multiplier between adjacent chains
-	// (default 3.0). The ladder is anchored at the top: chain k-1 runs at
-	// the historical exploratory temperature InitTemp·cost, and each
-	// colder chain divides by TempLadder, so chain 0 refines near-greedily.
-	TempLadder float64
 	// ExchangeRounds is the number of replica-exchange barriers spread
 	// evenly over the per-chain budget (default 16).
 	ExchangeRounds int
@@ -583,9 +571,6 @@ func Run(p *Problem, cfg Config) *Result {
 	}
 	if cfg.UnplacedPenalty <= 0 {
 		cfg.UnplacedPenalty = 2000
-	}
-	if cfg.TempLadder <= 0 {
-		cfg.TempLadder = 3.0
 	}
 	if cfg.ExchangeRounds <= 0 {
 		cfg.ExchangeRounds = 16

@@ -224,14 +224,6 @@ func TestOverSubscribedDeviceLeavesUnplaced(t *testing.T) {
 	}
 }
 
-func TestAdaptiveStopTerminatesEarly(t *testing.T) {
-	p := smallProblem(t, 10)
-	res := Run(p, Config{Seed: 5, Iterations: 100000, StopWindow: 2000, StopFrac: 0.01})
-	if res.Iterations >= 100000 {
-		t.Error("a small problem must plateau and stop early")
-	}
-}
-
 // Property: the span masks cover exactly rows lo..hi across words, and
 // conflict/clear see the same interval set wrote.
 func TestSpanMasksBitCountProperty(t *testing.T) {

@@ -79,8 +79,9 @@ func (f *Flow) Device() DeviceInfo {
 }
 
 // SetSearch overrides the CF search window (start, step, max). The paper
-// uses start 0.9 at step 0.02. The search strategy and probe parallelism
-// configured on the flow are preserved.
+// uses start 0.9 at step 0.02; a step that is not a positive multiple of
+// 0.02 fails every search of the flow. The search strategy configured on
+// the flow is preserved.
 func (f *Flow) SetSearch(start, step, max float64) {
 	f.search.Start = start
 	f.search.Step = step
@@ -107,13 +108,4 @@ const (
 // strategies return identical CFs.
 func (f *Flow) SetSearchStrategy(s SearchStrategy) {
 	f.search.Strategy = s
-}
-
-// SetProbeWorkers enables speculative parallel probes for the bisect
-// strategy: up to n candidate CFs are implemented concurrently per
-// search round, with a deterministic merge, so results are bit-identical
-// to the serial search. Flow entry points that run their own per-module
-// pools divide those pools by n to keep total parallelism bounded.
-func (f *Flow) SetProbeWorkers(n int) {
-	f.search.Workers = n
 }

@@ -2,7 +2,6 @@ package macroflow
 
 import (
 	"fmt"
-	"runtime"
 
 	"macroflow/internal/pblock"
 	"macroflow/internal/stitch"
@@ -22,9 +21,6 @@ type AnnealOptions struct {
 	// Iterations is the total SA move budget (default 200,000), divided
 	// evenly across chains when Chains > 1.
 	Iterations int `json:"iterations,omitempty"`
-	// TempLadder is the temperature multiplier between adjacent chains
-	// (0 selects the calibrated default of 3.0; values >= 1 otherwise).
-	TempLadder float64 `json:"tempLadder,omitempty"`
 }
 
 // AnalyticOptions tunes the gradient-descent global placer (backends
@@ -45,10 +41,6 @@ type StitchOptions struct {
 	Anneal AnnealOptions
 	// Analytic tunes the gradient-descent global placer.
 	Analytic AnalyticOptions
-	// AdaptiveStop lets the annealer terminate once a cost plateau is
-	// reached, making Anneal.Iterations a convergence-speed measurement.
-	// With chains the plateau detection applies per chain.
-	AdaptiveStop bool
 	// TraceEvery is the sampling interval, in iterations, of the
 	// StitchReport cost traces (Trace and per-chain Chains[i].Trace).
 	// Values < 1 select the validated default of 256; the interval
@@ -108,9 +100,6 @@ func (o StitchOptions) Validate() error {
 	if o.Anneal.Chains < 0 {
 		return fmt.Errorf("macroflow: StitchOptions.Anneal.Chains must be >= 0 (got %d)", o.Anneal.Chains)
 	}
-	if o.Anneal.TempLadder != 0 && o.Anneal.TempLadder < 1 {
-		return fmt.Errorf("macroflow: StitchOptions.Anneal.TempLadder must be 0 (default) or >= 1 (got %g)", o.Anneal.TempLadder)
-	}
 	if o.Analytic.GDIterations < 0 {
 		return fmt.Errorf("macroflow: StitchOptions.Analytic.GDIterations must be >= 0 (got %d)", o.Analytic.GDIterations)
 	}
@@ -141,8 +130,6 @@ type ImplementOptions struct {
 	// GOMAXPROCS). The workers start the blocks largest first (by the
 	// cell count of the spec), so the longest block never waits for a
 	// worker; no result depends on the order or on the worker count.
-	// When the flow's search probes speculatively, the block pool is
-	// divided by the probe width to keep total parallelism bounded.
 	Workers int
 	// Cache, when non-nil, reuses pre-implemented blocks across calls
 	// (and across processes when the cache has a persistent layer).
@@ -151,9 +138,6 @@ type ImplementOptions struct {
 	// call; SearchFlowDefault (the zero value) keeps the flow's
 	// setting. Both strategies return identical CFs.
 	Strategy SearchChoice
-	// ProbeWorkers overrides the flow's speculative probe parallelism
-	// for this call (0 keeps the flow's setting).
-	ProbeWorkers int
 	// Obs, when non-nil, records block-implementation spans and metrics
 	// (flow/implement.block/search.mincf/oracle.probe spans,
 	// mincf.oracle_runs, implcache and blockcache counters). Nil
@@ -179,9 +163,6 @@ func (o ImplementOptions) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("macroflow: ImplementOptions.Workers must be >= 0 (got %d)", o.Workers)
 	}
-	if o.ProbeWorkers < 0 {
-		return fmt.Errorf("macroflow: ImplementOptions.ProbeWorkers must be >= 0 (got %d)", o.ProbeWorkers)
-	}
 	switch o.Strategy {
 	case SearchFlowDefault, SearchForceLinear, SearchForceBisect:
 	default:
@@ -200,28 +181,8 @@ func (f *Flow) searchFor(im ImplementOptions) pblock.SearchConfig {
 	case SearchForceBisect:
 		s.Strategy = pblock.StrategyBisect
 	}
-	if im.ProbeWorkers > 0 {
-		s.Workers = im.ProbeWorkers
-	}
 	s.Obs = im.Obs
 	return s
-}
-
-// blockWorkers resolves the block-level worker pool width: the
-// requested width (default GOMAXPROCS), divided by the probe width when
-// the searches themselves run speculative parallel probes.
-func blockWorkers(requested, probeWorkers int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if probeWorkers > 1 {
-		w = (w + probeWorkers - 1) / probeWorkers
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
 }
 
 // stitchConfig maps the public options onto the stitcher configuration.
@@ -232,10 +193,6 @@ func stitchConfig(o StitchOptions) stitch.Config {
 		scfg.Iterations = o.Anneal.Iterations
 	}
 	scfg.Chains = o.Anneal.Chains
-	scfg.TempLadder = o.Anneal.TempLadder
-	if o.AdaptiveStop {
-		scfg.StopWindow = scfg.Iterations / 16
-	}
 	scfg.TraceEvery = o.TraceEvery
 	scfg.Progress = o.Progress
 	scfg.Obs = o.Obs

@@ -2,6 +2,7 @@ package macroflow
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -158,11 +159,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"bad-backend", StitchOptions{Backend: "bogus"}, false},
 		{"bad-check", StitchOptions{Check: CheckLevel(42)}, false},
 		{"structured-full", StitchOptions{Backend: BackendHybrid,
-			Anneal:   AnnealOptions{Chains: 4, Iterations: 100, TempLadder: 2.5},
+			Anneal:   AnnealOptions{Chains: 4, Iterations: 100},
 			Analytic: AnalyticOptions{GDIterations: 64}}, true},
 		{"negative-anneal-iterations", StitchOptions{Anneal: AnnealOptions{Iterations: -1}}, false},
 		{"negative-anneal-chains", StitchOptions{Anneal: AnnealOptions{Chains: -1}}, false},
-		{"temp-ladder-below-one", StitchOptions{Anneal: AnnealOptions{TempLadder: 0.5}}, false},
 		{"negative-analytic-gd", StitchOptions{Analytic: AnalyticOptions{GDIterations: -1}}, false},
 	}
 	for _, tc := range stitchCases {
@@ -176,10 +176,8 @@ func TestOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", ImplementOptions{}, true},
-		{"full", ImplementOptions{Workers: 2, Strategy: SearchForceBisect, ProbeWorkers: 2,
-			Check: CheckFull}, true},
+		{"full", ImplementOptions{Workers: 2, Strategy: SearchForceBisect, Check: CheckFull}, true},
 		{"negative-workers", ImplementOptions{Workers: -1}, false},
-		{"negative-probes", ImplementOptions{ProbeWorkers: -1}, false},
 		{"bad-strategy", ImplementOptions{Strategy: SearchChoice(42)}, false},
 		{"bad-check", ImplementOptions{Check: CheckLevel(-1)}, false},
 	}
@@ -206,6 +204,39 @@ func TestCompileValidatesOptions(t *testing.T) {
 	if _, err := f.RunCNV(MinSweepCF(),
 		CNVOptions{Stitch: StitchOptions{Anneal: AnnealOptions{Iterations: -5}}}); err == nil {
 		t.Error("RunCNV accepted a negative iteration budget")
+	}
+}
+
+// TestOffGridSearchStepRejected: SetSearch(0.9, 0.001, 3.0) used to
+// return this block's CF 1.32 after 411 tool runs instead of the grid
+// step's 22 — every 0.02 grid CF probed twenty times. The single-block
+// searches now return the step error, and Compile returns it before any
+// block starts (nothing searched, nothing cached).
+func TestOffGridSearchStepRejected(t *testing.T) {
+	spec := func() *Spec { return NewSpec("blk").ShiftRegs(8, 16, 4, 6).SumOfSquares(12, 2) }
+	f, _ := NewFlow("xc7z020")
+	f.SetSearch(0.9, 0.02, 3.0)
+	r, err := f.MinCF(spec())
+	if err != nil || r.CF != 1.32 || r.ToolRuns != 22 {
+		t.Fatalf("grid step: CF %.2f in %d tool runs (%v), want 1.32 in 22", r.CF, r.ToolRuns, err)
+	}
+	for _, step := range []float64{0.001, 1e-4, 1e-9} {
+		f.SetSearch(0.9, step, 3.0)
+		const want = "is not a positive multiple of the 0.02 CF grid"
+		if r, err := f.MinCF(spec()); err == nil || !strings.Contains(err.Error(), want) || r.ToolRuns != 0 {
+			t.Errorf("step %g: MinCF = %+v, %v; want the step error and no tool run", step, r, err)
+		}
+		cache := NewBlockCache()
+		rec := NewRecorder()
+		_, err := f.Compile(smallDesign(120), MinSweepCF(),
+			CompileOptions{Implement: ImplementOptions{Cache: cache, Obs: rec}, SkipStitch: true})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("step %g: Compile = %v, want the step error", step, err)
+		}
+		if cache.Len() != 0 || cache.Stats() != (CacheStats{}) || len(rec.Spans()) != 0 {
+			t.Errorf("step %g: Compile started work before rejecting the step: cache %+v, %d spans",
+				step, cache.Stats(), len(rec.Spans()))
+		}
 	}
 }
 

@@ -111,7 +111,6 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	}
 	bis.SetSearch(0.9, 0.02, 3.0)
 	bis.SetSearchStrategy(SearchBisect)
-	bis.SetProbeWorkers(4)
 	c2, err := NewPersistentBlockCache(dir)
 	if err != nil {
 		t.Fatal(err)

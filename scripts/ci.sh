@@ -12,7 +12,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-stages="fmt vet build benchmod race shuffle fuzz coverage determinism audits daemon benchsmoke obsgate"
+stages="fmt vet build benchmod benchrun race shuffle fuzz coverage determinism audits daemon benchsmoke obsgate"
 
 # run_listed 'TestA|TestB|...' <go test flags and packages>
 # is go test -run with that list, after checking the list: go test -run
@@ -64,6 +64,23 @@ stage_benchmod() {
 	echo "==> cmd/bench: go vet + go test" >&2
 	go -C cmd/bench vet .
 	go -C cmd/bench test .
+}
+
+stage_benchrun() {
+	# The benchmark as its driver runs it: BENCHMARK.json's command, every
+	# workload, untraced and traced, one second each. A run must exit 0
+	# and report a correct result with no failed operation.
+	workloads="$(sed -n 's/^ *"name": "\([a-z-]*\)",$/\1/p' BENCHMARK.json)"
+	for w in ${workloads}; do
+		for trace in 0 1; do
+			echo "==> cmd/bench/run.sh --workload ${w} --trace ${trace}" >&2
+			line="$(bash cmd/bench/run.sh --workload "${w}" --seed 1 --seconds 1 --trace "${trace}")"
+			if ! echo "${line}" | grep -q '"correct":true' || ! echo "${line}" | grep -Eq '"failed":0[,}]'; then
+				echo "ci: ${w} --trace ${trace}: want \"correct\":true and \"failed\":0, got: ${line}" >&2
+				exit 1
+			fi
+		done
+	done
 }
 
 stage_race() {
@@ -127,10 +144,14 @@ stage_determinism() {
 	export GOMAXPROCS=4
 	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
 	run_listed 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' -race ./internal/partition/
-	# The min-CF probe loop: speculative bisect workers share one place.Plan
-	# (and its recycled site tables), and a reused plan must answer like a
-	# from-scratch placement on every rectangle of every sweep.
-	run_listed 'TestBisectSharedPlanWorkers|TestBisectSharedPlanGOMAXPROCSInvariant|TestBisectParallelDeterministic' -race ./internal/pblock/
+	# The min-CF probe loop: a search probes serially through one plan (and
+	# its recycled site tables) while the blocks around it run in parallel;
+	# the bisect search's per-block probe counts are pinned, and a reused
+	# plan must answer like a from-scratch placement on every rectangle of
+	# every sweep. The one loop that runs the blocks hands every index to
+	# exactly one lane.
+	run_listed 'TestBisectMatchesLinear' -race ./internal/pblock/
+	run_listed 'TestLanes' -race ./internal/obs/
 	# The block path's one disk read-through, in every state a cache
 	# directory can be in; and a label and a min-sweep block being one
 	# record, whichever is written first.
