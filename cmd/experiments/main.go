@@ -54,6 +54,11 @@ func main() {
 		"oracle cross-check level for the cnv flow runs: off, sampled or full (full re-probes every minimal-CF claim and recounts every placement — slow, but the run is fully audited)")
 	flag.Parse()
 
+	want, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	checkLevel, err := check.Parse()
 	if err != nil {
 		log.Fatal(err)
@@ -84,33 +89,7 @@ func main() {
 		c.stitchIters = 60000
 	}
 
-	all := []struct {
-		name string
-		run  func(*ctx)
-	}{
-		{"table1", table1},
-		{"table2", table2},
-		{"fig3", fig3},
-		{"fig4", fig4},
-		{"fig5", fig5},
-		{"fig7", fig7},
-		{"fig8", fig8},
-		{"fig9", fig9},
-		{"fig10", fig10},
-		{"fig11", fig11},
-		{"fig12", fig12},
-		{"fig13", fig13},
-		{"toolruns", toolruns},
-		{"ablation", ablation},
-		{"overhead", overhead},
-		{"maze", maze},
-	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	ran := 0
-	for _, e := range all {
+	for _, e := range experiments {
 		if want["all"] || want[e.name] {
 			fmt.Printf("\n================ %s ================\n", e.name)
 			sp := c.rec.Start("exp." + e.name)
@@ -118,20 +97,61 @@ func main() {
 			e.run(c)
 			c.cur = nil
 			sp.End()
-			ran++
 		}
 	}
 	if err := obsFlags.Flush(c.rec, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", *exp)
-		for _, e := range all {
-			fmt.Fprintf(os.Stderr, " %s", e.name)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
+}
+
+// experiments lists every experiment in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(*ctx)
+}{
+	{"table1", table1},
+	{"table2", table2},
+	{"fig3", fig3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"toolruns", toolruns},
+	{"ablation", ablation},
+	{"overhead", overhead},
+	{"maze", maze},
+}
+
+// selectExperiments parses -exp, a comma list of experiment names or
+// all. Every name in the list must be known, so a typo fails before
+// any experiment runs instead of being skipped.
+func selectExperiments(spec string) (map[string]bool, error) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.name] = true
 	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			unknown = append(unknown, name)
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		var names strings.Builder
+		for _, e := range experiments {
+			names.WriteString(" " + e.name)
+		}
+		return nil, fmt.Errorf("unknown experiment %q; known:%s", strings.Join(unknown, ","), names.String())
+	}
+	return want, nil
 }
 
 func bar(v float64, scale float64) string {

@@ -393,6 +393,49 @@ func TestDaemonCancelAndQueueOrder(t *testing.T) {
 	}
 }
 
+// TestCancelRacesCompletion: cancels hammered at short jobs while the
+// workers pop, run and finish them. Every reply is 200 canceled or 409
+// not_cancelable, and under -race the handler reads the job's state
+// only under the job's lock, which the worker's state flips also hold.
+// The handler is driven in process so a cancel lands every few
+// microseconds, inside the worker's dequeue and finish windows.
+func TestCancelRacesCompletion(t *testing.T) {
+	s, c := newTestServer(t, serverConfig{Workers: 2})
+	s.start()
+	defer s.drain()
+	h := s.routes()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for i := 0; i < 40; i++ {
+		job, err := c.Submit(ctx, smallReq(int64(i%4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for settled := false; !settled; {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs/"+job.ID+"/cancel", nil))
+			switch rr.Code {
+			case http.StatusOK:
+				var st apiv1.JobStatus
+				if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil || st.State != apiv1.JobCanceled {
+					t.Fatalf("job %d: 200 with %s", i, rr.Body)
+				}
+				settled = true
+			case http.StatusConflict:
+				var env apiv1.ErrorEnvelope
+				if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil || env.Error == nil ||
+					env.Error.Code != apiv1.ErrNotCancelable {
+					t.Fatalf("job %d: 409 with %s", i, rr.Body)
+				}
+				settled = !strings.HasSuffix(env.Error.Message, " is "+apiv1.JobQueued) &&
+					!strings.HasSuffix(env.Error.Message, " is "+apiv1.JobRunning)
+			default:
+				t.Fatalf("job %d: cancel answered %d %s", i, rr.Code, rr.Body)
+			}
+		}
+	}
+}
+
 // TestDaemonEventStream: the JSONL feed carries the state transitions,
 // span-bridge events and stitch progress samples in seq order, and
 // ?from= resumes without replay.

@@ -695,10 +695,10 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	cancelable := j.state == apiv1.JobQueued && j.index >= 0
+	state := j.state
+	cancelable := state == apiv1.JobQueued && j.index >= 0
 	j.mu.Unlock()
 	if !cancelable {
-		state := j.state
 		s.mu.Unlock()
 		writeError(w, &apiv1.Error{Code: apiv1.ErrNotCancelable,
 			Message: fmt.Sprintf("job %s is %s", id, state)})

@@ -15,7 +15,7 @@ import (
 )
 
 // docFiles are the documents TestDocsNameRealThings holds to the tree.
-var docFiles = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // docRoots are the top-level directories a back-ticked span must start
 // with to be read as a repo-relative path.
@@ -29,7 +29,8 @@ var (
 )
 
 // TestDocsNameRealThings keeps the written record honest where that is
-// cheap and exact. In README.md, DESIGN.md and the verify skill:
+// cheap and exact. In README.md, DESIGN.md, EXPERIMENTS.md and the
+// verify skill:
 //
 //   - every Test…/Benchmark…/Fuzz… name is a function of some _test.go
 //     file in the tree (a trailing * makes it a prefix);

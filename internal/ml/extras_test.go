@@ -7,35 +7,6 @@ import (
 	"testing"
 )
 
-func TestKFoldCV(t *testing.T) {
-	X, y := makeNonlinear(200, 11)
-	res, err := KFoldCV(5, X, y, 3, func() Model {
-		return &DecisionTree{MaxDepth: 10}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FoldErrors) != 5 {
-		t.Fatalf("folds = %d, want 5", len(res.FoldErrors))
-	}
-	if res.Mean <= 0 || res.Mean > 0.5 {
-		t.Errorf("implausible CV mean %.3f", res.Mean)
-	}
-	if res.Std < 0 {
-		t.Errorf("negative std %.3f", res.Std)
-	}
-}
-
-func TestKFoldCVRejectsBadInput(t *testing.T) {
-	X, y := makeNonlinear(10, 1)
-	if _, err := KFoldCV(1, X, y, 1, nil); err == nil {
-		t.Error("k=1 must fail")
-	}
-	if _, err := KFoldCV(20, X, y, 1, nil); err == nil {
-		t.Error("k > n must fail")
-	}
-}
-
 func roundTrip(t *testing.T, m Model) Model {
 	t.Helper()
 	var buf bytes.Buffer

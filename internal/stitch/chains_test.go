@@ -122,14 +122,32 @@ func TestChainsResultLegal(t *testing.T) {
 	}
 }
 
-// TestChainsImproveOnSerialBudget: with the same total move budget, the
-// tempered chains must not be dramatically worse than the serial chain
-// (they usually win; allow slack for tiny problems).
+// TestChainsImproveOnSerialBudget: four tempered chains against the
+// serial chain, final costs summed over the row's seeds. On a tiny
+// problem and the same budget they must not be dramatically worse
+// (they usually win). On the paper's cnvW1A1 problem, four chains on
+// 40,000 moves must reach the serial chain's 50,000-move cost. The
+// chains/serial ratios measured are 0.924 (small) and 0.986 (cnvW1A1).
 func TestChainsImproveOnSerialBudget(t *testing.T) {
-	p := smallProblem(t, 30)
-	serial := Run(p, Config{Seed: 2, Iterations: 30000})
-	chained := Run(smallProblem(t, 30), Config{Seed: 2, Iterations: 30000, Chains: 4})
-	if chained.FinalCost > serial.FinalCost*1.25 {
-		t.Errorf("chains cost %.1f far worse than serial %.1f", chained.FinalCost, serial.FinalCost)
+	for _, tc := range []struct {
+		name                  string
+		problem               func() *Problem
+		seeds                 []int64
+		serialIters, chainIts int
+		bound                 float64
+	}{
+		{"small", func() *Problem { return smallProblem(t, 30) }, []int64{2}, 30000, 30000, 1.25},
+		{"cnvW1A1", func() *Problem { return cnvMinCFProblem(t) }, []int64{0, 1, 2}, 50000, 40000, 1},
+	} {
+		var serialCost, chainedCost float64
+		for _, seed := range tc.seeds {
+			serialCost += Run(tc.problem(), Config{Seed: seed, Iterations: tc.serialIters}).FinalCost
+			chainedCost += Run(tc.problem(), Config{Seed: seed, Iterations: tc.chainIts, Chains: 4}).FinalCost
+		}
+		t.Logf("%s: chains/serial %.3f", tc.name, chainedCost/serialCost)
+		if chainedCost > tc.bound*serialCost {
+			t.Errorf("%s: 4 chains / %d moves cost %.1f, over %.2f× the serial %d-move cost %.1f",
+				tc.name, tc.chainIts, chainedCost, tc.bound, tc.serialIters, serialCost)
+		}
 	}
 }

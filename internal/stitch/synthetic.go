@@ -17,8 +17,9 @@ import (
 //
 // The problem is a pure function of (dev, scale, seed): the generator
 // draws everything from one seeded rng in a fixed order. It backs the
-// scaled stitcher benchmarks (BenchmarkStitchAnalytic /
-// BenchmarkStitchHybrid) and the legalization property tests.
+// scaled stitch cells of cmd/bench (stitch.*.10x, stitch.*.30x), the
+// hybrid and sharding quality contracts (TestHybridOnThirdOfAnnealBudget,
+// TestSharded10xFullAudit) and the legalization property tests.
 func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 	if scale < 1 {
 		scale = 1

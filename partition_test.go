@@ -137,7 +137,13 @@ func TestPartitionOptionsValidate(t *testing.T) {
 // TestSharded10xFullAudit is the acceptance-scale check: a two-shard
 // partitioned stitch of the 10×-scale synthetic design passes the full
 // oracle audit — partition recount plus per-shard placement and cost —
-// with zero violations.
+// with zero violations. It also holds the sharding trade-off to its
+// bound: greedy assignment plus per-shard hybrid (40,000 moves × 4
+// chains) must stay within 2.5× the single-device hybrid on the same
+// budget, in total cost (shard wirelength + cut weight + 2000 per
+// unplaced instance) summed over seeds 0–2. Each shard is a tighter
+// half-device, so a few percent of instances fail to place; the
+// sharded/single ratio measured is 2.086.
 func TestSharded10xFullAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10x synthetic audit is slow")
@@ -147,17 +153,21 @@ func TestSharded10xFullAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := partition.Assign(partition.FromStitch(p, set), partition.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	sharded := func(seed int64, cfg stitch.Config) (*partition.Assignment, *stitch.ShardedResult) {
+		a, err := partition.Assign(partition.FromStitch(p, set), partition.Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = seed
+		sres, err := stitch.RunSharded(p, stitch.ShardsOf(set), a.Member, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, sres
 	}
 	cfg := stitch.DefaultConfig()
-	cfg.Seed = 7
 	cfg.Iterations = 20000
-	sres, err := stitch.RunSharded(p, stitch.ShardsOf(set), a.Member, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, sres := sharded(7, cfg)
 	vr := &VerifyReport{}
 	verifyPartition(CheckFull, p, set, sres, a.Cut, vr, nil, nil)
 	if vr.Checks == 0 {
@@ -165,5 +175,22 @@ func TestSharded10xFullAudit(t *testing.T) {
 	}
 	if !vr.Ok() {
 		t.Fatalf("10x sharded audit not clean:\n%s", vr.String())
+	}
+
+	hybrid := stitch.DefaultConfig()
+	hybrid.Iterations = 40000
+	hybrid.Chains = 4
+	hybrid.Backend = stitch.BackendHybrid
+	var singleCost, shardedCost float64
+	for seed := int64(0); seed < 3; seed++ {
+		_, sres := sharded(seed, hybrid)
+		shardedCost += sres.FinalCost + sres.CutWeight + 2000*float64(sres.Unplaced)
+		hybrid.Seed = seed
+		r := stitch.Run(p, hybrid)
+		singleCost += r.FinalCost + 2000*float64(r.Unplaced)
+	}
+	t.Logf("sharded/single %.3f", shardedCost/singleCost)
+	if shardedCost > 2.5*singleCost {
+		t.Errorf("two-shard total %.0f, over 250%% of the single-device hybrid's %.0f", shardedCost, singleCost)
 	}
 }

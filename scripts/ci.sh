@@ -200,6 +200,11 @@ stage_daemon() {
 }
 
 stage_benchsmoke() {
+	# One iteration of each micro-benchmark in bench_test.go: the 12 a
+	# test, a gate or a ROADMAP item reads, several of which assert their
+	# input (a rejected probe, a bisect CF equal to linear's) before
+	# timing. The paper's artifacts are cmd/experiments', the end-to-end
+	# workloads cmd/bench's.
 	echo "==> go test -bench . -benchtime 1x (smoke)" >&2
 	go test -run '^$' -bench . -benchtime 1x .
 }
