@@ -44,7 +44,7 @@ func main() {
 	stitchIters := flag.Int("stitch-iters", 300000, "SA iteration budget")
 	st := cliflags.AddStitch(flag.CommandLine,
 		"parallel-tempering chains for stitching (0/1 = serial, bit-identical to previous releases)")
-	pt := cliflags.AddPartition(flag.CommandLine, "")
+	pt := cliflags.AddPartition(flag.CommandLine)
 	quick := flag.Bool("quick", false, "reduced sizes for a fast smoke run")
 	cacheDir := cliflags.AddCache(flag.CommandLine,
 		"persistent implementation cache directory (off by default: cached labels report zero tool runs, which changes the §VIII run-count outputs)")

@@ -506,6 +506,55 @@ func TestDaemonEventStream(t *testing.T) {
 	}
 }
 
+// streamRecorder is a ResponseRecorder that closes wrote on the first
+// body write, so a test can wait until a streaming handler is following
+// its job.
+type streamRecorder struct {
+	*httptest.ResponseRecorder
+	once  sync.Once
+	wrote chan struct{}
+}
+
+func (w *streamRecorder) Write(b []byte) (int, error) {
+	n, err := w.ResponseRecorder.Write(b)
+	w.once.Do(func() { close(w.wrote) })
+	return n, err
+}
+
+// TestEventStreamReturnsOnClientDrop: a client that leaves a live event
+// stream ends its handler. The job stays queued (no worker runs), so
+// nothing but the request context's cancellation can wake the handler's
+// wait for the next event.
+func TestEventStreamReturnsOnClientDrop(t *testing.T) {
+	s, c := newTestServer(t, serverConfig{Workers: 1})
+	job, err := c.Submit(context.Background(), smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &streamRecorder{ResponseRecorder: httptest.NewRecorder(), wrote: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil).WithContext(ctx)
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.routes().ServeHTTP(w, req)
+	}()
+	select {
+	case <-w.wrote: // the queued state event is out: the handler follows the job
+	case <-returned:
+		t.Fatalf("handler returned before the client left: %d %s", w.Code, w.Body)
+	case <-time.After(time.Minute):
+		t.Fatal("event stream wrote nothing within a minute")
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("event stream handler still running 10 s after the client left")
+	}
+}
+
 // TestDaemonRejectsBadRequests: the strict decoder and the shared
 // Validate() methods reject malformed submissions with typed errors —
 // the same messages the CLI paths produce.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"container/heap"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -734,22 +735,16 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// j.cond does not wake on context cancellation, so a watcher
-	// goroutine turns client departure into a broadcast.
+	// j.cond does not wake on context cancellation, so client departure
+	// is turned into a broadcast — under the lock: a broadcast between
+	// the streamer's ctx check and its Wait would otherwise be lost.
 	ctx := r.Context()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under the lock: a broadcast between the
-			// streamer's ctx check and its Wait would otherwise be lost.
-			j.mu.Lock()
-			j.cond.Broadcast()
-			j.mu.Unlock()
-		case <-done:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		j.mu.Lock()
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	})
+	defer stop()
 
 	next := from
 	for {

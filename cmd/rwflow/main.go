@@ -31,7 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	iters := flag.Int("stitch-iters", 200000, "SA iterations")
 	st := cliflags.AddStitch(flag.CommandLine, "")
-	pt := cliflags.AddPartition(flag.CommandLine, "")
+	pt := cliflags.AddPartition(flag.CommandLine)
 	gdIters := flag.Int("stitch-gd-iters", 0, "gradient-descent iterations for -stitch-backend analytic/hybrid (0 = default 256)")
 	showMap := flag.Bool("map", false, "print the ASCII placement map")
 	obsFlags := cliflags.AddObs(flag.CommandLine, "")

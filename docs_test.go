@@ -144,6 +144,41 @@ func scanTree(t *testing.T) (tests, metrics map[string]bool) {
 	return tests, metrics
 }
 
+// TestFanOutOnlyThroughEach: the stitcher and the forest start no
+// goroutine of their own. Their parallel loops — descent tiles, chain
+// rounds, shards, trees — run on obs.Each, the one fixed fan-out loop,
+// so a go statement or a sync.WaitGroup in a non-test file of
+// internal/stitch or internal/ml is a second loop.
+func TestFanOutOnlyThroughEach(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/stitch", "internal/ml"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement; fan out through obs.Each", fset.Position(n.Pos()))
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "WaitGroup" {
+						t.Errorf("%s: sync.WaitGroup; fan out through obs.Each", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // metricLiteral reads a metric name off a registry call's first
 // argument: "name", fmt.Sprintf("name.%d", …) or "prefix." + x.
 func metricLiteral(e ast.Expr) (string, bool) {

@@ -153,15 +153,9 @@ type Partition struct {
 }
 
 // AddPartition registers -partition (default 0: single-device).
-// usageOverride keeps a command's historic -partition help text; ""
-// selects the canonical one.
-func AddPartition(fs *flag.FlagSet, usageOverride string) *Partition {
-	u := usageOverride
-	if u == "" {
-		u = partitionUsage
-	}
+func AddPartition(fs *flag.FlagSet) *Partition {
 	p := &Partition{}
-	fs.IntVar(&p.Shards, "partition", 0, u)
+	fs.IntVar(&p.Shards, "partition", 0, partitionUsage)
 	return p
 }
 

@@ -18,7 +18,7 @@ func TestFlagNamesAndDefaults(t *testing.T) {
 	AddCache(fs, "")
 	AddStrategy(fs)
 	AddStitch(fs, "")
-	AddPartition(fs, "")
+	AddPartition(fs)
 	AddCheck(fs, "")
 
 	want := map[string]string{
@@ -134,7 +134,7 @@ func TestRemovedFlagsFailLoudly(t *testing.T) {
 		fs := flag.NewFlagSet("rwflow", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		AddStitch(fs, "")
-		AddPartition(fs, "")
+		AddPartition(fs)
 		err := fs.Parse(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)

@@ -43,8 +43,6 @@ type Config struct {
 	Search pblock.SearchConfig
 	// Flow configures PBlock generation and the feasibility oracle.
 	Flow pblock.Config
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Cache, when non-nil, is the persistent implementation cache labels
 	// are read through: a module a previous run labelled — or a compile
 	// implemented under the min-sweep policy on the same window and
@@ -81,17 +79,12 @@ func Generate(cfg Config) ([]Sample, error) {
 	if err := cfg.Search.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	specs := rtlgen.GenerateMix(rng, cfg.Modules)
 
 	rec := cfg.Search.Obs
 	root := obs.StartChild(rec, cfg.Search.Span, "dataset.generate",
-		obs.Int("modules", len(specs)), obs.Int("workers", workers))
+		obs.Int("modules", len(specs)), obs.Int("workers", runtime.GOMAXPROCS(0)))
 
 	type slot struct {
 		sample Sample
@@ -99,7 +92,7 @@ func Generate(cfg Config) ([]Sample, error) {
 		err    error
 	}
 	slots := make([]slot, len(specs))
-	rec.Lanes("dataset worker", workers, len(specs), func(i, lane int) {
+	rec.Lanes("dataset worker", 0, len(specs), func(i, lane int) {
 		sp := root.Child("dataset.module",
 			obs.String("module", specs[i].Name)).WithLane(lane)
 		mcfg := cfg

@@ -3,8 +3,8 @@ package ml
 import (
 	"errors"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"macroflow/internal/obs"
 )
 
 // RandomForest averages the predictions of bootstrap-trained regression
@@ -31,6 +31,7 @@ var _ Importancer = (*RandomForest)(nil)
 
 // Fit trains the ensemble; trees are built in parallel with
 // deterministic per-tree seeds, so results do not depend on scheduling.
+// When trees fail, the lowest-indexed one's error is returned.
 func (rf *RandomForest) Fit(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(X) != len(y) {
 		return errors.New("ml: empty or mismatched training data")
@@ -54,42 +55,31 @@ func (rf *RandomForest) Fit(X [][]float64, y []float64) error {
 	}
 	rf.forest = make([]*DecisionTree, rf.Trees)
 
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	errc := make(chan error, rf.Trees)
-	sem := make(chan struct{}, workers)
-	for ti := 0; ti < rf.Trees; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(rf.Seed + int64(ti)*7919))
-			// Bootstrap sample with replacement.
-			bx := make([][]float64, len(X))
-			by := make([]float64, len(y))
-			for i := range bx {
-				j := rng.Intn(len(X))
-				bx[i] = X[j]
-				by[i] = y[j]
-			}
-			tree := &DecisionTree{
-				MaxDepth: rf.MaxDepth,
-				MinLeaf:  rf.MinLeaf,
-				MTry:     mtry,
-				Seed:     rf.Seed + int64(ti)*104729,
-			}
-			if err := tree.Fit(bx, by); err != nil {
-				errc <- err
-				return
-			}
+	errs := make([]error, rf.Trees)
+	obs.Each(0, rf.Trees, func(ti, _ int) {
+		rng := rand.New(rand.NewSource(rf.Seed + int64(ti)*7919))
+		// Bootstrap sample with replacement.
+		bx := make([][]float64, len(X))
+		by := make([]float64, len(y))
+		for i := range bx {
+			j := rng.Intn(len(X))
+			bx[i] = X[j]
+			by[i] = y[j]
+		}
+		tree := &DecisionTree{
+			MaxDepth: rf.MaxDepth,
+			MinLeaf:  rf.MinLeaf,
+			MTry:     mtry,
+			Seed:     rf.Seed + int64(ti)*104729,
+		}
+		if errs[ti] = tree.Fit(bx, by); errs[ti] == nil {
 			rf.forest[ti] = tree
-		}(ti)
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		return err
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	// Aggregate importance deterministically in tree order.
 	rf.importance = make([]float64, p)

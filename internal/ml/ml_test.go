@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -147,19 +148,30 @@ func TestRandomForestBeatsSingleTreeOnHoldout(t *testing.T) {
 	}
 }
 
+// TestRandomForestDeterministic: the same seed fits the same forest on
+// one core and on four — the trees run on however many workers pull
+// them, and the importance is summed in tree order, so both the
+// prediction and the importance vector agree bit for bit.
 func TestRandomForestDeterministic(t *testing.T) {
 	X, y := makeNonlinear(150, 6)
-	a := &RandomForest{Trees: 20, Seed: 9}
-	b := &RandomForest{Trees: 20, Seed: 9}
-	if err := a.Fit(X, y); err != nil {
-		t.Fatal(err)
+	fit := func(procs int) *RandomForest {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rf := &RandomForest{Trees: 20, Seed: 9}
+		if err := rf.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		return rf
 	}
-	if err := b.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
+	a, b := fit(1), fit(4)
 	probe := []float64{1.0, 1.0}
 	if a.Predict(probe) != b.Predict(probe) {
-		t.Error("same seed must give identical forests")
+		t.Error("same seed must give identical forests at GOMAXPROCS 1 and 4")
+	}
+	ia, ib := a.FeatureImportance(), b.FeatureImportance()
+	for i := range ia {
+		if math.Float64bits(ia[i]) != math.Float64bits(ib[i]) {
+			t.Errorf("importance[%d] = %v at GOMAXPROCS 1, %v at 4", i, ia[i], ib[i])
+		}
 	}
 }
 

@@ -280,21 +280,26 @@ func (r *Recorder) LaneLabel(lane int, label string) {
 	r.mu.Unlock()
 }
 
-// Lanes runs fn(i, lane) for every i in [0, n) on min(workers, n)
-// goroutines and returns when all calls have. Each goroutine is one
-// rendering lane — lanes 1..workers, labelled "<label> 0", "<label> 1",
-// ... — so the spans fn moves to its lane (WithLane) draw as parallel
-// worker tracks. The goroutines pull the next index in ascending order:
-// a caller that wants a start order passes its own order[i]. workers < 1
-// selects GOMAXPROCS. A nil recorder runs the same loop, unlabelled.
-func (r *Recorder) Lanes(label string, workers, n int, fn func(i, lane int)) {
+// Each runs fn(i, worker) for every i in [0, n) on min(workers, n)
+// goroutines, numbered 1.., and returns when all calls have. The
+// goroutines pull the next index in ascending order: a caller that wants
+// a start order passes its own order[i]. workers < 1 selects GOMAXPROCS.
+// Each is the one fixed fan-out loop of the library; it labels no lane,
+// so the lanes another phase labelled in the same trace stay that
+// phase's.
+//
+// The caller only waits: running worker 1 on the calling goroutine made
+// the analytic descent's short tile passes nearly serial on 2 cores (the
+// one goroutine started sits in the caller's run-next slot, which other
+// processors steal from late) and the stitch-scale benchmark about 20%
+// slower.
+func Each(workers, n int, fn func(i, worker int)) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for lane := 1; lane <= min(workers, n); lane++ {
-		r.LaneLabel(lane, fmt.Sprintf("%s %d", label, lane-1))
+	for w := 1; w <= min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -303,11 +308,25 @@ func (r *Recorder) Lanes(label string, workers, n int, fn func(i, lane int)) {
 				if i >= n {
 					return
 				}
-				fn(i, lane)
+				fn(i, w)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// Lanes is Each with every worker a rendering lane: lanes 1..workers,
+// labelled "<label> 0", "<label> 1", ..., so the spans fn moves to its
+// lane (WithLane) draw as parallel worker tracks. A nil recorder runs the
+// same loop, unlabelled.
+func (r *Recorder) Lanes(label string, workers, n int, fn func(i, lane int)) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	for lane := 1; lane <= min(workers, n); lane++ {
+		r.LaneLabel(lane, fmt.Sprintf("%s %d", label, lane-1))
+	}
+	Each(workers, n, fn)
 }
 
 // Spans returns a snapshot of the finished spans, ordered by start time

@@ -179,51 +179,63 @@ func TestMetrics(t *testing.T) {
 // TestLanesRunsEveryIndexOnce: for any worker count — one, fewer than,
 // as many as or more than the items — every index runs exactly once, on
 // a lane in [1, workers] that no other goroutine holds at the time, and
-// an empty range returns without calling fn. A nil recorder runs the
-// same loop. Run under -race (scripts/ci.sh does).
+// an empty range returns without calling fn. Lanes on a recorder, Lanes
+// on a nil recorder and the bare Each run the same loop; only Lanes on a
+// recorder labels lanes, and Each runs after it leave its labels as they
+// are. Run under -race (scripts/ci.sh does).
 func TestLanesRunsEveryIndexOnce(t *testing.T) {
 	const n = 37
-	for _, r := range []*Recorder{nil, New()} {
+	rec := New()
+	for _, loop := range []struct {
+		name string
+		run  func(workers, n int, fn func(i, lane int))
+	}{
+		{"Lanes", func(w, n int, fn func(i, lane int)) { rec.Lanes("test worker", w, n, fn) }},
+		{"nil Lanes", func(w, n int, fn func(i, lane int)) { (*Recorder)(nil).Lanes("test worker", w, n, fn) }},
+		{"Each", Each},
+	} {
 		for _, workers := range []int{1, 3, n, n + 5} {
 			ran := make([]int, n) // written by index: -race proves no index runs twice at once
 			busy := make([]atomic.Bool, workers+1)
-			r.Lanes("test worker", workers, n, func(i, lane int) {
+			loop.run(workers, n, func(i, lane int) {
 				if lane < 1 || lane > workers {
-					t.Errorf("workers=%d: index %d ran on lane %d", workers, i, lane)
+					t.Errorf("%s workers=%d: index %d ran on lane %d", loop.name, workers, i, lane)
 					return
 				}
 				if busy[lane].Swap(true) {
-					t.Errorf("workers=%d: lane %d ran two indices at once", workers, lane)
+					t.Errorf("%s workers=%d: lane %d ran two indices at once", loop.name, workers, lane)
 				}
 				ran[i]++
 				busy[lane].Store(false)
 			})
 			for i, c := range ran {
 				if c != 1 {
-					t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
+					t.Errorf("%s workers=%d: index %d ran %d times", loop.name, workers, i, c)
 				}
 			}
 		}
-		if r != nil && (r.laneNames[1] != "test worker 0" || r.laneNames[n] != fmt.Sprint("test worker ", n-1) || len(r.laneNames) != n) {
-			t.Errorf("lane labels %v: want lanes 1..%d named \"test worker <lane-1>\"", r.laneNames, n)
-		}
-		r.Lanes("test worker", 4, 0, func(i, lane int) { t.Errorf("n=0 called fn(%d, %d)", i, lane) })
+		loop.run(4, 0, func(i, lane int) { t.Errorf("%s n=0 called fn(%d, %d)", loop.name, i, lane) })
 		// workers < 1 selects GOMAXPROCS: the range still completes.
 		var calls atomic.Int64
-		r.Lanes("test worker", 0, n, func(int, int) { calls.Add(1) })
+		loop.run(0, n, func(int, int) { calls.Add(1) })
 		if calls.Load() != n {
-			t.Errorf("workers=0: %d calls, want %d", calls.Load(), n)
+			t.Errorf("%s workers=0: %d calls, want %d", loop.name, calls.Load(), n)
 		}
+	}
+	if rec.laneNames[1] != "test worker 0" || rec.laneNames[n] != fmt.Sprint("test worker ", n-1) || len(rec.laneNames) != n {
+		t.Errorf("lane labels %v: want lanes 1..%d named \"test worker <lane-1>\"", rec.laneNames, n)
 	}
 }
 
 // TestLanesHandsOutIndicesInOrder: one worker sees 0, 1, 2, ... — the
-// order a caller's order[i] indirection relies on.
+// order a caller's order[i] indirection relies on — through Lanes and
+// through Each.
 func TestLanesHandsOutIndicesInOrder(t *testing.T) {
-	var got []int
-	New().Lanes("test worker", 1, 5, func(i, _ int) { got = append(got, i) })
-	if fmt.Sprint(got) != "[0 1 2 3 4]" {
-		t.Errorf("one worker ran %v, want ascending order", got)
+	var lanes, each []int
+	New().Lanes("test worker", 1, 5, func(i, _ int) { lanes = append(lanes, i) })
+	Each(1, 5, func(i, _ int) { each = append(each, i) })
+	if fmt.Sprint(lanes) != "[0 1 2 3 4]" || fmt.Sprint(each) != "[0 1 2 3 4]" {
+		t.Errorf("one worker ran Lanes %v, Each %v, want ascending order", lanes, each)
 	}
 }
 

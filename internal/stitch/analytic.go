@@ -9,10 +9,11 @@
 //
 // Determinism contract: the descent is bit-reproducible from Config.Seed
 // alone. The only randomness is the seeded initial scatter; the gradient
-// loop is goroutine-tiled over a FIXED tile count (analyticTiles, never
-// GOMAXPROCS), each tile writes only its own instance range, and the
-// per-tile density partials are reduced in tile order — so the floating
-// point arithmetic happens in the same order on any machine.
+// loop is split into a FIXED tile count (analyticTiles, never GOMAXPROCS)
+// that obs.Each spreads over the available workers, each tile writes only
+// its own instance range, and the per-tile density partials are reduced
+// in tile order — so the floating point arithmetic happens in the same
+// order on any machine.
 package stitch
 
 import (
@@ -20,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"macroflow/internal/obs"
 )
@@ -53,10 +53,10 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAnneal, fmt.Errorf("stitch: unknown backend %q (want anneal, analytic or hybrid)", s)
 }
 
-// analyticTiles is the fixed goroutine-tile count of the batched update
-// loops. It deliberately ignores GOMAXPROCS: the tile boundaries decide
-// the floating-point reduction order of the density partials, so they
-// must be a constant for the descent to be bit-reproducible everywhere.
+// analyticTiles is the fixed tile count of the batched update loops. It
+// deliberately ignores GOMAXPROCS: the tile boundaries decide the
+// floating-point reduction order of the density partials, so they must
+// be a constant for the descent to be bit-reproducible everywhere.
 const analyticTiles = 8
 
 // analyticSeedStride separates the scatter rng from the chain seeds.
@@ -82,8 +82,8 @@ type analytic struct {
 	// density is the Gaussian-splatted occupied area per bin; capacity
 	// the placeable tile area; overflow the clamped excess.
 	density, capacity, overflow []float64
-	// tiled holds one private density accumulator per goroutine tile,
-	// reduced into density in fixed tile order.
+	// tiled holds one private density accumulator per tile, reduced into
+	// density in fixed tile order.
 	tiled [analyticTiles][]float64
 	// splat[9*b:9*b+9] is block b's normalized 3x3 splat, row-major from
 	// the bin below-left of the center: the nine weights an instance
@@ -165,24 +165,17 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 	return g
 }
 
-// forTiles runs fn over the fixed instance tiling, one goroutine per
-// tile. Tiles own disjoint instance ranges, so fn may write any
-// per-instance slice without synchronization.
+// forTiles runs fn over the fixed instance tiling, the tiles spread over
+// min(GOMAXPROCS, analyticTiles) workers; an empty tile is skipped.
+// Tiles own disjoint instance ranges, so fn may write any per-instance
+// slice without synchronization.
 func (g *analytic) forTiles(fn func(tile, lo, hi int)) {
 	n := len(g.px)
-	var wg sync.WaitGroup
-	for t := 0; t < analyticTiles; t++ {
-		lo, hi := t*n/analyticTiles, (t+1)*n/analyticTiles
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(t, lo, hi int) {
-			defer wg.Done()
+	obs.Each(0, analyticTiles, func(t, _ int) {
+		if lo, hi := t*n/analyticTiles, (t+1)*n/analyticTiles; lo < hi {
 			fn(t, lo, hi)
-		}(t, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // gaussian splat kernel over the 3x3 bin neighbourhood, sigma one bin.

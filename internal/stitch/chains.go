@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"macroflow/internal/obs"
 )
@@ -234,24 +233,24 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 			}
 		}
 		xrng := rand.New(rand.NewSource(cfg.Seed + 101))
+		segs := make([]*obs.Span, k)
 		for r := 0; r < rounds; r++ {
-			var wg sync.WaitGroup
-			for _, c := range chains {
+			// Segment spans are per chain per round — barrier granularity,
+			// so the SA hot loop stays recording-free — and opened in chain
+			// order before the fan-out, so their IDs are deterministic.
+			for ci := range chains {
+				segs[ci] = chainSpans[ci].Child("stitch.segment", obs.Int("round", r))
+			}
+			obs.Each(0, k, func(ci, _ int) {
+				c := chains[ci]
 				n := c.budget / rounds
 				if r == rounds-1 {
 					n = c.budget // budget-bounded; drains the remainder
 				}
-				wg.Add(1)
-				// Segment spans are per chain per round — barrier
-				// granularity, so the SA hot loop stays recording-free.
-				go func(c *chain, seg *obs.Span, n int) {
-					defer wg.Done()
-					c.runSegment(n, nil)
-					seg.Set(obs.Float("cost", c.a.cost))
-					seg.End()
-				}(c, chainSpans[c.idx].Child("stitch.segment", obs.Int("round", r)), n)
-			}
-			wg.Wait()
+				c.runSegment(n, nil)
+				segs[ci].Set(obs.Float("cost", c.a.cost))
+				segs[ci].End()
+			})
 			for _, c := range chains {
 				snapBest(c.a)
 			}

@@ -15,7 +15,6 @@ package stitch
 
 import (
 	"fmt"
-	"sync"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/obs"
@@ -138,7 +137,7 @@ func RunSharded(p *Problem, shards []Shard, assign []int, cfg Config) (*ShardedR
 	subs, toGlobal, cut := buildShardProblems(p, shards, assign)
 	results := make([]*Result, len(shards))
 	spans := make([]*obs.Span, len(shards))
-	var wg sync.WaitGroup
+	cfgs := make([]Config, len(shards))
 	for s := range shards {
 		sub := cfg
 		// Per-shard seed and a budget proportional to the shard's share
@@ -156,13 +155,9 @@ func RunSharded(p *Problem, shards []Shard, assign []int, cfg Config) (*ShardedR
 			obs.Int("instances", len(subs[s].Instances)),
 			obs.Int("iterations", sub.Iterations))
 		sub.Span = spans[s]
-		wg.Add(1)
-		go func(s int, sub Config) {
-			defer wg.Done()
-			results[s] = Run(subs[s], sub)
-		}(s, sub)
+		cfgs[s] = sub
 	}
-	wg.Wait()
+	obs.Each(0, len(shards), func(s, _ int) { results[s] = Run(subs[s], cfgs[s]) })
 
 	// Ordered reduction: every readout below walks shards in member
 	// order, so the aggregate is independent of finish order.

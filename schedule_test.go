@@ -1,6 +1,9 @@
 package macroflow
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -143,6 +146,61 @@ func TestCompileScheduleInvariant(t *testing.T) {
 				t.Errorf("cached=%v workers=%d:\n%+v\nworkers=1:\n%+v", cached, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestStitchKeepsWorkerLaneLabels: one recorder traces a compile whose
+// implement workers hold lanes 1..W and whose hybrid stitch fans its
+// descent tiles and chains out through the same pool loop. The stitch
+// labels only its own chain lanes, so in the trace every lane below 1000
+// still reads "implement worker <lane-1>" and lane 1000+k reads "stitch
+// chain k".
+func TestStitchKeepsWorkerLaneLabels(t *testing.T) {
+	const workers, chains = 3, 4
+	rec := NewRecorder()
+	_, err := compileWithin(t, verifyFlow(t), scheduleDesign(t), CompileOptions{
+		Stitch: StitchOptions{Seed: 3, Backend: BackendHybrid, Obs: rec,
+			Anneal: AnnealOptions{Iterations: 4000, Chains: chains}},
+		Implement: ImplementOptions{Workers: workers, Obs: rec},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string
+			Tid  int
+			Args map[string]any
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	names := map[int]string{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Name == "thread_name" {
+			names[ev.Tid], _ = ev.Args["name"].(string)
+		}
+	}
+	want := map[int]string{}
+	for lane := range names {
+		switch {
+		case lane >= 1 && lane <= workers:
+			want[lane] = fmt.Sprintf("implement worker %d", lane-1)
+		case lane >= 1000:
+			want[lane] = fmt.Sprintf("stitch chain %d", lane-1000)
+		}
+	}
+	want[0] = "flow"
+	for k := 0; k < chains; k++ {
+		want[1000+k] = fmt.Sprintf("stitch chain %d", k)
+	}
+	if names[1] == "" || !reflect.DeepEqual(names, want) {
+		t.Errorf("trace lanes %v, want %v with lane 1 among them", names, want)
 	}
 }
 

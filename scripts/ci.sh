@@ -52,8 +52,9 @@ stage_build() {
 	echo "==> go build ./..." >&2
 	go build ./...
 	# The documents name tests, paths and metrics; all of them must be in
-	# the tree that just built.
-	run_listed 'TestDocsNameRealThings' .
+	# the tree that just built. And the stitcher and the forest fan out
+	# only through obs.Each.
+	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach' .
 }
 
 stage_benchmod() {
@@ -133,23 +134,27 @@ stage_determinism() {
 	# The multi-chain stitcher promises bit-identical results regardless of
 	# core count; re-run its determinism suite under the race detector at a
 	# parallelism the default run may not have exercised. The analytic
-	# backend's goroutine-tiled gradient descent and the sharded stitcher's
-	# goroutine-per-shard fan-out carry the same promise, so their
-	# determinism tests run in the same configuration, and the partitioner's
-	# alongside. So do the pinned trajectory digests (the
-	# analytic descent's fused update+splat tile pass must produce the
-	# literals recorded before it was fused, on any core count) and the
-	# legality kernel's differential test against the per-row reference.
+	# backend's fixed descent tiles and the sharded stitcher's shards run
+	# on the same obs.Each workers as the chains and carry the same
+	# promise, so their determinism tests run in the same configuration,
+	# and the partitioner's alongside. So do the pinned trajectory digests
+	# (the analytic descent's fused update+splat tile pass must produce
+	# the literals recorded before it was fused, on any core count) and
+	# the legality kernel's differential test against the per-row
+	# reference.
 	echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
 	export GOMAXPROCS=4
 	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
 	run_listed 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' -race ./internal/partition/
+	# The estimator's forest fits its trees on obs.Each too, and sums their
+	# importance in tree order: one forest at GOMAXPROCS 1 and 4.
+	run_listed 'TestRandomForestDeterministic' -race ./internal/ml/
 	# The min-CF probe loop: a search probes serially through one plan (and
 	# its recycled site tables) while the blocks around it run in parallel;
 	# the bisect search's per-block probe counts are pinned, and a reused
 	# plan must answer like a from-scratch placement on every rectangle of
 	# every sweep. The one loop that runs the blocks hands every index to
-	# exactly one lane.
+	# exactly one lane, labelled or not.
 	run_listed 'TestBisectMatchesLinear' -race ./internal/pblock/
 	run_listed 'TestLanes' -race ./internal/obs/
 	# The block path's one disk read-through, in every state a cache
@@ -166,8 +171,9 @@ stage_determinism() {
 	# equal the direct compile field for field, lanes racing or not.
 	# Blocks start largest first on however many workers pull them: the
 	# order is a function of the design, and no worker count, cache or
-	# singleflight wait may change a field of the result.
-	run_listed 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile|TestLaneOrderLargestFirst|TestCompileScheduleInvariant|TestCompileReportsLowestFailedBlock' -race .
+	# singleflight wait may change a field of the result, and the stitch
+	# fanning out on the same loop leaves the workers' lane labels alone.
+	run_listed 'TestCompileMultiChainDeterministic|TestIterToReachFinalCost|TestRunCNVPinned|TestRunCNVIsCompile|TestLaneOrderLargestFirst|TestCompileScheduleInvariant|TestCompileReportsLowestFailedBlock|TestStitchKeepsWorkerLaneLabels' -race .
 	# ... and the bytes the daemon serves for a result are pinned per job
 	# shape, on any core count.
 	run_listed 'TestWireResultPinned' -race ./api/v1/
