@@ -288,11 +288,12 @@ func (r *Recorder) LaneLabel(lane int, label string) {
 // so the lanes another phase labelled in the same trace stay that
 // phase's.
 //
-// The caller only waits: running worker 1 on the calling goroutine made
-// the analytic descent's short tile passes nearly serial on 2 cores (the
-// one goroutine started sits in the caller's run-next slot, which other
-// processors steal from late) and the stitch-scale benchmark about 20%
-// slower.
+// The caller only waits: with worker 1 on the calling goroutine, a
+// short fan-out runs nearly serial on 2 cores (the one goroutine
+// started sits in the caller's run-next slot, which other processors
+// steal from late). A call costs a goroutine per worker and a wait, so
+// Each is for items that outweigh that; a loop of short passes runs on
+// one goroutine instead.
 func Each(workers, n int, fn func(i, worker int)) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

@@ -8,12 +8,12 @@
 // the annealing budget is spent refining instead of discovering.
 //
 // Determinism contract: the descent is bit-reproducible from Config.Seed
-// alone. The only randomness is the seeded initial scatter; the gradient
-// loop is split into a FIXED tile count (analyticTiles, never GOMAXPROCS)
-// that obs.Each spreads over the available workers, each tile writes only
-// its own instance range, and the per-tile density partials are reduced
-// in tile order — so the floating point arithmetic happens in the same
-// order on any machine.
+// alone. The only randomness is the seeded initial scatter; the descent
+// runs as one loop on the calling goroutine, and the sums whose order
+// could vary — the density partials and the gradient norm — are taken
+// over a FIXED tiling of the instances (analyticTiles, never GOMAXPROCS)
+// and reduced in tile order, so the floating point arithmetic happens
+// in the same order on any machine.
 package stitch
 
 import (
@@ -53,10 +53,11 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAnneal, fmt.Errorf("stitch: unknown backend %q (want anneal, analytic or hybrid)", s)
 }
 
-// analyticTiles is the fixed tile count of the batched update loops. It
-// deliberately ignores GOMAXPROCS: the tile boundaries decide the
-// floating-point reduction order of the density partials, so they must
-// be a constant for the descent to be bit-reproducible everywhere.
+// analyticTiles is the fixed tile count of the density partials: the
+// instances split into this many contiguous ranges, each splats into
+// its own grid, and the grids are summed in tile order; gradNorm sums
+// per-tile partials the same way. The tiles are a summation order, not
+// workers, and the count is a constant so the order never changes.
 const analyticTiles = 8
 
 // analyticSeedStride separates the scatter rng from the chain seeds.
@@ -79,12 +80,22 @@ type analytic struct {
 	// Density grid: nbx x nby bins of binW x binH tiles.
 	nbx, nby   int
 	binW, binH float64
-	// density is the Gaussian-splatted occupied area per bin; capacity
-	// the placeable tile area; overflow the clamped excess.
-	density, capacity, overflow []float64
-	// tiled holds one private density accumulator per tile, reduced into
-	// density in fixed tile order.
-	tiled [analyticTiles][]float64
+	// capacity is the placeable tile area per bin; overflow the clamped
+	// excess of the Gaussian-splatted occupied area over it.
+	capacity, overflow []float64
+	// slopeX, slopeY are the overflow field's central differences per
+	// bin, indices clamped at the grid edge. Their extra last element
+	// is a constant 0: the difference a bin index outside the grid
+	// reads, both neighbours clamping onto the same edge bin.
+	slopeX, slopeY []float64
+	// atX[i], atY[i] index instance i's bin in slopeX and slopeY, set
+	// by the splat that reads the instance's position.
+	atX, atY []int32
+	// tiled holds one private density accumulator per tile, summed per
+	// bin in fixed tile order; tile t owns instances tileLo[t] up to
+	// tileLo[t+1].
+	tiled  [analyticTiles][]float64
+	tileLo [analyticTiles + 1]int
 	// splat[9*b:9*b+9] is block b's normalized 3x3 splat, row-major from
 	// the bin below-left of the center: the nine weights an instance
 	// whose center bin is interior adds to the grid. They depend on the
@@ -108,6 +119,7 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 		gx: make([]float64, n), gy: make([]float64, n),
 		bw: make([]float64, n), bh: make([]float64, n),
 		area: make([]float64, n),
+		atX:  make([]int32, n), atY: make([]int32, n),
 	}
 	W, H := float64(p.Dev.NumCols()), float64(p.Dev.Rows)
 	rng := rand.New(rand.NewSource(cfg.Seed + analyticSeedStride))
@@ -126,11 +138,13 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 	g.nbx = int(math.Ceil(W / g.binW))
 	g.nby = int(math.Ceil(H / g.binH))
 	nb := g.nbx * g.nby
-	g.density = make([]float64, nb)
 	g.capacity = make([]float64, nb)
 	g.overflow = make([]float64, nb)
+	g.slopeX = make([]float64, nb+1)
+	g.slopeY = make([]float64, nb+1)
 	for t := range g.tiled {
 		g.tiled[t] = make([]float64, nb)
+		g.tileLo[t+1] = (t + 1) * n / analyticTiles
 	}
 	sum := 0.0
 	for dy := -1; dy <= 1; dy++ {
@@ -165,112 +179,115 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 	return g
 }
 
-// forTiles runs fn over the fixed instance tiling, the tiles spread over
-// min(GOMAXPROCS, analyticTiles) workers; an empty tile is skipped.
-// Tiles own disjoint instance ranges, so fn may write any per-instance
-// slice without synchronization.
-func (g *analytic) forTiles(fn func(tile, lo, hi int)) {
-	n := len(g.px)
-	obs.Each(0, analyticTiles, func(t, _ int) {
-		if lo, hi := t*n/analyticTiles, (t+1)*n/analyticTiles; lo < hi {
-			fn(t, lo, hi)
-		}
-	})
-}
-
 // gaussian splat kernel over the 3x3 bin neighbourhood, sigma one bin.
 var splatW = [3]float64{math.Exp(-0.5), 1, math.Exp(-0.5)}
 
-// splatTile rebuilds tile t's private density grid from the current
-// positions of its instances lo..hi-1.
-func (g *analytic) splatTile(t, lo, hi int) {
-	bins := g.tiled[t]
-	for i := range bins {
-		bins[i] = 0
+// splatAll rebuilds the density field from the current positions and
+// reduces it. Each tile's grid takes its instances in index order; the
+// loop steps through the tiles' k-th instances together, so the eight
+// grids' accumulations are independent of one another and overlap.
+func (g *analytic) splatAll() {
+	for t := range g.tiled {
+		clear(g.tiled[t])
 	}
-	for i := lo; i < hi; i++ {
-		if g.area[i] == 0 {
-			continue
-		}
-		cx := int(g.px[i] / g.binW)
-		cy := int(g.py[i] / g.binH)
-		if cx >= 1 && cx < g.nbx-1 && cy >= 1 && cy < g.nby-1 {
-			// Interior center bin: all nine neighbours exist, so the
-			// normalizing sum is the constant the table was built with.
-			w := g.splat[9*g.p.Instances[i].Block:][:9]
-			for r := 0; r < 3; r++ {
-				row := bins[(cy+r-1)*g.nbx+cx-1:][:3]
-				row[0] += w[3*r]
-				row[1] += w[3*r+1]
-				row[2] += w[3*r+2]
-			}
-			continue
-		}
-		// Normalized 3x3 Gaussian splat centered on the bin under
-		// the instance center, clipped at the grid edge.
-		sum := 0.0
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				bx, by := cx+dx, cy+dy
-				if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
-					continue
-				}
-				sum += splatW[dx+1] * splatW[dy+1]
+	for k := 0; k < (len(g.px)+analyticTiles-1)/analyticTiles; k++ { // longest tile
+		for t := range g.tiled {
+			if i := g.tileLo[t] + k; i < g.tileLo[t+1] && g.area[i] > 0 {
+				g.splatInst(g.tiled[t], i)
 			}
 		}
-		if sum == 0 {
-			continue
-		}
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				bx, by := cx+dx, cy+dy
-				if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
-					continue
-				}
-				bins[by*g.nbx+bx] += g.area[i] * splatW[dx+1] * splatW[dy+1] / sum
+	}
+	g.reduceDensity()
+}
+
+// splatInst adds instance i's splat to bins and records the instance's
+// bin in atX/atY for the next gradient.
+func (g *analytic) splatInst(bins []float64, i int) {
+	cx := int(g.px[i] / g.binW)
+	cy := int(g.py[i] / g.binH)
+	if cx < 1 || cx >= g.nbx-1 || cy < 1 || cy >= g.nby-1 {
+		g.splatEdge(bins, i, cx, cy)
+		return
+	}
+	// Interior center bin: all nine neighbours exist, so the
+	// normalizing sum is the constant the table was built with.
+	b := cy*g.nbx + cx
+	g.atX[i], g.atY[i] = int32(b), int32(b)
+	w := g.splat[9*g.p.Instances[i].Block:][:9]
+	for r := 0; r < 3; r++ {
+		row := bins[b+(r-1)*g.nbx-1:][:3]
+		row[0] += w[3*r]
+		row[1] += w[3*r+1]
+		row[2] += w[3*r+2]
+	}
+}
+
+// splatEdge is splatInst for a center bin on the grid edge or off it.
+// The slope across an off-grid index is the constant 0 at the end of
+// the slope slices; along the other axis the index clamps onto the
+// grid.
+func (g *analytic) splatEdge(bins []float64, i, cx, cy int) {
+	nb := int32(g.nbx * g.nby)
+	g.atX[i], g.atY[i] = nb, nb
+	if cx >= 0 && cx < g.nbx {
+		g.atX[i] = int32(min(max(cy, 0), g.nby-1)*g.nbx + cx)
+	}
+	if cy >= 0 && cy < g.nby {
+		g.atY[i] = int32(cy*g.nbx + min(max(cx, 0), g.nbx-1))
+	}
+	// Normalized 3x3 Gaussian splat centered on the bin under the
+	// instance center, clipped at the grid edge.
+	sum := 0.0
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			bx, by := cx+dx, cy+dy
+			if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
+				continue
 			}
+			sum += splatW[dx+1] * splatW[dy+1]
+		}
+	}
+	if sum == 0 {
+		return
+	}
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			bx, by := cx+dx, cy+dy
+			if bx < 0 || bx >= g.nbx || by < 0 || by >= g.nby {
+				continue
+			}
+			bins[by*g.nbx+bx] += g.area[i] * splatW[dx+1] * splatW[dy+1] / sum
 		}
 	}
 }
 
-// reduceDensity folds the per-tile grids into the density field in
-// fixed tile order and refreshes the clamped overflow.
+// reduceDensity sums the per-tile grids per bin in fixed tile order,
+// refreshes the clamped overflow, and takes the overflow field's
+// central differences once per bin.
 func (g *analytic) reduceDensity() {
-	for i := range g.density {
-		g.density[i] = 0
-	}
-	for t := 0; t < analyticTiles; t++ { // fixed reduction order
-		bins := g.tiled[t]
-		for i := range g.density {
-			g.density[i] += bins[i]
-		}
-	}
 	g.totalOverflow = 0
-	for i := range g.density {
-		ov := g.density[i] - g.capacity[i]
+	for b := range g.overflow {
+		d := 0.0
+		for t := range g.tiled { // fixed reduction order
+			d += g.tiled[t][b]
+		}
+		ov := d - g.capacity[b]
 		if ov < 0 {
 			ov = 0
 		}
-		g.overflow[i] = ov
+		g.overflow[b] = ov
 		g.totalOverflow += ov
 	}
-}
-
-// ovfAt reads the overflow field with clamped indices.
-func (g *analytic) ovfAt(bx, by int) float64 {
-	if bx < 0 {
-		bx = 0
+	for by := 0; by < g.nby; by++ {
+		row := g.overflow[by*g.nbx:][:g.nbx]
+		up := g.overflow[min(by+1, g.nby-1)*g.nbx:][:g.nbx]
+		down := g.overflow[max(by-1, 0)*g.nbx:][:g.nbx]
+		for bx := range row {
+			b := by*g.nbx + bx
+			g.slopeX[b] = (row[min(bx+1, g.nbx-1)] - row[max(bx-1, 0)]) / (2 * g.binW)
+			g.slopeY[b] = (up[bx] - down[bx]) / (2 * g.binH)
+		}
 	}
-	if bx >= g.nbx {
-		bx = g.nbx - 1
-	}
-	if by < 0 {
-		by = 0
-	}
-	if by >= g.nby {
-		by = g.nby - 1
-	}
-	return g.overflow[by*g.nbx+bx]
 }
 
 // smoothAbsAlpha is the HPWL smoothing radius in tiles: below one tile
@@ -279,17 +296,14 @@ func (g *analytic) ovfAt(bx, by int) float64 {
 // gradient.
 const smoothAbsAlpha = 1.0
 
-// descend runs the fixed-schedule batched gradient descent. Each
-// iteration is two tile passes: wirelength + density gradients against
-// the current density field, then the position update fused with the
-// next iteration's density splat (a tile splats only the instances it
-// just moved, so no barrier is needed between the two). rec/parent
-// carry the per-phase obs spans; recording never feeds the arithmetic.
+// descend runs the fixed-schedule batched gradient descent, one loop on
+// the calling goroutine. Each iteration takes the wirelength gradient
+// net by net, adds the density gradient and reduces the norm instance
+// by instance, then moves every instance and resplats the density
+// field. rec/parent carry the per-phase obs spans; recording never
+// feeds the arithmetic.
 func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
-	iters := g.cfg.GDIterations
-	if iters <= 0 {
-		iters = 256
-	}
+	iters := gdIters(g.cfg)
 	g.iters = iters
 	W, H := float64(g.p.Dev.NumCols()), float64(g.p.Dev.Rows)
 	// Step size: start at a few tiles, decay geometrically to ~1/10th
@@ -306,63 +320,67 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	g.forTiles(g.splatTile)
-	g.reduceDensity()
+	g.splatAll()
 	for it := 0; it < iters; it++ {
 		ramp := float64(it+1) / float64(iters)
 		lambda := lambdaMax * ramp * ramp
-		var tileNorm [analyticTiles]float64
-		g.forTiles(func(t, lo, hi int) {
-			norm := 0.0
-			for i := lo; i < hi; i++ {
-				gx, gy := 0.0, 0.0
-				// Smoothed-HPWL attraction along every incident net:
-				// d/dx of w*sqrt(dx^2+a^2) = w*dx/sqrt(dx^2+a^2).
-				// Virtual indices >= len(Nets) are anchors: the same
-				// attraction toward a fixed point instead of a peer.
-				for _, ni := range g.pr.netsOf[i] {
-					if ni >= len(g.p.Nets) {
-						an := &g.p.Anchors[ni-len(g.p.Nets)]
-						dx, dy := g.px[i]-an.X, g.py[i]-an.Y
-						gx += an.Weight * dx / math.Sqrt(dx*dx+smoothAbsAlpha)
-						gy += an.Weight * dy / math.Sqrt(dy*dy+smoothAbsAlpha)
-						continue
-					}
-					n := &g.p.Nets[ni]
-					o := n.To
-					if o == i {
-						o = n.From
-					}
-					if o == i {
-						continue // self-loop: no gradient
-					}
-					dx, dy := g.px[i]-g.px[o], g.py[i]-g.py[o]
-					gx += n.Weight * dx / math.Sqrt(dx*dx+smoothAbsAlpha)
-					gy += n.Weight * dy / math.Sqrt(dy*dy+smoothAbsAlpha)
-				}
-				// Density repulsion: descend the overflow field via
-				// central differences, scaled by the instance area so
-				// big blocks flee congestion faster.
-				if g.area[i] > 0 {
-					bx := int(g.px[i] / g.binW)
-					by := int(g.py[i] / g.binH)
-					dox := (g.ovfAt(bx+1, by) - g.ovfAt(bx-1, by)) / (2 * g.binW)
-					doy := (g.ovfAt(bx, by+1) - g.ovfAt(bx, by-1)) / (2 * g.binH)
-					gx += lambda * g.area[i] * dox / g.binH / g.binW
-					gy += lambda * g.area[i] * doy / g.binH / g.binW
-				}
-				g.gx[i], g.gy[i] = gx, gy
-				norm += math.Abs(gx) + math.Abs(gy)
+		// Smoothed-HPWL attraction: d/dx of w*sqrt(dx^2+a^2) is
+		// w*dx/sqrt(dx^2+a^2), once per net, added to one endpoint and
+		// subtracted from the other (the force is odd in dx, and IEEE
+		// arithmetic is sign-symmetric). Walking nets in index order,
+		// then anchors, sums each instance's forces in netsOf order.
+		clear(g.gx)
+		clear(g.gy)
+		for ni := range g.p.Nets {
+			nt := &g.p.Nets[ni]
+			if nt.From == nt.To {
+				continue // self-loop: no gradient
 			}
-			tileNorm[t] = norm
-		})
-		g.gradNorm = 0
-		for t := 0; t < analyticTiles; t++ { // fixed reduction order
-			g.gradNorm += tileNorm[t]
+			dx, dy := g.px[nt.From]-g.px[nt.To], g.py[nt.From]-g.py[nt.To]
+			fx := nt.Weight * dx / math.Sqrt(dx*dx+smoothAbsAlpha)
+			fy := nt.Weight * dy / math.Sqrt(dy*dy+smoothAbsAlpha)
+			g.gx[nt.From] += fx
+			g.gy[nt.From] += fy
+			g.gx[nt.To] -= fx
+			g.gy[nt.To] -= fy
 		}
-		// Sampled before the update pass, while totalOverflow still
-		// describes the field this iteration's gradient was taken on.
-		if it%sampleEvery == 0 || it == iters-1 {
+		// Anchors: the same attraction toward a fixed point.
+		for ai := range g.p.Anchors {
+			an := &g.p.Anchors[ai]
+			dx, dy := g.px[an.Inst]-an.X, g.py[an.Inst]-an.Y
+			g.gx[an.Inst] += an.Weight * dx / math.Sqrt(dx*dx+smoothAbsAlpha)
+			g.gy[an.Inst] += an.Weight * dy / math.Sqrt(dy*dy+smoothAbsAlpha)
+		}
+		// Density repulsion: descend the overflow field's slope at the
+		// instance's bin, scaled by the instance area so big blocks
+		// flee congestion faster. The norm sums per tile, then over
+		// tiles in order; the max is exact in any order.
+		g.gradNorm = 0
+		maxG := 0.0
+		for t := 0; t < analyticTiles; t++ {
+			norm := 0.0
+			for i := g.tileLo[t]; i < g.tileLo[t+1]; i++ {
+				gx, gy := g.gx[i], g.gy[i]
+				if g.area[i] > 0 {
+					gx += lambda * g.area[i] * g.slopeX[g.atX[i]] / g.binH / g.binW
+					gy += lambda * g.area[i] * g.slopeY[g.atY[i]] / g.binH / g.binW
+					g.gx[i], g.gy[i] = gx, gy
+				}
+				ax, ay := math.Abs(gx), math.Abs(gy)
+				norm += ax + ay
+				if ax > maxG {
+					maxG = ax
+				}
+				if ay > maxG {
+					maxG = ay
+				}
+			}
+			g.gradNorm += norm
+		}
+		// Sampled before the update, while totalOverflow still
+		// describes the field this iteration's gradient was taken on;
+		// without a recorder the samples' attributes are never built.
+		if rec != nil && (it%sampleEvery == 0 || it == iters-1) {
 			isp := sp.Child("stitch.analytic.iter", obs.Int("iter", it),
 				obs.Float("grad_norm", g.gradNorm),
 				obs.Float("overflow", g.totalOverflow))
@@ -376,46 +394,31 @@ func (g *analytic) descend(rec *obs.Recorder, parent *obs.Span) {
 		}
 		// Normalized update: the step length is lr tiles for the
 		// strongest-pulled instance, proportionally less for the rest.
-		maxG := 0.0
-		for i := range g.gx {
-			if a := math.Abs(g.gx[i]); a > maxG {
-				maxG = a
-			}
-			if a := math.Abs(g.gy[i]); a > maxG {
-				maxG = a
-			}
-		}
 		// With a zero gradient nothing moves and the density field
 		// stands. The last iteration's positions are never splatted:
 		// the descent ends reporting the field its last gradient saw.
 		if maxG > 0 {
 			scale := lr / maxG
-			resplat := it < iters-1
-			g.forTiles(func(t, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x := g.px[i] - scale*g.gx[i]
-					y := g.py[i] - scale*g.gy[i]
-					// Clamp centers so the block body stays on-device.
-					if min := g.bw[i] / 2; x < min {
-						x = min
-					}
-					if max := W - g.bw[i]/2; x > max {
-						x = max
-					}
-					if min := g.bh[i] / 2; y < min {
-						y = min
-					}
-					if max := H - g.bh[i]/2; y > max {
-						y = max
-					}
-					g.px[i], g.py[i] = x, y
+			for i := range g.px {
+				x := g.px[i] - scale*g.gx[i]
+				y := g.py[i] - scale*g.gy[i]
+				// Clamp centers so the block body stays on-device.
+				if min := g.bw[i] / 2; x < min {
+					x = min
 				}
-				if resplat {
-					g.splatTile(t, lo, hi)
+				if max := W - g.bw[i]/2; x > max {
+					x = max
 				}
-			})
-			if resplat {
-				g.reduceDensity()
+				if min := g.bh[i] / 2; y < min {
+					y = min
+				}
+				if max := H - g.bh[i]/2; y > max {
+					y = max
+				}
+				g.px[i], g.py[i] = x, y
+			}
+			if it < iters-1 {
+				g.splatAll()
 			}
 		}
 		lr *= lrCool

@@ -61,10 +61,11 @@ func TestAnalyticDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestAnalyticDeterministicAcrossGOMAXPROCS: the descent tiles over a
-// fixed goroutine count and reduces density partials in tile order, so
-// core count must not leak into the result. ci.sh runs this under
-// -race at GOMAXPROCS=4.
+// TestAnalyticDeterministicAcrossGOMAXPROCS: the descent runs on the
+// calling goroutine and sums its density partials and gradient norm
+// over a fixed tiling in tile order, and the hybrid's chains fan out
+// on a fixed schedule, so core count must not leak into the result.
+// ci.sh runs this under -race at GOMAXPROCS=4.
 func TestAnalyticDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, be := range []Backend{BackendAnalytic, BackendHybrid} {
 		cfg := Config{Seed: 3, Iterations: 12000, Chains: 4, Backend: be}

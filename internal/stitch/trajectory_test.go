@@ -155,35 +155,47 @@ func TestStitchTrajectoryPinned(t *testing.T) {
 				},
 			})
 		}
-		name := fmt.Sprintf("synthetic10x/sharded/seed%d", s)
-		pins = append(pins, pin{
-			name: name,
-			run: func() string {
-				set, err := fabric.Shards(fabric.XC7Z045(), 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assign := make([]int, len(p.Instances))
-				for i := range assign {
-					assign[i] = i % 2
-				}
-				cfg := DefaultConfig()
-				cfg.Seed = s
-				cfg.Iterations = 40000
-				cfg.Chains = 4
-				sr, err := RunSharded(p, ShardsOf(set), assign, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				th := &trajectoryHasher{h: sha256.New()}
-				th.origins(sr.Origins)
-				th.float(sr.FinalCost)
-				for _, r := range sr.Results {
-					th.result(r)
-				}
-				return th.sum()
-			},
-		})
+		// The sharded pins run both backends that differ inside a shard:
+		// RunSharded is the only caller that feeds Anchors into the
+		// analytic descent, so sharded-hybrid pins the anchored gradient.
+		// Its literals were recorded on the tiled, fanned-out descent,
+		// before the descent became one loop on the calling goroutine.
+		for _, be := range []Backend{BackendAnneal, BackendHybrid} {
+			be := be
+			name := fmt.Sprintf("synthetic10x/sharded/seed%d", s)
+			if be == BackendHybrid {
+				name = fmt.Sprintf("synthetic10x/sharded-hybrid/seed%d", s)
+			}
+			pins = append(pins, pin{
+				name: name,
+				run: func() string {
+					set, err := fabric.Shards(fabric.XC7Z045(), 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assign := make([]int, len(p.Instances))
+					for i := range assign {
+						assign[i] = i % 2
+					}
+					cfg := DefaultConfig()
+					cfg.Seed = s
+					cfg.Iterations = 40000
+					cfg.Chains = 4
+					cfg.Backend = be
+					sr, err := RunSharded(p, ShardsOf(set), assign, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					th := &trajectoryHasher{h: sha256.New()}
+					th.origins(sr.Origins)
+					th.float(sr.FinalCost)
+					for _, r := range sr.Results {
+						th.result(r)
+					}
+					return th.sum()
+				},
+			})
+		}
 	}
 	for _, p := range pins {
 		if got, want := p.run(), pinnedTrajectories[p.name]; got != want {
@@ -207,4 +219,8 @@ var pinnedTrajectories = map[string]string{
 	"synthetic10x/hybrid/seed3":   "0518a5a1e5a6b9bd633b1917e914308ba76b15a1e5e92055d6c6b9f3415d0e60",
 	"synthetic10x/analytic/seed3": "d28f13d03f0e221ca217d7b437b73a1f30c0c5f360a476addcd6926fab66e834",
 	"synthetic10x/sharded/seed3":  "d26edfe3d3b6f6eb7bc0b92492d06b04343e454f79b3a69f6efd291ea82eaff7",
+	// Recorded on the tiled descent, before it became one loop.
+	"synthetic10x/sharded-hybrid/seed1": "8de4033fe523260d70d959e81aecb31f1b2056bfa1ae8332645c2fb278494f06",
+	"synthetic10x/sharded-hybrid/seed2": "9615c9141379d029d9d2072f94d56acec226b6a5a27d8644671281a923ba37d2",
+	"synthetic10x/sharded-hybrid/seed3": "daed460ef34a3c2ea189f3392117f02b4c8b642a09a3634d40a84e86bf4341ab",
 }

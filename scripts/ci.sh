@@ -133,18 +133,18 @@ stage_coverage() {
 stage_determinism() {
 	# The multi-chain stitcher promises bit-identical results regardless of
 	# core count; re-run its determinism suite under the race detector at a
-	# parallelism the default run may not have exercised. The analytic
-	# backend's fixed descent tiles and the sharded stitcher's shards run
-	# on the same obs.Each workers as the chains and carry the same
-	# promise, so their determinism tests run in the same configuration,
-	# and the partitioner's alongside. So do the pinned trajectory digests
-	# (the analytic descent's fused update+splat tile pass must produce
-	# the literals recorded before it was fused, on any core count) and
-	# the legality kernel's differential test against the per-row
-	# reference.
+	# parallelism the default run may not have exercised. The sharded
+	# stitcher's shards run on the same obs.Each workers as the chains and
+	# carry the same promise, so their determinism tests run in the same
+	# configuration, and the partitioner's alongside. So do the pinned
+	# trajectory digests (recorded before the kernels they cover were
+	# rewritten, on any core count), the legality kernel's differential
+	# test against the per-row reference, and the analytic descent's
+	# against the tiled, fanned-out descent it replaced, with the check
+	# that the descent allocates nothing per iteration.
 	echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
 	export GOMAXPROCS=4
-	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
+	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestDescentMatchesReference|TestDescentAllocsFlat|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
 	run_listed 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' -race ./internal/partition/
 	# The estimator's forest fits its trees on obs.Each too, and sums their
 	# importance in tree order: one forest at GOMAXPROCS 1 and 4.
