@@ -104,7 +104,7 @@ func TestHybridCNVNoRegression(t *testing.T) {
 		t.Skip("cnv flow in -short mode")
 	}
 	fixtures(t)
-	const penalty = 2000 // stitch.DefaultConfig().UnplacedPenalty
+	const penalty = 2000 // the stitcher's cost per unplaced instance
 	var annealTotal, hybridTotal float64
 	var annealPlaced, hybridPlaced int
 	for seed := int64(0); seed < 3; seed++ {
@@ -166,7 +166,7 @@ func TestHeadlineTracePinLeavesChainTrace(t *testing.T) {
 	if winner < 0 {
 		t.Fatalf("%q: no chain ends on the headline trace's last sample", so.Backend)
 	}
-	// stitch.DefaultConfig().UnplacedPenalty is 2000 per instance.
+	// The stitcher charges 2000 per unplaced instance.
 	if got := last(rep.Chains[winner].Trace).Cost; got < rep.FinalCost+1000*float64(rep.Unplaced) {
 		t.Errorf("%q: winning chain's trace ends at %v, FinalCost is %v with %d unplaced: the headline pin wrote through",
 			so.Backend, got, rep.FinalCost, rep.Unplaced)

@@ -331,12 +331,15 @@ func (s *server) run(j *job) {
 		s.cfg.Logf("job %s failed: %s", j.id, jerr.Message)
 		state = apiv1.JobFailed
 	}
-	// Fold the job recorder's cache/solver counters and gauges into the
-	// service registry, then run the anomaly trigger: an SLO overrun or
-	// an oracle violation snapshots the flight ring to disk. This runs
+	// Fold the job recorder's registry into the service registry —
+	// cache and singleflight counters accumulate, solver-health gauges
+	// (stitch.analytic.grad_norm, …) show the latest job's final state,
+	// histograms (mincf.probes_per_block, estimator.abs_err) add bucket
+	// by bucket — then run the anomaly trigger: an SLO overrun or an
+	// oracle violation snapshots the flight ring to disk. This runs
 	// before the state flip — the terminal state is the signal clients
 	// poll on, so the dump file must exist by the time they see it.
-	s.tel.absorb(rec)
+	s.tel.rec.Merge(rec)
 	s.tel.noteFinished(j, state, rec.CounterValue("oracle.violations"))
 	j.setState(state)
 }

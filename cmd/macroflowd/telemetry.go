@@ -49,7 +49,6 @@ const (
 	mJobLatency  = "macroflowd.job_latency_ms"
 	mQueueWait   = "macroflowd.queue_wait_ms"    // {priority="N"}
 	mStage       = "macroflowd.stage_latency_ms" // {stage="synth|place|mincf|stitch|oracle"}
-	mProbes      = "macroflowd.probes_per_block" // tool runs per searched block
 )
 
 // stageNames lists the per-stage latency label values /v1/stats reports.
@@ -118,11 +117,6 @@ func (t *telemetry) jobSink(jobID string, base time.Duration, inner func(obs.Spa
 		if stage := stageOf(sr.Name); stage != "" {
 			t.rec.BucketHist(fmt.Sprintf("%s{stage=%q}", mStage, stage), nil).Observe(ms(sr.Dur))
 		}
-		if sr.Name == "search.mincf" || sr.Name == "search.estimate" {
-			if runs, ok := attrInt(sr.Attrs, "tool_runs"); ok && runs > 0 {
-				t.rec.BucketHist(mProbes, nil).Observe(float64(runs))
-			}
-		}
 		if t.flight != nil {
 			fr := sr
 			fr.Start += base
@@ -131,31 +125,6 @@ func (t *telemetry) jobSink(jobID string, base time.Duration, inner func(obs.Spa
 		}
 		inner(sr)
 	}
-}
-
-func attrInt(attrs []obs.Attr, key string) (int64, bool) {
-	for _, a := range attrs {
-		if a.Key != key {
-			continue
-		}
-		switch v := a.Val.(type) {
-		case int64:
-			return v, true
-		case int:
-			return int64(v), true
-		}
-	}
-	return 0, false
-}
-
-// absorb folds one finished job recorder's counters and gauges into the
-// service registry: cache and singleflight counters accumulate, solver
-// health gauges (stitch.analytic.grad_norm, …) show the latest job's
-// final state. Histograms are not mergeable across recorders and are
-// instead sampled live by jobSink.
-func (t *telemetry) absorb(rec *macroflow.Recorder) {
-	rec.EachCounter(func(name string, v int64) { t.rec.Add(name, v) })
-	rec.EachGauge(func(name string, v float64) { t.rec.SetGauge(name, v) })
 }
 
 // noteQueued records a submission and the queue's high-water mark.
@@ -276,7 +245,7 @@ func boolGauge(b bool) float64 {
 // handleMetrics serves the service registry as Prometheus text
 // exposition (format 0.0.4): counters, gauges, the per-stage and
 // per-job latency histograms with their _p50/_p95/_p99 companions, and
-// everything absorbed from finished job recorders.
+// everything merged in from finished job recorders.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.refreshGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

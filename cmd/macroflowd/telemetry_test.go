@@ -60,8 +60,8 @@ func scrapeMetrics(t *testing.T, base string) []obs.PromSample {
 // TestMetricsEndpoint compiles one job and scrapes GET /metrics: the
 // exposition must parse as strict Prometheus text and carry the
 // service series — job/queue counters, worker gauges, stage and job
-// latency histograms with quantile companions, and the counters
-// absorbed from the job's own recorder.
+// latency histograms with quantile companions, and the counters and
+// histograms merged from the job's own recorder.
 func TestMetricsEndpoint(t *testing.T) {
 	s, c := newTestServer(t, serverConfig{Workers: 1})
 	s.start()
@@ -113,13 +113,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		mustPresent("macroflowd_stage_latency_ms_p95", "stage", stage)
 	}
 
-	// Solver health sampled from the search spans: the two blocks were
-	// both searched, at least one probe each.
-	if sm, ok := promFind(samples, "macroflowd_probes_per_block_count"); !ok || sm.Value < 2 {
-		t.Errorf("probes_per_block_count = %v %v, want >= 2", sm.Value, ok)
+	// Solver health merged from the finished job recorder's histogram:
+	// the two blocks were both searched, at least one probe each.
+	if sm, ok := promFind(samples, "mincf_probes_per_block_count"); !ok || sm.Value < 2 {
+		t.Errorf("mincf_probes_per_block_count = %v %v, want >= 2", sm.Value, ok)
 	}
 
-	// Counters absorbed from the finished job recorder.
+	// Counters merged from the finished job recorder.
 	if sm, ok := promFind(samples, "flow_tool_runs"); !ok || sm.Value < 1 {
 		t.Errorf("flow_tool_runs = %v %v, want >= 1", sm.Value, ok)
 	}

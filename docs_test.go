@@ -37,7 +37,7 @@ var (
 //   - every back-ticked repo-relative path (cmd/…, internal/…, …) exists,
 //     or is something .gitignore says a build or run leaves behind;
 //   - DESIGN.md §8's metric table and the names the library passes to
-//     Add / Counter / Observe / SetGauge / BucketHist are the same set.
+//     Add / Counter / SetGauge / BucketHist are the same set.
 func TestDocsNameRealThings(t *testing.T) {
 	tests, metrics := scanTree(t)
 	ignored := gitignored(t)
@@ -91,7 +91,7 @@ func TestDocsNameRealThings(t *testing.T) {
 // become *, inline labels are dropped.
 func scanTree(t *testing.T) (tests, metrics map[string]bool) {
 	tests, metrics = map[string]bool{}, map[string]bool{}
-	registry := map[string]bool{"Add": true, "Counter": true, "Observe": true, "SetGauge": true, "BucketHist": true}
+	registry := map[string]bool{"Add": true, "Counter": true, "SetGauge": true, "BucketHist": true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

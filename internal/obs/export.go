@@ -31,54 +31,9 @@ func attrsMap(attrs []Attr) map[string]any {
 	return m
 }
 
-type namedCounter struct {
-	name string
-	val  int64
-}
-
-type namedGauge struct {
-	name string
-	val  float64
-}
-
-type namedHist struct {
-	name string
-	snap HistSnapshot
-}
-
-func (r *Recorder) counterList() []namedCounter {
-	var out []namedCounter
-	r.counters.Range(func(k, v any) bool {
-		out = append(out, namedCounter{k.(string), v.(*Counter).Value()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-func (r *Recorder) gaugeList() []namedGauge {
-	var out []namedGauge
-	r.gauges.Range(func(k, v any) bool {
-		out = append(out, namedGauge{k.(string), v.(*Gauge).Value()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-func (r *Recorder) histList() []namedHist {
-	var out []namedHist
-	r.hists.Range(func(k, v any) bool {
-		out = append(out, namedHist{k.(string), v.(*Histogram).Snapshot()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // WriteText writes a human-readable run report: a per-phase table
-// (spans aggregated by name, sorted by total time) followed by the
-// counters, gauges and histograms. A nil recorder writes nothing.
+// (spans aggregated by name, sorted by total time) followed by every
+// counter, set gauge and histogram. A nil recorder writes nothing.
 func (r *Recorder) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -130,23 +85,24 @@ func (r *Recorder) WriteText(w io.Writer) error {
 				a.name, a.count, fmtDur(a.total), fmtDur(mean), fmtDur(a.max), fmtDur(a.cpu))
 		}
 	}
-	if cs := r.counterList(); len(cs) > 0 {
+	m := r.snapshot()
+	if len(m.counters) > 0 {
 		fmt.Fprintln(bw, "counters:")
-		for _, c := range cs {
+		for _, c := range m.counters {
 			fmt.Fprintf(bw, "  %-34s %d\n", c.name, c.val)
 		}
 	}
-	if gs := r.gaugeList(); len(gs) > 0 {
+	if len(m.gauges) > 0 {
 		fmt.Fprintln(bw, "gauges:")
-		for _, g := range gs {
+		for _, g := range m.gauges {
 			fmt.Fprintf(bw, "  %-34s %.4f\n", g.name, g.val)
 		}
 	}
-	if hs := r.histList(); len(hs) > 0 {
+	if len(m.hists) > 0 {
 		fmt.Fprintln(bw, "histograms:")
-		for _, h := range hs {
+		for _, h := range m.hists {
 			fmt.Fprintf(bw, "  %-34s n=%d mean=%.4g min=%.4g max=%.4g\n",
-				h.name, h.snap.Count, h.snap.Mean(), h.snap.Min, h.snap.Max)
+				h.name, h.val.Count, h.val.Mean(), h.val.Min, h.val.Max)
 		}
 	}
 	return bw.Flush()
@@ -171,12 +127,14 @@ type jsonlEvent struct {
 	Sum     float64        `json:"sum,omitempty"`
 	Min     float64        `json:"min,omitempty"`
 	Max     float64        `json:"max,omitempty"`
+	Bounds  []float64      `json:"bounds,omitempty"` // histogram upper bounds; +Inf implicit
+	Buckets []int64        `json:"buckets,omitempty"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
 // WriteJSONL writes the machine-readable event log: one JSON object per
-// line — every span in start order, then every metric. A nil recorder
-// writes nothing.
+// line — every span in start order, then every counter, set gauge and
+// histogram. A nil recorder writes nothing.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -199,20 +157,21 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, c := range r.counterList() {
+	m := r.snapshot()
+	for _, c := range m.counters {
 		if err := enc.Encode(jsonlEvent{Type: "counter", Name: c.name, Count: c.val}); err != nil {
 			return err
 		}
 	}
-	for _, g := range r.gaugeList() {
+	for _, g := range m.gauges {
 		v := g.val
 		if err := enc.Encode(jsonlEvent{Type: "gauge", Name: g.name, Value: &v}); err != nil {
 			return err
 		}
 	}
-	for _, h := range r.histList() {
-		ev := jsonlEvent{Type: "histogram", Name: h.name,
-			Count: h.snap.Count, Sum: h.snap.Sum, Min: h.snap.Min, Max: h.snap.Max}
+	for _, h := range m.hists {
+		ev := jsonlEvent{Type: "histogram", Name: h.name, Count: h.val.Count, Sum: h.val.Sum,
+			Min: h.val.Min, Max: h.val.Max, Bounds: h.val.Bounds, Buckets: h.val.Counts}
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}

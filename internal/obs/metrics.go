@@ -51,75 +51,33 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram aggregates float observations into count/sum/min/max (a
-// summary, not bucketed — enough for run reports without allocation).
-type Histogram struct {
-	mu    sync.Mutex
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// HistSnapshot is a point-in-time summary of a Histogram.
-type HistSnapshot struct {
-	Count         int64
-	Sum, Min, Max float64
-}
-
-// Mean returns Sum/Count (0 for an empty histogram).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Snapshot returns the histogram's current summary.
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+// read returns the gauge's value and whether it was set, the flag
+// loaded first so a set gauge never reads the value from before Set.
+func (g *Gauge) read() (float64, bool) {
+	set := g.set.Load()
+	return g.Value(), set
 }
 
 // DefaultLatencyBuckets are the BucketHist bounds used when none are
-// given: a roughly-logarithmic millisecond ladder from 1ms to 30s,
-// sized for service latencies (queue waits, stage and job durations).
+// given: a roughly-logarithmic ladder from 1 to 30,000, sized for
+// service latencies in milliseconds (queue waits, stage and job
+// durations) and wide enough for the tool runs of one block search.
 var DefaultLatencyBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 
-// BucketHist is a fixed-bucket histogram: observations land in the
-// first bucket whose upper bound is >= the value (with an implicit
-// +Inf overflow bucket), one atomic add per observation — cheap enough
-// for per-span recording on a service hot path. Unlike the summary
-// Histogram it supports quantile estimation and Prometheus histogram
-// exposition. All methods are nil-safe.
+// BucketHist is a fixed-bucket histogram — the registry's one
+// histogram kind: observations land in the first bucket whose upper
+// bound is >= the value (with an implicit +Inf overflow bucket), a few
+// atomic operations per observation — cheap enough for per-span
+// recording on a service hot path. It supports quantile estimation,
+// Prometheus histogram exposition and merging across recorders. All
+// methods are nil-safe.
 type BucketHist struct {
 	bounds  []float64 // ascending upper bounds; +Inf bucket is implicit
 	counts  []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
+	minBits atomic.Uint64 // +Inf until the first observation
+	maxBits atomic.Uint64 // -Inf until the first observation
 }
 
 // NewBucketHist returns a histogram over the given ascending upper
@@ -129,7 +87,10 @@ func NewBucketHist(bounds []float64) *BucketHist {
 		bounds = DefaultLatencyBuckets
 	}
 	b := append([]float64(nil), bounds...)
-	return &BucketHist{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &BucketHist{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one sample.
@@ -137,12 +98,35 @@ func (h *BucketHist) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	first := h.count.Add(1) == 1
-	addFloat(&h.sumBits, v)
-	casFloat(&h.minBits, v, first, func(cur float64) bool { return v < cur })
-	casFloat(&h.maxBits, v, first, func(cur float64) bool { return v > cur })
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1) // first bound >= v
+	h.add(1, v, v, v)
+}
+
+// add folds n samples with the given sum, min and max into the totals.
+// count is stored last, so a Snapshot that reads it first never sees a
+// sample whose min and max have not landed yet.
+func (h *BucketHist) add(n int64, sum, lo, hi float64) {
+	addFloat(&h.sumBits, sum)
+	casFloat(&h.minBits, func(cur float64) bool { return lo < cur }, lo)
+	casFloat(&h.maxBits, func(cur float64) bool { return hi > cur }, hi)
+	h.count.Add(n)
+}
+
+// merge adds a snapshot's samples bucket by bucket. A source bucket
+// lands in the bucket holding its upper bound, which is the same
+// bucket when the bounds match.
+func (h *BucketHist) merge(s BucketSnapshot) {
+	if s.Count == 0 {
+		return
+	}
+	for i, c := range s.Counts {
+		ub := math.Inf(1)
+		if i < len(s.Bounds) {
+			ub = s.Bounds[i]
+		}
+		h.counts[sort.SearchFloat64s(h.bounds, ub)].Add(c)
+	}
+	h.add(s.Count, s.Sum, s.Min, s.Max)
 }
 
 // addFloat atomically adds v to a float64 stored as uint64 bits.
@@ -155,18 +139,14 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// casFloat atomically replaces the stored float when better reports the
-// candidate beats the current value (or this is the first observation).
-func casFloat(bits *atomic.Uint64, v float64, first bool, better func(float64) bool) {
+// casFloat atomically replaces the stored float with v while better
+// reports v beats the current value.
+func casFloat(bits *atomic.Uint64, better func(cur float64) bool, v float64) {
 	for {
 		old := bits.Load()
-		if !first && !better(math.Float64frombits(old)) {
+		if !better(math.Float64frombits(old)) || bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-		first = false
 	}
 }
 
@@ -180,20 +160,20 @@ type BucketSnapshot struct {
 	Sum, Min, Max float64
 }
 
-// Snapshot copies the histogram's current state. Concurrent observers
-// may land between bucket and total reads; the drift is at most the
-// handful of in-flight observations, fine for monitoring.
+// Snapshot copies the histogram's current state; an empty histogram
+// reads Min and Max 0. Count is read first, so every sample it counts
+// is in Sum, Min and Max; concurrent observers may still land between
+// the bucket and total reads — at most the handful in flight, fine for
+// monitoring.
 func (h *BucketHist) Snapshot() BucketSnapshot {
 	if h == nil {
 		return BucketSnapshot{}
 	}
-	s := BucketSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Min:    math.Float64frombits(h.minBits.Load()),
-		Max:    math.Float64frombits(h.maxBits.Load()),
+	s := BucketSnapshot{Bounds: h.bounds, Counts: make([]int64, len(h.counts)), Count: h.count.Load()}
+	if s.Count > 0 {
+		s.Sum = math.Float64frombits(h.sumBits.Load())
+		s.Min = math.Float64frombits(h.minBits.Load())
+		s.Max = math.Float64frombits(h.maxBits.Load())
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
@@ -267,74 +247,31 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	return g.(*Gauge)
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Recorder) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram)
-	}
-	h, _ := r.hists.LoadOrStore(name, &Histogram{})
-	return h.(*Histogram)
-}
-
-// BucketHist returns the named fixed-bucket histogram, creating it on
-// first use with the given bounds (DefaultLatencyBuckets when nil).
-// The first creation wins the bounds; later calls return the existing
-// histogram regardless of the bounds argument.
+// BucketHist returns the named histogram, creating it on first use
+// with the given bounds (DefaultLatencyBuckets when nil). The first
+// creation wins the bounds; later calls return the existing histogram
+// regardless of the bounds argument.
 func (r *Recorder) BucketHist(name string, bounds []float64) *BucketHist {
 	if r == nil {
 		return nil
 	}
-	if h, ok := r.bucketHists.Load(name); ok {
+	if h, ok := r.hists.Load(name); ok {
 		return h.(*BucketHist)
 	}
-	h, _ := r.bucketHists.LoadOrStore(name, NewBucketHist(bounds))
+	h, _ := r.hists.LoadOrStore(name, NewBucketHist(bounds))
 	return h.(*BucketHist)
 }
 
-// BucketHistValue returns the named bucket histogram's snapshot (the
-// zero snapshot if absent).
+// BucketHistValue returns the named histogram's snapshot (the zero
+// snapshot if absent).
 func (r *Recorder) BucketHistValue(name string) BucketSnapshot {
 	if r == nil {
 		return BucketSnapshot{}
 	}
-	if h, ok := r.bucketHists.Load(name); ok {
+	if h, ok := r.hists.Load(name); ok {
 		return h.(*BucketHist).Snapshot()
 	}
 	return BucketSnapshot{}
-}
-
-// EachCounter calls fn for every registered counter in name order —
-// the public enumeration services use to mirror per-run counters into
-// a longer-lived registry.
-func (r *Recorder) EachCounter(fn func(name string, value int64)) {
-	if r == nil {
-		return
-	}
-	for _, c := range r.counterList() {
-		fn(c.name, c.val)
-	}
-}
-
-// EachGauge calls fn for every gauge that has been set, in name order.
-func (r *Recorder) EachGauge(fn func(name string, value float64)) {
-	if r == nil {
-		return
-	}
-	var names []string
-	r.gauges.Range(func(k, v any) bool {
-		if v.(*Gauge).set.Load() {
-			names = append(names, k.(string))
-		}
-		return true
-	})
-	sort.Strings(names)
-	for _, n := range names {
-		v, _ := r.GaugeValue(n)
-		fn(n, v)
-	}
 }
 
 // Add increments the named counter (convenience for cold paths; hot
@@ -343,9 +280,6 @@ func (r *Recorder) Add(name string, d int64) { r.Counter(name).Add(d) }
 
 // SetGauge records the named gauge's value.
 func (r *Recorder) SetGauge(name string, v float64) { r.Gauge(name).Set(v) }
-
-// Observe records one sample on the named histogram.
-func (r *Recorder) Observe(name string, v float64) { r.Histogram(name).Observe(v) }
 
 // CounterValue returns the named counter's value (0 if absent).
 func (r *Recorder) CounterValue(name string) int64 {
@@ -364,19 +298,64 @@ func (r *Recorder) GaugeValue(name string) (float64, bool) {
 		return 0, false
 	}
 	if g, ok := r.gauges.Load(name); ok {
-		gg := g.(*Gauge)
-		return gg.Value(), gg.set.Load()
+		return g.(*Gauge).read()
 	}
 	return 0, false
 }
 
-// HistogramValue returns the named histogram's summary.
-func (r *Recorder) HistogramValue(name string) HistSnapshot {
-	if r == nil {
-		return HistSnapshot{}
+// Merge folds src's registry into r — how a long-lived registry takes
+// in a finished run: counters add, a gauge src set takes src's value,
+// and histograms add bucket by bucket, a histogram r lacks starting
+// with src's bounds. Either side may be nil.
+func (r *Recorder) Merge(src *Recorder) {
+	if r == nil || src == nil {
+		return
 	}
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram).Snapshot()
+	m := src.snapshot()
+	for _, c := range m.counters {
+		r.Add(c.name, c.val)
 	}
-	return HistSnapshot{}
+	for _, g := range m.gauges {
+		r.SetGauge(g.name, g.val)
+	}
+	for _, h := range m.hists {
+		r.BucketHist(h.name, h.val.Bounds).merge(h.val)
+	}
+}
+
+// registrySnapshot is the metric registry at one moment, each kind in
+// name order: every counter, every gauge that was set, every
+// histogram. Merge and the three exporters all read the registry
+// through it.
+type registrySnapshot struct {
+	counters []named[int64]
+	gauges   []named[float64]
+	hists    []named[BucketSnapshot]
+}
+
+type named[T any] struct {
+	name string
+	val  T
+}
+
+func (r *Recorder) snapshot() registrySnapshot {
+	return registrySnapshot{
+		counters: entries(&r.counters, func(c *Counter) (int64, bool) { return c.Value(), true }),
+		gauges:   entries(&r.gauges, (*Gauge).read),
+		hists:    entries(&r.hists, func(h *BucketHist) (BucketSnapshot, bool) { return h.Snapshot(), true }),
+	}
+}
+
+// entries reads one registry map through read, which may skip an
+// entry, sorted by name.
+func entries[M, T any](m *sync.Map, read func(M) (T, bool)) []named[T] {
+	var out []named[T]
+	m.Range(func(k, v any) bool {
+		if val, ok := read(v.(M)); ok {
+			out = append(out, named[T]{k.(string), val})
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

@@ -1,7 +1,9 @@
 // Package obs is the flow-wide observability layer: hierarchical spans,
-// a metrics registry (counters, gauges, histograms) and exporters for
-// human text summaries, machine JSONL event logs and Chrome trace_event
-// JSON (loadable in chrome://tracing or Perfetto).
+// a metrics registry (counters, gauges and one histogram kind,
+// BucketHist) that merges across recorders, and exporters for human
+// text summaries, machine JSONL event logs, Prometheus text and Chrome
+// trace_event JSON (loadable in chrome://tracing or Perfetto). Every
+// metric exporter lists every counter, set gauge and histogram.
 //
 // The package is dependency-free and safe for concurrent use. Every
 // entry point is nil-safe: a nil *Recorder — and the nil *Span values it
@@ -76,10 +78,9 @@ type Recorder struct {
 	laneNames map[int]string
 	sink      func(SpanRecord)
 
-	counters    sync.Map // string -> *Counter
-	gauges      sync.Map // string -> *Gauge
-	hists       sync.Map // string -> *Histogram
-	bucketHists sync.Map // string -> *BucketHist
+	counters sync.Map // string -> *Counter
+	gauges   sync.Map // string -> *Gauge
+	hists    sync.Map // string -> *BucketHist
 }
 
 // New returns an empty recorder with its epoch at the current time.

@@ -38,17 +38,18 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.LaneLabel(1, "lane")
 	r.Add("c", 5)
 	r.SetGauge("g", 1.0)
-	r.Observe("h", 2.0)
 	r.Counter("c").Add(1)
 	r.Gauge("g").Set(3)
-	r.Histogram("h").Observe(4)
+	r.BucketHist("h", nil).Observe(4)
+	r.Merge(New())
+	New().Merge(r)
 	if r.CounterValue("c") != 0 {
 		t.Fatal("nil recorder counter must read 0")
 	}
 	if _, ok := r.GaugeValue("g"); ok {
 		t.Fatal("nil recorder gauge must read unset")
 	}
-	if snap := r.HistogramValue("h"); snap.Count != 0 {
+	if snap := r.BucketHistValue("h"); snap.Count != 0 {
 		t.Fatal("nil recorder histogram must be empty")
 	}
 	if r.Spans() != nil {
@@ -168,9 +169,9 @@ func TestMetrics(t *testing.T) {
 	if v, ok := r.GaugeValue("rate"); !ok || v != 0.25 {
 		t.Fatalf("gauge = %v/%v, want 0.25/true", v, ok)
 	}
-	r.Observe("lat", 1)
-	r.Observe("lat", 3)
-	snap := r.HistogramValue("lat")
+	r.BucketHist("lat", nil).Observe(1)
+	r.BucketHist("lat", nil).Observe(3)
+	snap := r.BucketHistValue("lat")
 	if snap.Count != 2 || snap.Sum != 4 || snap.Min != 1 || snap.Max != 3 || snap.Mean() != 2 {
 		t.Fatalf("histogram snapshot off: %+v", snap)
 	}
@@ -259,7 +260,7 @@ func TestConcurrentRecording(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					p := sp.Child("probe", Int("i", i))
 					r.Add("probes", 1)
-					r.Observe("cf", float64(i))
+					r.BucketHist("cf", nil).Observe(float64(i))
 					r.SetGauge("last", float64(i))
 					p.End()
 				}
@@ -275,7 +276,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := r.CounterValue("probes"); got != int64(want) {
 		t.Fatalf("probes counter = %d, want %d", got, want)
 	}
-	if snap := r.HistogramValue("cf"); snap.Count != int64(want) {
+	if snap := r.BucketHistValue("cf"); snap.Count != int64(want) {
 		t.Fatalf("histogram count = %d, want %d", snap.Count, want)
 	}
 	spans := r.Spans()
@@ -515,7 +516,7 @@ func TestTextReport(t *testing.T) {
 	r := buildGoldenRecorder()
 	r.Add("flow.tool_runs", 3)
 	r.SetGauge("stitch.accept_rate", 0.5)
-	r.Observe("probe.ms", 2)
+	r.BucketHist("probe.ms", nil).Observe(2)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)

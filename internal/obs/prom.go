@@ -25,14 +25,13 @@ import (
 // all series of one base under a single # TYPE line and emits samples
 // in sorted label order. Names without a label block export unlabeled.
 
-// WritePrometheus renders the recorder's counters, gauges, summary
-// histograms and bucket histograms as Prometheus text. Counters export
-// as counters, gauges as gauges, summary Histograms as summaries
-// (<name>_sum / <name>_count), and BucketHists as classic histograms
-// (<name>_bucket{le="..."} / _sum / _count) plus computed-quantile
-// gauge companions <name>_p50 / _p95 / _p99. A nil recorder writes
-// nothing. Spans are not exported — scrape endpoints expose metrics,
-// trace timelines travel via WriteChromeTrace.
+// WritePrometheus renders the recorder's counters, set gauges and
+// histograms as Prometheus text: counters as counters, gauges as
+// gauges, and histograms as classic histograms (<name>_bucket{le="..."}
+// / _sum / _count) plus computed-quantile gauge companions <name>_p50 /
+// _p95 / _p99. A nil recorder writes nothing. Spans are not exported —
+// scrape endpoints expose metrics, trace timelines travel via
+// WriteChromeTrace.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -48,27 +47,15 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		}
 		f.samples = append(f.samples, promLine(base, joinLabels(labels, extraLabels), v))
 	}
-	r.EachCounter(func(name string, v int64) {
-		add(name, "counter", "", "", float64(v))
-	})
-	r.EachGauge(func(name string, v float64) {
-		add(name, "gauge", "", "", v)
-	})
-	for _, h := range r.histList() {
-		if h.snap.Count == 0 {
-			continue
-		}
-		add(h.name, "summary", "_sum", "", h.snap.Sum)
-		add(h.name, "summary", "_count", "", float64(h.snap.Count))
+	m := r.snapshot()
+	for _, c := range m.counters {
+		add(c.name, "counter", "", "", float64(c.val))
 	}
-	var bucketNames []string
-	r.bucketHists.Range(func(k, v any) bool {
-		bucketNames = append(bucketNames, k.(string))
-		return true
-	})
-	sort.Strings(bucketNames)
-	for _, name := range bucketNames {
-		s := r.BucketHistValue(name)
+	for _, g := range m.gauges {
+		add(g.name, "gauge", "", "", g.val)
+	}
+	for _, h := range m.hists {
+		s := h.val
 		cum := int64(0)
 		for i, c := range s.Counts {
 			cum += c
@@ -76,13 +63,13 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			if i < len(s.Bounds) {
 				le = formatProm(s.Bounds[i])
 			}
-			add(name, "histogram", "_bucket", `le="`+le+`"`, float64(cum))
+			add(h.name, "histogram", "_bucket", `le="`+le+`"`, float64(cum))
 		}
-		add(name, "histogram", "_sum", "", s.Sum)
-		add(name, "histogram", "_count", "", float64(s.Count))
-		add(name, "gauge", "_p50", "", s.Quantile(0.50))
-		add(name, "gauge", "_p95", "", s.Quantile(0.95))
-		add(name, "gauge", "_p99", "", s.Quantile(0.99))
+		add(h.name, "histogram", "_sum", "", s.Sum)
+		add(h.name, "histogram", "_count", "", float64(s.Count))
+		add(h.name, "gauge", "_p50", "", s.Quantile(0.50))
+		add(h.name, "gauge", "_p95", "", s.Quantile(0.95))
+		add(h.name, "gauge", "_p99", "", s.Quantile(0.99))
 	}
 
 	// Histogram series share one family: fold _bucket/_sum/_count into
@@ -91,7 +78,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	grouped := map[string]*promFamily{}
 	for _, f := range fams {
 		base := f.name
-		if f.typ == "histogram" || f.typ == "summary" {
+		if f.typ == "histogram" {
 			base = strings.TrimSuffix(base, "_bucket")
 			base = strings.TrimSuffix(base, "_sum")
 			base = strings.TrimSuffix(base, "_count")

@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +73,9 @@ func TestBucketHistNilAndEmpty(t *testing.T) {
 	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Fatal("nil BucketHist must read as zero")
 	}
+	if e := NewBucketHist(nil).Snapshot(); e.Min != 0 || e.Max != 0 || e.Sum != 0 {
+		t.Fatalf("empty BucketHist reads min/max/sum %g/%g/%g, want 0/0/0", e.Min, e.Max, e.Sum)
+	}
 	var r *Recorder
 	if r.BucketHist("x", nil) != nil {
 		t.Fatal("nil recorder must hand out a nil BucketHist")
@@ -127,6 +133,135 @@ func TestBucketHistConcurrent(t *testing.T) {
 	}
 }
 
+// TestBucketHistFirstObservations: two goroutines make a fresh
+// histogram's first two observations at once, one observing 1 and the
+// other 2, so each may find the histogram empty. Min and Max must come
+// out 1 and 2 whichever lands first. Rounds of fresh histograms, each
+// round behind a start barrier, give the interleavings room to occur.
+func TestBucketHistFirstObservations(t *testing.T) {
+	const rounds, per = 100, 2000
+	bad := 0
+	for r := 0; r < rounds; r++ {
+		hs := make([]*BucketHist, per)
+		for i := range hs {
+			hs[i] = NewBucketHist([]float64{1.5})
+		}
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		for _, v := range []float64{1, 2} {
+			ready.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				for _, h := range hs {
+					h.Observe(v)
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
+		for _, h := range hs {
+			if s := h.Snapshot(); s.Count != 2 || s.Min != 1 || s.Max != 2 {
+				bad++
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d two-observer histograms lost an observation's min or max", bad, rounds*per)
+	}
+}
+
+// TestRecorderMerge: counters add, a gauge the source set overwrites
+// (one it never set does not), histograms add bucket by bucket — a
+// histogram the destination lacks takes the source's bounds, one with
+// other bounds puts each source bucket in the bucket holding its upper
+// bound — and min/max combine. Nil on either side is a no-op.
+func TestRecorderMerge(t *testing.T) {
+	dst, src := New(), New()
+	dst.Add("runs", 2)
+	src.Add("runs", 3)
+	src.Add("src.only", 1)
+	dst.SetGauge("rate", 0.5)
+	dst.SetGauge("kept", 7)
+	src.SetGauge("rate", 0.25)
+	src.Gauge("kept") // registered, never set
+	dst.BucketHist("lat", []float64{1, 10}).Observe(5)
+	for _, v := range []float64{0.5, 20} {
+		src.BucketHist("lat", []float64{1, 10}).Observe(v)
+	}
+	src.BucketHist("fresh", []float64{2, 4}).Observe(3)
+	dst.BucketHist("coarse", []float64{10}).Observe(50)
+	for _, v := range []float64{1, 8, 9} {
+		src.BucketHist("coarse", []float64{2, 4, 8}).Observe(v)
+	}
+
+	dst.Merge(src)
+	dst.Merge(nil)
+	(*Recorder)(nil).Merge(src)
+
+	if got := dst.CounterValue("runs"); got != 5 {
+		t.Errorf("runs = %d, want 5", got)
+	}
+	if got := dst.CounterValue("src.only"); got != 1 {
+		t.Errorf("src.only = %d, want 1", got)
+	}
+	if v, _ := dst.GaugeValue("rate"); v != 0.25 {
+		t.Errorf("rate = %g, want the source's 0.25", v)
+	}
+	if v, _ := dst.GaugeValue("kept"); v != 7 {
+		t.Errorf("kept = %g, want 7: the source never set it", v)
+	}
+	for _, tc := range []struct {
+		name          string
+		bounds        []float64
+		counts        []int64
+		count         int64
+		sum, min, max float64
+	}{
+		{"lat", []float64{1, 10}, []int64{1, 1, 1}, 3, 25.5, 0.5, 20},
+		{"fresh", []float64{2, 4}, []int64{0, 1, 0}, 1, 3, 3, 3},
+		// 1 and 8 sit in buckets whose upper bounds (2, 8) fall in
+		// (0, 10]; 9 sits in the source's +Inf bucket.
+		{"coarse", []float64{10}, []int64{2, 2}, 4, 68, 1, 50},
+	} {
+		s := dst.BucketHistValue(tc.name)
+		if fmt.Sprint(s.Bounds, s.Counts) != fmt.Sprint(tc.bounds, tc.counts) ||
+			s.Count != tc.count || s.Sum != tc.sum || s.Min != tc.min || s.Max != tc.max {
+			t.Errorf("%s merged to %+v, want bounds %v counts %v count %d sum %g min %g max %g",
+				tc.name, s, tc.bounds, tc.counts, tc.count, tc.sum, tc.min, tc.max)
+		}
+	}
+}
+
+// TestExportersNameEveryMetric: the text report, the JSONL log and the
+// Prometheus exposition each name every counter, set gauge and
+// histogram of the registry.
+func TestExportersNameEveryMetric(t *testing.T) {
+	r := New()
+	r.Add("parity.counter", 1)
+	r.SetGauge("parity.gauge", 0.5)
+	r.BucketHist("parity.hist", nil).Observe(3)
+	for name, write := range map[string]func(io.Writer) error{
+		"WriteText": r.WriteText, "WriteJSONL": r.WriteJSONL, "WritePrometheus": r.WritePrometheus,
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, metric := range []string{"parity.counter", "parity.gauge", "parity.hist"} {
+			if name == "WritePrometheus" {
+				metric = strings.ReplaceAll(metric, ".", "_")
+			}
+			if !strings.Contains(buf.String(), metric) {
+				t.Errorf("%s does not name %s:\n%s", name, metric, buf.String())
+			}
+		}
+	}
+}
+
 // TestWritePrometheusRoundTrip populates every metric kind — including
 // labeled registry names — and requires the exposition to pass the
 // strict parser with the expected samples present exactly once.
@@ -136,8 +271,8 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	r.Add(`jobs_total{state="failed"}`, 1)
 	r.Add("mincf.oracle_runs", 42)
 	r.SetGauge("queue_depth", 7)
-	r.Observe("probe_ms", 2.5) // summary histogram
-	r.Observe("probe_ms", 7.5)
+	r.BucketHist("probe_ms", nil).Observe(2.5)
+	r.BucketHist("probe_ms", nil).Observe(7.5)
 	bh := r.BucketHist(`stage_latency_ms{stage="synth"}`, []float64{1, 10})
 	bh.Observe(0.5)
 	bh.Observe(5)
@@ -181,10 +316,10 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 		t.Errorf("gauge = %g", s.Value)
 	}
 	if s := find("probe_ms_count", nil); s.Value != 2 {
-		t.Errorf("summary count = %g", s.Value)
+		t.Errorf("histogram count = %g", s.Value)
 	}
 	if s := find("probe_ms_sum", nil); s.Value != 10 {
-		t.Errorf("summary sum = %g", s.Value)
+		t.Errorf("histogram sum = %g", s.Value)
 	}
 	// Classic histogram series: cumulative buckets, +Inf, and the
 	// computed quantile companions, all carrying the stage label.

@@ -358,7 +358,7 @@ func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s Searc
 // served: ReadThrough never calls the search then.
 func recordProbes(rec *obs.Recorder, runs int) {
 	if runs > 0 {
-		rec.Observe("mincf.probes_per_block", float64(runs))
+		rec.BucketHist("mincf.probes_per_block", nil).Observe(float64(runs))
 	}
 }
 

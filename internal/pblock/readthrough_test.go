@@ -147,7 +147,7 @@ func TestReadThrough(t *testing.T) {
 			if ran := rec.CounterValue("mincf.oracle_runs") > 0; ran != tc.searches {
 				t.Errorf("oracle ran: %t, want %t", ran, tc.searches)
 			}
-			if n := rec.HistogramValue("mincf.probes_per_block").Count; (n == 1) != tc.searches || n > 1 {
+			if n := rec.BucketHistValue("mincf.probes_per_block").Count; (n == 1) != tc.searches || n > 1 {
 				t.Errorf("mincf.probes_per_block holds %d samples, want one per search that ran (%t)", n, tc.searches)
 			}
 

@@ -240,7 +240,7 @@ func TestProbesPerBlockHistogram(t *testing.T) {
 	if searched == 0 {
 		t.Fatal("no module searched")
 	}
-	h := rec.HistogramValue("mincf.probes_per_block")
+	h := rec.BucketHistValue("mincf.probes_per_block")
 	if h.Count != int64(searched) {
 		t.Errorf("probes_per_block count = %d, want %d (one sample per searched block)", h.Count, searched)
 	}
@@ -253,11 +253,11 @@ func TestProbesPerBlockHistogram(t *testing.T) {
 
 	// FromEstimate feeds the same histogram.
 	m, rep := module(t, specs[0])
-	before := rec.HistogramValue("mincf.probes_per_block").Count
+	before := rec.BucketHistValue("mincf.probes_per_block").Count
 	if _, err := FromEstimate(dev, m, rep, 1.0, s, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if after := rec.HistogramValue("mincf.probes_per_block").Count; after != before+1 {
+	if after := rec.BucketHistValue("mincf.probes_per_block").Count; after != before+1 {
 		t.Errorf("FromEstimate added %d samples, want 1", after-before)
 	}
 }

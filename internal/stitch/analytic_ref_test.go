@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macroflow/internal/fabric"
@@ -361,15 +362,16 @@ func float64Bits(v []float64) []uint64 {
 }
 
 // descentTelemetry lists what a descent recorded, timings left out:
-// span names and attributes in order, then gauges and counters.
+// span names and attributes in order, then the metric registry as
+// Prometheus text (shortest round-trip floats, so bit for bit).
 func descentTelemetry(rec *obs.Recorder) []any {
 	var out []any
 	for _, s := range rec.Spans() {
 		out = append(out, s.Name, s.Attrs)
 	}
-	rec.EachGauge(func(n string, v float64) { out = append(out, n, math.Float64bits(v)) })
-	rec.EachCounter(func(n string, v int64) { out = append(out, n, v) })
-	return out
+	var metrics strings.Builder
+	rec.WritePrometheus(&metrics)
+	return append(out, metrics.String())
 }
 
 // TestDescentAllocsFlat: a descent allocates its state up front and

@@ -23,7 +23,7 @@ const (
 
 // ladderRatio is the temperature multiplier between adjacent chains. The
 // ladder is anchored at the top: chain k-1 runs at the historical
-// exploratory temperature InitTemp·cost, and each colder chain divides
+// exploratory temperature initTempFrac·cost, and each colder chain divides
 // by ladderRatio, so chain 0 refines near-greedily.
 const ladderRatio = 3.0
 
@@ -183,8 +183,8 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 		// (hottest chain, c = k-1) down by ladderRatio per rung, so the
 		// coldest chain refines near-greedily while the hot replicas keep
 		// escaping local minima for it. With k = 1 the anchor reduces to
-		// InitTemp — the serial schedule.
-		anchor := cfg.InitTemp / math.Pow(ladderRatio, float64(k-1))
+		// initTempFrac — the serial schedule.
+		anchor := initTempFrac / math.Pow(ladderRatio, float64(k-1))
 		temp := a.cost * anchor * math.Pow(ladderRatio, float64(ci))
 		if temp <= 0 {
 			temp = 1
@@ -224,9 +224,9 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 		seg.End()
 		snapBest(chains[0].a)
 	} else {
-		// Fixed replica-exchange schedule: ExchangeRounds segments with
+		// Fixed replica-exchange schedule: exchangeRounds segments with
 		// a barrier and an exchange sweep after each but the last.
-		rounds := cfg.ExchangeRounds
+		rounds := exchangeRounds
 		for _, b := range budgets {
 			if rounds > b {
 				rounds = b
@@ -377,7 +377,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 		}
 	}
 	final := finals[best]
-	res.FinalCost = final - float64(res.Unplaced)*a.cfg.UnplacedPenalty
+	res.FinalCost = final - float64(res.Unplaced)*unplacedPenalty
 
 	trace := w.trace
 	executed := w.budget
@@ -421,7 +421,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 			Accepts:      c.a.accepts,
 			IllegalMoves: c.a.illegal,
 			Exchanges:    c.exchanges,
-			FinalCost:    cfinal - float64(unplaced)*c.a.cfg.UnplacedPenalty,
+			FinalCost:    cfinal - float64(unplaced)*unplacedPenalty,
 			Trace:        c.trace,
 		})
 	}

@@ -161,11 +161,6 @@ type Config struct {
 	// Iterations is the total SA move budget (default 200,000). With
 	// Chains > 1 the budget is divided evenly across the chains.
 	Iterations int
-	// InitTemp is the starting temperature as a fraction of the initial
-	// cost (default 0.03).
-	InitTemp float64
-	// UnplacedPenalty is the per-unplaced-instance cost (default 2,000).
-	UnplacedPenalty float64
 	// Chains is the number of parallel-tempering replicas. 0 or 1 runs
 	// the single serial chain, bit-identical to the historical
 	// annealer. K > 1 runs K chains with per-chain derived seeds and a
@@ -173,9 +168,6 @@ type Config struct {
 	// replica-exchange schedule; the result is bit-reproducible for a
 	// given (Seed, Chains) pair regardless of GOMAXPROCS.
 	Chains int
-	// ExchangeRounds is the number of replica-exchange barriers spread
-	// evenly over the per-chain budget (default 16).
-	ExchangeRounds int
 	// TraceEvery is the cost-trace sampling interval in iterations;
 	// values < 1 select the default of 256. It paces the per-chain
 	// Trace/CostTrace samples and the serial chain's Progress callbacks
@@ -201,9 +193,21 @@ type Config struct {
 	Span *obs.Span
 }
 
+// The annealer's calibrated constants.
+const (
+	// initTempFrac is the starting temperature as a fraction of the
+	// initial cost.
+	initTempFrac = 0.03
+	// unplacedPenalty is the cost of each unplaced instance.
+	unplacedPenalty = 2000
+	// exchangeRounds is the number of replica-exchange barriers spread
+	// evenly over the per-chain budget.
+	exchangeRounds = 16
+)
+
 // DefaultConfig returns the calibrated annealer settings.
 func DefaultConfig() Config {
-	return Config{Iterations: 200000, InitTemp: 0.03, UnplacedPenalty: 2000}
+	return Config{Iterations: 200000}
 }
 
 // Origin is the placed position of an instance.
@@ -566,15 +570,6 @@ func Run(p *Problem, cfg Config) *Result {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 200000
 	}
-	if cfg.InitTemp <= 0 {
-		cfg.InitTemp = 0.03
-	}
-	if cfg.UnplacedPenalty <= 0 {
-		cfg.UnplacedPenalty = 2000
-	}
-	if cfg.ExchangeRounds <= 0 {
-		cfg.ExchangeRounds = 16
-	}
 	if cfg.TraceEvery < 1 {
 		cfg.TraceEvery = 256
 	}
@@ -723,7 +718,7 @@ func (a *annealer) totalCost() float64 {
 	}
 	for ii := range a.origins {
 		if !a.origins[ii].Placed {
-			c += a.cfg.UnplacedPenalty
+			c += unplacedPenalty
 		}
 	}
 	return c
@@ -746,7 +741,7 @@ func (a *annealer) cachedInstCost(ii int) float64 {
 		c += a.netCost0[ni]
 	}
 	if !a.origins[ii].Placed {
-		c += a.cfg.UnplacedPenalty
+		c += unplacedPenalty
 	}
 	return c
 }
@@ -762,7 +757,7 @@ func (a *annealer) freshInstCost(ii int) float64 {
 		c += v
 	}
 	if !a.origins[ii].Placed {
-		c += a.cfg.UnplacedPenalty
+		c += unplacedPenalty
 	}
 	return c
 }
@@ -924,7 +919,7 @@ func (a *annealer) cachedPairCost(i1, i2 int) float64 {
 		c += a.netCost0[ni]
 	}
 	if !a.origins[i2].Placed {
-		c += a.cfg.UnplacedPenalty
+		c += unplacedPenalty
 	}
 	return c
 }
@@ -946,7 +941,7 @@ func (a *annealer) freshPairCost(i1, i2 int) float64 {
 		c += v
 	}
 	if !a.origins[i2].Placed {
-		c += a.cfg.UnplacedPenalty
+		c += unplacedPenalty
 	}
 	return c
 }

@@ -193,9 +193,11 @@ stage_audits() {
 stage_daemon() {
 	# Telemetry plane: boot an in-process daemon, run a job, and require
 	# GET /metrics to parse as strict Prometheus text with the service
-	# series present — plus the flight recorder's anomaly-dump path.
-	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder)" >&2
-	run_listed 'TestMetricsEndpoint|TestFlightRecorder' -race -count=1 ./cmd/macroflowd/
+	# series present — plus the flight recorder's anomaly-dump path, the
+	# Recorder.Merge that folds a finished job into the service registry,
+	# and the estimator-drift histogram's exposition after that merge.
+	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge)" >&2
+	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
 
 	# Daemon smoke: build the real macroflowd binary under -race, start it
 	# on a random port, submit a compile over HTTP, assert the result is

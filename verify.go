@@ -3,7 +3,6 @@ package macroflow
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/obs"
@@ -184,29 +183,24 @@ func verifyPartition(level CheckLevel, prob *stitch.Problem, set *fabric.Set, sr
 	finishVerify(sp, rec, vr, beforeChecks, beforeViol)
 }
 
-// estimatorDriftBuckets are the cumulative |predicted − verified| CF
-// error bounds of the estimator.abs_err_bucket counters (the paper's
-// 0.02 grid step up to a 0.5 gross miss, plus the implicit +Inf).
+// estimatorDriftBuckets are the |predicted − verified| CF error bounds
+// of the estimator.abs_err histogram (the paper's 0.02 grid step up to
+// a 0.5 gross miss, plus the implicit +Inf).
 var estimatorDriftBuckets = []float64{0.02, 0.05, 0.1, 0.2, 0.5}
 
 // recordEstimatorDrift publishes one estimator-vs-oracle comparison:
 // whenever a -check audit verifies a block compiled in estimator mode,
 // the absolute error between the model's predicted CF and the
-// oracle-verified minimal CF lands in Prometheus-style cumulative
-// le-labeled counters (estimator.abs_err_bucket{le="..."}) plus an
-// estimator.abs_err summary. Scraped over time, the bucket ratios are
-// the estimator-drift signal the active-learning loop (ROADMAP item 5)
-// will retrain on: a growing high-le share means production traffic
-// has drifted from the training distribution.
+// oracle-verified minimal CF lands in the estimator.abs_err histogram.
+// The error is rounded to a 1e-9 grid first, so a difference of CFs on
+// the 0.02 grid (1.02 − 1.00 is 0.020000000000000018 in float64) falls
+// in the bucket its grid value names. Scraped over time, the bucket
+// ratios are the estimator-drift signal the active-learning loop
+// (ROADMAP item 5) will retrain on: a growing high-le share means
+// production traffic has drifted from the training distribution.
 func recordEstimatorDrift(rec *Recorder, predicted, verified float64) {
-	err := math.Abs(predicted - verified)
-	for _, b := range estimatorDriftBuckets {
-		if err <= b+1e-9 {
-			rec.Add(fmt.Sprintf("estimator.abs_err_bucket{le=%q}", strconv.FormatFloat(b, 'g', -1, 64)), 1)
-		}
-	}
-	rec.Add(`estimator.abs_err_bucket{le="+Inf"}`, 1)
-	rec.Observe("estimator.abs_err", err)
+	err := math.Round(math.Abs(predicted-verified)*1e9) / 1e9
+	rec.BucketHist("estimator.abs_err", estimatorDriftBuckets).Observe(err)
 }
 
 // finishVerify publishes one verification pass's deltas to the obs

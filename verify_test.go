@@ -1,7 +1,9 @@
 package macroflow
 
 import (
-	"math"
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"macroflow/internal/oracle"
@@ -156,35 +158,36 @@ func TestChaosCorruptedCacheDetected(t *testing.T) {
 	}
 }
 
-// TestRecordEstimatorDrift pins the bucket semantics of the drift
-// counters: cumulative Prometheus-style le buckets (every bound at or
-// above the error increments, +Inf always does) plus an abs_err summary.
+// TestRecordEstimatorDrift pins the drift histogram's exposition after
+// a Merge into an empty recorder, the daemon's path to /metrics:
+// cumulative Prometheus le buckets (every bound at or above the error
+// counts it, +Inf always does), the sum and the count.
 func TestRecordEstimatorDrift(t *testing.T) {
 	rec := NewRecorder()
 	recordEstimatorDrift(rec, 1.00, 1.03) // err 0.03: first bucket missed
 	recordEstimatorDrift(rec, 1.00, 1.00) // err 0: all buckets
 	recordEstimatorDrift(rec, 1.02, 1.00) // err 0.02: exact boundary counts
 	recordEstimatorDrift(rec, 2.00, 1.00) // err 1.0: only +Inf
-
-	want := map[string]int64{
-		`estimator.abs_err_bucket{le="0.02"}`: 2,
-		`estimator.abs_err_bucket{le="0.05"}`: 3,
-		`estimator.abs_err_bucket{le="0.1"}`:  3,
-		`estimator.abs_err_bucket{le="0.2"}`:  3,
-		`estimator.abs_err_bucket{le="0.5"}`:  3,
-		`estimator.abs_err_bucket{le="+Inf"}`: 4,
+	merged := NewRecorder()
+	merged.Merge(rec)
+	var buf bytes.Buffer
+	if err := merged.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for name, n := range want {
-		if got := rec.CounterValue(name); got != n {
-			t.Errorf("%s = %d, want %d", name, got, n)
+	for _, want := range []string{
+		"# TYPE estimator_abs_err histogram",
+		`estimator_abs_err_bucket{le="0.02"} 2`,
+		`estimator_abs_err_bucket{le="0.05"} 3`,
+		`estimator_abs_err_bucket{le="0.1"} 3`,
+		`estimator_abs_err_bucket{le="0.2"} 3`,
+		`estimator_abs_err_bucket{le="0.5"} 3`,
+		`estimator_abs_err_bucket{le="+Inf"} 4`,
+		"estimator_abs_err_sum 1.05",
+		"estimator_abs_err_count 4",
+	} {
+		if !slices.Contains(strings.Split(buf.String(), "\n"), want) {
+			t.Errorf("exposition lacks the line %q:\n%s", want, buf.String())
 		}
-	}
-	h := rec.HistogramValue("estimator.abs_err")
-	if h.Count != 4 {
-		t.Errorf("abs_err count = %d, want 4", h.Count)
-	}
-	if math.Abs(h.Sum-1.05) > 1e-9 {
-		t.Errorf("abs_err sum = %g, want 1.05", h.Sum)
 	}
 }
 
@@ -207,12 +210,8 @@ func TestEstimatorDriftFromCheckAudit(t *testing.T) {
 	if res.Verify == nil || res.Verify.Checks == 0 {
 		t.Fatal("no verification ran")
 	}
-	audited := rec.CounterValue(`estimator.abs_err_bucket{le="+Inf"}`)
-	if audited != 3 {
-		t.Errorf("drift comparisons = %d, want one per audited block type (3)", audited)
-	}
-	if h := rec.HistogramValue("estimator.abs_err"); h.Count != audited {
-		t.Errorf("abs_err samples = %d, want %d", h.Count, audited)
+	if n := rec.BucketHistValue("estimator.abs_err").Count; n != 3 {
+		t.Errorf("drift comparisons = %d, want one per audited block type (3)", n)
 	}
 
 	// Sweep mode has no prediction to compare: no drift series.
@@ -223,7 +222,7 @@ func TestEstimatorDriftFromCheckAudit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := rec2.CounterValue(`estimator.abs_err_bucket{le="+Inf"}`); n != 0 {
+	if n := rec2.BucketHistValue("estimator.abs_err").Count; n != 0 {
 		t.Errorf("sweep-mode compile recorded %d drift comparisons, want 0", n)
 	}
 }
