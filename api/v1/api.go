@@ -220,7 +220,8 @@ type PartitionParams struct {
 	Refinements int     `json:"refinements,omitempty"`
 }
 
-// ImplementParams mirrors macroflow.ImplementOptions.
+// ImplementParams mirrors macroflow.ImplementOptions, plus the search
+// strategy the server sets on the job's flow (Flow.SetSearchStrategy).
 type ImplementParams struct {
 	Workers  int    `json:"workers,omitempty"`
 	Strategy string `json:"strategy,omitempty"` // default, linear, bisect

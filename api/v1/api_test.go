@@ -123,6 +123,10 @@ func TestRequestValidate(t *testing.T) {
 		{"tiny-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 1e-9, Max: 3} }, false},
 		{"between-grid-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 0.03, Max: 3} }, false},
 		{"coarse-step", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 0.9, Step: 0.1, Max: 3} }, true},
+		{"strategy-unset", func(r *CompileRequest) { r.Implement.Strategy = "" }, true},
+		{"strategy-default", func(r *CompileRequest) { r.Implement.Strategy = "default" }, true},
+		{"strategy-linear", func(r *CompileRequest) { r.Implement.Strategy = "linear" }, true},
+		{"bad-strategy", func(r *CompileRequest) { r.Implement.Strategy = "quantum" }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,23 +172,8 @@ func TestParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Workers != 2 || im.Strategy != macroflow.SearchForceBisect {
-		t.Errorf("ImplementParams.Options() = %+v", im)
-	}
-	for spelling, want := range map[string]macroflow.SearchChoice{
-		"": macroflow.SearchFlowDefault, "default": macroflow.SearchFlowDefault,
-		"linear": macroflow.SearchForceLinear, "bisect": macroflow.SearchForceBisect,
-	} {
-		im, err := (ImplementParams{Strategy: spelling}).Options()
-		if err != nil {
-			t.Fatalf("strategy %q: %v", spelling, err)
-		}
-		if im.Strategy != want {
-			t.Errorf("strategy %q = %v, want %v", spelling, im.Strategy, want)
-		}
-	}
-	if _, err := (ImplementParams{Strategy: "quantum"}).Options(); err == nil {
-		t.Error("bad strategy accepted")
+	if want := (macroflow.ImplementOptions{Workers: 2}); im != want {
+		t.Errorf("ImplementParams.Options() = %+v, want %+v", im, want)
 	}
 }
 

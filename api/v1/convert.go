@@ -12,11 +12,11 @@ import (
 const BuiltinCNVW1A1 = "cnvW1A1"
 
 // Validate checks the request's wire-level invariants (exactly one
-// design source, known mode/component spellings, index ranges). Option
-// semantics — backend spellings, negative budgets — are validated by
-// the flow's own StitchOptions.Validate / ImplementOptions.Validate
-// after conversion, so HTTP and CLI reject them with identical
-// messages.
+// design source, known mode/component/strategy spellings, index
+// ranges). Option semantics — backend spellings, negative budgets — are
+// validated by the flow's own StitchOptions.Validate /
+// ImplementOptions.Validate after conversion, so HTTP and CLI reject
+// them with identical messages.
 func (r *CompileRequest) Validate() error {
 	switch r.Device {
 	case "", "xc7z020", "xc7z045":
@@ -45,6 +45,12 @@ func (r *CompileRequest) Validate() error {
 		if err := (pblock.SearchConfig{Start: s.Start, Step: s.Step, Max: s.Max}).Validate(); err != nil {
 			return &Error{Code: ErrInvalidOptions, Message: err.Error()}
 		}
+	}
+	switch r.Implement.Strategy {
+	case "", "default", "linear", "bisect":
+	default:
+		return &Error{Code: ErrInvalidOptions,
+			Message: fmt.Sprintf("unknown search strategy %q (default, linear, bisect)", r.Implement.Strategy)}
 	}
 	return nil
 }
@@ -199,29 +205,14 @@ func (p *PartitionParams) Options() macroflow.PartitionOptions {
 }
 
 // Options converts the wire params into macroflow.ImplementOptions. The
-// caller attaches the shared cache and recorder.
+// caller attaches the shared cache and recorder; the strategy is the
+// flow's (Flow.SetSearchStrategy), not an option.
 func (p ImplementParams) Options() (macroflow.ImplementOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
 	if err != nil {
 		return macroflow.ImplementOptions{}, &Error{Code: ErrInvalidOptions, Message: err.Error()}
 	}
-	var strategy macroflow.SearchChoice
-	switch p.Strategy {
-	case "", "default":
-		strategy = macroflow.SearchFlowDefault
-	case "linear":
-		strategy = macroflow.SearchForceLinear
-	case "bisect":
-		strategy = macroflow.SearchForceBisect
-	default:
-		return macroflow.ImplementOptions{}, &Error{Code: ErrInvalidOptions,
-			Message: fmt.Sprintf("unknown search strategy %q (default, linear, bisect)", p.Strategy)}
-	}
-	return macroflow.ImplementOptions{
-		Workers:  p.Workers,
-		Strategy: strategy,
-		Check:    check,
-	}, nil
+	return macroflow.ImplementOptions{Workers: p.Workers, Check: check}, nil
 }
 
 // ResultFromCompile maps a macroflow.CompileResult onto the wire form.

@@ -791,3 +791,64 @@ func TestDaemonBinarySmoke(t *testing.T) {
 		t.Errorf("daemon stderr missing clean-drain line:\n%s", out)
 	}
 }
+
+// TestDaemonSearchStrategy: implement.strategy sets the search
+// strategy of the job's own flow — bisect returns linear's per-block
+// CFs in fewer tool runs — and a misspelled strategy dies at admission
+// with the wire's message. Each strategy gets its own server, so
+// neither job is served from the other's cache.
+func TestDaemonSearchStrategy(t *testing.T) {
+	ctx := context.Background()
+	results := map[string]*apiv1.CompileResult{}
+	for _, strategy := range []string{"linear", "bisect"} {
+		s, c := newTestServer(t, serverConfig{Workers: 1})
+		s.start()
+		req := smallReq(1)
+		req.Search = &apiv1.SearchWindow{Start: 0.5, Step: 0.02, Max: 3}
+		req.Implement.Strategy = strategy
+		final := submitAndWait(t, c, req)
+		if final.State != apiv1.JobDone {
+			t.Fatalf("%s job state = %s (%v)", strategy, final.State, final.Error)
+		}
+		res, err := c.Result(ctx, final.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[strategy] = res
+		s.drain()
+	}
+	linear, bisect := results["linear"], results["bisect"]
+	for i := range linear.Blocks {
+		if linear.Blocks[i].CF != bisect.Blocks[i].CF {
+			t.Errorf("block %s: linear CF %.2f != bisect CF %.2f",
+				linear.Blocks[i].Name, linear.Blocks[i].CF, bisect.Blocks[i].CF)
+		}
+	}
+	if bisect.ToolRuns >= linear.ToolRuns {
+		t.Errorf("bisect should need fewer tool runs: %d vs %d", bisect.ToolRuns, linear.ToolRuns)
+	}
+
+	s, c := newTestServer(t, serverConfig{Workers: 1})
+	req := smallReq(1)
+	req.Implement.Strategy = "quantum"
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env apiv1.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	want := apiv1.Error{Code: apiv1.ErrInvalidOptions, Message: `unknown search strategy "quantum" (default, linear, bisect)`}
+	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || *env.Error != want {
+		t.Errorf("quantum strategy: HTTP %d %+v, want 400 %+v", resp.StatusCode, env.Error, want)
+	}
+	if s.queue.Len() != 0 {
+		t.Error("the misspelled request was queued")
+	}
+}

@@ -51,18 +51,12 @@ type server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // queue activity, job completion, drain
 	queue    jobHeap
+	peak     int // the queue's high-water mark
 	jobs     map[string]*job
 	seq      int64
 	running  int
 	draining bool
 	drainCh  chan struct{}
-
-	submitted int64
-	completed int64
-	failed    int64
-	canceled  int64
-	rejected  int64
-	audit     apiv1.AuditStats
 
 	wg sync.WaitGroup
 }
@@ -88,7 +82,7 @@ func newServer(cfg serverConfig) *server {
 		jobs:    make(map[string]*job),
 		drainCh: make(chan struct{}),
 	}
-	s.tel = newTelemetry(s.cfg)
+	s.tel = newTelemetry(cfg.FlightSize)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -129,8 +123,8 @@ type job struct {
 	id       string
 	seq      int64
 	priority int
-	req      *apiv1.CompileRequest
-	index    int // heap index; -1 once popped or canceled
+	plan     *plan // nil once the job ran or was canceled
+	index    int   // heap index; -1 once popped or canceled
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -311,18 +305,15 @@ func (s *server) run(j *job) {
 		})
 	}
 
-	raw, jerr := s.compile(j.req, rec, progress)
+	p := j.plan
+	j.plan = nil // a finished job keeps its result, not its flow
+	raw, jerr := s.compile(p, rec, progress)
 
 	j.mu.Lock()
 	j.result = raw
 	j.jerr = jerr
 	j.mu.Unlock()
 	s.mu.Lock()
-	if jerr != nil {
-		s.failed++
-	} else {
-		s.completed++
-	}
 	s.running--
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -340,74 +331,75 @@ func (s *server) run(j *job) {
 	// before the state flip — the terminal state is the signal clients
 	// poll on, so the dump file must exist by the time they see it.
 	s.tel.rec.Merge(rec)
-	s.tel.noteFinished(j, state, rec.CounterValue("oracle.violations"))
+	s.noteFinished(j, state, rec.CounterValue("oracle.violations"))
 	j.setState(state)
 }
 
-// compile executes one request against the shared warm state. The
-// result is encoded once, here, so every GET of it returns the exact
-// same bytes.
-func (s *server) compile(req *apiv1.CompileRequest, rec *macroflow.Recorder, progress func(int, int, float64)) ([]byte, *apiv1.Error) {
+// plan is an admitted request, converted once: the flow configured
+// with device, search window and strategy, the CF mode, the options and
+// the custom design (nil for the builtin cnvW1A1) with its instance
+// counts. The worker attaches the recorder, the progress callback and
+// the shared cache, and runs it.
+type plan struct {
+	flow      *macroflow.Flow
+	mode      macroflow.CFMode
+	opts      macroflow.CompileOptions
+	design    *macroflow.Design
+	instances []int
+}
+
+// admit validates a submission end to end — wire shape, then the same
+// StitchOptions / ImplementOptions / PartitionOptions Validate the CLI
+// path runs — and converts it into the job's plan, so a bad request is
+// rejected at admission in microseconds with the library's own
+// messages.
+func (s *server) admit(req *apiv1.CompileRequest) (*plan, *apiv1.Error) {
+	if err := req.Validate(); err != nil {
+		return nil, asAPIError(err)
+	}
+	mode, aerr := s.mode(req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	so, serr := req.Stitch.Options()
+	im, ierr := req.Implement.Options()
+	po := req.Partition.Options()
+	// A failed conversion yields zero options, which validate: the
+	// first error in this order is the one a request reports.
+	for _, err := range []error{serr, so.Validate(), ierr, im.Validate(), po.Validate()} {
+		if err != nil {
+			return nil, asAPIError(err)
+		}
+	}
 	device := req.Device
 	if device == "" {
 		device = s.cfg.Device
 	}
 	flow, err := macroflow.NewFlow(device)
 	if err != nil {
-		return nil, &apiv1.Error{Code: apiv1.ErrInvalidOptions, Message: err.Error()}
+		return nil, asAPIError(err)
 	}
-	mode, aerr := s.mode(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	so, aerr2 := req.Stitch.Options()
-	if aerr2 != nil {
-		return nil, asAPIError(aerr2)
-	}
-	im, aerr3 := req.Implement.Options()
-	if aerr3 != nil {
-		return nil, asAPIError(aerr3)
-	}
-	so.Obs, so.Progress = rec, progress
-	im.Obs, im.Cache = rec, s.cfg.Cache
-
-	opts := macroflow.CompileOptions{
-		Stitch: so, Implement: im,
-		Partition:  req.Partition.Options(),
-		SkipStitch: req.SkipStitch,
-	}
-	var wire *apiv1.CompileResult
+	p := &plan{flow: flow, mode: mode, opts: macroflow.CompileOptions{
+		Stitch: so, Implement: im, Partition: po, SkipStitch: req.SkipStitch}}
 	if req.Design.Builtin != "" {
 		// The builtin cnvW1A1 flow defaults to the paper's search window.
 		flow.SetSearch(0.5, 0.02, 3.0)
-		if w := req.Search; w != nil {
-			flow.SetSearch(w.Start, w.Step, w.Max)
-		}
-		res, err := flow.RunCNV(mode, opts)
-		if err != nil {
-			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
-		}
-		wire = apiv1.ResultFromCNV(res, req.SkipStitch)
 	} else {
-		if w := req.Search; w != nil {
-			flow.SetSearch(w.Start, w.Step, w.Max)
-		}
-		d, err := req.Design.BuildDesign()
-		if err != nil {
+		if p.design, err = req.Design.BuildDesign(); err != nil {
 			return nil, asAPIError(err)
 		}
-		res, err := flow.Compile(d, mode, opts)
-		if err != nil {
-			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
-		}
-		wire = apiv1.ResultFromCompile(res, req.SkipStitch)
-		wire.Instances = req.Design.InstanceCounts()
+		p.instances = req.Design.InstanceCounts()
 	}
-	raw, err := json.Marshal(wire)
-	if err != nil {
-		return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
+	if w := req.Search; w != nil {
+		flow.SetSearch(w.Start, w.Step, w.Max)
 	}
-	return raw, nil
+	switch req.Implement.Strategy {
+	case "linear":
+		flow.SetSearchStrategy(macroflow.SearchLinear)
+	case "bisect":
+		flow.SetSearchStrategy(macroflow.SearchBisect)
+	}
+	return p, nil
 }
 
 func (s *server) mode(req *apiv1.CompileRequest) (macroflow.CFMode, *apiv1.Error) {
@@ -427,35 +419,33 @@ func (s *server) mode(req *apiv1.CompileRequest) (macroflow.CFMode, *apiv1.Error
 		Message: fmt.Sprintf("unknown cf mode %q (minsweep, constant, estimator)", req.Mode.Kind)}
 }
 
-// checkRequest validates a submission end to end — wire shape, then the
-// same StitchOptions.Validate / ImplementOptions.Validate the CLI path
-// runs — so a bad request is rejected at admission in microseconds with
-// the library's own messages.
-func (s *server) checkRequest(req *apiv1.CompileRequest) *apiv1.Error {
-	if err := req.Validate(); err != nil {
-		return asAPIError(err)
+// compile runs an admitted plan against the shared warm state. The
+// result is encoded once, here, so every GET of it returns the exact
+// same bytes.
+func (s *server) compile(p *plan, rec *macroflow.Recorder, progress func(int, int, float64)) ([]byte, *apiv1.Error) {
+	opts := p.opts
+	opts.Stitch.Obs, opts.Stitch.Progress = rec, progress
+	opts.Implement.Obs, opts.Implement.Cache = rec, s.cfg.Cache
+	var wire *apiv1.CompileResult
+	if p.design == nil {
+		res, err := p.flow.RunCNV(p.mode, opts)
+		if err != nil {
+			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
+		}
+		wire = apiv1.ResultFromCNV(res, opts.SkipStitch)
+	} else {
+		res, err := p.flow.Compile(p.design, p.mode, opts)
+		if err != nil {
+			return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
+		}
+		wire = apiv1.ResultFromCompile(res, opts.SkipStitch)
+		wire.Instances = p.instances
 	}
-	if _, aerr := s.mode(req); aerr != nil {
-		return aerr
-	}
-	so, err := req.Stitch.Options()
+	raw, err := json.Marshal(wire)
 	if err != nil {
-		return asAPIError(err)
+		return nil, &apiv1.Error{Code: apiv1.ErrInternal, Message: err.Error()}
 	}
-	if err := so.Validate(); err != nil {
-		return &apiv1.Error{Code: apiv1.ErrInvalidOptions, Message: err.Error()}
-	}
-	im, err := req.Implement.Options()
-	if err != nil {
-		return asAPIError(err)
-	}
-	if err := im.Validate(); err != nil {
-		return &apiv1.Error{Code: apiv1.ErrInvalidOptions, Message: err.Error()}
-	}
-	if err := req.Partition.Options().Validate(); err != nil {
-		return &apiv1.Error{Code: apiv1.ErrInvalidOptions, Message: err.Error()}
-	}
-	return nil
+	return raw, nil
 }
 
 func asAPIError(err error) *apiv1.Error {
@@ -484,40 +474,29 @@ func (s *server) auditLoop() {
 }
 
 func (s *server) runAudit() {
-	s.mu.Lock()
-	seed := s.audit.Runs + 1
-	s.mu.Unlock()
-
 	flow, err := macroflow.NewFlow(s.cfg.Device)
 	if err != nil {
 		s.cfg.Logf("audit: %v", err)
 		return
 	}
+	rec := s.tel.rec
 	res, err := flow.Compile(auditDesign(), macroflow.MinSweepCF(), macroflow.CompileOptions{
-		Stitch:    macroflow.StitchOptions{Seed: seed, Anneal: macroflow.AnnealOptions{Iterations: 2000}, Check: macroflow.CheckSampled},
+		Stitch:    macroflow.StitchOptions{Seed: rec.CounterValue(mAuditRuns) + 1, Anneal: macroflow.AnnealOptions{Iterations: 2000}, Check: macroflow.CheckSampled},
 		Implement: macroflow.ImplementOptions{Cache: s.cfg.Cache, Check: macroflow.CheckSampled},
 	})
-	now := time.Now().UnixMilli()
-	s.mu.Lock()
-	s.audit.Runs++
-	s.audit.LastMs = now
-	if err == nil && res.Verify != nil {
-		s.audit.Checks += int64(res.Verify.Checks)
-		s.audit.Violations += int64(len(res.Verify.Violations))
-	}
-	s.mu.Unlock()
+	rec.Add(mAuditRuns, 1)
+	rec.SetGauge(mAuditLast, float64(time.Now().UnixMilli()))
 	if err != nil {
 		s.cfg.Logf("audit: compile: %v", err)
 		return
 	}
-	if res.Verify != nil {
-		s.tel.rec.Add("macroflowd.audit_checks_total", int64(res.Verify.Checks))
-		if n := len(res.Verify.Violations); n > 0 {
-			s.tel.rec.Add("macroflowd.audit_violations_total", int64(n))
-			for _, v := range res.Verify.Violations {
-				s.cfg.Logf("audit violation: %s %s: %s", v.Checker, v.Subject, v.Detail)
-			}
-		}
+	if res.Verify == nil {
+		return
+	}
+	rec.Add(mAuditChecks, int64(res.Verify.Checks))
+	rec.Add(mAuditViolations, int64(len(res.Verify.Violations)))
+	for _, v := range res.Verify.Violations {
+		s.cfg.Logf("audit violation: %s %s: %s", v.Checker, v.Subject, v.Detail)
 	}
 }
 
@@ -587,30 +566,25 @@ const maxRequestBytes = 1 << 20
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := apiv1.DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		s.reject("invalid")
-		writeError(w, asAPIError(err))
+		s.refuse(w, "invalid", asAPIError(err))
 		return
 	}
-	if aerr := s.checkRequest(req); aerr != nil {
-		s.reject("invalid")
-		writeError(w, aerr)
+	p, aerr := s.admit(req)
+	if aerr != nil {
+		s.refuse(w, "invalid", aerr)
 		return
 	}
 	now := time.Now().UnixMilli()
 
 	s.mu.Lock()
 	if s.draining {
-		s.rejected++
 		s.mu.Unlock()
-		s.tel.noteRejected("draining")
-		writeError(w, &apiv1.Error{Code: apiv1.ErrDraining, Message: "server is draining"})
+		s.refuse(w, "draining", &apiv1.Error{Code: apiv1.ErrDraining, Message: "server is draining"})
 		return
 	}
 	if s.queue.Len() >= s.cfg.QueueCap {
-		s.rejected++
 		s.mu.Unlock()
-		s.tel.noteRejected("queue_full")
-		writeError(w, &apiv1.Error{Code: apiv1.ErrQueueFull,
+		s.refuse(w, "queue_full", &apiv1.Error{Code: apiv1.ErrQueueFull,
 			Message: fmt.Sprintf("compile queue is full (%d jobs)", s.cfg.QueueCap)})
 		return
 	}
@@ -619,7 +593,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:          fmt.Sprintf("j%06d", s.seq),
 		seq:         s.seq,
 		priority:    req.Priority,
-		req:         req,
+		plan:        p,
 		state:       apiv1.JobQueued,
 		submittedMs: now,
 	}
@@ -627,21 +601,19 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.events = append(j.events, apiv1.Event{Type: "state", Name: apiv1.JobQueued, AtMs: now})
 	s.jobs[j.id] = j
 	heap.Push(&s.queue, j)
-	s.submitted++
+	s.peak = max(s.peak, s.queue.Len())
+	s.tel.rec.Add(mSubmitted, 1)
 	pos := s.queue.ahead(j)
-	depth := s.queue.Len()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.tel.noteQueued(depth)
 
 	writeJSON(w, http.StatusAccepted, j.status(pos))
 }
 
-func (s *server) reject(reason string) {
-	s.mu.Lock()
-	s.rejected++
-	s.mu.Unlock()
-	s.tel.noteRejected(reason)
+// refuse counts one rejected submission by reason and writes its error.
+func (s *server) refuse(w http.ResponseWriter, reason string, e *apiv1.Error) {
+	s.tel.rec.Add(series(mRejected, "reason", reason), 1)
+	writeError(w, e)
 }
 
 // lookup finds a job and its queue position.
@@ -709,10 +681,10 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	heap.Remove(&s.queue, j.index)
-	s.canceled++
+	j.plan = nil
 	s.mu.Unlock()
+	s.noteFinished(j, apiv1.JobCanceled, 0)
 	j.setState(apiv1.JobCanceled)
-	s.tel.noteFinished(j, apiv1.JobCanceled, 0)
 	writeJSON(w, http.StatusOK, j.status(0))
 }
 
@@ -772,34 +744,6 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.cfg.Cache.Stats()
-	ph, pm, ps, pn := s.cfg.Cache.PersistentStats()
-	s.mu.Lock()
-	st := &apiv1.ServerStats{
-		Version:             apiv1.Version,
-		Device:              s.cfg.Device,
-		Workers:             s.cfg.Workers,
-		Draining:            s.draining,
-		Submitted:           s.submitted,
-		Completed:           s.completed,
-		Failed:              s.failed,
-		Canceled:            s.canceled,
-		Rejected:            s.rejected,
-		QueueLen:            s.queue.Len(),
-		Running:             s.running,
-		Cache:               cs,
-		PersistentHits:      ph,
-		PersistentMisses:    pm,
-		PersistentStores:    ps,
-		PersistentNegatives: pn,
-		Audit:               s.audit,
-	}
-	s.mu.Unlock()
-	st.Telemetry = s.telemetryStats()
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"macroflow"
@@ -29,48 +28,58 @@ type telemetry struct {
 	rec    *macroflow.Recorder
 	flight *obs.FlightRecorder
 	epoch  time.Time
-
-	sloMs     int64
-	flightDir string
-	logf      func(format string, args ...any)
-
-	queuePeak atomic.Int64
 }
 
-// Service metric names. The {label="value"} suffix convention is
-// parsed by the Prometheus exporter into real labels, so one flat
-// registry carries labeled families.
+// Service metric names: the registry is the daemon's one ledger, and
+// /v1/stats and /metrics both read it. The {label="value"} suffix
+// convention is parsed by the Prometheus exporter into real labels, so
+// one flat registry carries labeled families.
 const (
-	mJobs        = "macroflowd.jobs_total"     // {state="done|failed|canceled"}
-	mRejected    = "macroflowd.rejected_total" // {reason="queue_full|draining|invalid"}
-	mSubmitted   = "macroflowd.submitted_total"
-	mSLOBreaches = "macroflowd.slo_breaches_total"
-	mFlightDumps = "macroflowd.flight_dumps_total"
-	mJobLatency  = "macroflowd.job_latency_ms"
-	mQueueWait   = "macroflowd.queue_wait_ms"    // {priority="N"}
-	mStage       = "macroflowd.stage_latency_ms" // {stage="synth|place|mincf|stitch|oracle"}
+	mJobs            = "macroflowd.jobs_total"     // {state="done|failed|canceled"}
+	mRejected        = "macroflowd.rejected_total" // {reason="queue_full|draining|invalid"}
+	mSubmitted       = "macroflowd.submitted_total"
+	mSLOBreaches     = "macroflowd.slo_breaches_total"
+	mFlightDumps     = "macroflowd.flight_dumps_total"
+	mAuditRuns       = "macroflowd.audit_runs_total"
+	mAuditChecks     = "macroflowd.audit_checks_total"
+	mAuditViolations = "macroflowd.audit_violations_total"
+	mJobLatency      = "macroflowd.job_latency_ms"
+	mQueueWait       = "macroflowd.queue_wait_ms"    // {priority="N"}
+	mStage           = "macroflowd.stage_latency_ms" // {stage="synth|place|mincf|stitch|oracle"}
+
+	// Gauges, sampled at scrape time by refreshGauges (the audit's at
+	// each audit).
+	mQueueDepth  = "macroflowd.queue_depth"
+	mQueuePeak   = "macroflowd.queue_depth_peak"
+	mWorkersBusy = "macroflowd.workers_busy"
+	mWorkers     = "macroflowd.workers"
+	mDraining    = "macroflowd.draining"
+	mUptime      = "macroflowd.uptime_seconds"
+	mFlightSpans = "macroflowd.flight_spans"
+	mAuditLast   = "macroflowd.audit_last_ms" // Unix time of the last audit
 )
 
-// stageNames lists the per-stage latency label values /v1/stats reports.
-var stageNames = []string{"synth", "place", "mincf", "stitch", "oracle"}
+// stageNames lists the per-stage latency label values /v1/stats reports;
+// rejectReasons the rejection reasons its rejected count sums.
+var (
+	stageNames    = []string{"synth", "place", "mincf", "stitch", "oracle"}
+	rejectReasons = []string{"invalid", "queue_full", "draining"}
+)
 
-func newTelemetry(cfg serverConfig) *telemetry {
-	t := &telemetry{
-		rec:       macroflow.NewRecorder(),
-		epoch:     time.Now(),
-		sloMs:     cfg.SLOMs,
-		flightDir: cfg.FlightDir,
-		logf:      cfg.Logf,
+// series names one labeled series of a family.
+func series(family, key, value string) string {
+	return fmt.Sprintf("%s{%s=%q}", family, key, value)
+}
+
+// newTelemetry builds the registry and the flight ring of flightSize
+// spans (0 selects the default, negative disables the ring).
+func newTelemetry(flightSize int) *telemetry {
+	t := &telemetry{rec: macroflow.NewRecorder(), epoch: time.Now()}
+	if flightSize == 0 {
+		flightSize = obs.DefaultFlightSize
 	}
-	if t.flightDir == "" {
-		t.flightDir = "."
-	}
-	size := cfg.FlightSize
-	if size == 0 {
-		size = obs.DefaultFlightSize
-	}
-	if size > 0 {
-		t.flight = obs.NewFlightRecorder(size)
+	if flightSize > 0 {
+		t.flight = obs.NewFlightRecorder(flightSize)
 	}
 	return t
 }
@@ -115,7 +124,7 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 func (t *telemetry) jobSink(jobID string, base time.Duration, inner func(obs.SpanRecord)) func(obs.SpanRecord) {
 	return func(sr obs.SpanRecord) {
 		if stage := stageOf(sr.Name); stage != "" {
-			t.rec.BucketHist(fmt.Sprintf("%s{stage=%q}", mStage, stage), nil).Observe(ms(sr.Dur))
+			t.rec.BucketHist(series(mStage, "stage", stage), nil).Observe(ms(sr.Dur))
 		}
 		if t.flight != nil {
 			fr := sr
@@ -127,17 +136,6 @@ func (t *telemetry) jobSink(jobID string, base time.Duration, inner func(obs.Spa
 	}
 }
 
-// noteQueued records a submission and the queue's high-water mark.
-func (t *telemetry) noteQueued(depth int) {
-	t.rec.Add(mSubmitted, 1)
-	for {
-		peak := t.queuePeak.Load()
-		if int64(depth) <= peak || t.queuePeak.CompareAndSwap(peak, int64(depth)) {
-			return
-		}
-	}
-}
-
 // noteDequeued records how long a job sat in the queue, by priority.
 func (t *telemetry) noteDequeued(j *job, nowMs int64) {
 	j.mu.Lock()
@@ -146,13 +144,8 @@ func (t *telemetry) noteDequeued(j *job, nowMs int64) {
 	if wait < 0 {
 		wait = 0
 	}
-	t.rec.BucketHist(fmt.Sprintf("%s{priority=%q}", mQueueWait, strconv.Itoa(j.priority)), nil).
+	t.rec.BucketHist(series(mQueueWait, "priority", strconv.Itoa(j.priority)), nil).
 		Observe(float64(wait))
-}
-
-// noteRejected counts one refused submission by reason.
-func (t *telemetry) noteRejected(reason string) {
-	t.rec.Add(fmt.Sprintf("%s{reason=%q}", mRejected, reason), 1)
 }
 
 // noteFinished records a job's terminal transition: the state counter,
@@ -161,8 +154,9 @@ func (t *telemetry) noteRejected(reason string) {
 // overran the -slo-ms objective or its oracle audit found violations;
 // either snapshots the flight ring to a Chrome trace file named after
 // the job, so the evidence survives the ring's wraparound.
-func (t *telemetry) noteFinished(j *job, state string, violations int64) {
-	t.rec.Add(fmt.Sprintf("%s{state=%q}", mJobs, state), 1)
+func (s *server) noteFinished(j *job, state string, violations int64) {
+	t := s.tel
+	t.rec.Add(series(mJobs, "state", state), 1)
 	if state == apiv1.JobCanceled {
 		return
 	}
@@ -176,25 +170,22 @@ func (t *telemetry) noteFinished(j *job, state string, violations int64) {
 		lat = 0
 	}
 	t.rec.BucketHist(mJobLatency, nil).Observe(float64(lat))
-	breach := t.sloMs > 0 && lat > t.sloMs
-	if violations > 0 {
-		breach = true
-	}
-	if !breach {
+	slo := s.cfg.SLOMs
+	if (slo <= 0 || lat <= slo) && violations == 0 {
 		return
 	}
 	t.rec.Add(mSLOBreaches, 1)
 	if t.flight == nil {
 		return
 	}
-	path := filepath.Join(t.flightDir, "macroflowd-flight-"+j.id+".trace.json")
+	path := filepath.Join(s.cfg.FlightDir, "macroflowd-flight-"+j.id+".trace.json")
 	if err := t.dumpFlight(path); err != nil {
-		t.logf("flight dump %s: %v", path, err)
+		s.cfg.Logf("flight dump %s: %v", path, err)
 		return
 	}
 	t.rec.Add(mFlightDumps, 1)
-	t.logf("job %s anomaly (latency %dms, slo %dms, violations %d): flight recorder dumped to %s",
-		j.id, lat, t.sloMs, violations, path)
+	s.cfg.Logf("job %s anomaly (latency %dms, slo %dms, violations %d): flight recorder dumped to %s",
+		j.id, lat, slo, violations, path)
 }
 
 func (t *telemetry) dumpFlight(path string) error {
@@ -210,19 +201,20 @@ func (t *telemetry) dumpFlight(path string) error {
 }
 
 // refreshGauges samples the scrape-time service state into the gauge
-// registry — shared by GET /metrics and the /v1/stats telemetry block.
+// registry, the queue and workers under one lock section — shared by
+// GET /metrics and GET /v1/stats.
 func (s *server) refreshGauges() {
 	s.mu.Lock()
-	depth, running, draining := s.queue.Len(), s.running, s.draining
+	depth, peak, running, draining := s.queue.Len(), s.peak, s.running, s.draining
 	s.mu.Unlock()
 	t := s.tel
-	t.rec.SetGauge("macroflowd.queue_depth", float64(depth))
-	t.rec.SetGauge("macroflowd.queue_depth_peak", float64(t.queuePeak.Load()))
-	t.rec.SetGauge("macroflowd.workers_busy", float64(running))
-	t.rec.SetGauge("macroflowd.workers", float64(s.cfg.Workers))
-	t.rec.SetGauge("macroflowd.draining", boolGauge(draining))
-	t.rec.SetGauge("macroflowd.uptime_seconds", time.Since(t.epoch).Seconds())
-	t.rec.SetGauge("macroflowd.flight_spans", float64(t.flight.Len()))
+	t.rec.SetGauge(mQueueDepth, float64(depth))
+	t.rec.SetGauge(mQueuePeak, float64(peak))
+	t.rec.SetGauge(mWorkersBusy, float64(running))
+	t.rec.SetGauge(mWorkers, float64(s.cfg.Workers))
+	t.rec.SetGauge(mDraining, boolGauge(draining))
+	t.rec.SetGauge(mUptime, time.Since(t.epoch).Seconds())
+	t.rec.SetGauge(mFlightSpans, float64(t.flight.Len()))
 
 	cs := s.cfg.Cache.Stats()
 	hits := cs.MemHits + cs.DiskHits
@@ -264,41 +256,66 @@ func (s *server) handleFlightDump(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// telemetryStats condenses the service registry for GET /v1/stats.
-func (s *server) telemetryStats() *apiv1.TelemetryStats {
+// handleStats serves GET /v1/stats: the service registry as JSON, read
+// after one refreshGauges, so every count is the one GET /metrics
+// serves — plus the configuration it runs under and the shared block
+// cache's own counters.
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.refreshGauges()
-	t := s.tel
-	s.mu.Lock()
-	depth, running := s.queue.Len(), s.running
-	s.mu.Unlock()
+	rec := s.tel.rec
+	gauge := func(name string) float64 { v, _ := rec.GaugeValue(name); return v }
+	jobs := func(state string) int64 { return rec.CounterValue(series(mJobs, "state", state)) }
+	var rejected int64
+	for _, reason := range rejectReasons {
+		rejected += rec.CounterValue(series(mRejected, "reason", reason))
+	}
 	ts := &apiv1.TelemetryStats{
-		UptimeMs:       time.Since(t.epoch).Milliseconds(),
-		QueueDepth:     depth,
-		QueueDepthPeak: int(t.queuePeak.Load()),
-		WorkersBusy:    running,
-		SLOMs:          t.sloMs,
-		SLOBreaches:    t.rec.CounterValue(mSLOBreaches),
-		FlightSpans:    t.flight.Len(),
-		FlightDumps:    t.rec.CounterValue(mFlightDumps),
-		JobLatency:     latencySummary(t.rec.BucketHistValue(mJobLatency)),
+		UptimeMs:       int64(gauge(mUptime) * 1000),
+		QueueDepth:     int(gauge(mQueueDepth)),
+		QueueDepthPeak: int(gauge(mQueuePeak)),
+		WorkersBusy:    int(gauge(mWorkersBusy)),
+		SLOMs:          s.cfg.SLOMs,
+		SLOBreaches:    rec.CounterValue(mSLOBreaches),
+		FlightSpans:    int(gauge(mFlightSpans)),
+		FlightDumps:    rec.CounterValue(mFlightDumps),
+		JobLatency:     latencySummary(rec.BucketHistValue(mJobLatency)),
+		Stages:         map[string]apiv1.LatencySummary{}, // omitted while empty
 	}
 	for _, stage := range stageNames {
-		snap := t.rec.BucketHistValue(fmt.Sprintf("%s{stage=%q}", mStage, stage))
-		if snap.Count == 0 {
-			continue
+		if snap := rec.BucketHistValue(series(mStage, "stage", stage)); snap.Count > 0 {
+			ts.Stages[stage] = latencySummary(snap)
 		}
-		if ts.Stages == nil {
-			ts.Stages = make(map[string]apiv1.LatencySummary, len(stageNames))
-		}
-		ts.Stages[stage] = latencySummary(snap)
 	}
-	return ts
+	ph, pm, ps, pn := s.cfg.Cache.PersistentStats()
+	writeJSON(w, http.StatusOK, &apiv1.ServerStats{
+		Version:             apiv1.Version,
+		Device:              s.cfg.Device,
+		Workers:             s.cfg.Workers,
+		Draining:            gauge(mDraining) != 0,
+		Submitted:           rec.CounterValue(mSubmitted),
+		Completed:           jobs(apiv1.JobDone),
+		Failed:              jobs(apiv1.JobFailed),
+		Canceled:            jobs(apiv1.JobCanceled),
+		Rejected:            rejected,
+		QueueLen:            ts.QueueDepth,
+		Running:             ts.WorkersBusy,
+		Cache:               s.cfg.Cache.Stats(),
+		PersistentHits:      ph,
+		PersistentMisses:    pm,
+		PersistentStores:    ps,
+		PersistentNegatives: pn,
+		Audit: apiv1.AuditStats{
+			Runs:       rec.CounterValue(mAuditRuns),
+			Checks:     rec.CounterValue(mAuditChecks),
+			Violations: rec.CounterValue(mAuditViolations),
+			LastMs:     int64(gauge(mAuditLast)),
+		},
+		Telemetry: ts,
+	})
 }
 
+// latencySummary condenses a histogram (all zero while it is empty).
 func latencySummary(s obs.BucketSnapshot) apiv1.LatencySummary {
-	if s.Count == 0 {
-		return apiv1.LatencySummary{}
-	}
 	return apiv1.LatencySummary{
 		Count: s.Count,
 		P50:   s.Quantile(0.50),

@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -323,6 +325,190 @@ func TestStageOf(t *testing.T) {
 	} {
 		if got := stageOf(name); got != want {
 			t.Errorf("stageOf(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// auditedScrape runs one daemon with the background audit on through
+// every ledger entry — a done, a failed and a canceled job, an invalid
+// and a queue_full rejection, at least one audit — drains it, so
+// nothing moves any more, and returns its /v1/stats and /metrics.
+func auditedScrape(t *testing.T) (*apiv1.ServerStats, []obs.PromSample) {
+	t.Helper()
+	s, c := newTestServer(t, serverConfig{Workers: 1, QueueCap: 2, AuditEvery: 5 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// No workers yet: the queue holds what the test puts in it.
+	gone, err := c.Submit(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Cancel(ctx, gone.ID); err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Submit(ctx, smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One 512 x 64k memory needs 1,024 BRAM: the compile fails at once.
+	hog := &apiv1.CompileRequest{Design: apiv1.DesignSpec{
+		Blocks:    []apiv1.BlockSpec{{Name: "hog", Components: []apiv1.ComponentSpec{{Kind: apiv1.CompMemory, Width: 512, Depth: 65536}}}},
+		Instances: []apiv1.InstanceSpec{{Name: "hog0", Block: 0}},
+	}}
+	failed, err := c.Submit(ctx, hog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae *apiv1.Error
+	if _, err := c.Submit(ctx, smallReq(2)); !errors.As(err, &ae) || ae.Code != apiv1.ErrQueueFull {
+		t.Fatalf("third submission = %v, want %s", err, apiv1.ErrQueueFull)
+	}
+	bad := smallReq(1)
+	bad.Stitch.Backend = "bogus"
+	if _, err := c.Submit(ctx, bad); !errors.As(err, &ae) || ae.Code != apiv1.ErrInvalidOptions {
+		t.Fatalf("bogus backend = %v, want %s", err, apiv1.ErrInvalidOptions)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QueueLen != 2 || st.Telemetry.QueueDepth != st.QueueLen {
+		t.Errorf("queued: queueLen %d, telemetry.queueDepth %d, want 2 and 2", st.QueueLen, st.Telemetry.QueueDepth)
+	}
+
+	s.start()
+	for id, want := range map[string]string{done.ID: apiv1.JobDone, failed.ID: apiv1.JobFailed} {
+		final, err := c.Wait(ctx, id, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != want {
+			t.Fatalf("job %s ended %s (%v), want %s", id, final.State, final.Error, want)
+		}
+	}
+	for st.Audit.Runs == 0 {
+		time.Sleep(5 * time.Millisecond)
+		if st, err = c.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.drain() // stops the audit loop
+	if st, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return st, scrapeMetrics(t, c.BaseURL)
+}
+
+// TestStatsEqualMetrics: /v1/stats is a view of the registry /metrics
+// serves, so every count it reports is the value of its series.
+func TestStatsEqualMetrics(t *testing.T) {
+	st, samples := auditedScrape(t)
+	value := func(name string, kv ...string) float64 {
+		sm, _ := promFind(samples, name, kv...) // an absent counter is 0
+		return sm.Value
+	}
+	rejected := 0.0
+	for _, sm := range samples {
+		if sm.Name == "macroflowd_rejected_total" {
+			rejected += sm.Value
+		}
+	}
+	tel := st.Telemetry
+	for _, c := range []struct {
+		field       string
+		stats, prom float64
+	}{
+		{"submitted", float64(st.Submitted), value("macroflowd_submitted_total")},
+		{"completed", float64(st.Completed), value("macroflowd_jobs_total", "state", "done")},
+		{"failed", float64(st.Failed), value("macroflowd_jobs_total", "state", "failed")},
+		{"canceled", float64(st.Canceled), value("macroflowd_jobs_total", "state", "canceled")},
+		{"rejected", float64(st.Rejected), rejected},
+		{"queueLen", float64(st.QueueLen), value("macroflowd_queue_depth")},
+		{"telemetry.queueDepth", float64(tel.QueueDepth), value("macroflowd_queue_depth")},
+		{"telemetry.queueDepthPeak", float64(tel.QueueDepthPeak), value("macroflowd_queue_depth_peak")},
+		{"running", float64(st.Running), value("macroflowd_workers_busy")},
+		{"telemetry.workersBusy", float64(tel.WorkersBusy), value("macroflowd_workers_busy")},
+		{"workers", float64(st.Workers), value("macroflowd_workers")},
+		{"draining", boolGauge(st.Draining), value("macroflowd_draining")},
+		{"audit.runs", float64(st.Audit.Runs), value("macroflowd_audit_runs_total")},
+		{"audit.checks", float64(st.Audit.Checks), value("macroflowd_audit_checks_total")},
+		{"audit.violations", float64(st.Audit.Violations), value("macroflowd_audit_violations_total")},
+		{"audit.lastMs", float64(st.Audit.LastMs), value("macroflowd_audit_last_ms")},
+		{"telemetry.sloBreaches", float64(tel.SLOBreaches), value("macroflowd_slo_breaches_total")},
+		{"telemetry.flightSpans", float64(tel.FlightSpans), value("macroflowd_flight_spans")},
+		{"telemetry.flightDumps", float64(tel.FlightDumps), value("macroflowd_flight_dumps_total")},
+		{"telemetry.jobLatency.count", float64(tel.JobLatency.Count), value("macroflowd_job_latency_ms_count")},
+	} {
+		if c.stats != c.prom {
+			t.Errorf("/v1/stats %s = %g, /metrics = %g", c.field, c.stats, c.prom)
+		}
+	}
+	for stage, sum := range tel.Stages {
+		if got := value("macroflowd_stage_latency_ms_count", "stage", stage); float64(sum.Count) != got {
+			t.Errorf("/v1/stats stage %s count = %d, /metrics = %g", stage, sum.Count, got)
+		}
+	}
+	if st.Submitted != 3 || st.Completed != 1 || st.Failed != 1 || st.Canceled != 1 || st.Rejected != 2 ||
+		tel.QueueDepthPeak != 2 || tel.JobLatency.Count != 2 || !st.Draining {
+		t.Errorf("ledger = %+v, telemetry %+v; want 3 submitted, 1 done, 1 failed, 1 canceled, 2 rejected, peak 2, 2 latencies, draining", st, tel)
+	}
+	if a := st.Audit; a.Runs < 1 || a.Checks <= 0 || a.Violations != 0 || a.LastMs <= 0 {
+		t.Errorf("audit = %+v, want runs >= 1, checks > 0, no violations, a last time", a)
+	}
+	if _, ok := promFind(samples, "macroflowd_audit_violations_total"); !ok {
+		t.Error("macroflowd_audit_violations_total is not served at 0")
+	}
+}
+
+// TestServiceSeriesCatalogued: every macroflowd_* family the daemon
+// serves is a row of DESIGN.md §8's service series table.
+func TestServiceSeriesCatalogued(t *testing.T) {
+	_, samples := auditedScrape(t)
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(design), "The service series")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "The service series" table`)
+	}
+	documented := map[string]bool{}
+	name := regexp.MustCompile("`([^`]+)`")
+	labels := regexp.MustCompile(`\{[^}]*\}`)
+	rows := 0
+	for _, line := range strings.Split(rest, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if rows > 0 {
+				break
+			}
+			continue
+		}
+		if rows++; rows <= 2 { // header and rule
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			n := labels.ReplaceAllString(m[1], "")
+			if strings.HasPrefix(n, "_") {
+				n = "macroflowd" + n
+			}
+			documented[n] = true
+		}
+	}
+	for _, sm := range samples {
+		if !strings.HasPrefix(sm.Name, "macroflowd_") {
+			continue
+		}
+		family := sm.Name
+		for _, suffix := range []string{"_bucket", "_sum", "_count", "_p50", "_p95", "_p99"} {
+			if b, cut := strings.CutSuffix(family, suffix); cut {
+				family = b
+				break
+			}
+		}
+		if !documented[family] {
+			t.Errorf("the daemon serves %s, which DESIGN.md §8's service series table does not list", family)
+			documented[family] = true // once per family
 		}
 	}
 }

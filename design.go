@@ -269,7 +269,8 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if err := opts.Partition.Validate(); err != nil {
 		return nil, err
 	}
-	search := f.searchFor(im)
+	search := f.search
+	search.Obs = im.Obs
 	if err := search.Validate(); err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@ import (
 
 // This file is the zero-dependency Prometheus text exposition of a
 // Recorder's metric registry (exposition format version 0.0.4), plus a
-// strict parser of the same format used by tests and the load harness
-// to validate a scrape.
+// strict parser of the same format that tests use to validate a
+// scrape.
 //
 // Label convention: registry metric names may carry a Prometheus-style
 // label suffix, e.g.
@@ -21,40 +21,45 @@ import (
 //	rec.Add(`jobs_total{state="done"}`, 1)
 //
 // The exporter splits the base name from the label block, sanitizes the
-// base (dots and other invalid characters become underscores), groups
-// all series of one base under a single # TYPE line and emits samples
-// in sorted label order. Names without a label block export unlabeled.
+// base (dots and other invalid characters become underscores) and
+// groups all series of one base under a single # TYPE line, families in
+// name order and series in registry order. Names without a label block
+// export unlabeled.
 
 // WritePrometheus renders the recorder's counters, set gauges and
 // histograms as Prometheus text: counters as counters, gauges as
 // gauges, and histograms as classic histograms (<name>_bucket{le="..."}
-// / _sum / _count) plus computed-quantile gauge companions <name>_p50 /
-// _p95 / _p99. A nil recorder writes nothing. Spans are not exported —
-// scrape endpoints expose metrics, trace timelines travel via
-// WriteChromeTrace.
+// in bound order, +Inf last, then _sum and _count) plus
+// computed-quantile gauge companions <name>_p50 / _p95 / _p99. The
+// output is a function of the registry's contents alone. A nil
+// recorder writes nothing. Spans are not exported — scrape endpoints
+// expose metrics, trace timelines travel via WriteChromeTrace.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	fams := map[string]*promFamily{}
-	add := func(name, typ, suffix string, extraLabels string, v float64) {
-		base, labels := splitSeries(name)
-		base = promName(base) + suffix
-		f := fams[base]
+	var names []string
+	add := func(family, typ, sample, labels string, v float64) {
+		f := fams[family]
 		if f == nil {
-			f = &promFamily{name: base, typ: typ}
-			fams[base] = f
+			f = &promFamily{name: family, typ: typ}
+			fams[family] = f
+			names = append(names, family)
 		}
-		f.samples = append(f.samples, promLine(base, joinLabels(labels, extraLabels), v))
+		f.samples = append(f.samples, promLine(sample, labels, v))
 	}
 	m := r.snapshot()
 	for _, c := range m.counters {
-		add(c.name, "counter", "", "", float64(c.val))
+		base, labels := splitSeries(c.name)
+		add(base, "counter", base, labels, float64(c.val))
 	}
 	for _, g := range m.gauges {
-		add(g.name, "gauge", "", "", g.val)
+		base, labels := splitSeries(g.name)
+		add(base, "gauge", base, labels, g.val)
 	}
 	for _, h := range m.hists {
+		base, labels := splitSeries(h.name)
 		s := h.val
 		cum := int64(0)
 		for i, c := range s.Counts {
@@ -63,39 +68,21 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 			if i < len(s.Bounds) {
 				le = formatProm(s.Bounds[i])
 			}
-			add(h.name, "histogram", "_bucket", `le="`+le+`"`, float64(cum))
+			add(base, "histogram", base+"_bucket", joinLabels(labels, `le="`+le+`"`), float64(cum))
 		}
-		add(h.name, "histogram", "_sum", "", s.Sum)
-		add(h.name, "histogram", "_count", "", float64(s.Count))
-		add(h.name, "gauge", "_p50", "", s.Quantile(0.50))
-		add(h.name, "gauge", "_p95", "", s.Quantile(0.95))
-		add(h.name, "gauge", "_p99", "", s.Quantile(0.99))
+		add(base, "histogram", base+"_sum", labels, s.Sum)
+		// _count is the +Inf bucket's count, from the same read: the
+		// snapshot's Count may trail bucket increments that raced it.
+		add(base, "histogram", base+"_count", labels, float64(cum))
+		add(base+"_p50", "gauge", base+"_p50", labels, s.Quantile(0.50))
+		add(base+"_p95", "gauge", base+"_p95", labels, s.Quantile(0.95))
+		add(base+"_p99", "gauge", base+"_p99", labels, s.Quantile(0.99))
 	}
 
-	// Histogram series share one family: fold _bucket/_sum/_count into
-	// the base name's TYPE declaration, as the exposition format wants.
-	names := make([]string, 0, len(fams))
-	grouped := map[string]*promFamily{}
-	for _, f := range fams {
-		base := f.name
-		if f.typ == "histogram" {
-			base = strings.TrimSuffix(base, "_bucket")
-			base = strings.TrimSuffix(base, "_sum")
-			base = strings.TrimSuffix(base, "_count")
-		}
-		g := grouped[base]
-		if g == nil {
-			g = &promFamily{name: base, typ: f.typ}
-			grouped[base] = g
-			names = append(names, base)
-		}
-		g.samples = append(g.samples, f.samples...)
-	}
 	sort.Strings(names)
 	bw := bufio.NewWriter(w)
 	for _, n := range names {
-		f := grouped[n]
-		sort.Strings(f.samples)
+		f := fams[n]
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, s := range f.samples {
 			fmt.Fprintln(bw, s)
@@ -110,15 +97,16 @@ type promFamily struct {
 	samples []string
 }
 
-// splitSeries splits a registry name into its base and the raw inner
-// label block ("" when unlabeled). Malformed blocks stay in the base
-// name and get sanitized away rather than emitting broken syntax.
+// splitSeries splits a registry name into its sanitized base and the
+// raw inner label block ("" when unlabeled). Malformed blocks stay in
+// the base name and get sanitized away rather than emitting broken
+// syntax.
 func splitSeries(name string) (base, labels string) {
 	i := strings.IndexByte(name, '{')
 	if i < 0 || !strings.HasSuffix(name, "}") {
-		return name, ""
+		return promName(name), ""
 	}
-	return name[:i], name[i+1 : len(name)-1]
+	return promName(name[:i]), name[i+1 : len(name)-1]
 }
 
 // joinLabels merges two raw label blocks.
@@ -186,13 +174,17 @@ func (s PromSample) Label(k string) string { return s.Labels[k] }
 // (format 0.0.4): metric and label names must match the format's
 // charsets, label values must be correctly quoted and escaped, values
 // must parse as floats, every # TYPE line must name a valid type and
-// precede its family's samples, and no family may be re-declared. It
+// precede its family's samples, and no family may be re-declared. Each
+// series of a histogram family must list its buckets in increasing le
+// order up to +Inf, and its +Inf bucket must equal its _count. It
 // returns every sample. This is the validation gate the daemon's
 // /metrics endpoint is held to in CI.
 func ParsePrometheusText(data []byte) ([]PromSample, error) {
 	var out []PromSample
-	typed := map[string]bool{}   // families with a TYPE line
+	typed := map[string]string{} // family → its TYPE
 	sampled := map[string]bool{} // families with at least one sample
+	hists := map[string]*promHist{}
+	var histOrder []string
 	validTypes := map[string]bool{
 		"counter": true, "gauge": true, "histogram": true,
 		"summary": true, "untyped": true,
@@ -215,13 +207,13 @@ func ParsePrometheusText(data []byte) ([]PromSample, error) {
 					if len(fields) != 4 || !validTypes[fields[3]] {
 						return nil, fmt.Errorf("prom: line %d: invalid TYPE line %q", lineNo, line)
 					}
-					if typed[fields[2]] {
+					if typed[fields[2]] != "" {
 						return nil, fmt.Errorf("prom: line %d: duplicate TYPE for %q", lineNo, fields[2])
 					}
 					if sampled[fields[2]] {
 						return nil, fmt.Errorf("prom: line %d: TYPE for %q after its samples", lineNo, fields[2])
 					}
-					typed[fields[2]] = true
+					typed[fields[2]] = fields[3]
 				}
 			}
 			continue
@@ -230,10 +222,73 @@ func ParsePrometheusText(data []byte) ([]PromSample, error) {
 		if err != nil {
 			return nil, fmt.Errorf("prom: line %d: %v", lineNo, err)
 		}
-		sampled[familyOf(s.Name)] = true
+		fam := familyOf(s.Name)
+		sampled[fam] = true
+		if typed[fam] == "histogram" && s.Name != fam {
+			key := fam + "{" + otherLabels(s.Labels, "le") + "}"
+			h := hists[key]
+			if h == nil {
+				h = &promHist{lastLe: math.Inf(-1)}
+				hists[key] = h
+				histOrder = append(histOrder, key)
+			}
+			if err := h.note(s); err != nil {
+				return nil, fmt.Errorf("prom: line %d: %s: %v", lineNo, key, err)
+			}
+		}
 		out = append(out, s)
 	}
+	for _, key := range histOrder {
+		h := hists[key]
+		switch {
+		case !h.hasInf:
+			return nil, fmt.Errorf("prom: histogram %s has no +Inf bucket", key)
+		case !h.hasCount || h.count != h.inf:
+			return nil, fmt.Errorf("prom: histogram %s: +Inf bucket %g, _count %g", key, h.inf, h.count)
+		}
+	}
 	return out, nil
+}
+
+// promHist is what the parser tracks of one histogram series.
+type promHist struct {
+	lastLe           float64 // -Inf before the first bucket
+	inf, count       float64
+	hasInf, hasCount bool
+}
+
+// note takes in one _bucket, _sum or _count sample of the series.
+func (h *promHist) note(s PromSample) error {
+	switch {
+	case strings.HasSuffix(s.Name, "_bucket"):
+		le, err := parsePromValue(s.Labels["le"])
+		if err != nil || math.IsNaN(le) {
+			return fmt.Errorf("bucket le=%q is not a bound", s.Labels["le"])
+		}
+		if le <= h.lastLe {
+			return fmt.Errorf("bucket le=%q out of order after le=%s", s.Labels["le"], formatProm(h.lastLe))
+		}
+		h.lastLe = le
+		if math.IsInf(le, 1) {
+			h.inf, h.hasInf = s.Value, true
+		}
+	case strings.HasSuffix(s.Name, "_count"):
+		h.count, h.hasCount = s.Value, true
+	}
+	return nil
+}
+
+// otherLabels renders every label but skip, sorted: the identity of a
+// histogram series across its bucket lines.
+func otherLabels(labels map[string]string, skip string) string {
+	var parts []string
+	for k, v := range labels {
+		if k != skip {
+			parts = append(parts, k+"="+strconv.Quote(v))
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
 }
 
 // familyOf maps a sample name onto the family its TYPE line declares

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -357,6 +358,60 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusBucketOrder: every histogram series lists its
+// buckets in increasing numeric le order with +Inf last and equal to
+// _count, as text format 0.0.4 requires (a string sort would print
+// "+Inf", "1", "10", "100", …, "2.5"), and the exposition is the same
+// text every time.
+func TestWritePrometheusBucketOrder(t *testing.T) {
+	r := New()
+	for _, v := range []float64{0.5, 3, 40, 700, 9000, 50000} {
+		r.BucketHist(`lat_ms{stage="b"}`, nil).Observe(v)
+		r.BucketHist(`lat_ms{stage="a"}`, nil).Observe(v / 2)
+	}
+	var first, again bytes.Buffer
+	if err := r.WritePrometheus(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WritePrometheus(&again); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != again.String() {
+		t.Errorf("exposition not deterministic:\n%s\n---\n%s", first.String(), again.String())
+	}
+	samples, err := ParsePrometheusText(first.Bytes())
+	if err != nil {
+		t.Fatalf("exposition fails the parser: %v\n%s", err, first.String())
+	}
+	for _, stage := range []string{"a", "b"} {
+		var les []float64
+		var inf, count float64
+		for _, s := range samples {
+			if s.Label("stage") != stage {
+				continue
+			}
+			switch s.Name {
+			case "lat_ms_bucket":
+				le, err := parsePromValue(s.Label("le"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				les = append(les, le)
+				inf = s.Value
+			case "lat_ms_count":
+				count = s.Value
+			}
+		}
+		want := append(append([]float64(nil), DefaultLatencyBuckets...), math.Inf(1))
+		if !slices.Equal(les, want) {
+			t.Errorf("stage %s: bucket bounds in order %v, want %v", stage, les, want)
+		}
+		if inf != 6 || count != inf {
+			t.Errorf("stage %s: last bucket %g, _count %g, want 6 and 6", stage, inf, count)
+		}
+	}
+}
+
 // TestParsePrometheusRejects: the validator must fail on the classic
 // syntax mistakes.
 func TestParsePrometheusRejects(t *testing.T) {
@@ -372,6 +427,16 @@ func TestParsePrometheusRejects(t *testing.T) {
 		"duplicate TYPE":    "# TYPE x counter\n# TYPE x counter\nx 3\n",
 		"TYPE after sample": "x 3\n# TYPE x counter\n",
 		"bad timestamp":     "x 3 nineteen\n",
+		"buckets out of order": "# TYPE h histogram\n" +
+			`h_bucket{le="10"} 1` + "\n" + `h_bucket{le="2.5"} 1` + "\n" +
+			`h_bucket{le="+Inf"} 1` + "\nh_count 1\n",
+		"+Inf not last": "# TYPE h histogram\n" +
+			`h_bucket{le="+Inf"} 1` + "\n" + `h_bucket{le="1"} 1` + "\nh_count 1\n",
+		"no +Inf bucket": "# TYPE h histogram\n" +
+			`h_bucket{le="1"} 1` + "\nh_sum 0.5\nh_count 1\n",
+		"+Inf differs from _count": "# TYPE h histogram\n" +
+			`h_bucket{l="a",le="+Inf"} 2` + "\n" + `h_count{l="a"} 3` + "\n",
+		"no _count": "# TYPE h histogram\n" + `h_bucket{le="+Inf"} 2` + "\n",
 	}
 	for name, text := range bad {
 		if _, err := ParsePrometheusText([]byte(text)); err == nil {

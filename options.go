@@ -3,7 +3,6 @@ package macroflow
 import (
 	"fmt"
 
-	"macroflow/internal/pblock"
 	"macroflow/internal/stitch"
 )
 
@@ -110,19 +109,6 @@ func (o StitchOptions) Validate() error {
 	return err
 }
 
-// SearchChoice selects a per-call minimal-CF search strategy override.
-type SearchChoice int
-
-const (
-	// SearchFlowDefault keeps the strategy configured on the Flow
-	// (SetSearchStrategy; the linear sweep unless changed).
-	SearchFlowDefault SearchChoice = iota
-	// SearchForceLinear forces the paper's exhaustive sweep.
-	SearchForceLinear
-	// SearchForceBisect forces the O(log) bisection search.
-	SearchForceBisect
-)
-
 // ImplementOptions are the block-implementation knobs of Compile and
 // RunCNV (CompileOptions.Implement).
 type ImplementOptions struct {
@@ -134,10 +120,6 @@ type ImplementOptions struct {
 	// Cache, when non-nil, reuses pre-implemented blocks across calls
 	// (and across processes when the cache has a persistent layer).
 	Cache *BlockCache
-	// Strategy overrides the flow's minimal-CF search strategy for this
-	// call; SearchFlowDefault (the zero value) keeps the flow's
-	// setting. Both strategies return identical CFs.
-	Strategy SearchChoice
 	// Obs, when non-nil, records block-implementation spans and metrics
 	// (flow/implement.block/search.mincf/oracle.probe spans,
 	// mincf.oracle_runs, implcache and blockcache counters). Nil
@@ -155,7 +137,7 @@ type ImplementOptions struct {
 }
 
 // Validate rejects implementation options the flow would refuse:
-// negative parallelism and out-of-range Strategy or Check selectors.
+// negative parallelism and an out-of-range Check selector.
 // RunCNV, Compile and the macroflowd request decoder all call it, so
 // the CLI and the HTTP service reject bad options with the same
 // messages.
@@ -163,26 +145,7 @@ func (o ImplementOptions) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("macroflow: ImplementOptions.Workers must be >= 0 (got %d)", o.Workers)
 	}
-	switch o.Strategy {
-	case SearchFlowDefault, SearchForceLinear, SearchForceBisect:
-	default:
-		return fmt.Errorf("macroflow: unknown search strategy %d (want SearchFlowDefault, SearchForceLinear or SearchForceBisect)", o.Strategy)
-	}
 	return o.Check.Validate()
-}
-
-// searchFor resolves the effective search configuration of one call
-// from the flow's configuration plus the per-call overrides.
-func (f *Flow) searchFor(im ImplementOptions) pblock.SearchConfig {
-	s := f.search
-	switch im.Strategy {
-	case SearchForceLinear:
-		s.Strategy = pblock.StrategyLinear
-	case SearchForceBisect:
-		s.Strategy = pblock.StrategyBisect
-	}
-	s.Obs = im.Obs
-	return s
 }
 
 // stitchConfig maps the public options onto the stitcher configuration.

@@ -6,18 +6,18 @@ import (
 	"testing"
 )
 
-// TestSearchStrategyOverride: the per-call Strategy override must yield
-// the same correction factors as the flow-level setting.
+// TestSearchStrategyOverride: switching a flow's search strategy must
+// yield the same correction factors with fewer tool runs.
 func TestSearchStrategyOverride(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
-	linear, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-		Implement: ImplementOptions{Strategy: SearchForceLinear}, SkipStitch: true})
+	f.SetSearchStrategy(SearchLinear)
+	linear, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bisect, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-		Implement: ImplementOptions{Strategy: SearchForceBisect}, SkipStitch: true})
+	f.SetSearchStrategy(SearchBisect)
+	bisect, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +176,8 @@ func TestOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", ImplementOptions{}, true},
-		{"full", ImplementOptions{Workers: 2, Strategy: SearchForceBisect, Check: CheckFull}, true},
+		{"full", ImplementOptions{Workers: 2, Check: CheckFull}, true},
 		{"negative-workers", ImplementOptions{Workers: -1}, false},
-		{"bad-strategy", ImplementOptions{Strategy: SearchChoice(42)}, false},
 		{"bad-check", ImplementOptions{Check: CheckLevel(-1)}, false},
 	}
 	for _, tc := range implCases {

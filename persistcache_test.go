@@ -147,7 +147,7 @@ func TestBlockDiskKeyPinned(t *testing.T) {
 	}
 	rep := place.QuickPlace(m)
 	hash := implcache.ModuleHash(m)
-	fps := f.fingerprints(f.searchFor(ImplementOptions{}))
+	fps := f.fingerprints(f.search)
 	for _, c := range []struct {
 		mode CFMode
 		want string

@@ -195,9 +195,12 @@ stage_daemon() {
 	# GET /metrics to parse as strict Prometheus text with the service
 	# series present — plus the flight recorder's anomaly-dump path, the
 	# Recorder.Merge that folds a finished job into the service registry,
-	# and the estimator-drift histogram's exposition after that merge.
-	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge)" >&2
-	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
+	# the estimator-drift histogram's exposition after that merge, the
+	# histogram bucket order, /v1/stats equal to /metrics with the audit
+	# loop on, every served series catalogued in DESIGN.md, and
+	# implement.strategy applied to the job's flow.
+	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge + one ledger)" >&2
+	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift|TestWritePrometheusBucketOrder|TestStatsEqualMetrics|TestServiceSeriesCatalogued|TestDaemonSearchStrategy' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
 
 	# Daemon smoke: build the real macroflowd binary under -race, start it
 	# on a random port, submit a compile over HTTP, assert the result is

@@ -32,7 +32,8 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
-	search := f.searchFor(ImplementOptions{Obs: rec})
+	search := f.search
+	search.Obs = rec
 	cache := NewBlockCache()
 
 	key := f.blockDiskKey(implcache.ModuleHash(m), rep, MinSweepCF(), f.fingerprints(search))
