@@ -179,6 +179,35 @@ func TestFanOutOnlyThroughEach(t *testing.T) {
 	}
 }
 
+// TestSeededLoopsUseRNG: the stitcher, the placer and the front end
+// draw through internal/rng, the one concrete replica of math/rand's
+// seeded stream, so a non-test file of internal/stitch, internal/place
+// or internal/synth that imports math/rand is a second generator (and
+// an interface call per draw on the annealer's hot path).
+func TestSeededLoopsUseRNG(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/stitch", "internal/place", "internal/synth"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || p == "math/rand/v2" {
+					t.Errorf("%s: imports %s; draw through internal/rng", fset.Position(imp.Pos()), p)
+				}
+			}
+		}
+	}
+}
+
 // metricLiteral reads a metric name off a registry call's first
 // argument: "name", fmt.Sprintf("name.%d", …) or "prefix." + x.
 func metricLiteral(e ast.Expr) (string, bool) {

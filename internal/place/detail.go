@@ -3,10 +3,10 @@ package place
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
+	"macroflow/internal/rng"
 )
 
 // Coord is a cell's placed tile location.
@@ -168,8 +168,7 @@ type placer struct {
 	dev    *fabric.Device
 	rect   fabric.Rect
 	spread float64
-	rng    *rand.Rand // draws from src
-	src    streamSource
+	rng    *rng.Rand // made by the first cold pack
 
 	// sites holds the slices column-major: column c's rows are
 	// sites[cols[c].first : cols[c].first+rows].
@@ -269,12 +268,12 @@ func (p *placer) placeFixed(opts Options) error {
 		seed = p.plan.seed
 	}
 	if p.rng == nil {
-		p.rng = rand.New(&p.src)
+		p.rng = new(rng.Rand)
 	}
 	if seed == p.plan.seed {
-		p.src.start(p.plan.stream)
+		p.rng.Start(p.plan.stream)
 	} else {
-		p.src.Seed(seed)
+		p.rng.Start(rng.Record(seed))
 	}
 	p.buildSites()
 	if opts.PreOccupy > 0 {

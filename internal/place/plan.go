@@ -6,6 +6,7 @@ import (
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
+	"macroflow/internal/rng"
 )
 
 // Plan is the part of detailed placement that depends on the module
@@ -29,7 +30,7 @@ type Plan struct {
 	// and stream the start of its random stream, which every probe on
 	// the default seed replays instead of seeding a generator.
 	seed   int64
-	stream *seedStream
+	stream *rng.Stream
 	// chains holds the cells of every carry chain bottom first, in
 	// placement order: longest chain first, ties by chain ID.
 	chains [][]netlist.CellID
@@ -102,7 +103,7 @@ func (pl *Plan) prepare() {
 	pl.prepared = true
 	m := pl.m
 	pl.seed = contentSeed(m)
-	pl.stream = recordStream(pl.seed)
+	pl.stream = rng.Record(pl.seed)
 
 	type chain struct {
 		id    int32

@@ -19,10 +19,10 @@ package stitch
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"macroflow/internal/obs"
+	"macroflow/internal/rng"
 )
 
 // Backend selects the stitching algorithm.
@@ -122,14 +122,14 @@ func newAnalytic(p *Problem, pr *prep, cfg Config) *analytic {
 		atX:  make([]int32, n), atY: make([]int32, n),
 	}
 	W, H := float64(p.Dev.NumCols()), float64(p.Dev.Rows)
-	rng := rand.New(rand.NewSource(cfg.Seed + analyticSeedStride))
+	scatter := rng.New(cfg.Seed + analyticSeedStride)
 	for i := range p.Instances {
 		b := &p.Blocks[p.Instances[i].Block]
 		g.bw[i] = float64(b.Width)
 		g.bh[i] = float64(b.Height)
 		g.area[i] = float64(b.Area())
-		g.px[i] = W/2 + (rng.Float64()-0.5)*W/2
-		g.py[i] = H/2 + (rng.Float64()-0.5)*H/2
+		g.px[i] = W/2 + (scatter.Float64()-0.5)*W/2
+		g.py[i] = H/2 + (scatter.Float64()-0.5)*H/2
 	}
 	// Bin the device at roughly clock-region-fifth granularity: wide
 	// enough that a mid-sized block spans a few bins, fine enough that

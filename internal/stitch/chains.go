@@ -3,9 +3,9 @@ package stitch
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"macroflow/internal/obs"
+	"macroflow/internal/rng"
 )
 
 // chainSeedStride separates the rng streams of the chains. Chain 0 uses
@@ -39,8 +39,10 @@ type chain struct {
 	cooling    float64
 
 	// every is the validated cost-trace sampling interval
-	// (Config.TraceEvery after defaulting).
-	every int
+	// (Config.TraceEvery after defaulting); sampleIn counts the moves
+	// left until the next sample, due when it is 0 (at it = 0, every,
+	// 2·every, ...).
+	every, sampleIn int
 
 	trace     []CostSample
 	exchanges int
@@ -57,12 +59,14 @@ func (c *chain) runSegment(n int, progress func(chain, iter int, cost float64)) 
 		it := c.it
 		a.tryMove(c.temp)
 		c.temp *= c.cooling
-		if it%c.every == 0 {
+		if c.sampleIn == 0 {
+			c.sampleIn = c.every
 			c.trace = append(c.trace, CostSample{Iter: it, Cost: a.cost})
 			if progress != nil {
 				progress(c.idx, it, a.cost)
 			}
 		}
+		c.sampleIn--
 		if a.cfg.CheckIncremental && it%1024 == 0 {
 			a.checkIncremental(it)
 		}
@@ -232,7 +236,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 				rounds = b
 			}
 		}
-		xrng := rand.New(rand.NewSource(cfg.Seed + 101))
+		xrng := rng.New(cfg.Seed + 101)
 		segs := make([]*obs.Span, k)
 		for r := 0; r < rounds; r++ {
 			// Segment spans are per chain per round — barrier granularity,

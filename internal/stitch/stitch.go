@@ -32,12 +32,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/obs"
 	"macroflow/internal/place"
+	"macroflow/internal/rng"
 )
 
 // ColSpan is one occupied column of a block footprint.
@@ -412,6 +412,13 @@ type prep struct {
 	// pitch with y+Height <= Rows. All zero when the block is taller
 	// than the device.
 	validRows []uint64
+	// colDraw[b] and rowDraw[b] draw a relocation target of block b: an
+	// index into originsX[b], and an origin row in [0, Rows-Height]
+	// (zero Bounds where that range is empty and the move returns first).
+	// instDraw draws an instance. Precomputed, the move loop divides
+	// nothing.
+	colDraw, rowDraw []rng.Bound
+	instDraw         rng.Bound
 	// order lists the instances area-descending (index-ascending on
 	// ties): the placement order of greedyInit and legalize.
 	order []int
@@ -425,6 +432,8 @@ func newPrep(p *Problem) *prep {
 		originsX:  make([][]int, len(p.Blocks)),
 		pitch:     make([]int, len(p.Blocks)),
 		validRows: make([]uint64, len(p.Blocks)*words),
+		colDraw:   make([]rng.Bound, len(p.Blocks)),
+		rowDraw:   make([]rng.Bound, len(p.Blocks)),
 		order:     make([]int, len(p.Instances)),
 		netsOf:    make([][]int, len(p.Instances)),
 	}
@@ -449,6 +458,15 @@ func newPrep(p *Problem) *prep {
 		for y := 0; y+b.Height <= p.Dev.Rows; y += pr.pitch[bi] {
 			pr.validRows[bi*words+y>>6] |= 1 << uint(y&63)
 		}
+		if n := len(pr.originsX[bi]); n > 0 {
+			pr.colDraw[bi] = rng.NewBound(n)
+		}
+		if n := p.Dev.Rows - b.Height + 1; n > 0 {
+			pr.rowDraw[bi] = rng.NewBound(n)
+		}
+	}
+	if n := len(p.Instances); n > 0 {
+		pr.instDraw = rng.NewBound(n)
 	}
 	for i := range pr.order {
 		pr.order[i] = i
@@ -512,7 +530,7 @@ type annealer struct {
 	p   *Problem
 	pr  *prep
 	cfg Config
-	rng *rand.Rand
+	rng *rng.Rand
 	occ *occupancy
 	// rows and smear are legalRows' result and working words; they live
 	// here so the kernel never allocates.
@@ -553,7 +571,7 @@ func newAnnealer(p *Problem, pr *prep, cfg Config, seed int64) *annealer {
 		p:           p,
 		pr:          pr,
 		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(seed)),
+		rng:         rng.New(seed),
 		occ:         occ,
 		rows:        make([]uint64, occ.words),
 		smear:       make([]uint64, occ.words),
@@ -773,38 +791,42 @@ func (a *annealer) commitPending() {
 	}
 }
 
+// swapDraw draws the move kind: a swap one time in eight.
+var swapDraw = rng.NewBound(8)
+
 // tryMove proposes one SA move: usually a relocation of a random
 // instance to a random column-compatible origin, occasionally a swap of
 // two instances' positions. Overlapping proposals are rejected as
 // illegal moves.
 func (a *annealer) tryMove(temp float64) {
 	a.moves++
-	if len(a.p.Instances) > 1 && a.rng.Intn(8) == 0 {
+	if len(a.p.Instances) > 1 && a.rng.Bounded(swapDraw) == 0 {
 		a.trySwap(temp)
 		return
 	}
-	ii := a.rng.Intn(len(a.p.Instances))
+	ii := a.rng.Bounded(a.pr.instDraw)
 	bidx := a.p.Instances[ii].Block
 	b := &a.p.Blocks[bidx]
 	xs := a.pr.originsX[bidx]
 	if len(xs) == 0 {
 		return
 	}
-	nx := xs[a.rng.Intn(len(xs))]
-	maxY := a.p.Dev.Rows - b.Height
-	if maxY < 0 {
+	nx := xs[a.rng.Bounded(a.pr.colDraw[bidx])]
+	if b.Height > a.p.Dev.Rows {
 		return
 	}
-	ny := a.rng.Intn(maxY + 1)
+	ny := a.rng.Bounded(a.pr.rowDraw[bidx])
 
+	// ny is at most Rows-Height, so the row rule is validRows' bit.
+	nw := a.occ.words
+	if a.pr.validRows[bidx*nw+ny>>6]>>uint(ny&63)&1 == 0 {
+		a.illegal++ // BRAM/DSP tiles off their sites
+		return
+	}
 	// Test the target against the full occupancy first. A conflict can
 	// only be with the instance's own footprint when the old and new
 	// bounding boxes overlap; only then is the old footprint lifted for
 	// a second look. The common rejected move never writes the bitmap.
-	if ny%a.pr.pitch[bidx] != 0 {
-		a.illegal++ // BRAM/DSP tiles off their sites
-		return
-	}
 	old := a.origins[ii]
 	lifted := false
 	if a.overlaps(b, nx, ny) {
@@ -843,11 +865,13 @@ func (a *annealer) tryMove(temp float64) {
 }
 
 // trySwap exchanges the origins of two placed instances when both fit
-// at the other's position (always true for instances of the same block;
-// for different blocks the vacated areas must cover each other).
+// at the other's position. Two instances of one block always do, and
+// the union of their footprints is the same before and after, so that
+// swap leaves the bitmap alone; for different blocks the vacated areas
+// must cover each other, tested on the bitmap with both lifted.
 func (a *annealer) trySwap(temp float64) {
-	i1 := a.rng.Intn(len(a.p.Instances))
-	i2 := a.rng.Intn(len(a.p.Instances))
+	i1 := a.rng.Bounded(a.pr.instDraw)
+	i2 := a.rng.Bounded(a.pr.instDraw)
 	if i1 == i2 {
 		return
 	}
@@ -867,21 +891,24 @@ func (a *annealer) trySwap(temp float64) {
 		a.illegal++
 		return
 	}
-	a.mark(b1, o1.X, o1.Y, false)
-	a.mark(b2, o2.X, o2.Y, false)
-	// b1 must be marked at its destination before b2 is checked, or the
-	// two swapped blocks could overlap each other.
-	ok := !a.overlaps(b1, o2.X, o2.Y)
-	if ok {
-		a.mark(b1, o2.X, o2.Y, true)
-		ok = !a.overlaps(b2, o1.X, o1.Y)
-		a.mark(b1, o2.X, o2.Y, false)
-	}
-	if !ok {
-		a.mark(b1, o1.X, o1.Y, true)
-		a.mark(b2, o2.X, o2.Y, true)
-		a.illegal++
-		return
+	same := bi1 == bi2
+	if !same {
+		a.mark(b1, o1.X, o1.Y, false)
+		a.mark(b2, o2.X, o2.Y, false)
+		// b1 must be marked at its destination before b2 is checked, or
+		// the two swapped blocks could overlap each other.
+		ok := !a.overlaps(b1, o2.X, o2.Y)
+		if ok {
+			a.mark(b1, o2.X, o2.Y, true)
+			ok = !a.overlaps(b2, o1.X, o1.Y)
+			a.mark(b1, o2.X, o2.Y, false)
+		}
+		if !ok {
+			a.mark(b1, o1.X, o1.Y, true)
+			a.mark(b2, o2.X, o2.Y, true)
+			a.illegal++
+			return
+		}
 	}
 	before := a.cachedPairCost(i1, i2)
 	a.clearPending()
@@ -890,16 +917,20 @@ func (a *annealer) trySwap(temp float64) {
 	after := a.freshPairCost(i1, i2)
 	delta := after - before
 	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
-		a.mark(b1, o2.X, o2.Y, true)
-		a.mark(b2, o1.X, o1.Y, true)
+		if !same {
+			a.mark(b1, o2.X, o2.Y, true)
+			a.mark(b2, o1.X, o1.Y, true)
+		}
 		a.cost += delta
 		a.commitPending()
 		a.accepts++
 	} else {
 		a.setOrigin(i1, o1)
 		a.setOrigin(i2, o2)
-		a.mark(b1, o1.X, o1.Y, true)
-		a.mark(b2, o2.X, o2.Y, true)
+		if !same {
+			a.mark(b1, o1.X, o1.Y, true)
+			a.mark(b2, o2.X, o2.Y, true)
+		}
 	}
 }
 

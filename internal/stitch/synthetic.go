@@ -1,9 +1,8 @@
 package stitch
 
 import (
-	"math/rand"
-
 	"macroflow/internal/fabric"
+	"macroflow/internal/rng"
 )
 
 // Synthetic generates a deterministic cnvW1A1-shaped stitching problem
@@ -24,7 +23,7 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 	if scale < 1 {
 		scale = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	gen := rng.New(seed)
 	nTypes := 74
 	nInst := 175 * scale
 	p := &Problem{Dev: dev}
@@ -42,7 +41,7 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 	// the cnv shape.
 	instTypes := make([]int, nInst)
 	for i := range instTypes {
-		u := rng.Float64()
+		u := gen.Float64()
 		t := int(u * u * float64(nTypes))
 		if t >= nTypes {
 			t = nTypes - 1
@@ -74,11 +73,11 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 		maxH = 1
 	}
 	for t := 0; t < nTypes; t++ {
-		w := 1 + rng.Intn(3)
+		w := 1 + gen.Intn(3)
 		if meanArea < 2 {
 			w = 1 // sub-2-tile blocks: wider shapes can't round below 1 row
 		}
-		jitter := 0.5 + rng.Float64()*1.5
+		jitter := 0.5 + gen.Float64()*1.5
 		h := int(meanArea*jitter/float64(w) + 0.5)
 		if h < 1 {
 			h = 1
@@ -103,8 +102,8 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 				}
 			}
 		}
-		r := wide[rng.Intn(len(wide))]
-		home := r.start + rng.Intn(r.n-w+1)
+		r := wide[gen.Intn(len(wide))]
+		home := r.start + gen.Intn(r.n-w+1)
 		b := Block{Name: synthName(t), HomeX: home, Width: w, Height: h}
 		for c := 0; c < w; c++ {
 			b.Spans = append(b.Spans, ColSpan{DX: c, Min: 0, Max: h - 1})
@@ -112,9 +111,9 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 		// A third of the footprints are ragged: one column's span is
 		// shortened, wasting the rows between the extremes — the
 		// paper's dead-spot mechanism.
-		if w > 1 && h > 2 && rng.Intn(3) == 0 {
-			c := rng.Intn(w)
-			cut := 1 + rng.Intn(h/2)
+		if w > 1 && h > 2 && gen.Intn(3) == 0 {
+			c := gen.Intn(w)
+			cut := 1 + gen.Intn(h/2)
 			b.Spans[c].Max = h - 1 - cut
 			b.Irregularity = float64(cut) / float64(h)
 		}
@@ -131,12 +130,12 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 		p.Nets = append(p.Nets, Net{From: i - 1, To: i, Weight: 1})
 	}
 	for e := 0; e < nInst/3; e++ {
-		to := 1 + rng.Intn(nInst-1)
-		from := to - (2 + rng.Intn(7))
+		to := 1 + gen.Intn(nInst-1)
+		from := to - (2 + gen.Intn(7))
 		if from < 0 {
 			from = 0
 		}
-		w := float64(4+rng.Intn(13)) / 16 // 0.25 .. 1.0
+		w := float64(4+gen.Intn(13)) / 16 // 0.25 .. 1.0
 		p.Nets = append(p.Nets, Net{From: from, To: to, Weight: w})
 	}
 	return p

@@ -14,6 +14,8 @@ import (
 	"macroflow/internal/fabric"
 	"macroflow/internal/pblock"
 	"macroflow/internal/place"
+	"macroflow/internal/rtlgen"
+	"macroflow/internal/synth"
 )
 
 // cnvMinCFProblem is the paper's stitching task: every cnvW1A1 block
@@ -54,6 +56,59 @@ func cnvMinCFProblem(tb testing.TB) *Problem {
 		cnvProblem = prob
 	})
 	return cnvProblem
+}
+
+// pipeline12Problem is the design-space-exploration shape of
+// examples/incremental and the daemon's pipeline jobs: source -> 12
+// workers -> sink on the xc7z020, each block at its minimal CF. Twelve
+// of fourteen instances share one block, so most swap proposals pair
+// two instances of the same block.
+var (
+	pipelineOnce    sync.Once
+	pipelineProblem *Problem
+)
+
+func pipeline12Problem(tb testing.TB) *Problem {
+	tb.Helper()
+	pipelineOnce.Do(func() {
+		dev := fabric.XC7Z020()
+		specs := []rtlgen.Spec{
+			{Name: "source", Components: []rtlgen.Component{
+				rtlgen.RandomLogic{LUTs: 120, Fanin: 4, Depth: 3, Seed: 1},
+				rtlgen.ShiftRegs{Count: 4, Length: 8, ControlSets: 1, Fanin: 2, NoSRL: true}}},
+			{Name: "worker_simd32", Components: []rtlgen.Component{
+				rtlgen.RandomLogic{LUTs: 128, Fanin: 5, Depth: 3, Seed: 2},
+				rtlgen.SumOfSquares{Width: 8, Terms: 4},
+				rtlgen.ShiftRegs{Count: 8, Length: 16, ControlSets: 2, Fanin: 2, NoSRL: true},
+				rtlgen.LUTMemory{Width: 8, Depth: 64}}},
+			{Name: "sink", Components: []rtlgen.Component{
+				rtlgen.RandomLogic{LUTs: 90, Fanin: 4, Depth: 2, Seed: 3},
+				rtlgen.SumOfSquares{Width: 6, Terms: 1}}},
+		}
+		search := pblock.SearchConfig{Start: 0.9, Step: 0.02, Max: 3.0}
+		prob := &Problem{Dev: dev}
+		for _, spec := range specs {
+			m, err := synth.Elaborate(spec)
+			if err != nil {
+				panic(err)
+			}
+			if _, err := synth.Optimize(m); err != nil {
+				panic(err)
+			}
+			res, err := pblock.MinCF(dev, m, place.QuickPlace(m), search, pblock.DefaultConfig())
+			if err != nil {
+				panic(err)
+			}
+			prob.Blocks = append(prob.Blocks, NewBlock(spec.Name, res.Impl.Placement))
+		}
+		prob.Instances = []Instance{{Name: "source", Block: 0}, {Name: "sink", Block: 2}}
+		for i := 0; i < 12; i++ {
+			prob.Instances = append(prob.Instances, Instance{Name: fmt.Sprintf("worker_%d", i), Block: 1})
+			prob.Nets = append(prob.Nets, Net{From: 0, To: 2 + i, Weight: 2}, Net{From: 2 + i, To: 1, Weight: 1})
+		}
+		pipelineProblem = prob
+	})
+	return pipelineProblem
 }
 
 // trajectoryHasher folds the move-for-move observable outcome of a run
@@ -137,6 +192,18 @@ func TestStitchTrajectoryPinned(t *testing.T) {
 			},
 		})
 	}
+	for seed := int64(1); seed <= 3; seed++ {
+		seed := seed
+		pins = append(pins, pin{
+			name: fmt.Sprintf("pipeline12/anneal/seed%d", seed),
+			run: func() string {
+				cfg := DefaultConfig()
+				cfg.Seed = seed
+				cfg.Iterations = 40000
+				return trajectoryDigest(Run(pipeline12Problem(t), cfg))
+			},
+		})
+	}
 	for s := int64(1); s <= 3; s++ {
 		s := s
 		p := Synthetic(fabric.XC7Z045(), 10, s)
@@ -207,9 +274,13 @@ func TestStitchTrajectoryPinned(t *testing.T) {
 // pinnedTrajectories holds the SHA-256 trajectory digests recorded on
 // the parent of the legality-kernel rewrite.
 var pinnedTrajectories = map[string]string{
-	"cnv/anneal/seed1":            "bca4598c4f2549bb506ad826ad1ed27692b137973d6de861b43c4973a59dc780",
-	"cnv/anneal/seed2":            "57d8d82b291a2dbeb8197155391ab98bbca956dbc614330d3d7b950e2fcca54f",
-	"cnv/anneal/seed3":            "2cd4a2fce45a2060b247361ec09a4344381fa6ad3111cb8c329bbc42222d117e",
+	"cnv/anneal/seed1": "bca4598c4f2549bb506ad826ad1ed27692b137973d6de861b43c4973a59dc780",
+	"cnv/anneal/seed2": "57d8d82b291a2dbeb8197155391ab98bbca956dbc614330d3d7b950e2fcca54f",
+	"cnv/anneal/seed3": "2cd4a2fce45a2060b247361ec09a4344381fa6ad3111cb8c329bbc42222d117e",
+	// Recorded before the same-block swap skipped the bitmap.
+	"pipeline12/anneal/seed1":     "35dcb34b0e7017ba3596059b4fd1d8bc822464ca9b5d79427cac3ee5501493a2",
+	"pipeline12/anneal/seed2":     "108a0464651edbe0dfab8a040696d358c411cfde77524647438605657a1bb0b7",
+	"pipeline12/anneal/seed3":     "80c34a0b5ab3a9274f5e8f788cd3edc5214a00fc64f8e19217690ef6179a2121",
 	"synthetic10x/hybrid/seed1":   "72d909218054876577067a76f7916c1808940e7ae36491aa293648a3fff680df",
 	"synthetic10x/analytic/seed1": "e7e3db8ab9083c1579def0b2b58e8754dee28e14d64c1617debe32c8be157d11",
 	"synthetic10x/sharded/seed1":  "caa301f35cc104f5d257c588a8076b18dfe9dd18de8a5ccbaeaec7913a95a62f",

@@ -12,9 +12,9 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 
 	"macroflow/internal/netlist"
+	"macroflow/internal/rng"
 	"macroflow/internal/rtlgen"
 )
 
@@ -427,7 +427,7 @@ func (e *elaborator) randomLogic(c rtlgen.RandomLogic) {
 	if c.LUTs <= 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	wire := rng.New(c.Seed)
 	depth := max(1, c.Depth)
 	fanin := c.Fanin
 	if fanin < 1 {
@@ -474,13 +474,13 @@ func (e *elaborator) randomLogic(c rtlgen.RandomLogic) {
 				center := i * span / max(1, sizes[l])
 				for k := 0; k < fanin; k++ {
 					var src int
-					if rng.Intn(20) == 0 {
-						src = rng.Intn(len(prev)) // occasional global wire
+					if wire.Intn(20) == 0 {
+						src = wire.Intn(len(prev)) // occasional global wire
 					} else {
 						// Reflect at the created range's edges: wrapping
 						// would synthesize module-spanning wires and
 						// clamping would create artificial fanout hubs.
-						src = center + rng.Intn(17) - 8
+						src = center + wire.Intn(17) - 8
 						if src < 0 {
 							src = -src
 						}

@@ -52,9 +52,10 @@ stage_build() {
 	echo "==> go build ./..." >&2
 	go build ./...
 	# The documents name tests, paths and metrics; all of them must be in
-	# the tree that just built. And the stitcher and the forest fan out
-	# only through obs.Each.
-	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach' .
+	# the tree that just built. The stitcher and the forest fan out only
+	# through obs.Each, and the stitcher, the placer and synthesis draw
+	# only through internal/rng.
+	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach|TestSeededLoopsUseRNG' .
 }
 
 stage_benchmod() {
@@ -103,7 +104,7 @@ stage_fuzz() {
 	# Fuzz smoke: each native fuzz target runs briefly from its seed corpus
 	# (~1 min total). This is a regression tripwire, not a bug hunt — longer
 	# campaigns run with: go test -fuzz <Target> -fuzztime 10m <pkg>.
-	echo "==> fuzz smoke (7 targets x ${CI_FUZZTIME:-10s})" >&2
+	echo "==> fuzz smoke (8 targets x ${CI_FUZZTIME:-10s})" >&2
 	go test -run '^$' -fuzz '^FuzzTextRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 	go test -run '^$' -fuzz '^FuzzModuleContent$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 	go test -run '^$' -fuzz '^FuzzElaborate$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/synth/
@@ -111,6 +112,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz '^FuzzPartitionAssign$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/partition/
 	go test -run '^$' -fuzz '^FuzzLegalRows$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/stitch/
 	go test -run '^$' -fuzz '^FuzzImplRecord$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/pblock/
+	go test -run '^$' -fuzz '^FuzzBoundMatchesInt31n$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/rng/
 }
 
 stage_coverage() {
@@ -139,12 +141,16 @@ stage_determinism() {
 	# configuration, and the partitioner's alongside. So do the pinned
 	# trajectory digests (recorded before the kernels they cover were
 	# rewritten, on any core count), the legality kernel's differential
-	# test against the per-row reference, and the analytic descent's
+	# test against the per-row reference, the move kernel's against the
+	# swap that always lifted both footprints, and the analytic descent's
 	# against the tiled, fanned-out descent it replaced, with the check
 	# that the descent allocates nothing per iteration.
 	echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
 	export GOMAXPROCS=4
-	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestDescentMatchesReference|TestDescentAllocsFlat|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
+	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestSwapSameBlockMatchesGeneral|TestDescentMatchesReference|TestDescentAllocsFlat|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
+	# Every seeded loop above draws through internal/rng: its generator
+	# and its precomputed bounds must draw what math/rand draws.
+	run_listed 'TestRandMatchesMathRand|TestBoundMatchesInt31n' -race ./internal/rng/
 	run_listed 'TestAssignDeterministic|TestAssignGOMAXPROCSInvariant' -race ./internal/partition/
 	# The estimator's forest fits its trees on obs.Each too, and sums their
 	# importance in tree order: one forest at GOMAXPROCS 1 and 4.
