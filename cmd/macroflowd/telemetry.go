@@ -91,14 +91,15 @@ func newTelemetry(flightSize int) *telemetry {
 // spans never nest within each other (synth.elaborate and
 // synth.optimize are siblings, for every design; each
 // place.quick/place.detail IS one attempt), so every one is a sample.
-// Partitioned runs sample each stitch.shard (one anneal per fabric
-// member) and skip the stitch.sharded parent, which only fans out and
-// reduces.
+// Every stitcher backend opens stitch.chains exactly once per run, so
+// it is the stitch sample: stitch.analytic (a hybrid run's seed, nested
+// in it) and the partitioned wrappers stitch.sharded/stitch.shard (one
+// run per non-empty member) would count a run twice.
 func stageOf(name string) string {
 	switch name {
 	case "search.mincf", "search.estimate", "search.constant":
 		return "mincf"
-	case "stitch.chains", "stitch.analytic", "stitch.shard":
+	case "stitch.chains":
 		return "stitch"
 	case "oracle.check":
 		return "oracle"

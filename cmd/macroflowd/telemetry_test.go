@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -312,7 +313,8 @@ func TestStageOf(t *testing.T) {
 		"search.estimate":      "mincf",
 		"search.constant":      "mincf",
 		"stitch.chains":        "stitch",
-		"stitch.analytic":      "stitch",
+		"stitch.analytic":      "", // nested in stitch.chains
+		"stitch.shard":         "", // wraps one stitch.chains
 		"oracle.check":         "oracle",
 		"place.quick":          "place",
 		"place.detail":         "place",
@@ -326,6 +328,62 @@ func TestStageOf(t *testing.T) {
 		if got := stageOf(name); got != want {
 			t.Errorf("stageOf(%q) = %q, want %q", name, got, want)
 		}
+	}
+}
+
+// TestStitchStageOneSamplePerRun: the stitch stage takes one latency
+// sample per stitcher run — a hybrid job (whose analytic seed is nested
+// in its run) adds one, and a K-shard job whose shards all hold
+// instances adds K, not the shard wrappers on top.
+func TestStitchStageOneSamplePerRun(t *testing.T) {
+	s, c := newTestServer(t, serverConfig{Workers: 1})
+	s.start()
+	defer s.drain()
+	samples := func() float64 {
+		t.Helper()
+		sm, _ := promFind(promFill(t, c.BaseURL), "macroflowd_stage_latency_ms_count", "stage", "stitch")
+		return sm.Value
+	}
+
+	hybrid := smallReq(1)
+	hybrid.Stitch.Backend = "hybrid"
+	if final := submitAndWait(t, c, hybrid); final.State != apiv1.JobDone {
+		t.Fatalf("hybrid job state = %s (%v)", final.State, final.Error)
+	}
+	if got := samples(); got != 1 {
+		t.Errorf("hybrid job: %g stitch samples, want 1", got)
+	}
+
+	// The partitioner fills the lowest member first: twelve BRAM-heavy
+	// instances overflow the first shard into the second.
+	const shards = 2
+	sharded := &apiv1.CompileRequest{
+		Design: apiv1.DesignSpec{Blocks: []apiv1.BlockSpec{{Name: "mem", Components: []apiv1.ComponentSpec{
+			{Kind: apiv1.CompMemory, Width: 36, Depth: 8192}}}}},
+		Stitch:    apiv1.StitchParams{Seed: 2, Anneal: &apiv1.AnnealParams{Iterations: 2000}},
+		Partition: &apiv1.PartitionParams{Shards: shards},
+	}
+	for i := 0; i < 12; i++ {
+		sharded.Design.Instances = append(sharded.Design.Instances, apiv1.InstanceSpec{Name: fmt.Sprintf("m%d", i)})
+	}
+	final := submitAndWait(t, c, sharded)
+	if final.State != apiv1.JobDone {
+		t.Fatalf("sharded job state = %s (%v)", final.State, final.Error)
+	}
+	res, err := c.Result(context.Background(), final.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partition == nil || len(res.Partition.Members) != shards {
+		t.Fatalf("sharded job: partition report %+v, want %d members", res.Partition, shards)
+	}
+	for _, m := range res.Partition.Members {
+		if m.Instances == 0 {
+			t.Fatalf("member %s holds no instance; the design must fill every shard", m.Name)
+		}
+	}
+	if got := samples(); got != 1+shards {
+		t.Errorf("after the %d-shard job: %g stitch samples, want %d", shards, got, 1+shards)
 	}
 }
 

@@ -142,6 +142,27 @@ type CacheStats struct {
 	Negatives int `json:"negatives"`
 }
 
+// note books one lookup's outcome: a served outcome counts in its
+// layer, every other is a miss, and a miss that wrote a record (a
+// negative verdict included) is also a store.
+func (s *CacheStats) note(o pblock.CacheOutcome) {
+	switch o {
+	case pblock.CacheMem:
+		s.MemHits++
+	case pblock.CacheFlight:
+		s.SingleflightHits++
+	case pblock.CacheWarm:
+		s.DiskHits++
+	case pblock.CacheNegative:
+		s.Negatives++
+	default:
+		s.Misses++
+		if o.Stored() {
+			s.Stores++
+		}
+	}
+}
+
 // NewBlockCache returns an empty in-memory cache.
 func NewBlockCache() *BlockCache {
 	return &BlockCache{
@@ -276,7 +297,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	}
 	res := &CompileResult{Blocks: make([]ModuleResult, len(d.types))}
 	impls := make([]*pblock.Implementation, len(d.types))
-	hits := make([]blockHit, len(d.types))
+	outcomes := make([]pblock.CacheOutcome, len(d.types))
 	errs := make([]error, len(d.types))
 
 	fps := f.fingerprints(search)
@@ -293,11 +314,11 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		ti := order[k]
 		sp := root.Child("implement.block",
 			obs.String("block", d.names[ti])).WithLane(lane)
-		impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
+		impls[ti], res.Blocks[ti], outcomes[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
 		if errs[ti] == nil {
 			sp.Set(obs.Float("cf", res.Blocks[ti].CF),
 				obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
-				obs.String("cache", hitName(hits[ti].kind)))
+				obs.String("cache", outcomes[ti].String()))
 		}
 		sp.End()
 	})
@@ -305,7 +326,13 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		if errs[ti] != nil {
 			return nil, fmt.Errorf("macroflow: block %s: %w", d.names[ti], errs[ti])
 		}
-		res.tally(res.Blocks[ti], hits[ti])
+		// Only a freshly searched block contributes tool runs.
+		res.Cache.note(outcomes[ti])
+		if outcomes[ti].Hit() {
+			res.CacheHits++
+		} else {
+			res.ToolRuns += res.Blocks[ti].ToolRuns
+		}
 	}
 	rec.Add("flow.tool_runs", int64(res.ToolRuns))
 	root.Set(obs.Int("tool_runs", res.ToolRuns),
@@ -313,7 +340,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if im.Check != CheckOff || so.Check != CheckOff {
 		res.Verify = &VerifyReport{}
 	}
-	f.verifyBlocks(im.Check, mode, search, impls, res.Blocks, hits, res.Verify, rec, root)
+	f.verifyBlocks(im.Check, mode, search, impls, res.Blocks, outcomes, res.Verify, rec, root)
 	if opts.SkipStitch {
 		return res, nil
 	}
@@ -366,55 +393,6 @@ func (f *Flow) stitchProblem(d *Design, impls []*pblock.Implementation) *stitch.
 	return prob
 }
 
-// tally folds one block's outcome into the call's counters; only a
-// freshly searched block contributes tool runs.
-func (r *CompileResult) tally(b ModuleResult, h blockHit) {
-	switch h.kind {
-	case hitMem:
-		r.CacheHits++
-		r.Cache.MemHits++
-	case hitDisk:
-		r.CacheHits++
-		r.Cache.DiskHits++
-	case hitFlight:
-		r.CacheHits++
-		r.Cache.SingleflightHits++
-	default:
-		r.ToolRuns += b.ToolRuns
-		r.Cache.Misses++
-		if h.stored {
-			r.Cache.Stores++
-		}
-	}
-}
-
-// blockHit reports how one block's implementation was obtained.
-type blockHit struct {
-	kind   int // hitMiss, hitMem or hitDisk
-	stored bool
-}
-
-const (
-	hitMiss = iota
-	hitMem
-	hitDisk
-	hitFlight
-)
-
-// hitName renders a blockHit kind for trace attributes.
-func hitName(kind int) string {
-	switch kind {
-	case hitMem:
-		return "mem"
-	case hitDisk:
-		return "disk"
-	case hitFlight:
-		return "singleflight"
-	default:
-		return "miss"
-	}
-}
-
 // compileBlock implements one block type — the one entry every block of
 // every design goes through. Without a cache the spec is elaborated and
 // searched. With one, the layers are consulted in order: the front
@@ -423,18 +401,18 @@ func hitName(kind int) string {
 // key is then resolved by cachedImplement, which elaborates only when a
 // search or a disk rebuild has to run. sp, when non-nil, is the block's
 // trace span. The result's Name is always the requesting spec's.
-func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
+func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, pblock.CacheOutcome, error) {
 	search.Span = sp
 	if cache == nil {
 		m, rep, err := pblock.FrontEnd(spec.inner, sp)
 		if err != nil {
-			return nil, ModuleResult{}, blockHit{}, err
+			return nil, ModuleResult{}, pblock.CacheMiss, err
 		}
 		sr, err := f.implementModule(m, rep, mode, search)
 		if err != nil {
-			return nil, ModuleResult{}, blockHit{}, err
+			return nil, ModuleResult{}, pblock.CacheMiss, err
 		}
-		return sr.Impl, f.moduleResult(spec.Name(), rep, sr), blockHit{}, nil
+		return sr.Impl, f.moduleResult(spec.Name(), rep, sr), pblock.CacheMiss, nil
 	}
 	fkey := specKey(f.dev.Name, spec)
 	cache.mu.Lock()
@@ -444,7 +422,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 	if !known {
 		var err error
 		if m, fe.rep, err = pblock.FrontEnd(spec.inner, sp); err != nil {
-			return nil, ModuleResult{}, blockHit{}, err
+			return nil, ModuleResult{}, pblock.CacheMiss, err
 		}
 		fe.hash = implcache.ModuleHash(m)
 		cache.mu.Lock()
@@ -458,51 +436,60 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		m, _, err := pblock.FrontEnd(spec.inner, sp)
 		return m, err
 	}
-	sr, hit, err := f.cachedImplement(f.blockDiskKey(fe.hash, fe.rep, mode, fps), module, fe.rep, mode, search, cache)
+	sr, outcome, err := f.cachedImplement(f.blockDiskKey(fe.hash, fe.rep, mode, fps), module, fe.rep, mode, search, cache)
 	if err != nil {
-		return nil, ModuleResult{}, hit, err
+		return nil, ModuleResult{}, outcome, err
 	}
-	return sr.Impl, f.moduleResult(spec.Name(), fe.rep, sr), hit, nil
+	return sr.Impl, f.moduleResult(spec.Name(), fe.rep, sr), outcome, nil
 }
 
 // cachedImplement resolves a block key through the cache layers in
 // order: the in-process map, then the in-flight singleflight registry
 // (an identical search already running — in this job or a concurrent
 // one sharing the cache — is joined, not repeated), then the persistent
-// store (a disk record rebuilds the placement via a Verify-audited warm
-// start), and only then a fresh search, whose outcome is written back to
-// both layers. module elaborates the block; only the last two layers
-// call it.
-func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
+// layer's read-through (a disk record rebuilds the placement via a
+// Verify-audited warm start; a memory-only cache searches), whose
+// result is written back to the map. module elaborates the block; only
+// the read-through calls it. Every outcome is booked once, in the
+// cache's lifetime counters.
+func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, pblock.CacheOutcome, error) {
 	cache.mu.Lock()
 	if sr, ok := cache.byModule[key]; ok {
-		cache.stats.MemHits++
+		cache.stats.note(pblock.CacheMem)
 		cache.mu.Unlock()
 		search.Obs.Add("blockcache.mem_hit", 1)
-		return sr, blockHit{kind: hitMem}, nil
+		return sr, pblock.CacheMem, nil
 	}
 	if fl, ok := cache.inflight[key]; ok {
 		cache.mu.Unlock()
 		<-fl.done
 		search.Obs.Add("blockcache.singleflight_hit", 1)
 		cache.mu.Lock()
-		cache.stats.SingleflightHits++
+		cache.stats.note(pblock.CacheFlight)
 		cache.mu.Unlock()
 		// A failed leader does not poison followers beyond its own
 		// error: the next cachedImplement call for this key elects a
 		// fresh leader (negative verdicts persist via the disk layer).
-		if fl.err != nil {
-			return pblock.SearchResult{}, blockHit{}, fl.err
-		}
-		return fl.sr, blockHit{kind: hitFlight}, nil
+		return fl.sr, pblock.CacheFlight, fl.err
 	}
 	fl := &inflightSearch{done: make(chan struct{})}
 	cache.inflight[key] = fl
 	cache.mu.Unlock()
-	var hit blockHit
+	outcome := pblock.CacheMiss
 	m, err := module()
 	if err == nil {
-		fl.sr, hit, err = f.missImplement(key, m, rep, mode, search, cache)
+		fl.sr, outcome, err = pblock.ReadThrough(cache.disk, key, f.dev, m, rep, search, f.cfg, func() (pblock.SearchResult, error) {
+			return f.implementModule(m, rep, mode, search)
+		})
+		if !outcome.Served() {
+			search.Obs.Add("blockcache.miss", 1)
+		}
+		cache.mu.Lock()
+		cache.stats.note(outcome)
+		if err == nil {
+			cache.byModule[key] = fl.sr
+		}
+		cache.mu.Unlock()
 	}
 	// Publish before unregistering: byModule is already populated (on
 	// success), so a caller arriving in between gets a memory hit.
@@ -511,43 +498,7 @@ func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error
 	delete(cache.inflight, key)
 	cache.mu.Unlock()
 	close(fl.done)
-	return fl.sr, hit, err
-}
-
-// missImplement resolves a block implementation the in-process map does
-// not hold, through the persistent layer's read-through (a plain search
-// for a memory-only cache), and keeps the in-memory layer's books: the
-// map entry and the cache's lifetime counters. Callers hold the key's
-// singleflight slot.
-func (f *Flow) missImplement(key string, m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
-	sr, outcome, err := pblock.ReadThrough(cache.disk, key, f.dev, m, rep, search, f.cfg, func() (pblock.SearchResult, error) {
-		return f.implementModule(m, rep, mode, search)
-	})
-	if !outcome.Served() {
-		search.Obs.Add("blockcache.miss", 1)
-	}
-	hit := blockHit{stored: outcome.Stored()}
-	cache.mu.Lock()
-	switch outcome {
-	case pblock.CacheNegative:
-		cache.stats.Negatives++
-	case pblock.CacheWarm:
-		hit.kind = hitDisk
-		cache.stats.DiskHits++
-	default:
-		cache.stats.Misses++
-		if err == nil && hit.stored {
-			cache.stats.Stores++
-		}
-	}
-	if err == nil {
-		cache.byModule[key] = sr
-	}
-	cache.mu.Unlock()
-	if err != nil {
-		return pblock.SearchResult{}, hit, err
-	}
-	return sr, hit, nil
+	return fl.sr, outcome, err
 }
 
 // keyFingerprints are the parts of a block's persistent key that do not

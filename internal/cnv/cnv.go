@@ -127,24 +127,17 @@ func seedOf(name string) int64 {
 // them at correction factors near 1.0 (Table I).
 func mvauSpec(name string, pe, simd, accW int) rtlgen.Spec {
 	luts := pe * simd
-	adders := maxInt(1, accW/2-1)
+	adders := max(1, accW/2-1)
 	chainLen := (accW + 1) / 2
 	accLen := (2*accW + log2(pe+1) + 3) / 4
 	carry := pe*adders*chainLen + accLen
 	ffTarget := 8 * ((luts+3)/4 + carry + 2)
-	length := maxInt(2, ffTarget/8)
+	length := max(2, ffTarget/8)
 	return rtlgen.Spec{Name: name, Components: []rtlgen.Component{
 		rtlgen.RandomLogic{LUTs: luts, Fanin: 5, Depth: 3, Seed: seedOf(name)},
 		rtlgen.SumOfSquares{Width: accW, Terms: pe},
 		rtlgen.ShiftRegs{Count: 8, Length: length, ControlSets: 2, Fanin: 2, NoSRL: true},
 	}}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func log2(n int) int {
@@ -170,7 +163,7 @@ func weightsSpec(name string, width, depth int, distributed bool, logicLUTs int)
 	return rtlgen.Spec{Name: name, Components: []rtlgen.Component{
 		rtlgen.LUTMemory{Width: width, Depth: depth},
 		rtlgen.RandomLogic{LUTs: width * 6, Fanin: 4, Depth: 2, Seed: seedOf(name)},
-		rtlgen.ShiftRegs{Count: 4, Length: maxInt(2, width/2), ControlSets: 1, Fanin: 2, NoSRL: true},
+		rtlgen.ShiftRegs{Count: 4, Length: max(2, width/2), ControlSets: 1, Fanin: 2, NoSRL: true},
 	}}
 }
 

@@ -116,11 +116,6 @@ func (d *Device) Region(row int) int {
 	return row / d.ClockRegionRows
 }
 
-// InBounds reports whether tile coordinate (x, y) lies on the device.
-func (d *Device) InBounds(x, y int) bool {
-	return x >= 0 && x < len(d.Columns) && y >= 0 && y < d.Rows
-}
-
 // KindAt returns the column kind at column x.
 func (d *Device) KindAt(x int) ColumnKind { return d.Columns[x] }
 

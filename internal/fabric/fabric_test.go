@@ -124,15 +124,6 @@ func TestRectGeometry(t *testing.T) {
 	if !r.Contains(2, 3) || !r.Contains(5, 10) || r.Contains(6, 3) || r.Contains(2, 11) {
 		t.Error("Contains boundary behavior wrong")
 	}
-	if !r.Overlaps(Rect{5, 10, 7, 12}) {
-		t.Error("corner-touching rectangles overlap (inclusive coords)")
-	}
-	if r.Overlaps(Rect{6, 3, 8, 10}) {
-		t.Error("disjoint rectangles must not overlap")
-	}
-	if got := r.Translate(1, -1); got != (Rect{3, 2, 6, 9}) {
-		t.Errorf("Translate = %+v", got)
-	}
 }
 
 func TestRectResourcesClipsToDevice(t *testing.T) {

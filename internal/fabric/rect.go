@@ -26,16 +26,6 @@ func (r Rect) Contains(x, y int) bool {
 	return x >= r.X0 && x <= r.X1 && y >= r.Y0 && y <= r.Y1
 }
 
-// Overlaps reports whether two rectangles share at least one tile.
-func (r Rect) Overlaps(o Rect) bool {
-	return r.X0 <= o.X1 && o.X0 <= r.X1 && r.Y0 <= o.Y1 && o.Y0 <= r.Y1
-}
-
-// Translate returns the rectangle shifted by (dx, dy).
-func (r Rect) Translate(dx, dy int) Rect {
-	return Rect{r.X0 + dx, r.Y0 + dy, r.X1 + dx, r.Y1 + dy}
-}
-
 // String implements fmt.Stringer in PBlock-constraint style.
 func (r Rect) String() string {
 	return fmt.Sprintf("TILE_X%dY%d:TILE_X%dY%d", r.X0, r.Y0, r.X1, r.Y1)

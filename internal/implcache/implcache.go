@@ -135,21 +135,26 @@ func (c *Cache) FlushStats() error {
 	if err != nil {
 		return fmt.Errorf("implcache: %w", err)
 	}
-	p := filepath.Join(c.dir, statsFile)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-stats-*")
+	return writeAtomic(filepath.Join(c.dir, statsFile), ".tmp-stats-*", data)
+}
+
+// writeAtomic writes data to path through a temporary file (named by
+// pattern, in path's directory) renamed over it, so readers see either
+// the old file or the complete new one, never a torn write. The
+// temporary file is removed on any failure.
+func writeAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return fmt.Errorf("implcache: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("implcache: %w", err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("implcache: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("implcache: %w", err)
 	}
@@ -296,22 +301,8 @@ func (c *Cache) Put(key string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("implcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("implcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("implcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("implcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("implcache: %w", err)
+	if err := writeAtomic(p, ".tmp-*", data); err != nil {
+		return err
 	}
 	c.stores.Add(1)
 	// Stores are rare relative to lookups; flush eagerly so a fresh

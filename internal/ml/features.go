@@ -184,12 +184,3 @@ func (fs FeatureSet) Vector(f Features) []float64 {
 	}
 	return nil
 }
-
-// Matrix projects a feature slice onto the set, one row per sample.
-func (fs FeatureSet) Matrix(feats []Features) [][]float64 {
-	X := make([][]float64, len(feats))
-	for i, f := range feats {
-		X[i] = fs.Vector(f)
-	}
-	return X
-}

@@ -49,19 +49,6 @@ func MedianAbsRelError(pred, truth []float64) float64 {
 	return (errs[n/2-1] + errs[n/2]) / 2
 }
 
-// MSE returns the mean squared error.
-func MSE(pred, truth []float64) float64 {
-	if len(pred) == 0 || len(pred) != len(truth) {
-		return 0
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
 // PredictAll evaluates a model over a matrix of rows.
 func PredictAll(m Model, X [][]float64) []float64 {
 	out := make([]float64, len(X))

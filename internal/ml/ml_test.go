@@ -213,9 +213,6 @@ func TestMetrics(t *testing.T) {
 	if got := MedianAbsRelError(pred, truth); math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("MedianAbsRelError = %f", got)
 	}
-	if got := MSE(pred, truth); math.Abs(got-(0.01+0.01+1.0)/3) > 1e-9 {
-		t.Errorf("MSE = %f", got)
-	}
 	if got := FractionWithin(pred, truth, 0.15); math.Abs(got-2.0/3) > 1e-9 {
 		t.Errorf("FractionWithin = %f", got)
 	}
@@ -261,14 +258,6 @@ func TestAdditionalFeaturesAreSizeInvariant(t *testing.T) {
 			t.Errorf("%s not size-invariant: %f vs %f",
 				Additional.Names()[i], a[i], b[i])
 		}
-	}
-}
-
-func TestMatrixShape(t *testing.T) {
-	feats := []Features{{LUTs: 1, EstSlices: 1, TotalCells: 1}, {LUTs: 2, EstSlices: 2, TotalCells: 2}}
-	X := Classical.Matrix(feats)
-	if len(X) != 2 || len(X[0]) != len(Classical.Names()) {
-		t.Errorf("matrix shape wrong: %dx%d", len(X), len(X[0]))
 	}
 }
 

@@ -39,9 +39,6 @@ func String(k, v string) Attr { return Attr{k, v} }
 // Int returns an integer-valued attribute.
 func Int(k string, v int) Attr { return Attr{k, int64(v)} }
 
-// Int64 returns an integer-valued attribute.
-func Int64(k string, v int64) Attr { return Attr{k, v} }
-
 // Float returns a float-valued attribute.
 func Float(k string, v float64) Attr { return Attr{k, v} }
 

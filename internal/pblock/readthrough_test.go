@@ -181,3 +181,28 @@ func TestReadThrough(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheOutcomeTable pins what each outcome says: whether the cache
+// answered, whether with an implementation, whether a record was
+// written, and the name the implement.block trace attribute carries.
+func TestCacheOutcomeTable(t *testing.T) {
+	for _, tc := range []struct {
+		o                   pblock.CacheOutcome
+		served, hit, stored bool
+		name                string
+	}{
+		{pblock.CacheMiss, false, false, false, "miss"},
+		{pblock.CacheStored, false, false, true, "miss"},
+		{pblock.CacheStale, false, false, true, "miss"},
+		{pblock.CacheWarm, true, true, false, "disk"},
+		{pblock.CacheNegative, true, false, false, "negative"},
+		{pblock.CacheMem, true, true, false, "mem"},
+		{pblock.CacheFlight, true, true, false, "singleflight"},
+	} {
+		if tc.o.Served() != tc.served || tc.o.Hit() != tc.hit || tc.o.Stored() != tc.stored || tc.o.String() != tc.name {
+			t.Errorf("outcome %d: Served/Hit/Stored/String = %v/%v/%v/%q, want %v/%v/%v/%q",
+				int(tc.o), tc.o.Served(), tc.o.Hit(), tc.o.Stored(), tc.o.String(),
+				tc.served, tc.hit, tc.stored, tc.name)
+		}
+	}
+}

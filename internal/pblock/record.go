@@ -249,7 +249,10 @@ func (r ImplRecord) Rebuild(dev *fabric.Device, m *netlist.Module, rep place.Sha
 	}, nil, true
 }
 
-// CacheOutcome says how ReadThrough came by its result.
+// CacheOutcome says how one block-cache lookup came by its result: the
+// two in-process layers (the memory map, an in-flight search) and
+// ReadThrough's persistent layer. It is the one vocabulary the lookup's
+// counters, trace attribute and audit read.
 type CacheOutcome int
 
 const (
@@ -267,14 +270,39 @@ const (
 	// CacheNegative: a record replayed an infeasibility verdict (the
 	// returned error); no search ran.
 	CacheNegative
+	// CacheMem: the in-process map held the result; no search ran.
+	CacheMem
+	// CacheFlight: an identical search already in flight was joined
+	// and its result (or error) shared; no search ran in this call.
+	CacheFlight
 )
 
 // Served reports whether the cache answered: no place-and-route ran in
 // this call.
-func (o CacheOutcome) Served() bool { return o == CacheWarm || o == CacheNegative }
+func (o CacheOutcome) Served() bool { return o != CacheMiss && !o.Stored() }
+
+// Hit reports whether the cache answered with an implementation (a
+// served infeasibility verdict is not a hit).
+func (o CacheOutcome) Hit() bool { return o.Served() && o != CacheNegative }
 
 // Stored reports whether the call wrote a record.
 func (o CacheOutcome) Stored() bool { return o == CacheStored || o == CacheStale }
+
+// String names the layer that answered: "mem", "singleflight", "disk",
+// "negative", or "miss" for every outcome whose search ran.
+func (o CacheOutcome) String() string {
+	switch o {
+	case CacheMem:
+		return "mem"
+	case CacheFlight:
+		return "singleflight"
+	case CacheWarm:
+		return "disk"
+	case CacheNegative:
+		return "negative"
+	}
+	return "miss"
+}
 
 // ReadThrough is the persistent layer of the block path: the record
 // stored under key is rebuilt and returned (a feasible record through

@@ -318,13 +318,13 @@ func (p *placer) placeFixed(opts Options) error {
 // column (side 0 is the M slice of a CLBM column), and its row count.
 func (p *placer) layoutCols() {
 	p.cols, p.rows = p.cols[:0], 0
-	y0 := maxInt(p.rect.Y0, 0)
-	y1 := minInt(p.rect.Y1, p.dev.Rows-1)
+	y0 := max(p.rect.Y0, 0)
+	y1 := min(p.rect.Y1, p.dev.Rows-1)
 	if y1 < y0 {
 		return
 	}
 	p.rows = y1 - y0 + 1
-	for x := maxInt(p.rect.X0, 0); x <= minInt(p.rect.X1, p.dev.NumCols()-1); x++ {
+	for x := max(p.rect.X0, 0); x <= min(p.rect.X1, p.dev.NumCols()-1); x++ {
 		if !p.dev.IsCLBColumn(x) {
 			continue
 		}
@@ -340,7 +340,7 @@ func (p *placer) layoutCols() {
 // buildSites resets the per-rectangle tables for the columns layoutCols
 // found: every slice empty, every CLB unclaimed.
 func (p *placer) buildSites() {
-	y0 := maxInt(p.rect.Y0, 0)
+	y0 := max(p.rect.Y0, 0)
 	p.sites = p.sites[:0]
 	for i := range p.cols {
 		col := &p.cols[i]
@@ -549,7 +549,7 @@ func (p *placer) placeMem() error {
 					if !p.csCompatible(clb, cs, false) {
 						continue
 					}
-					fill := minInt(cap-(fabric.LUTsPerSlice-int(s.lutFree)), int(s.lutFree))
+					fill := min(cap-(fabric.LUTsPerSlice-int(s.lutFree)), int(s.lutFree))
 					if fill <= 0 {
 						continue
 					}
@@ -636,7 +636,7 @@ func (p *placer) placeFFs() error {
 					if pass == 1 {
 						cap = fabric.FFsPerSlice
 					}
-					fill := minInt(cap-(fabric.FFsPerSlice-int(s.ffFree)), int(s.ffFree))
+					fill := min(cap-(fabric.FFsPerSlice-int(s.ffFree)), int(s.ffFree))
 					if fill <= 0 {
 						continue
 					}
@@ -893,7 +893,7 @@ func (p *placer) placeBlocks() error {
 		return &ErrInfeasible{Reason: fmt.Sprintf("need %d DSP, rect has %d", len(dsps), rc.DSP)}
 	}
 	bi, di := 0, 0
-	for x := maxInt(p.rect.X0, 0); x <= minInt(p.rect.X1, p.dev.NumCols()-1); x++ {
+	for x := max(p.rect.X0, 0); x <= min(p.rect.X1, p.dev.NumCols()-1); x++ {
 		switch p.dev.KindAt(x) {
 		case fabric.ColBRAM:
 			for y := alignUp(p.rect.Y0, fabric.BRAMRows); y+fabric.BRAMRows-1 <= p.rect.Y1 && bi < len(brams); y += fabric.BRAMRows {

@@ -48,7 +48,7 @@ func QuickPlace(m *netlist.Module) ShapeReport {
 	lutSlices := ceilDiv(s.LUTs+s.LUTRAMs+s.SRLs, fabric.LUTsPerSlice)
 	ffSlices := ceilDiv(s.FFs, fabric.FFsPerSlice)
 	carrySlices := s.Carrys
-	r.EstSlices = maxInt(lutSlices, maxInt(ffSlices, carrySlices))
+	r.EstSlices = max(lutSlices, max(ffSlices, carrySlices))
 	if r.EstSlices == 0 && s.TotalCells() > 0 {
 		r.EstSlices = 1
 	}
@@ -83,20 +83,6 @@ func ceilDiv(a, b int) int {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func sortDesc(v []int) {

@@ -241,10 +241,10 @@ func touchesOverflow(over []bool, w int, b bbox) bool {
 func inflate(b bbox, f float64, w, h int) bbox {
 	dx := int(math.Ceil(float64(b.width()) * (f - 1) / 2))
 	dy := int(math.Ceil(float64(b.height()) * (f - 1) / 2))
-	b.x0 = int16(maxInt(0, int(b.x0)-dx))
-	b.y0 = int16(maxInt(0, int(b.y0)-dy))
-	b.x1 = int16(minInt(w-1, int(b.x1)+dx))
-	b.y1 = int16(minInt(h-1, int(b.y1)+dy))
+	b.x0 = int16(max(0, int(b.x0)-dx))
+	b.y0 = int16(max(0, int(b.y0)-dy))
+	b.x1 = int16(min(w-1, int(b.x1)+dx))
+	b.y1 = int16(min(h-1, int(b.y1)+dy))
 	return b
 }
 
@@ -284,18 +284,4 @@ func hpwlStats(boxes []bbox) (avg, total float64) {
 		total += b.hpwl()
 	}
 	return total / float64(len(boxes)), total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

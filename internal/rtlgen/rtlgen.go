@@ -302,10 +302,3 @@ func GenerateMix(rng *rand.Rand, total int) []Spec {
 	}
 	return specs
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -510,17 +510,3 @@ func ceilLog2(n int) int {
 	}
 	return l
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

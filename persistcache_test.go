@@ -3,6 +3,7 @@ package macroflow
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macroflow/internal/cnv"
@@ -335,5 +336,53 @@ func TestLabelAndBlockShareRecord(t *testing.T) {
 	}
 	if hits := rec.CounterValue("blockcache.disk_hit"); hits != int64(n) {
 		t.Errorf("labelling after the compile: %d disk hits, want %d", hits, n)
+	}
+}
+
+// TestCacheLedgersAgree compiles a block with no feasible CF in its
+// window through a persistent cache: the stored negative verdict must
+// count as one store in every ledger — the cache's Stats, the
+// persistent layer's lifetime counters and the blockcache.store
+// counter — and a fresh cache over the same directory must replay it
+// as one negative in both of its ledgers.
+func TestCacheLedgersAgree(t *testing.T) {
+	dir := t.TempDir()
+	compile := func() (*BlockCache, *Recorder) {
+		t.Helper()
+		f, err := NewFlow("xc7z020")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetSearch(0.5, 0.02, 0.5)
+		cache, err := NewPersistentBlockCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDesign()
+		d.AddBlockType(NewSpec("ledger").Logic(400, 6, 4).SumOfSquares(12, 2))
+		d.AddInstance(0, "ledger_0")
+		rec := NewRecorder()
+		_, err = f.Compile(d, MinSweepCF(), CompileOptions{
+			SkipStitch: true,
+			Implement:  ImplementOptions{Cache: cache, Obs: rec},
+		})
+		if err == nil || !strings.Contains(err.Error(), "no feasible CF") {
+			t.Fatalf("compile error = %v, want no feasible CF", err)
+		}
+		return cache, rec
+	}
+
+	cold, rec := compile()
+	_, _, stores, _ := cold.PersistentStats()
+	if st := cold.Stats(); st.Stores != 1 || stores != 1 || rec.CounterValue("blockcache.store") != 1 {
+		t.Errorf("stores: Stats %d, persistent %d, blockcache.store %d; want 1 each",
+			st.Stores, stores, rec.CounterValue("blockcache.store"))
+	}
+
+	warm, rec := compile()
+	_, _, _, negatives := warm.PersistentStats()
+	if st := warm.Stats(); st.Negatives != 1 || negatives != 1 || rec.CounterValue("blockcache.negative") != 1 {
+		t.Errorf("negatives: Stats %d, persistent %d, blockcache.negative %d; want 1 each",
+			st.Negatives, negatives, rec.CounterValue("blockcache.negative"))
 	}
 }

@@ -166,8 +166,12 @@ stage_determinism() {
 	# The block path's one disk read-through, in every state a cache
 	# directory can be in; and a label and a min-sweep block being one
 	# record, whichever is written first.
-	run_listed 'TestReadThrough' -race ./internal/pblock/
+	run_listed 'TestReadThrough|TestCacheOutcomeTable' -race ./internal/pblock/
 	run_listed 'TestLabelAndBlockShareRecord' -race .
+	# One outcome per lookup, booked once: a stored negative verdict is
+	# one store in every ledger, and a joined in-flight search is one
+	# singleflight hit, however the callers race.
+	run_listed 'TestCacheLedgersAgree|TestSingleflight' -race .
 	# ... and turn a probe away by counting exactly when the fill loop it
 	# skips would have come up short, with the same count in the error.
 	run_listed 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' -race ./internal/place/
@@ -203,10 +207,11 @@ stage_daemon() {
 	# Recorder.Merge that folds a finished job into the service registry,
 	# the estimator-drift histogram's exposition after that merge, the
 	# histogram bucket order, /v1/stats equal to /metrics with the audit
-	# loop on, every served series catalogued in DESIGN.md, and
-	# implement.strategy applied to the job's flow.
+	# loop on, every served series catalogued in DESIGN.md,
+	# implement.strategy applied to the job's flow, and one stitch-stage
+	# sample per stitcher run.
 	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge + one ledger)" >&2
-	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift|TestWritePrometheusBucketOrder|TestStatsEqualMetrics|TestServiceSeriesCatalogued|TestDaemonSearchStrategy' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
+	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift|TestWritePrometheusBucketOrder|TestStatsEqualMetrics|TestServiceSeriesCatalogued|TestDaemonSearchStrategy|TestStitchStageOneSamplePerRun' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
 
 	# Daemon smoke: build the real macroflowd binary under -race, start it
 	# on a random port, submit a compile over HTTP, assert the result is

@@ -19,7 +19,7 @@ func sfDesign() *Design {
 	return d
 }
 
-// TestSingleflightJoinsInflightSearch drives the hitFlight path
+// TestSingleflightJoinsInflightSearch drives the CacheFlight path
 // deterministically: a pre-registered, already-resolved inflight entry
 // must be joined — counted as a singleflight hit — instead of
 // triggering a fresh search.
@@ -44,8 +44,8 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.kind != hitMiss {
-		t.Fatalf("first implement hit kind = %s, want miss", hitName(hit.kind))
+	if hit != pblock.CacheMiss {
+		t.Fatalf("first implement hit kind = %s, want miss", hit)
 	}
 
 	// Re-stage the cache as if the leader were still in flight, with its
@@ -61,8 +61,8 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit2.kind != hitFlight {
-		t.Errorf("follower hit kind = %s, want singleflight", hitName(hit2.kind))
+	if hit2 != pblock.CacheFlight {
+		t.Errorf("follower hit kind = %s, want singleflight", hit2)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("singleflight follower got a different result than the leader")

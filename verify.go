@@ -100,7 +100,7 @@ func (l CheckLevel) sampleBlock(ti int) bool {
 // mode claims minimality), and cache-served blocks re-implemented from
 // scratch and compared byte-for-byte. Violations accumulate in vr and
 // surface through the oracle.checks / oracle.violations counters.
-func (f *Flow) verifyBlocks(level CheckLevel, mode CFMode, search pblock.SearchConfig, impls []*pblock.Implementation, blocks []ModuleResult, hits []blockHit, vr *VerifyReport, rec *Recorder, parent *Span) {
+func (f *Flow) verifyBlocks(level CheckLevel, mode CFMode, search pblock.SearchConfig, impls []*pblock.Implementation, blocks []ModuleResult, outcomes []pblock.CacheOutcome, vr *VerifyReport, rec *Recorder, parent *Span) {
 	if level == CheckOff || vr == nil {
 		return
 	}
@@ -137,7 +137,7 @@ func (f *Flow) verifyBlocks(level CheckLevel, mode CFMode, search pblock.SearchC
 		if mode.kind == "estimator" && mode.estimator != nil {
 			recordEstimatorDrift(rec, mode.estimator.predict(shape), blocks[ti].CF)
 		}
-		if hits[ti].kind != hitMiss {
+		if outcomes[ti].Hit() {
 			cached := pblock.SearchResult{CF: blocks[ti].CF, Impl: impl}
 			fresh, err := f.implementModule(m, shape, mode, s)
 			oracle.CheckEquivalence(m.Name, cached, fresh, err, vr)
