@@ -63,6 +63,7 @@ const (
 	ErrQueueFull      = "queue_full"      // admission control: bounded queue at capacity
 	ErrDraining       = "draining"        // server is draining, not admitting
 	ErrNotFound       = "not_found"       // unknown job ID or route
+	ErrGone           = "gone"            // a job ID the server issued but no longer retains
 	ErrNotFinished    = "not_finished"    // result requested before the job finished
 	ErrNotCancelable  = "not_cancelable"  // cancel on a running or finished job
 	ErrUnsupported    = "unsupported"     // e.g. estimator mode with no estimator loaded

@@ -39,7 +39,8 @@ func (c *Client) httpClient() *http.Client {
 // do issues one request and decodes the response into out (leniently —
 // unknown response fields are ignored so old clients keep working
 // against newer v1 servers). Non-2xx responses decode the typed error
-// envelope and return its *Error.
+// envelope and return its *Error: a job the server has let go, for
+// instance, is an *Error with code ErrGone on every per-job call.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {

@@ -6,11 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -663,6 +667,38 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	if final := submitAndWait(t, c, smallReq(1)); final.State != apiv1.JobDone {
 		t.Errorf("valid job after the rejected ones ended %s, want %s", final.State, apiv1.JobDone)
 	}
+
+	// Job ids: one the server issued and let go is gone on every route,
+	// one it never issued, in any spelling, not_found. A canceled job is
+	// finished too: at QueueCap 1 the fifth cancel lets the first go.
+	_, ic := newTestServer(t, serverConfig{Workers: 1, QueueCap: 1})
+	for i := 0; i <= retainFinished; i++ {
+		job, err := ic.Submit(ctx, smallReq(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ic.Cancel(ctx, job.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, row := range []struct {
+		id     string
+		code   string
+		status int
+	}{
+		{"j000001", apiv1.ErrGone, http.StatusGone},
+		{jobID(retainFinished + 2), apiv1.ErrNotFound, http.StatusNotFound}, // the next id
+		{"j999999", apiv1.ErrNotFound, http.StatusNotFound},
+		{"j2", apiv1.ErrNotFound, http.StatusNotFound},
+		{"j-00002", apiv1.ErrNotFound, http.StatusNotFound},
+		{"nope", apiv1.ErrNotFound, http.StatusNotFound},
+	} {
+		for _, r := range jobRoutes {
+			if status, e := call(t, r.method, ic.BaseURL+"/v1/jobs/"+row.id+r.suffix); status != row.status || e == nil || e.Code != row.code {
+				t.Errorf("%s %s%s: HTTP %d %+v, want %d %s", r.method, row.id, r.suffix, status, e, row.status, row.code)
+			}
+		}
+	}
 }
 
 // TestDaemonStatsAndHealth: the stats and health endpoints reflect the
@@ -850,5 +886,221 @@ func TestDaemonSearchStrategy(t *testing.T) {
 	}
 	if s.queue.Len() != 0 {
 		t.Error("the misspelled request was queued")
+	}
+}
+
+// call issues one request and decodes the error envelope of a non-2xx
+// answer (nil for a 2xx one).
+func call(t *testing.T, method, url string) (int, *apiv1.Error) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		return resp.StatusCode, nil
+	}
+	var env apiv1.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("%s %s: HTTP %d with no error envelope: %v", method, url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, env.Error
+}
+
+// get fetches a 200 body.
+func get(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d, %v: %s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// jobRoutes are the per-job requests: status, result, events, cancel.
+var jobRoutes = []struct{ method, suffix string }{
+	{http.MethodGet, ""}, {http.MethodGet, "/result"}, {http.MethodGet, "/events"}, {http.MethodPost, "/cancel"},
+}
+
+// TestDaemonLiveSetBounded: the daemon keeps the last 4 × QueueCap
+// finished jobs (8 here) and lets every older one go. Through ten times
+// that many jobs, the jobs it holds and the block cache's bytes stay at
+// what they were after the first eight; a job it still holds serves the
+// result bytes and the event feed it served when it finished, the feed
+// being json.Encoder's encoding of its events; an id it let go answers
+// the typed gone (HTTP 410) on every route, through the client too.
+func TestDaemonLiveSetBounded(t *testing.T) {
+	cache, err := macroflow.NewPersistentBlockCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newTestServer(t, serverConfig{Workers: 1, QueueCap: 2, Cache: cache})
+	s.start()
+	defer s.drain()
+	ctx := context.Background()
+	bound := retainFinished * 2
+	jobs := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs)
+	}
+
+	type served struct{ result, events []byte }
+	type level struct{ held, cacheBytes float64 }
+	at := map[string]served{}
+	var ids []string
+	var levels []level
+	for i := 1; i <= 10*bound; i++ {
+		final := submitAndWait(t, c, smallReq(int64(i)))
+		if final.State != apiv1.JobDone {
+			t.Fatalf("job %d ended %s (%v)", i, final.State, final.Error)
+		}
+		base := c.BaseURL + "/v1/jobs/" + final.ID
+		ids = append(ids, final.ID)
+		at[final.ID] = served{get(t, base+"/result"), get(t, base+"/events")}
+		if n := jobs(); n > bound {
+			t.Fatalf("after %d jobs the daemon holds %d, want <= %d", i, n, bound)
+		}
+		if i == bound || i == 10*bound {
+			samples := scrapeMetrics(t, c.BaseURL)
+			held, _ := promFind(samples, "macroflowd_jobs_retained")
+			mem, ok := promFind(samples, "blockcache_mem_bytes")
+			if !ok || mem.Value <= 0 {
+				t.Fatalf("blockcache_mem_bytes = %g (served %v), want the cache's bytes", mem.Value, ok)
+			}
+			levels = append(levels, level{held.Value, mem.Value})
+		}
+	}
+	if levels[0] != levels[1] || levels[0].held != float64(bound) {
+		t.Errorf("after %d jobs: %+v; after %d: %+v; want %d jobs held and the same cache bytes",
+			bound, levels[0], 10*bound, levels[1], bound)
+	}
+
+	evicted := 0
+	for _, id := range ids {
+		base := c.BaseURL + "/v1/jobs/" + id
+		if _, err := c.Job(ctx, id); err == nil {
+			if !bytes.Equal(get(t, base+"/result"), at[id].result) {
+				t.Errorf("%s: the result bytes changed after the job finished", id)
+			}
+			var events []apiv1.Event
+			if err := c.Events(ctx, id, 0, func(ev apiv1.Event) error {
+				events = append(events, ev)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			for _, ev := range events {
+				enc.Encode(ev)
+			}
+			if got := get(t, base+"/events"); !bytes.Equal(got, at[id].events) || !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s: the event feed is not the one served at finish, encoded by json.Encoder", id)
+			}
+			if len(events) < 3 || events[len(events)-1].Name != apiv1.JobDone {
+				t.Errorf("%s: %d events, the last %+v; want a feed ending done", id, len(events), events[len(events)-1])
+			}
+			continue
+		}
+		evicted++
+		var ae *apiv1.Error
+		if _, err := c.Job(ctx, id); !errors.As(err, &ae) || ae.Code != apiv1.ErrGone {
+			t.Errorf("client Job(%s) = %v, want a typed %s", id, err, apiv1.ErrGone)
+		}
+		for _, r := range jobRoutes {
+			if code, e := call(t, r.method, base+r.suffix); code != http.StatusGone || e == nil || e.Code != apiv1.ErrGone {
+				t.Errorf("%s %s%s: HTTP %d %+v, want 410 %s", r.method, id, r.suffix, code, e, apiv1.ErrGone)
+			}
+		}
+	}
+	if want := 9 * bound; evicted != want || s.tel.rec.CounterValue(mJobsEvicted) != int64(want) {
+		t.Errorf("%d jobs gone, macroflowd.jobs_evicted_total %d; want %d", evicted, s.tel.rec.CounterValue(mJobsEvicted), want)
+	}
+}
+
+// TestServerTimeouts: the daemon's listener closes a connection that
+// stalls mid-header and one idle between requests, and neither timeout
+// cuts an /events stream that follows a job for longer than both.
+func TestServerTimeouts(t *testing.T) {
+	const header, idle = 200 * time.Millisecond, 300 * time.Millisecond
+	s := newServer(serverConfig{Workers: 1, Logf: func(string, ...any) {}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httpServer(s.routes(), header, idle)
+	go hs.Serve(ln)
+	defer hs.Close()
+	addr := ln.Addr().String()
+
+	// closed reports whether the server closes conn within 10 s.
+	closed := func(conn net.Conn, r io.Reader) bool {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err := io.Copy(io.Discard, r)
+		return err == nil // EOF: the server hung up
+	}
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	fmt.Fprint(stalled, "GET /v1/healthz HTTP/1.1\r\nHost: macroflowd\r\n")
+	if !closed(stalled, stalled) {
+		t.Error("a connection stalled mid-header is still open 10 s on")
+	}
+	kept, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Close()
+	fmt.Fprint(kept, "GET /v1/healthz HTTP/1.1\r\nHost: macroflowd\r\n\r\n")
+	br := bufio.NewReader(kept)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !closed(kept, br) {
+		t.Errorf("keep-alive connection: HTTP %d, then still open 10 s on; want 200, then closed when idle", resp.StatusCode)
+	}
+
+	// The job stays queued until the workers start, well past both
+	// timeouts, while its feed streams.
+	c := apiv1.NewClient("http://" + addr)
+	job, err := c.Submit(context.Background(), smallReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var states []string
+	started := make(chan struct{})
+	go func() {
+		time.Sleep(2 * (header + idle))
+		s.start()
+		close(started)
+	}()
+	err = c.Events(ctx, job.ID, 0, func(ev apiv1.Event) error {
+		if ev.Type == "state" {
+			states = append(states, ev.Name)
+		}
+		return nil
+	})
+	<-started
+	s.drain()
+	if want := []string{apiv1.JobQueued, apiv1.JobRunning, apiv1.JobDone}; err != nil || !slices.Equal(states, want) {
+		t.Errorf("event stream across both timeouts: states %v, error %v; want %v, nil", states, err, want)
 	}
 }

@@ -38,6 +38,20 @@ import (
 	"macroflow/internal/cliflags"
 )
 
+// A client has headerTimeout to send a request's headers, and an idle
+// keep-alive connection is closed after idleTimeout. Neither bounds a
+// response: GET /events streams for as long as its job runs, so the
+// server sets no read or write timeout.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// httpServer is the daemon's listener configuration.
+func httpServer(h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: header, IdleTimeout: idle}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("macroflowd: ")
@@ -112,7 +126,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("listening on %s", ln.Addr())
-	hs := &http.Server{Handler: s.routes()}
+	hs := httpServer(s.routes(), headerTimeout, idleTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

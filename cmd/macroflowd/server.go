@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,11 +16,6 @@ import (
 	apiv1 "macroflow/api/v1"
 	"macroflow/internal/obs"
 )
-
-// maxEventsPerJob bounds one job's in-memory event feed. Span events
-// beyond the cap are dropped (with a final marker event); state and
-// progress events always land, so a client never misses a transition.
-const maxEventsPerJob = 4096
 
 // serverConfig wires a server's shared warm state.
 type serverConfig struct {
@@ -48,12 +44,17 @@ type server struct {
 	cfg serverConfig
 	tel *telemetry
 
-	mu       sync.Mutex
-	cond     *sync.Cond // queue activity, job completion, drain
-	queue    jobHeap
-	peak     int // the queue's high-water mark
-	jobs     map[string]*job
-	seq      int64
+	mu    sync.Mutex
+	cond  *sync.Cond // queue activity, job completion, drain
+	queue jobHeap
+	peak  int // the queue's high-water mark
+	jobs  map[string]*job
+	seq   int64
+	// retired is a ring of the ids of the last retainFinished × QueueCap
+	// finished jobs: a job that finishes takes the slot of the one that
+	// finished that many jobs before it, and that job leaves jobs.
+	retired  []string
+	nRetired int
 	running  int
 	draining bool
 	drainCh  chan struct{}
@@ -80,9 +81,11 @@ func newServer(cfg serverConfig) *server {
 	s := &server{
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
+		retired: make([]string, retainFinished*cfg.QueueCap),
 		drainCh: make(chan struct{}),
 	}
 	s.tel = newTelemetry(cfg.FlightSize)
+	s.tel.rec.Add(mJobsEvicted, 0) // served from the start
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -118,6 +121,11 @@ func (s *server) drain() {
 	}
 }
 
+// retainFinished × QueueCap finished jobs stay readable: a finished
+// job's status, result and events are served until that many later jobs
+// have finished, and its id answers the typed gone from then on.
+const retainFinished = 4
+
 // job is one submitted compile.
 type job struct {
 	id       string
@@ -126,36 +134,22 @@ type job struct {
 	plan     *plan // nil once the job ran or was canceled
 	index    int   // heap index; -1 once popped or canceled
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	state        string
-	submittedMs  int64
-	startedMs    int64
-	finishedMs   int64
-	events       []apiv1.Event
-	spansDropped int
-	result       []byte // server-encoded wire result (exact response bytes)
-	jerr         *apiv1.Error
+	mu          sync.Mutex
+	cond        *sync.Cond
+	state       string
+	submittedMs int64
+	startedMs   int64
+	finishedMs  int64
+	events      eventLog
+	result      []byte // server-encoded wire result (exact response bytes)
+	jerr        *apiv1.Error
 }
 
-func (j *job) emit(ev apiv1.Event) {
+// emit appends to the job's event feed and wakes its streamers.
+func (j *job) emit(add func(*eventLog)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.emitLocked(ev)
-}
-
-func (j *job) emitLocked(ev apiv1.Event) {
-	if ev.Type == "span" && len(j.events) >= maxEventsPerJob {
-		if j.spansDropped == 0 {
-			marker := apiv1.Event{Type: "state", Name: "events_truncated", AtMs: ev.AtMs}
-			marker.Seq = len(j.events)
-			j.events = append(j.events, marker)
-		}
-		j.spansDropped++
-		return
-	}
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
+	add(&j.events)
 	j.cond.Broadcast()
 }
 
@@ -171,7 +165,8 @@ func (j *job) setState(state string) {
 	case apiv1.JobDone, apiv1.JobFailed, apiv1.JobCanceled:
 		j.finishedMs = now
 	}
-	j.emitLocked(apiv1.Event{Type: "state", Name: state, AtMs: now})
+	j.events.addState(state, now)
+	j.cond.Broadcast()
 }
 
 func (j *job) terminal() bool {
@@ -283,26 +278,12 @@ func (s *server) run(j *job) {
 	rec := macroflow.NewRecorder()
 	base := time.Since(s.tel.epoch)
 	rec.SetSink(s.tel.jobSink(j.id, base, func(sr obs.SpanRecord) {
-		ev := apiv1.Event{
-			Type:  "span",
-			Name:  sr.Name,
-			AtMs:  time.Now().UnixMilli(),
-			DurUs: sr.Dur.Microseconds(),
-		}
-		if len(sr.Attrs) > 0 {
-			ev.Attrs = make(map[string]any, len(sr.Attrs))
-			for _, a := range sr.Attrs {
-				ev.Attrs[a.Key] = a.Val
-			}
-		}
-		j.emit(ev)
+		now := time.Now().UnixMilli()
+		j.emit(func(l *eventLog) { l.addSpan(sr, now) })
 	}))
 	progress := func(chain, iter int, cost float64) {
-		j.emit(apiv1.Event{
-			Type: "progress", Name: "stitch",
-			AtMs:  time.Now().UnixMilli(),
-			Chain: chain, Iter: iter, Cost: cost,
-		})
+		now := time.Now().UnixMilli()
+		j.emit(func(l *eventLog) { l.addProgress(chain, iter, cost, now) })
 	}
 
 	p := j.plan
@@ -333,6 +314,22 @@ func (s *server) run(j *job) {
 	s.tel.rec.Merge(rec)
 	s.noteFinished(j, state, rec.CounterValue("oracle.violations"))
 	j.setState(state)
+	s.retire(j)
+}
+
+// retire books a job that reached a terminal state into the retention
+// ring. The job it displaces, finished retainFinished × QueueCap jobs
+// earlier, leaves s.jobs, and with it its result bytes and event feed.
+func (s *server) retire(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot := &s.retired[s.nRetired%len(s.retired)]
+	if *slot != "" {
+		delete(s.jobs, *slot)
+		s.tel.rec.Add(mJobsEvicted, 1)
+	}
+	*slot = j.id
+	s.nRetired++
 }
 
 // plan is an admitted request, converted once: the flow configured
@@ -538,6 +535,8 @@ func httpStatus(code string) int {
 		return http.StatusServiceUnavailable
 	case apiv1.ErrNotFound:
 		return http.StatusNotFound
+	case apiv1.ErrGone:
+		return http.StatusGone
 	case apiv1.ErrNotFinished, apiv1.ErrNotCancelable:
 		return http.StatusConflict
 	case apiv1.ErrUnsupported:
@@ -590,7 +589,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	j := &job{
-		id:          fmt.Sprintf("j%06d", s.seq),
+		id:          jobID(s.seq),
 		seq:         s.seq,
 		priority:    req.Priority,
 		plan:        p,
@@ -598,7 +597,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submittedMs: now,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	j.events = append(j.events, apiv1.Event{Type: "state", Name: apiv1.JobQueued, AtMs: now})
+	j.events.addState(apiv1.JobQueued, now)
 	s.jobs[j.id] = j
 	heap.Push(&s.queue, j)
 	s.peak = max(s.peak, s.queue.Len())
@@ -616,34 +615,48 @@ func (s *server) refuse(w http.ResponseWriter, reason string, e *apiv1.Error) {
 	writeError(w, e)
 }
 
-// lookup finds a job and its queue position.
-func (s *server) lookup(id string) (*job, int) {
+func jobID(seq int64) string { return fmt.Sprintf("j%06d", seq) }
+
+// lookup finds a job and its queue position, or says why there is none.
+func (s *server) lookup(id string) (*job, int, *apiv1.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
 	if j == nil {
-		return nil, 0
+		return nil, 0, s.missing(id)
 	}
 	pos := 0
 	if j.index >= 0 {
 		pos = s.queue.ahead(j)
 	}
-	return j, pos
+	return j, pos, nil
+}
+
+// missing is the error for an id s.jobs does not hold: gone for an id
+// this server issued (a retired job), not_found for any other. s.mu is
+// held.
+func (s *server) missing(id string) *apiv1.Error {
+	if seq, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64); err == nil &&
+		seq >= 1 && seq <= s.seq && jobID(seq) == id {
+		return &apiv1.Error{Code: apiv1.ErrGone, Message: fmt.Sprintf(
+			"job %s is gone: the server keeps the last %d finished jobs", id, len(s.retired))}
+	}
+	return &apiv1.Error{Code: apiv1.ErrNotFound, Message: "unknown job " + id}
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, pos := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, &apiv1.Error{Code: apiv1.ErrNotFound, Message: "unknown job " + r.PathValue("id")})
+	j, pos, aerr := s.lookup(r.PathValue("id"))
+	if aerr != nil {
+		writeError(w, aerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status(pos))
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, _ := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, &apiv1.Error{Code: apiv1.ErrNotFound, Message: "unknown job " + r.PathValue("id")})
+	j, _, aerr := s.lookup(r.PathValue("id"))
+	if aerr != nil {
+		writeError(w, aerr)
 		return
 	}
 	j.mu.Lock()
@@ -666,8 +679,9 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[id]
 	if j == nil {
+		aerr := s.missing(id)
 		s.mu.Unlock()
-		writeError(w, &apiv1.Error{Code: apiv1.ErrNotFound, Message: "unknown job " + id})
+		writeError(w, aerr)
 		return
 	}
 	j.mu.Lock()
@@ -685,6 +699,7 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.noteFinished(j, apiv1.JobCanceled, 0)
 	j.setState(apiv1.JobCanceled)
+	s.retire(j)
 	writeJSON(w, http.StatusOK, j.status(0))
 }
 
@@ -692,9 +707,9 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // ?from=<seq>, and follows the job live until it reaches a terminal
 // state (or the client goes away).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, _ := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, &apiv1.Error{Code: apiv1.ErrNotFound, Message: "unknown job " + r.PathValue("id")})
+	j, _, aerr := s.lookup(r.PathValue("id"))
+	if aerr != nil {
+		writeError(w, aerr)
 		return
 	}
 	from := 0
@@ -721,26 +736,26 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stop()
 
+	// The log only grows, so the copy taken under the lock renders
+	// after it is released.
 	next := from
 	for {
 		j.mu.Lock()
-		for next >= len(j.events) && !j.terminal() && ctx.Err() == nil {
+		for next >= j.events.len() && !j.terminal() && ctx.Err() == nil {
 			j.cond.Wait()
 		}
-		batch := append([]apiv1.Event(nil), j.events[min(next, len(j.events)):]...)
-		next = len(j.events)
-		finished := j.terminal()
+		log, finished := j.events, j.terminal()
 		j.mu.Unlock()
 
-		for _, ev := range batch {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
+		if err := log.render(next, func(ev *apiv1.Event) error { return enc.Encode(ev) }); err != nil {
+			return
 		}
+		sent := next < log.len()
+		next = max(next, log.len())
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if ctx.Err() != nil || (finished && len(batch) == 0) {
+		if ctx.Err() != nil || (finished && !sent) {
 			return
 		}
 	}

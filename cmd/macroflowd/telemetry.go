@@ -38,6 +38,7 @@ const (
 	mJobs            = "macroflowd.jobs_total"     // {state="done|failed|canceled"}
 	mRejected        = "macroflowd.rejected_total" // {reason="queue_full|draining|invalid"}
 	mSubmitted       = "macroflowd.submitted_total"
+	mJobsEvicted     = "macroflowd.jobs_evicted_total" // finished jobs retention let go
 	mSLOBreaches     = "macroflowd.slo_breaches_total"
 	mFlightDumps     = "macroflowd.flight_dumps_total"
 	mAuditRuns       = "macroflowd.audit_runs_total"
@@ -49,14 +50,15 @@ const (
 
 	// Gauges, sampled at scrape time by refreshGauges (the audit's at
 	// each audit).
-	mQueueDepth  = "macroflowd.queue_depth"
-	mQueuePeak   = "macroflowd.queue_depth_peak"
-	mWorkersBusy = "macroflowd.workers_busy"
-	mWorkers     = "macroflowd.workers"
-	mDraining    = "macroflowd.draining"
-	mUptime      = "macroflowd.uptime_seconds"
-	mFlightSpans = "macroflowd.flight_spans"
-	mAuditLast   = "macroflowd.audit_last_ms" // Unix time of the last audit
+	mQueueDepth   = "macroflowd.queue_depth"
+	mQueuePeak    = "macroflowd.queue_depth_peak"
+	mWorkersBusy  = "macroflowd.workers_busy"
+	mWorkers      = "macroflowd.workers"
+	mDraining     = "macroflowd.draining"
+	mUptime       = "macroflowd.uptime_seconds"
+	mFlightSpans  = "macroflowd.flight_spans"
+	mJobsRetained = "macroflowd.jobs_retained" // queued, running and retained finished jobs
+	mAuditLast    = "macroflowd.audit_last_ms" // Unix time of the last audit
 )
 
 // stageNames lists the per-stage latency label values /v1/stats reports;
@@ -206,7 +208,7 @@ func (t *telemetry) dumpFlight(path string) error {
 // GET /metrics and GET /v1/stats.
 func (s *server) refreshGauges() {
 	s.mu.Lock()
-	depth, peak, running, draining := s.queue.Len(), s.peak, s.running, s.draining
+	depth, peak, running, draining, held := s.queue.Len(), s.peak, s.running, s.draining, len(s.jobs)
 	s.mu.Unlock()
 	t := s.tel
 	t.rec.SetGauge(mQueueDepth, float64(depth))
@@ -216,6 +218,7 @@ func (s *server) refreshGauges() {
 	t.rec.SetGauge(mDraining, boolGauge(draining))
 	t.rec.SetGauge(mUptime, time.Since(t.epoch).Seconds())
 	t.rec.SetGauge(mFlightSpans, float64(t.flight.Len()))
+	t.rec.SetGauge(mJobsRetained, float64(held))
 
 	cs := s.cfg.Cache.Stats()
 	hits := cs.MemHits + cs.DiskHits

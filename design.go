@@ -1,9 +1,11 @@
 package macroflow
 
 import (
+	"container/list"
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"macroflow/internal/implcache"
 	"macroflow/internal/netlist"
@@ -84,7 +86,8 @@ func (d *Design) NumInstances() int { return len(d.instances) }
 // search window, oracle configuration), so a compile under a different
 // mode or window can never be served another mode's result. An optional
 // persistent layer under the same key (see NewPersistentBlockCache)
-// carries implementations across processes.
+// carries implementations across processes; over it, the map is held to
+// a byte budget (memBudget).
 type BlockCache struct {
 	mu sync.Mutex
 	// front remembers, per spec (device + printed components, name
@@ -94,7 +97,16 @@ type BlockCache struct {
 	// looked up in byModule like any other.
 	front map[string]frontEntry
 	// byModule holds the search results, keyed by blockDiskKey.
-	byModule map[string]pblock.SearchResult
+	// memBytes is what they are charged (entryBytes). lru lists the
+	// ones that have a record on disk, most recently used first; while
+	// memBytes exceeds budget, the least recently used is dropped, and
+	// its next lookup is a disk rebuild through pblock.ReadThrough,
+	// never a search. A memory-only cache has no such entry and keeps
+	// everything.
+	byModule map[string]*memEntry
+	lru      list.List
+	memBytes int64
+	budget   int64
 	// inflight dedupes concurrent identical searches (singleflight):
 	// while one goroutine — possibly serving another job in a
 	// shared-cache daemon — implements a block, later callers with the
@@ -103,6 +115,69 @@ type BlockCache struct {
 	inflight map[string]*inflightSearch
 	disk     *implcache.Cache
 	stats    CacheStats
+}
+
+// memBudget is the byte budget of a persistent cache's in-memory map.
+// The 69 cnvW1A1 blocks, the largest working set a caller reuses, are
+// charged 1.9 MB of it, so a compile of cnvW1A1 never evicts.
+const memBudget = 6 << 20
+
+// memEntry is one result in byModule.
+type memEntry struct {
+	key   string
+	sr    pblock.SearchResult
+	bytes int64
+	elem  *list.Element // in lru; nil for a result with no disk record
+}
+
+// entryBytes is what a result is charged against the budget: an
+// estimate of the memory it holds, computed from its implementation
+// alone — the module's cells, nets, sink lists and control sets, the
+// placement's cell coordinates and footprint columns, the key, and a
+// fixed allowance for the structs and the map slot around them. The
+// module's slices count at capacity: every path elaborates a module the
+// same way, while a rebuilt placement's capacity differs from a
+// searched one's, so the placement's count at length. An implementation
+// is thus charged the same however it was produced.
+func entryBytes(key string, sr pblock.SearchResult) int64 {
+	const overhead = 512
+	n := int64(overhead + len(key))
+	if sr.Impl == nil || sr.Impl.Placement == nil {
+		return n
+	}
+	pl := sr.Impl.Placement
+	n += int64(len(pl.CellAt))*int64(unsafe.Sizeof(place.Coord{})) +
+		int64(len(pl.Footprint.Cols))*int64(unsafe.Sizeof(place.RowSpan{}))
+	if m := pl.Module; m != nil {
+		n += int64(cap(m.Cells))*int64(unsafe.Sizeof(netlist.Cell{})) +
+			int64(cap(m.Nets))*int64(unsafe.Sizeof(netlist.Net{})) +
+			int64(cap(m.ControlSets))*2*int64(unsafe.Sizeof(netlist.ControlSet{})) +
+			int64(cap(m.Outputs))*int64(unsafe.Sizeof(netlist.NetID(0)))
+		for _, net := range m.Nets {
+			n += int64(cap(net.Sinks)) * int64(unsafe.Sizeof(netlist.CellID(0)))
+		}
+	}
+	return n
+}
+
+// store puts a result into byModule, on the LRU list when the persistent
+// layer holds its record (onDisk), and drops least recently used results
+// until the map is within budget. It returns how many it dropped. c.mu
+// is held.
+func (c *BlockCache) store(key string, sr pblock.SearchResult, onDisk bool) (evicted int) {
+	e := &memEntry{key: key, sr: sr, bytes: entryBytes(key, sr)}
+	if onDisk {
+		e.elem = c.lru.PushFront(e)
+	}
+	c.byModule[key] = e
+	c.memBytes += e.bytes
+	for c.memBytes > c.budget && c.lru.Len() > 0 {
+		old := c.lru.Remove(c.lru.Back()).(*memEntry)
+		delete(c.byModule, old.key)
+		c.memBytes -= old.bytes
+		evicted++
+	}
+	return evicted
 }
 
 // frontEntry is what a spec's elaboration contributes to its block key.
@@ -167,7 +242,7 @@ func (s *CacheStats) note(o pblock.CacheOutcome) {
 func NewBlockCache() *BlockCache {
 	return &BlockCache{
 		front:    make(map[string]frontEntry),
-		byModule: make(map[string]pblock.SearchResult),
+		byModule: make(map[string]*memEntry),
 		inflight: make(map[string]*inflightSearch),
 	}
 }
@@ -184,7 +259,7 @@ func NewPersistentBlockCache(dir string) (*BlockCache, error) {
 		return nil, err
 	}
 	c := NewBlockCache()
-	c.disk = disk
+	c.disk, c.budget = disk, memBudget
 	return c, nil
 }
 
@@ -454,11 +529,14 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 // cache's lifetime counters.
 func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, pblock.CacheOutcome, error) {
 	cache.mu.Lock()
-	if sr, ok := cache.byModule[key]; ok {
+	if e, ok := cache.byModule[key]; ok {
+		if e.elem != nil {
+			cache.lru.MoveToFront(e.elem)
+		}
 		cache.stats.note(pblock.CacheMem)
 		cache.mu.Unlock()
 		search.Obs.Add("blockcache.mem_hit", 1)
-		return sr, pblock.CacheMem, nil
+		return e.sr, pblock.CacheMem, nil
 	}
 	if fl, ok := cache.inflight[key]; ok {
 		cache.mu.Unlock()
@@ -487,7 +565,10 @@ func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error
 		cache.mu.Lock()
 		cache.stats.note(outcome)
 		if err == nil {
-			cache.byModule[key] = fl.sr
+			if evicted := cache.store(key, fl.sr, outcome != pblock.CacheMiss); evicted > 0 {
+				search.Obs.Add("blockcache.evictions", int64(evicted))
+			}
+			search.Obs.SetGauge("blockcache.mem_bytes", float64(cache.memBytes))
 		}
 		cache.mu.Unlock()
 	}

@@ -3,6 +3,7 @@ package macroflow
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -384,5 +385,135 @@ func TestCacheLedgersAgree(t *testing.T) {
 	if st := warm.Stats(); st.Negatives != 1 || negatives != 1 || rec.CounterValue("blockcache.negative") != 1 {
 		t.Errorf("negatives: Stats %d, persistent %d, blockcache.negative %d; want 1 each",
 			st.Negatives, negatives, rec.CounterValue("blockcache.negative"))
+	}
+}
+
+// TestBlockCacheBudget: a persistent cache holds its in-memory map to
+// its byte budget by dropping the least recently used results, and a
+// dropped result comes back as a disk rebuild — no tool run, the same
+// ModuleResult the search gave — with the ledgers of
+// TestCacheLedgersAgree still agreeing. A memory-only cache never
+// drops a result, and a compile of cnvW1A1 fits the default budget.
+func TestBlockCacheBudget(t *testing.T) {
+	specs := map[string]*Spec{
+		"big":   NewSpec("budget_big").Logic(400, 6, 3),
+		"mid":   NewSpec("budget_mid").Logic(200, 5, 2),
+		"small": NewSpec("budget_small").ShiftRegs(4, 8, 2, 4),
+	}
+	design := func(names ...string) *Design {
+		d := NewDesign()
+		for i, name := range names {
+			d.AddBlockType(specs[name])
+			d.AddInstance(i, name)
+		}
+		return d
+	}
+	all := design("big", "mid", "small")
+	compile := func(cache *BlockCache, d *Design) (*CompileResult, *Recorder) {
+		t.Helper()
+		f, err := NewFlow("xc7z020")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder()
+		// One worker: the blocks run largest first, the smallest last.
+		res, err := f.Compile(d, MinSweepCF(), CompileOptions{SkipStitch: true,
+			Implement: ImplementOptions{Cache: cache, Obs: rec, Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rec
+	}
+	held := func(cache *BlockCache) []string {
+		var names []string
+		for _, e := range cache.byModule {
+			names = append(names, e.sr.Impl.Placement.Module.Name)
+		}
+		slices.Sort(names)
+		return names
+	}
+
+	mem := NewBlockCache()
+	want, rec := compile(mem, all)
+	if mem.Len() != 3 || mem.memBytes <= mem.budget || rec.CounterValue("blockcache.evictions") != 0 {
+		t.Errorf("memory-only cache: %d results, %d bytes against budget %d, %d evictions; want all 3 kept",
+			mem.Len(), mem.memBytes, mem.budget, rec.CounterValue("blockcache.evictions"))
+	}
+	charge := map[string]int64{}
+	for _, e := range mem.byModule {
+		charge[e.sr.Impl.Placement.Module.Name] = e.bytes
+	}
+
+	// Room for the last block the compile uses, and nothing else.
+	dir := t.TempDir()
+	cache, err := NewPersistentBlockCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.budget = charge["budget_small"]
+	cold, rec := compile(cache, all)
+	if !reflect.DeepEqual(cold.Blocks, want.Blocks) {
+		t.Error("a budgeted cache changed the searched results")
+	}
+	mb, _ := rec.GaugeValue("blockcache.mem_bytes")
+	if got := held(cache); !slices.Equal(got, []string{"budget_small"}) || cache.memBytes > cache.budget ||
+		int64(mb) != cache.memBytes || rec.CounterValue("blockcache.evictions") != 2 {
+		t.Errorf("budget %d: holds %v, %d bytes (gauge %g), %d evictions; want budget_small alone within the budget, 2 evictions",
+			cache.budget, got, cache.memBytes, mb, rec.CounterValue("blockcache.evictions"))
+	}
+	_, _, stores, _ := cache.PersistentStats()
+	if st := cache.Stats(); st.Stores != 3 || stores != 3 || rec.CounterValue("blockcache.store") != 3 {
+		t.Errorf("stores: Stats %d, persistent %d, blockcache.store %d; want 3 each",
+			st.Stores, stores, rec.CounterValue("blockcache.store"))
+	}
+
+	// The dropped blocks come back from disk, never from a search.
+	warm, rec := compile(cache, all)
+	if warm.ToolRuns != 0 || warm.CacheHits != 3 || rec.CounterValue("mincf.oracle_runs") != 0 {
+		t.Errorf("recompile: %d tool runs, %d oracle runs, %d hits; want 0, 0, 3",
+			warm.ToolRuns, rec.CounterValue("mincf.oracle_runs"), warm.CacheHits)
+	}
+	if !reflect.DeepEqual(warm.Blocks, want.Blocks) {
+		t.Error("a block rebuilt after eviction differs from its searched result")
+	}
+	hits, _, _, _ := cache.PersistentStats()
+	st := cache.Stats()
+	if st.DiskHits < 2 || st.DiskHits != int(hits) || rec.CounterValue("blockcache.disk_hit") != int64(hits) ||
+		st.MemHits+st.DiskHits != 3 || st.Misses != 3 {
+		t.Errorf("disk hits: Stats %+v, persistent %d, blockcache.disk_hit %d; want >= 2 of 3 hits from disk, one count in each ledger",
+			st, hits, rec.CounterValue("blockcache.disk_hit"))
+	}
+
+	// Least recently used goes first: with room for two, big used again
+	// after mid stays when small arrives, and mid goes.
+	lru, err := NewPersistentBlockCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lru.budget = charge["budget_big"] + max(charge["budget_mid"], charge["budget_small"])
+	for _, name := range []string{"big", "mid", "big", "small"} {
+		compile(lru, design(name))
+	}
+	if got := held(lru); !slices.Equal(got, []string{"budget_big", "budget_small"}) {
+		t.Errorf("after big, mid, big, small with room for two: holds %v, want budget_big and budget_small", got)
+	}
+
+	// cnvW1A1's blocks fit the default budget.
+	cnv, err := NewPersistentBlockCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFlow("xc7z020")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetSearch(0.5, 0.02, 3.0)
+	rec = NewRecorder()
+	if _, err := f.RunCNV(MinSweepCF(), CNVOptions{SkipStitch: true, Implement: ImplementOptions{Cache: cnv, Obs: rec}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.CounterValue("blockcache.evictions"); n != 0 || cnv.Len() != 69 {
+		t.Errorf("cnvW1A1 under the default budget: %d evictions, %d of 69 blocks in memory (%d of %d bytes)",
+			n, cnv.Len(), cnv.memBytes, cnv.budget)
 	}
 }

@@ -170,8 +170,9 @@ stage_determinism() {
 	run_listed 'TestLabelAndBlockShareRecord' -race .
 	# One outcome per lookup, booked once: a stored negative verdict is
 	# one store in every ledger, and a joined in-flight search is one
-	# singleflight hit, however the callers race.
-	run_listed 'TestCacheLedgersAgree|TestSingleflight' -race .
+	# singleflight hit, however the callers race. A result the byte
+	# budget dropped comes back as a disk rebuild equal to the search.
+	run_listed 'TestCacheLedgersAgree|TestSingleflight|TestBlockCacheBudget' -race .
 	# ... and turn a probe away by counting exactly when the fill loop it
 	# skips would have come up short, with the same count in the error.
 	run_listed 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' -race ./internal/place/
@@ -187,6 +188,10 @@ stage_determinism() {
 	# ... and the bytes the daemon serves for a result are pinned per job
 	# shape, on any core count.
 	run_listed 'TestWireResultPinned' -race ./api/v1/
+	# ... and a job the daemon still holds serves the bytes it served
+	# when it finished, its compact event log rendering as the events
+	# were emitted.
+	run_listed 'TestEventLogRendersIdentically|TestDaemonLiveSetBounded' -race ./cmd/macroflowd/
 	unset GOMAXPROCS
 }
 
@@ -208,10 +213,12 @@ stage_daemon() {
 	# the estimator-drift histogram's exposition after that merge, the
 	# histogram bucket order, /v1/stats equal to /metrics with the audit
 	# loop on, every served series catalogued in DESIGN.md,
-	# implement.strategy applied to the job's flow, and one stitch-stage
-	# sample per stitcher run.
-	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge + one ledger)" >&2
-	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift|TestWritePrometheusBucketOrder|TestStatsEqualMetrics|TestServiceSeriesCatalogued|TestDaemonSearchStrategy|TestStitchStageOneSamplePerRun' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
+	# implement.strategy applied to the job's flow, one stitch-stage
+	# sample per stitcher run, the live set bounded (retained jobs, the
+	# compact event log, the block cache's byte budget, the typed gone),
+	# and the listener's header and idle timeouts.
+	echo "==> macroflowd telemetry plane (-race, /metrics exposition + flight recorder + merge + one ledger + live-set bounds + timeouts)" >&2
+	run_listed 'TestMetricsEndpoint|TestFlightRecorder|TestRecorderMerge|TestRecordEstimatorDrift|TestWritePrometheusBucketOrder|TestStatsEqualMetrics|TestServiceSeriesCatalogued|TestDaemonSearchStrategy|TestStitchStageOneSamplePerRun|TestDaemonLiveSetBounded|TestEventLogRendersIdentically|TestBlockCacheBudget|TestServerTimeouts|TestDaemonRejectsBadRequests' -race -count=1 ./cmd/macroflowd/ ./internal/obs/ .
 
 	# Daemon smoke: build the real macroflowd binary under -race, start it
 	# on a random port, submit a compile over HTTP, assert the result is
