@@ -321,6 +321,54 @@ func BenchmarkRouteProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteReject measures the routing probes of the nine
+// rectangles weights_14's sweep places but does not route — the block
+// on a cold compile's critical lane — one after another in one reused
+// route.Scratch: 0 allocs.
+func BenchmarkRouteReject(b *testing.B) {
+	fixtures(b)
+	ti, rep := cnvModule(b, "weights_14")
+	m, _ := fix.design.Module(ti)
+	cfg := pblock.DefaultConfig()
+	var scratch route.Scratch // grown by the sweep to its largest rectangle
+	var rejects []*place.Placement
+	var last fabric.Rect
+	for i := 0; ; i++ {
+		cf := math.Round((minCFBenchSearch.Start+float64(i)*minCFBenchSearch.Step)*50) / 50
+		if cf > minCFBenchSearch.Max {
+			b.Fatal("weights_14: no feasible CF in the bench window")
+		}
+		pb, err := pblock.Build(fix.dev, rep, cf, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pb.Rect == last {
+			continue
+		}
+		last = pb.Rect
+		pl, err := place.Place(fix.dev, m, rep, pb.Rect, cfg.Place)
+		if err != nil {
+			continue
+		}
+		if scratch.Route(pl, cfg.Route).Feasible {
+			break
+		}
+		rejects = append(rejects, pl)
+	}
+	if len(rejects) != 9 {
+		b.Fatalf("weights_14: %d route-rejected rectangles, want 9", len(rejects))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pl := range rejects {
+			if scratch.Route(pl, cfg.Route).Feasible {
+				b.Fatal("weights_14 routed in a rectangle its sweep rejects")
+			}
+		}
+	}
+}
+
 // BenchmarkStitchMoves measures raw SA move throughput.
 func BenchmarkStitchMoves(b *testing.B) {
 	fixtures(b)

@@ -3,6 +3,7 @@ package macroflow
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -94,7 +95,10 @@ type BlockCache struct {
 	// excluded), the module hash and shape report its elaboration
 	// produced. It holds no implementation: a hit only spares computing
 	// the block's key by elaborating again, and the key it leads to is
-	// looked up in byModule like any other.
+	// looked up in byModule like any other. Over a persistent layer an
+	// entry lives only as long as a result it led to (tieFront), so
+	// front is bounded with byModule; a memory-only cache keeps every
+	// entry.
 	front map[string]frontEntry
 	// byModule holds the search results, keyed by blockDiskKey.
 	// memBytes is what they are charged (entryBytes). lru lists the
@@ -128,6 +132,9 @@ type memEntry struct {
 	sr    pblock.SearchResult
 	bytes int64
 	elem  *list.Element // in lru; nil for a result with no disk record
+	// fronts are the front entries that led to this result; they are
+	// dropped with it.
+	fronts []string
 }
 
 // entryBytes is what a result is charged against the budget: an
@@ -174,10 +181,34 @@ func (c *BlockCache) store(key string, sr pblock.SearchResult, onDisk bool) (evi
 	for c.memBytes > c.budget && c.lru.Len() > 0 {
 		old := c.lru.Remove(c.lru.Back()).(*memEntry)
 		delete(c.byModule, old.key)
+		for _, fkey := range old.fronts {
+			delete(c.front, fkey)
+		}
 		c.memBytes -= old.bytes
 		evicted++
 	}
 	return evicted
+}
+
+// tieFront ties the front entry fkey, just added, to the result its key
+// resolved to, so that evicting the result drops the entry too. Over a
+// persistent layer an entry that led to no evictable result it still
+// holds — a failed block, or one evicted already — is dropped now. A
+// dropped entry costs its spec's next lookup one ModuleHash and nothing
+// else: the disk rebuild that lookup needs elaborates the module anyway.
+func (c *BlockCache) tieFront(fkey, key string) {
+	if c.disk == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.byModule[key]
+	switch {
+	case !ok:
+		delete(c.front, fkey)
+	case e.elem != nil && !slices.Contains(e.fronts, fkey):
+		e.fronts = append(e.fronts, fkey)
+	}
 }
 
 // frontEntry is what a spec's elaboration contributes to its block key.
@@ -511,7 +542,11 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		m, _, err := pblock.FrontEnd(spec.inner, sp)
 		return m, err
 	}
-	sr, outcome, err := f.cachedImplement(f.blockDiskKey(fe.hash, fe.rep, mode, fps), module, fe.rep, mode, search, cache)
+	key := f.blockDiskKey(fe.hash, fe.rep, mode, fps)
+	sr, outcome, err := f.cachedImplement(key, module, fe.rep, mode, search, cache)
+	if !known {
+		cache.tieFront(fkey, key)
+	}
 	if err != nil {
 		return nil, ModuleResult{}, outcome, err
 	}

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -182,5 +184,26 @@ func TestStatsConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendDecimalMatchesStrconv holds the content stream's decimal
+// writer to strconv.AppendInt at every digit-count boundary, both signs
+// and both int64 extremes, beyond the small indices the module corpora
+// exercise.
+func TestAppendDecimalMatchesStrconv(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1, 2*p - 1, 9 * p} {
+			vals = append(vals, v, -v)
+		}
+	}
+	for v := int64(-1); v <= 10100; v++ {
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		if got, want := string(appendDecimal([]byte("x"), v)), strconv.FormatInt(v, 10); got != "x"+want {
+			t.Fatalf("appendDecimal(%d) = %q, want %q", v, got[1:], want)
+		}
 	}
 }

@@ -231,7 +231,11 @@ func ImplementPlan(dev *fabric.Device, plan *Plan, cf float64, cfg Config) (*Imp
 	}
 	rr := plan.router.Route(pl, cfg.Route)
 	if !rr.Feasible {
-		return nil, fmt.Errorf("cf %.2f: route infeasible (peak %.2f, overflow %.3f)", cf, rr.PeakUtil, rr.OverflowFrac)
+		pass := "detour pass"
+		if rr.DetourBounded {
+			pass = "first pass"
+		}
+		return nil, fmt.Errorf("cf %.2f: route infeasible (%s peak %.2f, overflow %.3f)", cf, pass, rr.PeakUtil, rr.OverflowFrac)
 	}
 	return &Implementation{PBlock: pb, Placement: pl, Route: rr}, nil
 }

@@ -6,11 +6,12 @@
 // The model is a RISA-style probabilistic router: every net spreads its
 // expected wirelength demand over its bounding box, scaled by a fanout
 // correction factor; overflowed nets are "rerouted" once by inflating
-// their boxes (detour modeling). This keeps a single feasibility probe
-// cheap enough to run tens of thousands of times during dataset
-// generation while preserving the paper's §V-D/§V-E couplings: high
-// fanout and high cell density both raise demand and force larger
-// PBlocks.
+// their boxes (detour modeling), a pass skipped when its total demand
+// alone already exceeds the rectangle's capacity. This keeps a single
+// feasibility probe cheap enough to run tens of thousands of times
+// during dataset generation while preserving the paper's §V-D/§V-E
+// couplings: high fanout and high cell density both raise demand and
+// force larger PBlocks.
 package route
 
 import (
@@ -55,7 +56,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result summarizes one routing probe.
+// Result summarizes one routing probe. PeakUtil, AvgUtil and
+// OverflowFrac describe the last pass measured: the first pass when it
+// routes (or under AssumeRoutable), the detour pass otherwise — except
+// when the detour bound decided the probe infeasible (DetourBounded),
+// which skips the detour pass; then they are the first pass's. The
+// wirelength figures are always the first pass's boxes.
 type Result struct {
 	// Feasible reports whether the placement routes within the limits.
 	Feasible bool
@@ -70,6 +76,9 @@ type Result struct {
 	AvgNetHPWL float64
 	// TotalWirelength is the summed HPWL of all nets, in tiles.
 	TotalWirelength float64
+	// DetourBounded reports an infeasible probe the detour bound
+	// decided: its utilization figures are the first pass's.
+	DetourBounded bool
 }
 
 // bbox is a net bounding box in rect-local tile coordinates — int16
@@ -105,9 +114,29 @@ type Scratch struct {
 // Route probes the routability of a placement, like the package-level
 // Route, in the scratch's tables.
 func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
+	res, _ := s.route(pl, cfg)
+	return res
+}
+
+// detourSlack is the relative margin by which the detour pass's total
+// demand must exceed the rectangle's capacity before the bound decides
+// a probe: it covers the rounding of spreading and summing that demand
+// (below 3e-11 at 10^5 nets and tiles).
+const detourSlack = 1e-9
+
+// route is Route, also returning the detour bound's load — the inflated
+// boxes' summed wirelength over CapacityPerTile·w·h — when that bound
+// decided the probe, and 0 when it did not.
+//
+// The detour pass spreads each box's whole wirelength over its tiles,
+// so its tiles' demands sum to Σ hpwl·q, and measure divides their
+// utilization by the active tiles, at most w·h. A load above 1 (by more
+// than the rounding) therefore means an AvgUtil above 1: infeasible,
+// and known without spreading or measuring the pass.
+func (s *Scratch) route(pl *place.Placement, cfg Config) (Result, float64) {
 	w, h := pl.Rect.Width(), pl.Rect.Height()
 	if w <= 0 || h <= 0 {
-		return Result{Feasible: false}
+		return Result{Feasible: false}, 0
 	}
 	boxes := s.netBoxes(pl)
 	if cap(s.demand) < w*h {
@@ -122,10 +151,10 @@ func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
 	res.AvgNetHPWL, res.TotalWirelength = hpwlStats(boxes)
 	if cfg.AssumeRoutable {
 		res.Feasible = true
-		return res
+		return res, 0
 	}
 	if res.Feasible {
-		return res
+		return res, 0
 	}
 
 	// Detour pass: inflate every box that touches an overflowed tile and
@@ -134,16 +163,24 @@ func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
 	for i, d := range demand {
 		over[i] = d > cfg.CapacityPerTile
 	}
+	total := 0.0
+	for i := range boxes {
+		if touchesOverflow(over, w, boxes[i]) {
+			boxes[i] = inflate(boxes[i], cfg.DetourInflate, w, h)
+		}
+		total += boxes[i].hpwl() * boxes[i].q
+	}
+	if capacity := cfg.CapacityPerTile * float64(w*h); total > (1+detourSlack)*capacity {
+		res.DetourBounded = true
+		return res, total / capacity
+	}
 	clear(demand)
 	for _, b := range boxes {
-		if touchesOverflow(over, w, b) {
-			b = inflate(b, cfg.DetourInflate, w, h)
-		}
 		addDemand(demand, w, b)
 	}
 	res2 := measure(demand, w, h, cfg)
 	res2.AvgNetHPWL, res2.TotalWirelength = res.AvgNetHPWL, res.TotalWirelength
-	return res2
+	return res2, 0
 }
 
 // netBoxes computes the bounding box and fanout correction of every net

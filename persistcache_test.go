@@ -1,6 +1,7 @@
 package macroflow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -392,8 +393,9 @@ func TestCacheLedgersAgree(t *testing.T) {
 // its byte budget by dropping the least recently used results, and a
 // dropped result comes back as a disk rebuild — no tool run, the same
 // ModuleResult the search gave — with the ledgers of
-// TestCacheLedgersAgree still agreeing. A memory-only cache never
-// drops a result, and a compile of cnvW1A1 fits the default budget.
+// TestCacheLedgersAgree still agreeing. The front index is dropped with
+// the results it led to. A memory-only cache never drops a result, and
+// a compile of cnvW1A1 fits the default budget.
 func TestBlockCacheBudget(t *testing.T) {
 	specs := map[string]*Spec{
 		"big":   NewSpec("budget_big").Logic(400, 6, 3),
@@ -496,6 +498,21 @@ func TestBlockCacheBudget(t *testing.T) {
 	}
 	if got := held(lru); !slices.Equal(got, []string{"budget_big", "budget_small"}) {
 		t.Errorf("after big, mid, big, small with room for two: holds %v, want budget_big and budget_small", got)
+	}
+
+	// The front index goes with the results it led to: novel specs well
+	// past the budget leave no more front entries than results, and a
+	// spec whose entry went is served again from disk.
+	for i := range 8 {
+		specs[fmt.Sprint(i)] = NewSpec(fmt.Sprintf("budget_novel%d", i)).Logic(60+20*i, 4, 2)
+		compile(lru, design(fmt.Sprint(i)))
+	}
+	if len(lru.front) > len(lru.byModule) || len(lru.byModule) > 3 {
+		t.Errorf("after 8 novel specs: %d front entries, %d results; want no more entries than results, at most 3",
+			len(lru.front), len(lru.byModule))
+	}
+	if again, _ := compile(lru, design("0")); again.ToolRuns != 0 || again.CacheHits != 1 {
+		t.Errorf("a spec whose front entry was dropped: %d tool runs, %d hits; want 0 and 1", again.ToolRuns, again.CacheHits)
 	}
 
 	// cnvW1A1's blocks fit the default budget.

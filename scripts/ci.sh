@@ -176,7 +176,7 @@ stage_determinism() {
 	# ... and turn a probe away by counting exactly when the fill loop it
 	# skips would have come up short, with the same count in the error.
 	run_listed 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' -race ./internal/place/
-	run_listed 'TestRouteScratchMatchesOneShot' -race ./internal/route/
+	run_listed 'TestRouteScratchMatchesOneShot|TestDetourBoundMatchesReference' -race ./internal/route/
 	# RunCNV is Compile of the cnvW1A1 design: the digests recorded before
 	# the two pipelines were merged must reproduce, and the wrapper must
 	# equal the direct compile field for field, lanes racing or not.
@@ -229,7 +229,7 @@ stage_daemon() {
 }
 
 stage_benchsmoke() {
-	# One iteration of each micro-benchmark in bench_test.go: the 12 a
+	# One iteration of each micro-benchmark in bench_test.go: the 13 a
 	# test, a gate or a ROADMAP item reads, several of which assert their
 	# input (a rejected probe, a bisect CF equal to linear's) before
 	# timing. The paper's artifacts are cmd/experiments', the end-to-end
