@@ -114,7 +114,6 @@ func TestRequestValidate(t *testing.T) {
 		{"instance-out-of-range", func(r *CompileRequest) { r.Design.Instances[0].Block = 9 }, false},
 		{"net-out-of-range", func(r *CompileRequest) { r.Design.Nets[0].To = 99 }, false},
 		{"bad-mode", func(r *CompileRequest) { r.Mode.Kind = "oracle" }, false},
-		{"constant-without-cf", func(r *CompileRequest) { r.Mode = ModeSpec{Kind: "constant"} }, false},
 		{"bad-search-window", func(r *CompileRequest) { r.Search = &SearchWindow{Start: 2, Step: 0.02, Max: 1} }, false},
 		// A step off the 0.02 CF grid re-probes every grid CF: 1e-9 would
 		// pin a daemon worker for ~2e9 probes.

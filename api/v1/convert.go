@@ -13,10 +13,10 @@ const BuiltinCNVW1A1 = "cnvW1A1"
 
 // Validate checks the request's wire-level invariants (exactly one
 // design source, known mode/component/strategy spellings, index
-// ranges). Option semantics — backend spellings, negative budgets — are
-// validated by the flow's own StitchOptions.Validate /
-// ImplementOptions.Validate after conversion, so HTTP and CLI reject
-// them with identical messages.
+// ranges). Option semantics — backend spellings, negative budgets, a
+// constant mode's CF — are validated by the flow's own
+// StitchOptions.Validate / ImplementOptions.Validate / CFMode.Validate
+// after conversion, so HTTP and CLI reject them with identical messages.
 func (r *CompileRequest) Validate() error {
 	switch r.Device {
 	case "", "xc7z020", "xc7z045":
@@ -32,10 +32,6 @@ func (r *CompileRequest) Validate() error {
 	default:
 		return &Error{Code: ErrInvalidOptions,
 			Message: fmt.Sprintf("unknown cf mode %q (minsweep, constant, estimator)", r.Mode.Kind)}
-	}
-	if r.Mode.Kind == "constant" && r.Mode.CF <= 0 {
-		return &Error{Code: ErrInvalidOptions,
-			Message: fmt.Sprintf("constant mode needs cf > 0 (got %g)", r.Mode.CF)}
 	}
 	if s := r.Search; s != nil {
 		if s.Start <= 0 || s.Max < s.Start {

@@ -19,9 +19,6 @@ func newFlow(device string) (*macroflow.Flow, error) {
 	return f, nil
 }
 
-func constantMode(cf float64) macroflow.CFMode { return macroflow.ConstantCF(cf) }
-func minSweepMode() macroflow.CFMode           { return macroflow.MinSweepCF() }
-
 func runCNV(f *macroflow.Flow, mode macroflow.CFMode, c *ctx) *macroflow.CNVResult {
 	stitch := c.stitchOptions(c.seed)
 	stitch.Check = c.check

@@ -162,7 +162,7 @@ func (c *ctx) cnvFeatureSamples() ([]ml.Features, []float64, []string) {
 	var cfs []float64
 	var names []string
 	for _, l := range c.cnvLabels() {
-		if l.Rep.EstSlices < 6 {
+		if pblock.Tiny(l.Rep.EstSlices) {
 			continue
 		}
 		cf := l.CF

@@ -44,7 +44,7 @@ func ablation(c *ctx) {
 	rows := make([]row, len(specs))
 	c.rec.Lanes("ablation worker", 0, len(specs), func(i, _ int) {
 		m, rep, err := pblock.FrontEnd(specs[i], nil)
-		if err != nil || rep.EstSlices < 6 {
+		if err != nil || pblock.Tiny(rep.EstSlices) {
 			return
 		}
 		search := pblock.SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"macroflow"
 	"macroflow/internal/cnv"
 	"macroflow/internal/dataset"
 	"macroflow/internal/fabric"
@@ -114,11 +115,11 @@ func fig5(c *ctx) {
 	}
 	fmt.Printf("a) monolithic (AMD-style): fully placed, %d slices = %.2f%% of device\n", used, 100*util)
 
-	resC := runCNV(fl, constantMode(maxCF), c)
+	resC := runCNV(fl, macroflow.ConstantCF(maxCF), c)
 	fmt.Printf("b) RW, constant CF %.2f: %d placed, %d unplaced (free tiles %d, largest free rect %d)\n",
 		maxCF, resC.Stitch.Placed, resC.Stitch.Unplaced, resC.Stitch.FreeTiles, resC.Stitch.LargestFreeRect)
 
-	resM := runCNV(fl, minSweepMode(), c)
+	resM := runCNV(fl, macroflow.MinSweepCF(), c)
 	fmt.Printf("c) RW, minimal CF:      %d placed, %d unplaced (free tiles %d, largest free rect %d)\n",
 		resM.Stitch.Placed, resM.Stitch.Unplaced, resM.Stitch.FreeTiles, resM.Stitch.LargestFreeRect)
 

@@ -594,6 +594,11 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 			apiv1.ErrInvalidOptions, ""},
 		{"estimator-not-loaded", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "estimator"} },
 			apiv1.ErrUnsupported, ""},
+		// The constant CF is checked once, by the library's CFMode.Validate.
+		{"constant-without-cf", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "constant"} },
+			apiv1.ErrInvalidOptions, "pblock: constant CF 0 is not a finite number > 0"},
+		{"constant-negative-cf", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "constant", CF: -2} },
+			apiv1.ErrInvalidOptions, "pblock: constant CF -2 is not a finite number > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

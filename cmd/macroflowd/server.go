@@ -346,8 +346,8 @@ type plan struct {
 }
 
 // admit validates a submission end to end — wire shape, then the same
-// StitchOptions / ImplementOptions / PartitionOptions Validate the CLI
-// path runs — and converts it into the job's plan, so a bad request is
+// CFMode / StitchOptions / ImplementOptions / PartitionOptions Validate
+// the CLI path runs — and converts it into the job's plan, so a bad request is
 // rejected at admission in microseconds with the library's own
 // messages.
 func (s *server) admit(req *apiv1.CompileRequest) (*plan, *apiv1.Error) {
@@ -363,7 +363,7 @@ func (s *server) admit(req *apiv1.CompileRequest) (*plan, *apiv1.Error) {
 	po := req.Partition.Options()
 	// A failed conversion yields zero options, which validate: the
 	// first error in this order is the one a request reports.
-	for _, err := range []error{serr, so.Validate(), ierr, im.Validate(), po.Validate()} {
+	for _, err := range []error{mode.Validate(), serr, so.Validate(), ierr, im.Validate(), po.Validate()} {
 		if err != nil {
 			return nil, asAPIError(err)
 		}
@@ -399,10 +399,9 @@ func (s *server) admit(req *apiv1.CompileRequest) (*plan, *apiv1.Error) {
 	return p, nil
 }
 
+// mode converts a mode spelling req.Validate accepted into a CFMode.
 func (s *server) mode(req *apiv1.CompileRequest) (macroflow.CFMode, *apiv1.Error) {
 	switch req.Mode.Kind {
-	case "", "minsweep":
-		return macroflow.MinSweepCF(), nil
 	case "constant":
 		return macroflow.ConstantCF(req.Mode.CF), nil
 	case "estimator":
@@ -412,8 +411,7 @@ func (s *server) mode(req *apiv1.CompileRequest) (macroflow.CFMode, *apiv1.Error
 		}
 		return macroflow.EstimatorCF(s.cfg.Estimator), nil
 	}
-	return macroflow.CFMode{}, &apiv1.Error{Code: apiv1.ErrInvalidOptions,
-		Message: fmt.Sprintf("unknown cf mode %q (minsweep, constant, estimator)", req.Mode.Kind)}
+	return macroflow.MinSweepCF(), nil
 }
 
 // compile runs an admitted plan against the shared warm state. The

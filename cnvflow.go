@@ -1,36 +1,55 @@
 package macroflow
 
 import (
-	"fmt"
 	"strings"
 
 	"macroflow/internal/baseline"
 	"macroflow/internal/cnv"
 	"macroflow/internal/fabric"
-	"macroflow/internal/netlist"
 	"macroflow/internal/pblock"
 	"macroflow/internal/place"
 	"macroflow/internal/stitch"
 )
 
-// CFMode selects how the per-block correction factor is chosen.
+// CFMode selects how the per-block correction factor is chosen; per
+// block it resolves to an internal/pblock policy (policy).
 type CFMode struct {
-	kind      string
-	constant  float64
+	fixed     pblock.Policy
 	estimator *Estimator
 }
 
 // ConstantCF implements every block at the given fixed correction
 // factor, escalating by 0.1 when a block is infeasible at it (every
 // attempt counts as a tool run).
-func ConstantCF(cf float64) CFMode { return CFMode{kind: "constant", constant: cf} }
+func ConstantCF(cf float64) CFMode { return CFMode{fixed: pblock.Constant(cf)} }
 
 // MinSweepCF searches each block's minimal CF with the flow's sweep.
-func MinSweepCF() CFMode { return CFMode{kind: "minsweep"} }
+func MinSweepCF() CFMode { return CFMode{fixed: pblock.Sweep()} }
 
 // EstimatorCF seeds each block's CF from a trained estimator and refines
-// per §VIII.
-func EstimatorCF(e *Estimator) CFMode { return CFMode{kind: "estimator", estimator: e} }
+// per §VIII; one- or two-tile blocks need no estimator and are swept.
+func EstimatorCF(e *Estimator) CFMode { return CFMode{estimator: e} }
+
+// Validate rejects a ConstantCF whose cf is not a finite number > 0.
+// Compile and ImplementBlock return its error before any tool run.
+func (m CFMode) Validate() error { return m.fixed.Validate() }
+
+// policy resolves the mode for one block of shape rep: the one place a
+// compile asks the estimator, and applies the §VIII tiny-block rule.
+func (m CFMode) policy(rep place.ShapeReport) pblock.Policy {
+	if m.estimator == nil || pblock.Tiny(rep.EstSlices) {
+		return m.fixed
+	}
+	return pblock.Estimate(m.estimator.predict(rep))
+}
+
+// name is the mode's spelling on the flow.compile span.
+func (m CFMode) name() string {
+	if m.estimator != nil {
+		return "estimator"
+	}
+	return m.fixed.Kind()
+}
 
 // StitchReport summarizes the stitching of the full design (or, inside
 // a MemberReport, of one shard). The JSON tags are the api/v1 wire
@@ -148,7 +167,7 @@ func (f *Flow) RunCNV(mode CFMode, opts CNVOptions) (*CNVResult, error) {
 	firstRun, estimated := 0, 0
 	for ti, b := range cr.Blocks {
 		res.Instances[ti] = design.InstanceCount(ti)
-		if mode.kind == "estimator" && b.EstSlices >= 6 {
+		if mode.estimator != nil && !pblock.Tiny(b.EstSlices) {
 			estimated++
 			if b.ToolRuns == 1 {
 				firstRun++
@@ -175,24 +194,6 @@ func cnvDesign(c *cnv.Design) *Design {
 		d.nets = append(d.nets, designNet{from: n.From, to: n.To, width: n.Width})
 	}
 	return d
-}
-
-// implementModule applies a CF policy to an elaborated module.
-func (f *Flow) implementModule(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig) (pblock.SearchResult, error) {
-	switch mode.kind {
-	case "constant":
-		return f.constantImplement(m, rep, mode.constant, search)
-	case "minsweep":
-		return pblock.MinCF(f.dev, m, rep, search, f.cfg)
-	case "estimator":
-		if rep.EstSlices < 6 {
-			// One-or-two-tile blocks: the PBlock is straightforward and
-			// needs no estimator (§VIII); sweep from the window start.
-			return pblock.MinCF(f.dev, m, rep, search, f.cfg)
-		}
-		return pblock.FromEstimate(f.dev, m, rep, mode.estimator.predict(rep), search, f.cfg)
-	}
-	return pblock.SearchResult{}, fmt.Errorf("macroflow: unknown CF mode %q", mode.kind)
 }
 
 // renderStitchMap draws a stitched placement as ASCII, one character

@@ -396,6 +396,9 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if err := opts.Partition.Validate(); err != nil {
 		return nil, err
 	}
+	if err := mode.Validate(); err != nil {
+		return nil, err
+	}
 	search := f.search
 	search.Obs = im.Obs
 	if err := search.Validate(); err != nil {
@@ -406,10 +409,10 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	outcomes := make([]pblock.CacheOutcome, len(d.types))
 	errs := make([]error, len(d.types))
 
-	fps := f.fingerprints(search)
+	blockDiskKey := f.blockDiskKeys(search)
 	rec := im.Obs
 	root := rec.Start("flow.compile",
-		obs.String("cf_mode", mode.kind),
+		obs.String("cf_mode", mode.name()),
 		obs.Int("types", len(d.types)),
 		obs.Int("instances", len(d.instances)))
 	defer root.End()
@@ -420,7 +423,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		ti := order[k]
 		sp := root.Child("implement.block",
 			obs.String("block", d.names[ti])).WithLane(lane)
-		impls[ti], res.Blocks[ti], outcomes[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, fps, im.Cache, sp)
+		impls[ti], res.Blocks[ti], outcomes[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, blockDiskKey, im.Cache, sp)
 		if errs[ti] == nil {
 			sp.Set(obs.Float("cf", res.Blocks[ti].CF),
 				obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
@@ -507,14 +510,14 @@ func (f *Flow) stitchProblem(d *Design, impls []*pblock.Implementation) *stitch.
 // key is then resolved by cachedImplement, which elaborates only when a
 // search or a disk rebuild has to run. sp, when non-nil, is the block's
 // trace span. The result's Name is always the requesting spec's.
-func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, fps keyFingerprints, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, pblock.CacheOutcome, error) {
+func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, blockDiskKey func(string, pblock.Policy) string, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, pblock.CacheOutcome, error) {
 	search.Span = sp
 	if cache == nil {
 		m, rep, err := pblock.FrontEnd(spec.inner, sp)
 		if err != nil {
 			return nil, ModuleResult{}, pblock.CacheMiss, err
 		}
-		sr, err := f.implementModule(m, rep, mode, search)
+		sr, err := mode.policy(rep).Search(f.dev, m, rep, search, f.cfg)
 		if err != nil {
 			return nil, ModuleResult{}, pblock.CacheMiss, err
 		}
@@ -542,8 +545,9 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		m, _, err := pblock.FrontEnd(spec.inner, sp)
 		return m, err
 	}
-	key := f.blockDiskKey(fe.hash, fe.rep, mode, fps)
-	sr, outcome, err := f.cachedImplement(key, module, fe.rep, mode, search, cache)
+	p := mode.policy(fe.rep)
+	key := blockDiskKey(fe.hash, p)
+	sr, outcome, err := f.cachedImplement(key, module, fe.rep, p, search, cache)
 	if !known {
 		cache.tieFront(fkey, key)
 	}
@@ -562,7 +566,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 // result is written back to the map. module elaborates the block; only
 // the read-through calls it. Every outcome is booked once, in the
 // cache's lifetime counters.
-func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, pblock.CacheOutcome, error) {
+func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error), rep place.ShapeReport, p pblock.Policy, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, pblock.CacheOutcome, error) {
 	cache.mu.Lock()
 	if e, ok := cache.byModule[key]; ok {
 		if e.elem != nil {
@@ -592,7 +596,7 @@ func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error
 	m, err := module()
 	if err == nil {
 		fl.sr, outcome, err = pblock.ReadThrough(cache.disk, key, f.dev, m, rep, search, f.cfg, func() (pblock.SearchResult, error) {
-			return f.implementModule(m, rep, mode, search)
+			return p.Search(f.dev, m, rep, search, f.cfg)
 		})
 		if !outcome.Served() {
 			search.Obs.Add("blockcache.miss", 1)
@@ -617,64 +621,12 @@ func (f *Flow) cachedImplement(key string, module func() (*netlist.Module, error
 	return fl.sr, outcome, err
 }
 
-// keyFingerprints are the parts of a block's persistent key that do not
-// depend on the block: the printed search window and oracle
-// configuration. A compile prints them once (fingerprints) and hands
-// them to every block's blockDiskKey.
-type keyFingerprints struct{ search, config string }
-
-func (f *Flow) fingerprints(search pblock.SearchConfig) keyFingerprints {
-	return keyFingerprints{
-		search: pblock.SearchFingerprint(search),
-		config: pblock.ConfigFingerprint(f.cfg),
-	}
-}
-
-// blockDiskKey is the block's pblock.BlockKey — its address in memory
-// and on disk — under the CF policy's fingerprint. The estimator mode
-// folds the predicted CF into it: a retrained estimator addresses
-// different records rather than being served stale ones.
-func (f *Flow) blockDiskKey(moduleHash string, rep place.ShapeReport, mode CFMode, fps keyFingerprints) string {
-	modeFP := mode.kind
-	switch mode.kind {
-	case "constant":
-		modeFP = fmt.Sprintf("constant:%.4f", mode.constant)
-	case "estimator":
-		if rep.EstSlices < 6 {
-			modeFP = "minsweep"
-		} else {
-			modeFP = fmt.Sprintf("estimator:%.6f", mode.estimator.predict(rep))
-		}
-	}
-	return pblock.BlockKey(f.dev.Name, moduleHash, modeFP, fps.search, fps.config)
-}
-
-// constantImplement is the escalating constant-CF policy.
-func (f *Flow) constantImplement(m *netlist.Module, rep place.ShapeReport, cf float64, search pblock.SearchConfig) (pblock.SearchResult, error) {
-	ssp := obs.StartChild(search.Obs, search.Span, "search.constant",
-		obs.String("module", m.Name), obs.Float("cf0", cf))
-	oracle := search.Obs.Counter("mincf.oracle_runs")
-	runs := 0
-	plan := pblock.NewPlan(m, rep)
-	for {
-		runs++
-		oracle.Add(1)
-		psp := ssp.Child("oracle.probe", obs.Float("cf", cf))
-		impl, err := pblock.ImplementPlan(f.dev, plan, cf, f.cfg)
-		if err == nil {
-			psp.Set(obs.String("verdict", "feasible"))
-			psp.End()
-			ssp.Set(obs.Float("cf", cf), obs.Int("tool_runs", runs))
-			ssp.End()
-			return pblock.SearchResult{CF: cf, Impl: impl, ToolRuns: runs}, nil
-		}
-		psp.Set(obs.String("verdict", "infeasible"))
-		psp.End()
-		cf += 0.1
-		if cf > search.Max {
-			ssp.Set(obs.Int("tool_runs", runs))
-			ssp.End()
-			return pblock.SearchResult{}, err
-		}
+// blockDiskKeys returns a compile's block key: a block's pblock.BlockKey,
+// its address in memory and on disk, from its module hash and resolved
+// policy. The window and oracle configuration are printed once.
+func (f *Flow) blockDiskKeys(search pblock.SearchConfig) func(moduleHash string, p pblock.Policy) string {
+	sfp, cfp := pblock.SearchFingerprint(search), pblock.ConfigFingerprint(f.cfg)
+	return func(moduleHash string, p pblock.Policy) string {
+		return pblock.BlockKey(f.dev.Name, moduleHash, p.Fingerprint(), sfp, cfp)
 	}
 }

@@ -208,6 +208,92 @@ func TestSeededLoopsUseRNG(t *testing.T) {
 	}
 }
 
+// TestCFPolicyOnlyInPBlock: the CF policy has one home, internal/pblock.
+// In the non-test Go outside cmd/bench (the benchmark harness composes
+// its own block path), a tripwire for a second copy of it:
+//
+//   - an ordered comparison of an EstSlices field outside pblock.Tiny —
+//     a second spelling of the §VIII tiny-block threshold. The one other
+//     size window, the maze experiment's sample of 12–600-slice modules,
+//     is not that threshold and is named here;
+//   - a call of pblock.ImplementPlan outside the serial searches' shared
+//     probe step and the one-shot pblock.Implement — a fourth probe loop.
+func TestCFPolicyOnlyInPBlock(t *testing.T) {
+	allowCompare := map[string]bool{"internal/pblock.Tiny": true, "cmd/experiments.maze": true}
+	allowPlan := map[string]bool{"internal/pblock.serial.try": true, "internal/pblock.Implement": true}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "cmd/bench" || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "." {
+			dir = "macroflow"
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := dir + "." + fn.Name.Name
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = dir + "." + id.Name + "." + fn.Name.Name
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					switch n.Op {
+					case token.LSS, token.LEQ, token.GTR, token.GEQ:
+						if (isField(n.X, "EstSlices") || isField(n.Y, "EstSlices")) && !allowCompare[name] {
+							t.Errorf("%s: EstSlices compared in %s; ask pblock.Tiny", fset.Position(n.Pos()), name)
+						}
+					}
+				case *ast.CallExpr:
+					callee := n.Fun
+					if sel, ok := callee.(*ast.SelectorExpr); ok {
+						callee = sel.Sel
+					}
+					if id, ok := callee.(*ast.Ident); ok && id.Name == "ImplementPlan" && !allowPlan[name] {
+						t.Errorf("%s: ImplementPlan called in %s; probe through the serial searches' step", fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil || files < 50 {
+		t.Fatalf("scanned %d Go files (%v)", files, err)
+	}
+}
+
+// isField reports whether e selects a field or method named name.
+func isField(e ast.Expr, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name
+}
+
 // metricLiteral reads a metric name off a registry call's first
 // argument: "name", fmt.Sprintf("name.%d", …) or "prefix." + x.
 func metricLiteral(e ast.Expr) (string, bool) {

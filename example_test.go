@@ -8,7 +8,7 @@ import (
 
 // The basic flow: describe a block, measure its minimal correction
 // factor with the placement/routing oracle, and inspect the result.
-func ExampleFlow_MinCF() {
+func ExampleFlow_ImplementBlock() {
 	flow, err := macroflow.NewFlow("xc7z020")
 	if err != nil {
 		panic(err)
@@ -19,7 +19,7 @@ func ExampleFlow_MinCF() {
 		ShiftRegs(4, 8, 2, 2).
 		Logic(160, 4, 3)
 
-	res, err := flow.MinCF(spec)
+	res, err := flow.ImplementBlock(spec, macroflow.MinSweepCF())
 	if err != nil {
 		panic(err)
 	}

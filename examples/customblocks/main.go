@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := flow.ImplementWithEstimator(s, est)
+		r, err := flow.ImplementBlock(s, macroflow.EstimatorCF(est))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			re, err := flow.ImplementWithEstimator(s, est)
+			re, err := flow.ImplementBlock(s, macroflow.EstimatorCF(est))
 			if err != nil {
 				log.Fatal(err)
 			}
-			rs, err := flow.MinCF(s)
+			rs, err := flow.ImplementBlock(s, macroflow.MinSweepCF())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func main() {
 	}
 
 	// The tightest feasible PBlock, found by the paper's 0.02-step sweep.
-	res, err := flow.MinCF(spec)
+	res, err := flow.ImplementBlock(spec, macroflow.MinSweepCF())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,34 +67,17 @@ func (f *Flow) Implement(s *Spec, cf float64) (ModuleResult, error) {
 	return f.moduleResult(m.Name, rep, pblock.SearchResult{CF: cf, Impl: impl, ToolRuns: 1}), nil
 }
 
-// MinCF sweeps the correction factor at the configured resolution and
-// returns the first (minimal) feasible implementation.
-func (f *Flow) MinCF(s *Spec) (ModuleResult, error) {
-	m, rep, err := pblock.FrontEnd(s.inner, nil)
+// ImplementBlock implements one block under the CF mode. It is a
+// one-block Compile with SkipStitch, so a block alone and the same block
+// in a design get the same result.
+func (f *Flow) ImplementBlock(s *Spec, mode CFMode) (ModuleResult, error) {
+	d := NewDesign()
+	d.AddBlockType(s)
+	res, err := f.Compile(d, mode, CompileOptions{SkipStitch: true})
 	if err != nil {
 		return ModuleResult{}, err
 	}
-	sr, err := pblock.MinCF(f.dev, m, rep, f.search, f.cfg)
-	if err != nil {
-		return ModuleResult{}, err
-	}
-	return f.moduleResult(m.Name, rep, sr), nil
-}
-
-// ImplementWithEstimator seeds the CF from the estimator and refines per
-// the paper's §VIII procedure (coarse +0.1 steps up on underestimates,
-// then a fine 0.02 scan of the last interval).
-func (f *Flow) ImplementWithEstimator(s *Spec, e *Estimator) (ModuleResult, error) {
-	m, rep, err := pblock.FrontEnd(s.inner, nil)
-	if err != nil {
-		return ModuleResult{}, err
-	}
-	est := e.predict(rep)
-	sr, err := pblock.FromEstimate(f.dev, m, rep, est, f.search, f.cfg)
-	if err != nil {
-		return ModuleResult{}, err
-	}
-	return f.moduleResult(m.Name, rep, sr), nil
+	return res.Blocks[0], nil
 }
 
 // Features returns the estimator features of a spec — useful for

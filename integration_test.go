@@ -30,7 +30,7 @@ func TestFlowEndToEndInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.MinCF(spec)
+	res, err := f.ImplementBlock(spec, MinSweepCF())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFlowEndToEndInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := f.implementModule(m, rep, MinSweepCF(), f.search)
+	sr, err := pblock.Sweep().Search(f.dev, m, rep, f.search, f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFlowEndToEndInvariants(t *testing.T) {
 	// The precise maze router must agree the module routes once the
 	// PBlock has some slack (at the exact minimum the two models may
 	// disagree on borderline cases — see the 'maze' experiment).
-	loose, err := f.implementModule(m, rep, ConstantCF(sr.CF+0.4), f.search)
+	loose, err := pblock.Constant(sr.CF+0.4).Search(f.dev, m, rep, f.search, f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() ModuleResult {
 		f, _ := NewFlow("xc7z045")
 		f.SetSearch(0.9, 0.02, 3.0)
-		res, err := f.MinCF(NewSpec("det").Logic(300, 4, 3).SumOfSquares(8, 2))
+		res, err := f.ImplementBlock(NewSpec("det").Logic(300, 4, 3).SumOfSquares(8, 2), MinSweepCF())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,11 +130,8 @@ func label(cfg Config, spec rtlgen.Spec) (Sample, bool, error) {
 	if err != nil {
 		return Sample{}, false, err
 	}
-	// Tiny modules are excluded, as in §VIII: "we removed the modules
-	// that had one or two tiles from the evaluation, as their PBlock is
-	// straightforward and they do not require an estimator". Their CF is
-	// pure geometric quantization noise.
-	if rep.EstSlices < 6 {
+	// Tiny modules are excluded, as in §VIII.
+	if pblock.Tiny(rep.EstSlices) {
 		return Sample{}, false, nil
 	}
 	key := ""

@@ -5,10 +5,10 @@
 // a height floor from the carry-chain shapes; then determine feasibility
 // by running detailed placement and routing inside the rectangle.
 //
-// It also provides the two correction-factor searches the paper uses:
-// the exhaustive minimal-CF sweep at 0.02 resolution (§VI-C/§VII) and the
-// estimator-seeded refinement of §VIII (+0.1 coarse steps up, then a 0.02
-// scan of the last interval).
+// It also holds the paper's three correction-factor policies (Policy):
+// the exhaustive minimal-CF sweep at 0.02 resolution (§VI-C/§VII), the
+// constant CF escalated by 0.1, and the estimator-seeded refinement of
+// §VIII (+0.1 coarse steps up, then a 0.02 scan of the last interval).
 package pblock
 
 import (
@@ -335,35 +335,110 @@ type SearchResult struct {
 	ToolRuns int // number of implement attempts performed by this call
 }
 
+// Policy is how one block's CF is chosen, one of the paper's three: the
+// minimal-CF sweep (the zero value), RapidWright's constant CF (1.68 in
+// §IV) or the §VIII estimator seed. It owns the search, the block key's
+// mode fingerprint and the minimality claim.
+type Policy struct {
+	kind policyKind
+	cf   float64 // the constant CF, or the estimator's predicted CF
+}
+
+type policyKind uint8
+
+const (
+	sweep policyKind = iota
+	constant
+	estimate
+)
+
+var kindNames = [...]string{sweep: "minsweep", constant: "constant", estimate: "estimator"}
+
+// Sweep searches the minimal feasible CF on the search grid (MinCF).
+func Sweep() Policy { return Policy{} }
+
+// Constant implements at cf, stepping up by 0.1 while infeasible.
+func Constant(cf float64) Policy { return Policy{kind: constant, cf: cf} }
+
+// Estimate refines an estimator's predicted CF (FromEstimate).
+func Estimate(predicted float64) Policy { return Policy{kind: estimate, cf: predicted} }
+
+// Tiny reports whether a block of estSlices estimated slices has one or
+// two tiles. §VIII: "we removed the modules that had one or two tiles
+// from the evaluation, as their PBlock is straightforward and they do
+// not require an estimator". The estimator policy sweeps such a block,
+// and its samples leave it out.
+func Tiny(estSlices int) bool { return estSlices < 6 }
+
+// Validate rejects a constant CF that is not a finite number > 0; from
+// NaN or -Inf the escalation would never pass the window's end.
+func (p Policy) Validate() error {
+	if p.kind == constant && !(p.cf > 0 && !math.IsInf(p.cf, 1)) {
+		return fmt.Errorf("pblock: constant CF %g is not a finite number > 0", p.cf)
+	}
+	return nil
+}
+
+// Kind names the policy: "minsweep", "constant" or "estimator".
+func (p Policy) Kind() string { return kindNames[p.kind] }
+
+// Fingerprint is the policy's part of a BlockKey. It prints the CF, so
+// a retrained estimator addresses new records instead of stale ones.
+func (p Policy) Fingerprint() string {
+	switch p.kind {
+	case constant:
+		return fmt.Sprintf("constant:%.4f", p.cf)
+	case estimate:
+		return fmt.Sprintf("estimator:%.6f", p.cf)
+	}
+	return p.Kind()
+}
+
+// Minimal reports whether the policy claims its CF is the grid minimum;
+// a constant or estimate-seeded CF is claimed feasible only.
+func (p Policy) Minimal() bool { return p.kind == sweep }
+
+// Search chooses the module's CF under the policy. A policy or window
+// that fails Validate is an error before any probe.
+func (p Policy) Search(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
+	if err := p.Validate(); err != nil {
+		return SearchResult{}, err
+	}
+	switch p.kind {
+	case constant:
+		return traced(s, func(s SearchConfig) (SearchResult, error) { return escalate(dev, m, rep, p.cf, s, cfg) },
+			"search.constant", obs.String("module", m.Name), obs.Float("cf0", p.cf))
+	case estimate:
+		return FromEstimate(dev, m, rep, p.cf, s, cfg)
+	}
+	return MinCF(dev, m, rep, s, cfg)
+}
+
+// escalate is the constant policy's search: probe cf and, while
+// infeasible, add 0.1 until past s.Max. The CF accumulates, so a climb
+// probes drifted CFs (1.5 + 0.1 + 0.1 = 1.7000000000000002), which
+// results and records carry as they are.
+func escalate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, cf float64, s SearchConfig, cfg Config) (SearchResult, error) {
+	p := newSerial(dev, m, rep, s, cfg)
+	for ; ; cf += 0.1 {
+		if res, err := p.try(cf); err == nil || cf+0.1 > s.Max {
+			return res, err
+		}
+	}
+}
+
 // MinCF finds the minimal feasible correction factor on the search grid.
 // The default linear strategy sweeps from s.Start in s.Step increments
 // until the first feasible implementation — the paper's ground-truth
 // procedure; StrategyBisect returns the same CF with O(log) probes. A
 // window s.Validate rejects is an error before any probe.
 func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	if err := s.Validate(); err != nil {
-		return SearchResult{}, err
+	search := minCFLinear
+	if s.Strategy == StrategyBisect {
+		search = minCFBisect
 	}
-	sp := obs.StartChild(s.Obs, s.Span, "search.mincf",
-		obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
-	s.Span = sp
-	res, err := searchMinCF(dev, m, rep, s, cfg)
-	sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
-	sp.End()
-	recordProbes(s.Obs, res.ToolRuns)
-	return res, err
-}
-
-// recordProbes feeds the per-block probe count into the
-// mincf.probes_per_block histogram — the solver-health series a live
-// service watches to spot searches degrading (estimator drift, cache
-// misses, pathological modules). A search that could not probe at all
-// (an empty window) adds no sample, and neither does a block the cache
-// served: ReadThrough never calls the search then.
-func recordProbes(rec *obs.Recorder, runs int) {
-	if runs > 0 {
-		rec.BucketHist("mincf.probes_per_block", nil).Observe(float64(runs))
-	}
+	return traced(s, func(s SearchConfig) (SearchResult, error) { return search(dev, m, rep, s, cfg) },
+		"search.mincf", obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
 }
 
 func (st Strategy) name() string {
@@ -373,40 +448,70 @@ func (st Strategy) name() string {
 	return "linear"
 }
 
-// searchMinCF dispatches to the configured strategy.
-func searchMinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	if s.Strategy == StrategyBisect {
-		return minCFBisect(dev, m, rep, s, cfg)
+// traced validates the window and runs one search under a span named
+// name, which carries attrs and then the search's CF and tool runs. The
+// runs also land in mincf.probes_per_block, the solver-health series a
+// service watches for degrading searches; a search that could not probe
+// (an empty window) adds no sample, nor does a block the cache served.
+func traced(s SearchConfig, search func(SearchConfig) (SearchResult, error), name string, attrs ...obs.Attr) (SearchResult, error) {
+	if err := s.Validate(); err != nil {
+		return SearchResult{}, err
 	}
-	return minCFLinear(dev, m, rep, s, cfg)
+	sp := obs.StartChild(s.Obs, s.Span, name, attrs...)
+	s.Span = sp
+	res, err := search(s)
+	sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
+	sp.End()
+	if res.ToolRuns > 0 {
+		s.Obs.BucketHist("mincf.probes_per_block", nil).Observe(float64(res.ToolRuns))
+	}
+	return res, err
 }
 
 // minCFLinear is the paper's exhaustive sweep. Every grid point is a
 // full from-scratch implement attempt and counts one tool run, matching
 // the paper's run-time accounting.
 func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	runs := 0
-	oracle := s.Obs.Counter("mincf.oracle_runs")
-	plan := NewPlan(m, rep)
-	for i := 0; ; i++ {
-		cf := s.cfAt(i)
-		if cf > s.Max+1e-9 {
-			break
-		}
-		runs++
-		oracle.Add(1)
-		psp := obs.StartChild(s.Obs, s.Span, "oracle.probe", obs.Float("cf", cf))
-		impl, err := ImplementPlan(dev, plan, cf, cfg)
-		psp.Set(obs.String("verdict", probeVerdict(err)))
-		psp.End()
-		if err == nil {
-			return SearchResult{CF: cf, Impl: impl, ToolRuns: runs}, nil
-		}
-		if errors.Is(err, ErrNoFit) {
-			return SearchResult{ToolRuns: runs}, err
+	p := newSerial(dev, m, rep, s, cfg)
+	for i := 0; s.cfAt(i) <= s.Max+1e-9; i++ {
+		if res, err := p.try(s.cfAt(i)); err == nil || errors.Is(err, ErrNoFit) {
+			return res, err
 		}
 	}
-	return SearchResult{ToolRuns: runs}, errNoFeasible(s, m)
+	return SearchResult{ToolRuns: p.runs}, errNoFeasible(s, m)
+}
+
+// serial is the probe step the linear sweep, the §VIII refinement and
+// the constant escalation share (each computes its own CFs): a try is a
+// tool run (runs, mincf.oracle_runs) and an oracle.probe span with its
+// cf and verdict. The bisection's prober keeps its plan and runs here.
+type serial struct {
+	dev    *fabric.Device
+	plan   *Plan
+	s      SearchConfig
+	cfg    Config
+	oracle *obs.Counter
+	runs   int
+}
+
+func newSerial(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *serial {
+	return &serial{dev: dev, plan: NewPlan(m, rep), s: s, cfg: cfg, oracle: s.Obs.Counter("mincf.oracle_runs")}
+}
+
+// try implements the module at cf through the search's plan. Its
+// result carries the search's tool runs so far, and on success the CF
+// and the implementation.
+func (p *serial) try(cf float64) (SearchResult, error) {
+	p.runs++
+	p.oracle.Add(1)
+	sp := obs.StartChild(p.s.Obs, p.s.Span, "oracle.probe", obs.Float("cf", cf))
+	impl, err := ImplementPlan(p.dev, p.plan, cf, p.cfg)
+	sp.Set(obs.String("verdict", probeVerdict(err)))
+	sp.End()
+	if err != nil {
+		return SearchResult{ToolRuns: p.runs}, err
+	}
+	return SearchResult{CF: cf, Impl: impl, ToolRuns: p.runs}, nil
 }
 
 // probeVerdict names an Implement outcome for span attributes.
@@ -431,69 +536,45 @@ func errNoFeasible(s SearchConfig, m *netlist.Module) error {
 // feasible CF. The returned ToolRuns counts every implement attempt, the
 // paper's run-time metric.
 func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
-	if err := s.Validate(); err != nil {
-		return SearchResult{}, err
-	}
-	sp := obs.StartChild(s.Obs, s.Span, "search.estimate",
-		obs.String("module", m.Name), obs.Float("est", est))
-	s.Span = sp
-	res, err := fromEstimate(dev, m, rep, est, s, cfg)
-	sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
-	sp.End()
-	recordProbes(s.Obs, res.ToolRuns)
-	return res, err
+	return traced(s, func(s SearchConfig) (SearchResult, error) { return fromEstimate(dev, m, rep, est, s, cfg) },
+		"search.estimate", obs.String("module", m.Name), obs.Float("est", est))
 }
 
-// fromEstimate is FromEstimate's body, split out so the wrapper can
-// record the search span around every return path.
+// fromEstimate is FromEstimate's search, run under its span.
 func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
-	runs := 0
-	oracle := s.Obs.Counter("mincf.oracle_runs")
-	plan := NewPlan(m, rep)
-	try := func(cf float64) (*Implementation, bool) {
-		runs++
-		oracle.Add(1)
-		psp := obs.StartChild(s.Obs, s.Span, "oracle.probe", obs.Float("cf", cf))
-		impl, err := ImplementPlan(dev, plan, cf, cfg)
-		psp.Set(obs.String("verdict", probeVerdict(err)))
-		psp.End()
-		return impl, err == nil
-	}
+	p := newSerial(dev, m, rep, s, cfg)
 	cf := roundCF(est)
 	if cf < s.Step {
 		cf = s.Step
 	}
-	impl, ok := try(cf)
-	if !ok {
-		// Coarse upward steps of 0.1, indexed from the starting estimate
-		// so the probed CFs stay exact grid points over long climbs.
-		base, lo := cf, cf
-		for j := 1; ; j++ {
-			cf = roundCF(base + float64(j)*0.1)
-			if cf > s.Max {
-				return SearchResult{ToolRuns: runs}, fmt.Errorf("pblock: estimator refinement exceeded CF %.2f for %s", s.Max, m.Name)
-			}
-			impl, ok = try(cf)
-			if ok {
-				break
-			}
+	res, err := p.try(cf)
+	if err == nil {
+		return res, nil // the estimate is feasible: a first-run success
+	}
+	// Coarse upward steps of 0.1, indexed from the starting estimate so
+	// the probed CFs stay exact grid points over long climbs.
+	base, lo := cf, cf
+	for j := 1; err != nil; j++ {
+		if cf = roundCF(base + float64(j)*0.1); cf > s.Max {
+			return SearchResult{ToolRuns: p.runs}, fmt.Errorf("pblock: estimator refinement exceeded CF %.2f for %s", s.Max, m.Name)
+		}
+		if res, err = p.try(cf); err != nil {
 			lo = cf
 		}
-		// Fine scan of the last interval (lo, cf) at the grid resolution,
-		// indexed from lo for the same drift-free reason.
-		for i := 1; ; i++ {
-			f := roundCF(lo + float64(i)*s.Step)
-			if f >= cf-1e-9 {
-				break
-			}
-			if fineImpl, fineOK := try(f); fineOK {
-				return SearchResult{CF: f, Impl: fineImpl, ToolRuns: runs}, nil
-			}
-		}
-		return SearchResult{CF: cf, Impl: impl, ToolRuns: runs}, nil
 	}
-	// First run feasible: the estimate already yields an implementation.
-	return SearchResult{CF: cf, Impl: impl, ToolRuns: runs}, nil
+	// Fine scan of the last interval (lo, cf) at the grid resolution,
+	// indexed from lo for the same drift-free reason.
+	for i := 1; ; i++ {
+		f := roundCF(lo + float64(i)*s.Step)
+		if f >= cf-1e-9 {
+			break
+		}
+		if fine, err := p.try(f); err == nil {
+			return fine, nil
+		}
+	}
+	res.ToolRuns = p.runs
+	return res, nil
 }
 
 // gridPerUnit is the resolution of the CF grid, the paper's 0.02.

@@ -363,7 +363,7 @@ func BlockKey(device, moduleHash, modeFP, searchFP, configFP string) string {
 // SweepKey is the BlockKey of a module's minimal-CF sweep — the record a
 // label and a block compiled under the min-sweep policy share.
 func SweepKey(dev *fabric.Device, m *netlist.Module, s SearchConfig, cfg Config) string {
-	return BlockKey(dev.Name, implcache.ModuleHash(m), "minsweep", SearchFingerprint(s), ConfigFingerprint(cfg))
+	return BlockKey(dev.Name, implcache.ModuleHash(m), Sweep().Fingerprint(), SearchFingerprint(s), ConfigFingerprint(cfg))
 }
 
 // SearchFingerprint serializes the verdict-relevant part of a search

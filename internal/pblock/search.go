@@ -36,26 +36,16 @@ func (o *probeOutcome) escaped() bool { return o.noFit || o.placeOK }
 // probe when placement succeeds); memo hits and failed PBlock builds are
 // free. That is the quantity the search minimizes.
 type prober struct {
-	dev  *fabric.Device
-	m    *netlist.Module
-	rep  place.ShapeReport
-	plan *Plan
-	s    SearchConfig
-	cfg  Config
-
-	byRect map[fabric.Rect]*probeOutcome
-	runs   int
-	n      int // highest grid index within [Start, Max]
-	oracle *obs.Counter
+	*serial // the plan, the configuration and the run count
+	m       *netlist.Module
+	rep     place.ShapeReport
+	byRect  map[fabric.Rect]*probeOutcome
+	n       int // highest grid index within [Start, Max]
 }
 
 func newProber(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *prober {
-	return &prober{
-		dev: dev, m: m, rep: rep, plan: NewPlan(m, rep), s: s, cfg: cfg,
-		byRect: make(map[fabric.Rect]*probeOutcome),
-		n:      s.lastIndex(),
-		oracle: s.Obs.Counter("mincf.oracle_runs"),
-	}
+	return &prober{serial: newSerial(dev, m, rep, s, cfg), m: m, rep: rep,
+		byRect: make(map[fabric.Rect]*probeOutcome), n: s.lastIndex()}
 }
 
 // probe returns the PBlock of grid index idx and its verdict, running

@@ -18,7 +18,7 @@
 //	spec := macroflow.NewSpec("my_block").
 //		ShiftRegs(8, 16, 4, 6).
 //		SumOfSquares(12, 2)
-//	res, _ := flow.MinCF(spec)
+//	res, _ := flow.ImplementBlock(spec, macroflow.MinSweepCF())
 //	fmt.Println(res.CF, res.UsedSlices)
 package macroflow
 

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"macroflow/internal/pblock"
 )
 
 func TestNewFlowDevices(t *testing.T) {
@@ -37,7 +40,7 @@ func TestMinCFAndImplementAgree(t *testing.T) {
 	}
 	f.SetSearch(0.5, 0.02, 3.0)
 	s := testSpec("api_block")
-	res, err := f.MinCF(s)
+	res, err := f.ImplementBlock(s, MinSweepCF())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +57,92 @@ func TestMinCFAndImplementAgree(t *testing.T) {
 	}
 	if impl.ToolRuns != 1 {
 		t.Errorf("direct implement must be one run, got %d", impl.ToolRuns)
+	}
+}
+
+// TestImplementBlockMatchesCompile: a block implemented alone equals the
+// same block compiled as a one-block design, under every CF mode. The
+// four tiny specs (EstSlices 1–5) are the rows that need it: implemented
+// alone through the estimator they used to get the estimator's CF
+// (1.00 / 1.00 / 1.38 / 1.22), while Compile sweeps them per §VIII
+// (0.90).
+func TestImplementBlockMatchesCompile(t *testing.T) {
+	f, est, _ := trainQuick(t, DecisionTree, FeaturesAdditional)
+	f.SetSearch(0.9, 0.02, 3.0)
+	specs := []*Spec{
+		testSpec("full_block"),
+		NewSpec("tiny_logic8").Logic(8, 4, 1),
+		NewSpec("tiny_logic16").Logic(16, 4, 2),
+		NewSpec("tiny_shift").ShiftRegs(2, 4, 1, 2),
+		NewSpec("tiny_sos").SumOfSquares(4, 1),
+	}
+	for _, mc := range []struct {
+		name string
+		mode CFMode
+	}{
+		{"minsweep", MinSweepCF()},
+		{"constant", ConstantCF(1.5)},
+		{"estimator", EstimatorCF(est)},
+	} {
+		for i, s := range specs {
+			t.Run(mc.name+"/"+s.Name(), func(t *testing.T) {
+				alone, err := f.ImplementBlock(s, mc.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tiny := pblock.Tiny(alone.EstSlices); tiny != (i > 0) {
+					t.Fatalf("EstSlices %d: tiny = %v, want %v", alone.EstSlices, tiny, i > 0)
+				}
+				d := NewDesign()
+				d.AddBlockType(s)
+				res, err := f.Compile(d, mc.mode, CompileOptions{SkipStitch: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if alone != res.Blocks[0] {
+					t.Errorf("alone    %+v\nCompile  %+v", alone, res.Blocks[0])
+				}
+			})
+		}
+	}
+}
+
+// TestConstantCFValidated: a constant CF that is not a finite number > 0
+// is refused by CFMode.Validate, and Compile and ImplementBlock return
+// that error before any tool run. From NaN or -Inf the escalation never
+// passed the window's end; from -2 it spent 34 tool runs climbing to CF
+// 1.300000000000001.
+func TestConstantCFValidated(t *testing.T) {
+	f, _ := NewFlow("xc7z020")
+	f.SetSearch(0.9, 0.02, 3.0)
+	for _, cf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
+		mode := ConstantCF(cf)
+		if mode.Validate() == nil {
+			t.Errorf("ConstantCF(%g).Validate() = nil", cf)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if r, err := f.ImplementBlock(testSpec("const_block"), mode); err == nil || r.ToolRuns != 0 {
+				t.Errorf("cf %g: ImplementBlock = %+v, %v; want the CF error and no tool run", cf, r, err)
+			}
+			rec := NewRecorder()
+			res, err := f.Compile(smallDesign(120), mode, CompileOptions{Implement: ImplementOptions{Obs: rec}})
+			if err == nil || res != nil || rec.CounterValue("mincf.oracle_runs") != 0 {
+				t.Errorf("cf %g: Compile = %v after %d probes; want the CF error and no probe",
+					cf, err, rec.CounterValue("mincf.oracle_runs"))
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("cf %g: no return within 20 s", cf)
+		}
+	}
+	for _, cf := range []float64{1e-9, 1.68} {
+		if err := ConstantCF(cf).Validate(); err != nil {
+			t.Errorf("ConstantCF(%g).Validate() = %v", cf, err)
+		}
 	}
 }
 
@@ -130,7 +219,7 @@ func TestTrainEstimatorDecisionTree(t *testing.T) {
 	if cf < 0.3 || cf > 3 {
 		t.Errorf("prediction %f out of plausible range", cf)
 	}
-	res, err := f.ImplementWithEstimator(s, est)
+	res, err := f.ImplementBlock(s, EstimatorCF(est))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,15 +215,15 @@ func TestOffGridSearchStepRejected(t *testing.T) {
 	spec := func() *Spec { return NewSpec("blk").ShiftRegs(8, 16, 4, 6).SumOfSquares(12, 2) }
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
-	r, err := f.MinCF(spec())
+	r, err := f.ImplementBlock(spec(), MinSweepCF())
 	if err != nil || r.CF != 1.32 || r.ToolRuns != 22 {
 		t.Fatalf("grid step: CF %.2f in %d tool runs (%v), want 1.32 in 22", r.CF, r.ToolRuns, err)
 	}
 	for _, step := range []float64{0.001, 1e-4, 1e-9} {
 		f.SetSearch(0.9, step, 3.0)
 		const want = "is not a positive multiple of the 0.02 CF grid"
-		if r, err := f.MinCF(spec()); err == nil || !strings.Contains(err.Error(), want) || r.ToolRuns != 0 {
-			t.Errorf("step %g: MinCF = %+v, %v; want the step error and no tool run", step, r, err)
+		if r, err := f.ImplementBlock(spec(), MinSweepCF()); err == nil || !strings.Contains(err.Error(), want) || r.ToolRuns != 0 {
+			t.Errorf("step %g: ImplementBlock = %+v, %v; want the step error and no tool run", step, r, err)
 		}
 		cache := NewBlockCache()
 		rec := NewRecorder()

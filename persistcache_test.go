@@ -150,7 +150,7 @@ func TestBlockDiskKeyPinned(t *testing.T) {
 	}
 	rep := place.QuickPlace(m)
 	hash := implcache.ModuleHash(m)
-	fps := f.fingerprints(f.search)
+	blockDiskKey := f.blockDiskKeys(f.search)
 	for _, c := range []struct {
 		mode CFMode
 		want string
@@ -158,8 +158,8 @@ func TestBlockDiskKeyPinned(t *testing.T) {
 		{MinSweepCF(), "70b44992e1cba212e3ae07bf51bb1f6e815e19407842322e48abc4ba020e16d7"},
 		{ConstantCF(1.5), "7356d0071db3e523c5fa6e2d4ce982a911d327ab266d26f7208c62ec82663851"},
 	} {
-		if got := f.blockDiskKey(hash, rep, c.mode, fps); got != c.want {
-			t.Errorf("blockDiskKey(mvau_l34, %s) = %s, want %s", c.mode.kind, got, c.want)
+		if got := blockDiskKey(hash, c.mode.policy(rep)); got != c.want {
+			t.Errorf("blockDiskKey(mvau_l34, %s) = %s, want %s", c.mode.name(), got, c.want)
 		}
 	}
 }

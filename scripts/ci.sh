@@ -53,9 +53,9 @@ stage_build() {
 	go build ./...
 	# The documents name tests, paths and metrics; all of them must be in
 	# the tree that just built. The stitcher and the forest fan out only
-	# through obs.Each, and the stitcher, the placer and synthesis draw
-	# only through internal/rng.
-	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach|TestSeededLoopsUseRNG' .
+	# through obs.Each, the stitcher, the placer and synthesis draw only
+	# through internal/rng, and the CF policy lives only in internal/pblock.
+	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach|TestSeededLoopsUseRNG|TestCFPolicyOnlyInPBlock' .
 }
 
 stage_benchmod() {

@@ -36,11 +36,11 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	search.Obs = rec
 	cache := NewBlockCache()
 
-	key := f.blockDiskKey(implcache.ModuleHash(m), rep, MinSweepCF(), f.fingerprints(search))
+	key := f.blockDiskKeys(search)(implcache.ModuleHash(m), pblock.Sweep())
 	module := func() (*netlist.Module, error) { return m, nil }
 
 	// Leader pass: compute the real result once.
-	want, hit, err := f.cachedImplement(key, module, rep, MinSweepCF(), search, cache)
+	want, hit, err := f.cachedImplement(key, module, rep, pblock.Sweep(), search, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSingleflightJoinsInflightSearch(t *testing.T) {
 	cache.mu.Unlock()
 	close(fl.done)
 
-	got, hit2, err := f.cachedImplement(key, module, rep, MinSweepCF(), search, cache)
+	got, hit2, err := f.cachedImplement(key, module, rep, pblock.Sweep(), search, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,23 +123,24 @@ func (f *Flow) verifyBlocks(level CheckLevel, mode CFMode, search pblock.SearchC
 			continue
 		}
 		shape := place.QuickPlace(m)
-		// Minimality on the search grid is only claimed by the sweep
-		// modes; constant and estimator-seeded CFs get a feasibility-only
+		p := mode.policy(shape)
+		// Minimality on the search grid is claimed only by the sweep;
+		// constant and estimator-seeded CFs get a feasibility-only
 		// re-probe.
 		below := 0
-		if mode.kind == "minsweep" || (mode.kind == "estimator" && blocks[ti].EstSlices < 6) {
+		if p.Minimal() {
 			below = -1
 			if level == CheckSampled {
 				below = 1
 			}
 		}
 		oracle.CheckMinCF(f.dev, m, shape, blocks[ti].CF, below, s, f.cfg, vr)
-		if mode.kind == "estimator" && mode.estimator != nil {
+		if mode.estimator != nil {
 			recordEstimatorDrift(rec, mode.estimator.predict(shape), blocks[ti].CF)
 		}
 		if outcomes[ti].Hit() {
 			cached := pblock.SearchResult{CF: blocks[ti].CF, Impl: impl}
-			fresh, err := f.implementModule(m, shape, mode, s)
+			fresh, err := p.Search(f.dev, m, shape, s, f.cfg)
 			oracle.CheckEquivalence(m.Name, cached, fresh, err, vr)
 		}
 	}
