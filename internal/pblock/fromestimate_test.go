@@ -1,8 +1,11 @@
 package pblock
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"macroflow/internal/fabric"
 	"macroflow/internal/rtlgen"
@@ -121,5 +124,51 @@ func TestFromEstimateMinAtWindowStart(t *testing.T) {
 	}
 	if res.Impl == nil || !res.Impl.Route.Feasible {
 		t.Fatal("clamped estimate must still refine to a feasible CF")
+	}
+}
+
+// TestNaNEstimateRefused: a NaN estimate is refused with ErrEstimateNaN
+// before any tool run, by Policy.Validate and by both ways into the
+// §VIII search; the climb from roundCF(NaN) never passed the window's
+// end. Infinite estimates keep their behaviour: they validate, +Inf
+// fails the window after one run and -Inf clamps to the grid.
+func TestNaNEstimateRefused(t *testing.T) {
+	dev := fabric.XC7Z020()
+	cfg := DefaultConfig()
+	s := SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}
+	m, rep := module(t, rtlgen.Spec{
+		Name:       "nan",
+		Components: []rtlgen.Component{rtlgen.RandomLogic{LUTs: 60, Fanin: 4, Depth: 2, Seed: 8}},
+	})
+	if err := Estimate(math.NaN()).Validate(); !errors.Is(err, ErrEstimateNaN) {
+		t.Errorf("Estimate(NaN).Validate() = %v, want ErrEstimateNaN", err)
+	}
+	for name, search := range map[string]func() (SearchResult, error){
+		"FromEstimate":  func() (SearchResult, error) { return FromEstimate(dev, m, rep, math.NaN(), s, cfg) },
+		"Policy.Search": func() (SearchResult, error) { return Estimate(math.NaN()).Search(dev, m, rep, s, cfg) },
+	} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if res, err := search(); !errors.Is(err, ErrEstimateNaN) || res.ToolRuns != 0 {
+				t.Errorf("%s(NaN) = %+v, %v; want ErrEstimateNaN and no tool run", name, res, err)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s(NaN): no return within 20 s", name)
+		}
+	}
+	for _, est := range []float64{math.Inf(1), math.Inf(-1)} {
+		if err := Estimate(est).Validate(); err != nil {
+			t.Errorf("Estimate(%g).Validate() = %v", est, err)
+		}
+	}
+	if res, err := FromEstimate(dev, m, rep, math.Inf(1), s, cfg); err == nil || res.ToolRuns != 1 {
+		t.Errorf("FromEstimate(+Inf) = %+v, %v; want the window error after one run", res, err)
+	}
+	if res, err := FromEstimate(dev, m, rep, math.Inf(-1), s, cfg); err != nil || res.Impl == nil {
+		t.Errorf("FromEstimate(-Inf) = %+v, %v; want the clamped climb's feasible CF", res, err)
 	}
 }

@@ -370,14 +370,24 @@ func Estimate(predicted float64) Policy { return Policy{kind: estimate, cf: pred
 // and its samples leave it out.
 func Tiny(estSlices int) bool { return estSlices < 6 }
 
-// Validate rejects a constant CF that is not a finite number > 0; from
-// NaN or -Inf the escalation would never pass the window's end.
+// Validate rejects a constant CF that is not a finite number > 0 and a
+// NaN estimate (ErrEstimateNaN); from either the climb would never pass
+// the window's end.
 func (p Policy) Validate() error {
-	if p.kind == constant && !(p.cf > 0 && !math.IsInf(p.cf, 1)) {
+	switch {
+	case p.kind == constant && !(p.cf > 0 && !math.IsInf(p.cf, 1)):
 		return fmt.Errorf("pblock: constant CF %g is not a finite number > 0", p.cf)
+	case p.kind == estimate && math.IsNaN(p.cf):
+		return ErrEstimateNaN
 	}
 	return nil
 }
+
+// ErrEstimateNaN is the error of an estimator policy or FromEstimate
+// search from a NaN estimate, returned before any tool run: roundCF(NaN)
+// passes both the grid clamp and the window's end, so the climb would
+// probe NaN forever.
+var ErrEstimateNaN = errors.New("pblock: estimated CF is NaN")
 
 // Kind names the policy: "minsweep", "constant" or "estimator".
 func (p Policy) Kind() string { return kindNames[p.kind] }
@@ -542,6 +552,9 @@ func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 
 // fromEstimate is FromEstimate's search, run under its span.
 func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
+	if math.IsNaN(est) {
+		return SearchResult{}, ErrEstimateNaN
+	}
 	p := newSerial(dev, m, rep, s, cfg)
 	cf := roundCF(est)
 	if cf < s.Step {

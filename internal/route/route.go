@@ -7,11 +7,16 @@
 // expected wirelength demand over its bounding box, scaled by a fanout
 // correction factor; overflowed nets are "rerouted" once by inflating
 // their boxes (detour modeling), a pass skipped when its total demand
-// alone already exceeds the rectangle's capacity. This keeps a single
-// feasibility probe cheap enough to run tens of thousands of times
-// during dataset generation while preserving the paper's §V-D/§V-E
-// couplings: high fanout and high cell density both raise demand and
-// force larger PBlocks.
+// alone already exceeds the rectangle's capacity. A probe whose boxes
+// overlap deeply is first put to a certificate: difference arrays give
+// every tile's demand to within a proven rounding margin and its exact
+// coverage in O(boxes + tiles), and when no tile lies within that margin
+// of the capacity they decide a reject — the overflow count, the touch
+// test and the detour bound exactly — without spreading a box; any
+// other probe spreads. This keeps a single feasibility probe cheap
+// enough to run tens of thousands of times during dataset generation
+// while preserving the paper's §V-D/§V-E couplings: high fanout and high
+// cell density both raise demand and force larger PBlocks.
 package route
 
 import (
@@ -60,14 +65,21 @@ func DefaultConfig() Config {
 // OverflowFrac describe the last pass measured: the first pass when it
 // routes (or under AssumeRoutable), the detour pass otherwise — except
 // when the detour bound decided the probe infeasible (DetourBounded),
-// which skips the detour pass; then they are the first pass's. The
+// which skips the detour pass; then they are the first pass's, and
+// AvgUtil may be the certificate's estimate of it (see AvgUtil). The
 // wirelength figures are always the first pass's boxes.
 type Result struct {
 	// Feasible reports whether the placement routes within the limits.
 	Feasible bool
 	// PeakUtil is the highest per-tile channel utilization.
 	PeakUtil float64
-	// AvgUtil is the mean utilization over tiles with any demand.
+	// AvgUtil is the mean utilization over tiles with any demand. On a
+	// probe the certificate decided (a DetourBounded one that spread no
+	// box) it is the mean of the certificate's per-tile estimates: each
+	// within the certificate's margin of the tile's demand, so the mean
+	// is within that margin over CapacityPerTile (below 2·10⁻¹⁰ on the
+	// cnvW1A1 blocks and a 200-module mix), up to the rounding of the
+	// two means, of the first pass's. Every other field is exact.
 	AvgUtil float64
 	// OverflowFrac is the fraction of tiles above 1.0 utilization.
 	OverflowFrac float64
@@ -77,7 +89,9 @@ type Result struct {
 	// TotalWirelength is the summed HPWL of all nets, in tiles.
 	TotalWirelength float64
 	// DetourBounded reports an infeasible probe the detour bound
-	// decided: its utilization figures are the first pass's.
+	// decided, after the first pass spread its boxes or after the
+	// certificate decided that pass without spreading them: its
+	// utilization figures are the first pass's.
 	DetourBounded bool
 }
 
@@ -88,10 +102,26 @@ type bbox struct {
 	q              float64 // fanout correction
 }
 
-func (b bbox) width() int  { return int(b.x1) - int(b.x0) + 1 }
-func (b bbox) height() int { return int(b.y1) - int(b.y0) + 1 }
+// The methods take a pointer: bbox has more fields than the compiler
+// keeps in registers, and a copied box costs the hot loops a store and
+// reload per use.
+func (b *bbox) width() int  { return int(b.x1) - int(b.x0) + 1 }
+func (b *bbox) height() int { return int(b.y1) - int(b.y0) + 1 }
 
-func (b bbox) hpwl() float64 { return float64(b.width() + b.height() - 2) }
+func (b *bbox) hpwl() float64 { return hpwlOf(b.x0, b.y0, b.x1, b.y1) }
+
+// hpwlOf is the half-perimeter wirelength of the box spanning x0..x1 by
+// y0..y1.
+func hpwlOf(x0, y0, x1, y1 int16) float64 {
+	return float64(int(x1) - int(x0) + int(y1) - int(y0))
+}
+
+// per is the demand b adds to each of its tiles: its expected
+// wirelength spread uniformly over its area.
+func (b *bbox) per() float64 {
+	wl := b.hpwl() * b.q
+	return wl / float64(b.width()*b.height())
+}
 
 // Route probes the routability of a placement. It is the one-shot form
 // of new(Scratch).Route(pl, cfg); a caller probing many placements of
@@ -101,20 +131,23 @@ func Route(pl *place.Placement, cfg Config) Result {
 }
 
 // Scratch is the working memory of a routing probe: the net boxes and
-// the per-tile demand and overflow maps. A probe overwrites whatever an
-// earlier one left before reading it, so the result is the same from a
-// fresh Scratch as from one any earlier probe has used. Not safe for
+// the per-tile demand and overflow maps, and the certificate's coverage
+// counts and inflation tables. A probe overwrites whatever an earlier
+// one left before reading it, so the result is the same from a fresh
+// Scratch as from one any earlier probe has used. Not safe for
 // concurrent probes: concurrent callers hold one each.
 type Scratch struct {
 	boxes  []bbox
 	demand []float64
 	over   []bool
+	cover  []int32
+	grow   []int
 }
 
 // Route probes the routability of a placement, like the package-level
 // Route, in the scratch's tables.
 func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
-	res, _ := s.route(pl, cfg)
+	res, _, _ := s.route(pl, cfg)
 	return res
 }
 
@@ -124,25 +157,71 @@ func (s *Scratch) Route(pl *place.Placement, cfg Config) Result {
 // (below 3e-11 at 10^5 nets and tiles).
 const detourSlack = 1e-9
 
+// certifyDepth is how many times the boxes' summed area must exceed
+// their count plus the rectangle's tiles before a probe tries the
+// certificate. Spreading costs one addition per covered tile; the
+// certificate about eight operations per box (four corners in each of
+// two difference arrays) and per tile (their prefix sums, the tile
+// pass, the overflow counts), so below this depth it saves little even
+// on a reject and costs a feasible probe most of a spread.
+const certifyDepth = 8
+
 // route is Route, also returning the detour bound's load — the inflated
 // boxes' summed wirelength over CapacityPerTile·w·h — when that bound
-// decided the probe, and 0 when it did not.
+// decided the probe, and 0 when it did not, and whether the certificate
+// decided it. A probe the certificate may decide and that is worth its
+// cost (worthCertifying) tries it first; it decides most route rejects
+// without spreading a box, and whatever it leaves undecided takes the
+// two-pass probe.
+func (s *Scratch) route(pl *place.Placement, cfg Config) (res Result, load float64, certified bool) {
+	w, h := pl.Rect.Width(), pl.Rect.Height()
+	if w <= 0 || h <= 0 {
+		return Result{Feasible: false}, 0, false
+	}
+	boxes := s.netBoxes(pl)
+	if !cfg.AssumeRoutable {
+		if area, ok := s.worthCertifying(boxes, w, h, cfg); ok {
+			if res, load, ok := s.certify(boxes, area, w, h, cfg); ok {
+				return res, load, true
+			}
+		}
+	}
+	res, load = s.twoPass(boxes, w, h, cfg)
+	return res, load, false
+}
+
+// worthCertifying returns the boxes' summed area, the tiles a spread
+// visits, and whether the certificate is worth trying: the boxes are at
+// least certifyDepth deep, and the detour bound could decide with every
+// box inflated. For a DetourInflate ≥ 1 that load bounds the one the
+// bound reads, summed in the same order, so a probe below it — most
+// feasible ones — skips the certificate it could not pass.
+func (s *Scratch) worthCertifying(boxes []bbox, w, h int, cfg Config) (area int, ok bool) {
+	for i := range boxes {
+		area += boxes[i].width() * boxes[i].height()
+	}
+	if area < certifyDepth*(len(boxes)+w*h) {
+		return area, false
+	}
+	dx, dy := s.growth(w, h, cfg.DetourInflate)
+	most := 0.0
+	for i := range boxes {
+		b := &boxes[i]
+		most += hpwlOf(widen(b, dx[b.width()], dy[b.height()], w, h)) * b.q
+	}
+	return area, most > (1+detourSlack)*cfg.CapacityPerTile*float64(w*h)
+}
+
+// twoPass spreads the boxes, measures, and on a first-pass reject
+// inflates the boxes touching an overflowed tile and measures again.
 //
 // The detour pass spreads each box's whole wirelength over its tiles,
 // so its tiles' demands sum to Σ hpwl·q, and measure divides their
 // utilization by the active tiles, at most w·h. A load above 1 (by more
 // than the rounding) therefore means an AvgUtil above 1: infeasible,
 // and known without spreading or measuring the pass.
-func (s *Scratch) route(pl *place.Placement, cfg Config) (Result, float64) {
-	w, h := pl.Rect.Width(), pl.Rect.Height()
-	if w <= 0 || h <= 0 {
-		return Result{Feasible: false}, 0
-	}
-	boxes := s.netBoxes(pl)
-	if cap(s.demand) < w*h {
-		s.demand, s.over = make([]float64, w*h), make([]bool, w*h)
-	}
-	demand := s.demand[:w*h]
+func (s *Scratch) twoPass(boxes []bbox, w, h int, cfg Config) (Result, float64) {
+	demand := s.demandMap(w, h)
 	clear(demand)
 	for _, b := range boxes {
 		addDemand(demand, w, b)
@@ -181,6 +260,214 @@ func (s *Scratch) route(pl *place.Placement, cfg Config) (Result, float64) {
 	res2 := measure(demand, w, h, cfg)
 	res2.AvgNetHPWL, res2.TotalWirelength = res.AvgNetHPWL, res.TotalWirelength
 	return res2, 0
+}
+
+// demandMap returns the w·h demand map, growing the demand and overflow
+// tables together.
+func (s *Scratch) demandMap(w, h int) []float64 {
+	if cap(s.demand) < w*h {
+		s.demand, s.over = make([]float64, w*h), make([]bool, w*h)
+	}
+	return s.demand[:w*h]
+}
+
+// certify decides a probe the first pass rejects without spreading its
+// boxes, or reports ok false, and then the caller takes twoPass. It
+// builds two difference arrays over the tiles — each box's per-tile
+// demand at its four corners, and its coverage — whose prefix sums are
+// an estimate est of every tile's demand and the exact count of boxes
+// covering it: O(boxes + w·h) instead of O(Σ box area). A tile is active
+// exactly when its count is > 0, since every box's per-tile demand is
+// > 0.
+//
+// The margin E = 2⁻⁵⁰·(N·S + C), with S the boxes' summed per-tile
+// demand, N = boxes + w + h and C = CapacityPerTile, bounds how far est
+// can lie from the demand twoPass sums. Both approximate the same real
+// sum: twoPass's sequential sum puts each term through at most boxes
+// additions (error ≤ γ_boxes·S); est carries four corner terms per box
+// through at most one addition per box at its corner, w along its row
+// and h down its column (error ≤ γ_N·4S); and 5·γ_N·S < 2⁻⁵⁰·N·S with room for the rounding of S, E
+// and the thresholds. The C term keeps every tile outside C ± E more
+// than 2⁻⁵¹·C from C, where d > C and d/C > 1 agree. Any covered tile
+// within E of C makes the probe undecided; otherwise the overflow map
+// and count are twoPass's exactly, and so are OverflowFrac, the touch
+// test (a 2D prefix count of overflowed tiles, O(1) per box), the
+// inflated boxes (inflate's growth, tabled per width and height) and
+// the detour bound's Σ hpwl·q, summed in box order. A decided probe's
+// PeakUtil is exact as well: only a tile whose estimate is within 2E of
+// the highest can hold the highest demand, and those are re-summed in
+// box order. Its AvgUtil is the mean of est over C, within E/C of
+// twoPass's up to the rounding of the two means.
+func (s *Scratch) certify(boxes []bbox, area, w, h int, cfg Config) (res Result, load float64, ok bool) {
+	c := cfg.CapacityPerTile
+	if !(c > 0 && c <= math.MaxFloat64) {
+		return Result{}, 0, false
+	}
+	est := s.demandMap(w, h)
+	if cap(s.cover) < w*h {
+		s.cover = make([]int32, w*h)
+	}
+	cover := s.cover[:w*h]
+	clear(est)
+	clear(cover)
+	sum := 0.0
+	for i := range boxes {
+		b := &boxes[i]
+		per := b.per()
+		sum += per
+		at, dx, dy := int(b.y0)*w+int(b.x0), b.width(), b.height()*w
+		est[at] += per
+		cover[at]++
+		right := int(b.x1)+1 < w
+		if right {
+			est[at+dx] -= per
+			cover[at+dx]--
+		}
+		if int(b.y1)+1 < h {
+			est[at+dy] -= per
+			cover[at+dy]--
+			if right {
+				est[at+dy+dx] += per
+				cover[at+dy+dx]++
+			}
+		}
+	}
+	prefixSums(est, w, h)
+	prefixSums(cover, w, h)
+
+	e := 0x1p-50 * (float64(len(boxes)+w+h)*sum + c)
+	lo, hi := c-e, c+e
+	active, over := 0, 0
+	usum, top := 0.0, 0.0
+	for i, d := range est {
+		if cover[i] == 0 {
+			continue
+		}
+		if d >= lo && d <= hi {
+			return Result{}, 0, false
+		}
+		active++
+		usum += d / c
+		top = max(top, d)
+		cover[i] = 0
+		if d > hi {
+			cover[i] = 1
+			over++
+		}
+	}
+	res.AvgUtil = usum / float64(active)
+	res.OverflowFrac = float64(over) / float64(w*h)
+	if !(res.OverflowFrac > cfg.MaxOverflowFrac) {
+		return Result{}, 0, false
+	}
+
+	// The first pass rejects; the detour bound, on the exact overflow map.
+	prefixSums(cover, w, h)
+	dx, dy := s.growth(w, h, cfg.DetourInflate)
+	total, wl := 0.0, 0.0
+	for i := range boxes {
+		b := &boxes[i]
+		hp := b.hpwl()
+		wl += hp // hpwlStats' sum, in its order
+		if boxCount(cover, w, b) > 0 {
+			hp = hpwlOf(widen(b, dx[b.width()], dy[b.height()], w, h))
+		}
+		total += hp * b.q
+	}
+	capacity := c * float64(w*h)
+	if !(total > (1+detourSlack)*capacity) {
+		return Result{}, 0, false
+	}
+
+	peak, ok := exactPeak(est, w, boxes, top-2*e, area)
+	if !ok {
+		return Result{}, 0, false
+	}
+	res.PeakUtil = peak / c
+	res.AvgNetHPWL, res.TotalWirelength = wl/float64(len(boxes)), wl
+	res.DetourBounded = true
+	return res, total / capacity, true
+}
+
+// prefixSums turns a w×h difference array into its 2D prefix sums in
+// place: a running sum along each row, plus the row above's result.
+func prefixSums[T float64 | int32](a []T, w, h int) {
+	for y := 0; y < h; y++ {
+		row := a[y*w : y*w+w]
+		var run T
+		for x := range row {
+			run += row[x]
+			row[x] = run
+		}
+		if y > 0 {
+			for x, p := range a[(y-1)*w : y*w] {
+				row[x] += p
+			}
+		}
+	}
+}
+
+// boxCount is the number of overflowed tiles in box b, from the
+// inclusive 2D prefix counts p.
+func boxCount(p []int32, w int, b *bbox) int32 {
+	x0, y0, x1, y1 := int(b.x0), int(b.y0), int(b.x1), int(b.y1)
+	n := p[y1*w+x1]
+	if y0 > 0 {
+		n -= p[(y0-1)*w+x1]
+	}
+	if x0 > 0 {
+		n -= p[y1*w+x0-1]
+		if y0 > 0 {
+			n += p[(y0-1)*w+x0-1]
+		}
+	}
+	return n
+}
+
+// growth returns inflate's growth by factor f for every box width up
+// to w and height up to h, indexed by the width or height.
+func (s *Scratch) growth(w, h int, f float64) (dx, dy []int) {
+	if cap(s.grow) < w+h+2 {
+		s.grow = make([]int, w+h+2)
+	}
+	dx, dy = s.grow[:w+1], s.grow[w+1:w+h+2]
+	for n := range dx {
+		dx[n] = growBy(n, f)
+	}
+	for n := range dy {
+		dy[n] = growBy(n, f)
+	}
+	return dx, dy
+}
+
+// exactPeak sums, as addDemand does, the demand of every tile whose
+// estimate is at least floor, and returns the highest. It reports ok
+// false, unsummed, when that would cost more than spreading: more than
+// area box tests.
+func exactPeak(est []float64, w int, boxes []bbox, floor float64, area int) (peak float64, ok bool) {
+	n := 0
+	for _, d := range est {
+		if d >= floor {
+			n++
+		}
+	}
+	if n*len(boxes) > area {
+		return 0, false
+	}
+	for i, d := range est {
+		if d < floor {
+			continue
+		}
+		x, y := i%w, i/w
+		sum := 0.0
+		for j := range boxes {
+			if b := &boxes[j]; int(b.x0) <= x && x <= int(b.x1) && int(b.y0) <= y && y <= int(b.y1) {
+				sum += b.per()
+			}
+		}
+		peak = max(peak, sum)
+	}
+	return peak, true
 }
 
 // netBoxes computes the bounding box and fanout correction of every net
@@ -254,8 +541,7 @@ func fanoutQ(pins int) float64 {
 
 // addDemand spreads a net's expected wirelength uniformly over its box.
 func addDemand(demand []float64, w int, b bbox) {
-	wl := b.hpwl() * b.q
-	per := wl / float64(b.width()*b.height())
+	per := b.per()
 	for y := int(b.y0); y <= int(b.y1); y++ {
 		row := demand[y*w+int(b.x0) : y*w+int(b.x1)+1]
 		for x := range row {
@@ -276,13 +562,18 @@ func touchesOverflow(over []bool, w int, b bbox) bool {
 }
 
 func inflate(b bbox, f float64, w, h int) bbox {
-	dx := int(math.Ceil(float64(b.width()) * (f - 1) / 2))
-	dy := int(math.Ceil(float64(b.height()) * (f - 1) / 2))
-	b.x0 = int16(max(0, int(b.x0)-dx))
-	b.y0 = int16(max(0, int(b.y0)-dy))
-	b.x1 = int16(min(w-1, int(b.x1)+dx))
-	b.y1 = int16(min(h-1, int(b.y1)+dy))
+	b.x0, b.y0, b.x1, b.y1 = widen(&b, growBy(b.width(), f), growBy(b.height(), f), w, h)
 	return b
+}
+
+// growBy is how far inflate grows a box side of n tiles at each end.
+func growBy(n int, f float64) int { return int(math.Ceil(float64(n) * (f - 1) / 2)) }
+
+// widen returns the corners of b grown by dx tiles left and right and
+// dy up and down, clamped to the w×h rectangle.
+func widen(b *bbox, dx, dy, w, h int) (x0, y0, x1, y1 int16) {
+	return int16(max(0, int(b.x0)-dx)), int16(max(0, int(b.y0)-dy)),
+		int16(min(w-1, int(b.x1)+dx)), int16(min(h-1, int(b.y1)+dy))
 }
 
 func measure(demand []float64, w, h int, cfg Config) Result {

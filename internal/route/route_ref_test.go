@@ -51,10 +51,33 @@ func refRoute(pl *place.Placement, cfg Config) (Result, float64) {
 	return res2, sum / float64(w*h)
 }
 
-// RefRoute and RouteBound open the reference and Scratch.route to the
-// package's external tests.
+// RefRoute, RouteBound, TwoPass, Certify and FirstPassDemand open the
+// reference, Scratch.route, its exact two-pass probe, its certificate
+// and the first pass's demand map to the package's external tests.
+// Certify runs the certificate whether or not route would try it.
 var RefRoute = refRoute
 
-func (s *Scratch) RouteBound(pl *place.Placement, cfg Config) (Result, float64) {
+func (s *Scratch) RouteBound(pl *place.Placement, cfg Config) (Result, float64, bool) {
 	return s.route(pl, cfg)
+}
+
+func (s *Scratch) TwoPass(pl *place.Placement, cfg Config) (Result, float64) {
+	w, h := pl.Rect.Width(), pl.Rect.Height()
+	return s.twoPass(s.netBoxes(pl), w, h, cfg)
+}
+
+func (s *Scratch) Certify(pl *place.Placement, cfg Config) (Result, float64, bool) {
+	w, h := pl.Rect.Width(), pl.Rect.Height()
+	boxes := s.netBoxes(pl)
+	area, _ := s.worthCertifying(boxes, w, h, cfg)
+	return s.certify(boxes, area, w, h, cfg)
+}
+
+func FirstPassDemand(pl *place.Placement) []float64 {
+	w, h := pl.Rect.Width(), pl.Rect.Height()
+	demand := make([]float64, w*h)
+	for _, b := range new(Scratch).netBoxes(pl) {
+		addDemand(demand, w, b)
+	}
+	return demand
 }

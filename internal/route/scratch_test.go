@@ -89,51 +89,34 @@ func TestRouteScratchMatchesOneShot(t *testing.T) {
 	t.Logf("%d placements, %d scratch probes through the detour pass, %d feasible", len(pls), detours, direct)
 }
 
-// TestDetourBoundMatchesReference holds the detour bound against the
-// two-pass probe it shortcuts (route.RefRoute) on every place-legal
-// rectangle of the cnvW1A1 sweep (TestRouteScratchMatchesOneShot's
-// corpus) and of a 200-module dataset mix swept from CF 0.5 on
-// xc7z020: the same verdict on every probe, the same Result bit for bit
-// when feasible, and wherever the bound decides, its load is no more
-// than the detour pass's Σu/(w·h) and that pass's AvgUtil is above 1.
-// An unsound bound changes a verdict only where the detour pass would
-// have rescued the probe, which is rare; the last two checks catch it
-// wherever it decides.
+// TestDetourBoundMatchesReference holds the detour bound and the
+// certificate against the two-pass probe they shortcut (route.RefRoute)
+// on every place-legal rectangle of the cnvW1A1 sweep
+// (TestRouteScratchMatchesOneShot's corpus) and of a 200-module dataset
+// mix swept from CF 0.5 on xc7z020: the same verdict on every probe,
+// the same Result bit for bit when feasible, and wherever the bound
+// decides, its load is no more than the detour pass's Σu/(w·h) and that
+// pass's AvgUtil is above 1. An unsound bound changes a verdict only
+// where the detour pass would have rescued the probe, which is rare;
+// the last two checks catch it wherever it decides. The certificate,
+// run on every probe whatever its depth, decides only probes the
+// exact two-pass probe bounds, with the same Result in every field but
+// AvgUtil, which lies within 10⁻⁹ of the exact one; a probe route
+// certifies is the certificate's, and every other is the two-pass
+// probe's, bit for bit.
 func TestDetourBoundMatchesReference(t *testing.T) {
 	dev := fabric.XC7Z020()
 	cfg := pblock.DefaultConfig()
 	var s route.Scratch
-	probes, detours, fired := 0, 0, 0
-	// check probes pl both ways and reports the reference's verdict.
+	var n tally
+	// check probes pl every way and reports the reference's verdict.
 	check := func(pl *place.Placement) bool {
-		want, sumU := route.RefRoute(pl, cfg.Route)
-		got, load := s.RouteBound(pl, cfg.Route)
-		probes++
 		what := fmt.Sprintf("%s %v", pl.Module.Name, pl.Rect)
-		switch {
-		case got.Feasible != want.Feasible:
-			t.Fatalf("%s: feasible %v, reference %v", what, got.Feasible, want.Feasible)
-		case want.Feasible:
-			if !sameBits(got, want) || got.DetourBounded {
-				t.Fatalf("%s: %+v, reference %+v", what, got, want)
-			}
-			return true
+		feasible, err := checkProbe(&s, pl, cfg.Route, &n)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		detours++ // an infeasible reference result is its detour pass's
-		if !got.DetourBounded {
-			if load != 0 || !sameBits(got, want) {
-				t.Fatalf("%s: undecided by the bound (load %g): %+v, reference %+v", what, load, got, want)
-			}
-			return false
-		}
-		fired++
-		if load > sumU*(1+1e-12) {
-			t.Fatalf("%s: bound %.15g above the detour pass's Σu/(w·h) %.15g", what, load, sumU)
-		}
-		if !(want.AvgUtil > 1) {
-			t.Fatalf("%s: bound %.15g decided, but the detour pass's AvgUtil is %.15g", what, load, want.AvgUtil)
-		}
-		return false
+		return feasible
 	}
 	// sweep checks every place-legal rectangle of m's sweep from CF 0.5,
 	// through two grid steps past the first routable one.
@@ -171,7 +154,7 @@ func TestDetourBoundMatchesReference(t *testing.T) {
 		}
 		sweep(m, place.QuickPlace(m))
 	}
-	cnvProbes, cnvDetours, cnvFired := probes, detours, fired
+	cnv := n
 	specs := rtlgen.GenerateMix(rand.New(rand.NewSource(1)), 200)
 	if testing.Short() {
 		specs = specs[:40]
@@ -183,10 +166,85 @@ func TestDetourBoundMatchesReference(t *testing.T) {
 		}
 		sweep(m, rep)
 	}
-	if fired == 0 || fired == detours {
-		t.Fatalf("the bound decided %d of %d detour passes: one side went untested", fired, detours)
+	if n.fired == 0 || n.fired == n.detours {
+		t.Fatalf("the bound decided %d of %d detour passes: one side went untested", n.fired, n.detours)
 	}
-	t.Logf("cnvW1A1: %d probes, the bound decided %d of %d detour passes", cnvProbes, cnvFired, cnvDetours)
-	t.Logf("%d-module mix: %d probes, the bound decided %d of %d detour passes", len(specs),
-		probes-cnvProbes, fired-cnvFired, detours-cnvDetours)
+	if n.certified == 0 {
+		t.Fatalf("the certificate decided none of the bound's %d", n.fired)
+	}
+	t.Logf("cnvW1A1: %v", cnv)
+	t.Logf("%d-module mix: %v", len(specs), n.minus(cnv))
+}
+
+// tally counts probes by the path that decided them.
+type tally struct {
+	probes, detours, fired, certifiable, certified int
+}
+
+func (n tally) minus(m tally) tally {
+	return tally{n.probes - m.probes, n.detours - m.detours, n.fired - m.fired,
+		n.certifiable - m.certifiable, n.certified - m.certified}
+}
+
+func (n tally) String() string {
+	return fmt.Sprintf("%d probes, %d route rejects; the detour bound decided %d, the certificate %d (%d when run on every probe)",
+		n.probes, n.detours, n.fired, n.certified, n.certifiable)
+}
+
+// checkProbe probes pl through the reference, the two-pass probe, the
+// certificate alone and route, counts the probe in n, and returns the
+// reference's verdict, or an error naming the first disagreement (see
+// TestDetourBoundMatchesReference).
+func checkProbe(s *route.Scratch, pl *place.Placement, cfg route.Config, n *tally) (bool, error) {
+	want, sumU := route.RefRoute(pl, cfg)
+	exact, eload := s.TwoPass(pl, cfg)
+	cert, cload, ok := s.Certify(pl, cfg)
+	got, load, certified := s.RouteBound(pl, cfg)
+	n.probes++
+	switch {
+	case got.Feasible != want.Feasible:
+		return false, fmt.Errorf("feasible %v, reference %v", got.Feasible, want.Feasible)
+	case certified && !ok:
+		return false, fmt.Errorf("route certified %+v, the certificate alone did not", got)
+	case certified && (!sameBits(got, cert) || load != cload || got.DetourBounded != cert.DetourBounded):
+		return false, fmt.Errorf("route certified %+v (load %g), the certificate %+v (load %g)", got, load, cert, cload)
+	case !certified && (!sameBits(got, exact) || load != eload || got.DetourBounded != exact.DetourBounded):
+		return false, fmt.Errorf("route %+v (load %g), two-pass %+v (load %g)", got, load, exact, eload)
+	case ok && !(exact.DetourBounded && cert.DetourBounded && cload == eload):
+		return false, fmt.Errorf("certified %+v (load %g), two-pass %+v (load %g)", cert, cload, exact, eload)
+	case ok && (!sameBits(withAvg(cert, exact.AvgUtil), exact) || math.Abs(cert.AvgUtil-exact.AvgUtil) > 1e-9*exact.AvgUtil):
+		return false, fmt.Errorf("certified %+v, two-pass %+v", cert, exact)
+	case want.Feasible:
+		if !sameBits(got, want) || got.DetourBounded {
+			return false, fmt.Errorf("%+v, reference %+v", got, want)
+		}
+		return true, nil
+	}
+	n.detours++ // an infeasible reference result is its detour pass's
+	if ok {
+		n.certifiable++
+	}
+	if certified {
+		n.certified++
+	}
+	if !exact.DetourBounded {
+		if eload != 0 || !sameBits(exact, want) {
+			return false, fmt.Errorf("undecided by the bound (load %g): %+v, reference %+v", eload, exact, want)
+		}
+		return false, nil
+	}
+	n.fired++
+	if eload > sumU*(1+1e-12) {
+		return false, fmt.Errorf("bound %.15g above the detour pass's Σu/(w·h) %.15g", eload, sumU)
+	}
+	if !(want.AvgUtil > 1) {
+		return false, fmt.Errorf("bound %.15g decided, but the detour pass's AvgUtil is %.15g", eload, want.AvgUtil)
+	}
+	return false, nil
+}
+
+// withAvg is r with AvgUtil a.
+func withAvg(r route.Result, a float64) route.Result {
+	r.AvgUtil = a
+	return r
 }

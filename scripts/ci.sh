@@ -102,9 +102,9 @@ stage_shuffle() {
 
 stage_fuzz() {
 	# Fuzz smoke: each native fuzz target runs briefly from its seed corpus
-	# (~1 min total). This is a regression tripwire, not a bug hunt — longer
+	# (~1.5 min total). This is a regression tripwire, not a bug hunt — longer
 	# campaigns run with: go test -fuzz <Target> -fuzztime 10m <pkg>.
-	echo "==> fuzz smoke (8 targets x ${CI_FUZZTIME:-10s})" >&2
+	echo "==> fuzz smoke (9 targets x ${CI_FUZZTIME:-10s})" >&2
 	go test -run '^$' -fuzz '^FuzzTextRoundTrip$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 	go test -run '^$' -fuzz '^FuzzModuleContent$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/netlist/
 	go test -run '^$' -fuzz '^FuzzElaborate$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/synth/
@@ -113,6 +113,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz '^FuzzLegalRows$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/stitch/
 	go test -run '^$' -fuzz '^FuzzImplRecord$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/pblock/
 	go test -run '^$' -fuzz '^FuzzBoundMatchesInt31n$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/rng/
+	go test -run '^$' -fuzz '^FuzzRouteCertificate$' -fuzztime "${CI_FUZZTIME:-10s}" ./internal/route/
 }
 
 stage_coverage() {
@@ -176,7 +177,10 @@ stage_determinism() {
 	# ... and turn a probe away by counting exactly when the fill loop it
 	# skips would have come up short, with the same count in the error.
 	run_listed 'TestPlanReuseMatchesOneShotCNV|TestPlanReuseMatchesOneShotCorpus|TestLUTCountMatchesFill' -race ./internal/place/
-	run_listed 'TestRouteScratchMatchesOneShot|TestDetourBoundMatchesReference' -race ./internal/route/
+	# The routing probe: a reused scratch answers like a fresh one, the
+	# detour bound and the certificate agree with the two-pass probe, and
+	# a capacity at a tile's exact demand forces the two-pass fallback.
+	run_listed 'TestRouteScratchMatchesOneShot|TestDetourBoundMatchesReference|TestCertificateFallsBackAtCapacity' -race ./internal/route/
 	# RunCNV is Compile of the cnvW1A1 design: the digests recorded before
 	# the two pipelines were merged must reproduce, and the wrapper must
 	# equal the direct compile field for field, lanes racing or not.
