@@ -80,7 +80,7 @@ func fig4(c *ctx) {
 	}
 	sort.Ints(bins)
 	for _, b := range bins {
-		fmt.Printf("  cf=%.2f : %2d %s\n", float64(b)/50, hist[b], bar(float64(hist[b]), 3))
+		fmt.Printf("  cf=%.2f : %2d %s\n", pblock.Tick(b).CF(), hist[b], bar(float64(hist[b]), 3))
 	}
 	below07 := 0
 	for _, l := range labels {
@@ -187,7 +187,7 @@ func fig8(c *ctx) {
 	}
 	sort.Ints(bins)
 	for _, b := range bins {
-		fmt.Printf("  cf=%.2f : %3d %s\n", float64(b)/50, hist[b], bar(float64(hist[b]), 0.8))
+		fmt.Printf("  cf=%.2f : %3d %s\n", pblock.Tick(b).CF(), hist[b], bar(float64(hist[b]), 0.8))
 	}
 }
 

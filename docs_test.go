@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -208,6 +209,63 @@ func TestSeededLoopsUseRNG(t *testing.T) {
 	}
 }
 
+// TestResultSortsTotal: sort.Slice is not stable, and the order it
+// leaves tied elements in belongs to the Go release, so in a package
+// whose sorts feed results its comparator must be total: its last
+// return compares the elements themselves (equal ones are
+// interchangeable) or their id fields. A sort whose keys may tie uses
+// sort.SliceStable.
+func TestResultSortsTotal(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/stitch", "internal/place", "internal/synth", "internal/route", "internal/ml", "internal/partition", "internal/pblock", "internal/dataset"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isPkgSelector(call.Fun, "sort") &&
+					call.Fun.(*ast.SelectorExpr).Sel.Name == "Slice" && !totalComparator(call) {
+					t.Errorf("%s: sort.Slice may leave ties in release order; end the comparator on the element or its id, or use sort.SliceStable", fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// totalComparator reports whether a sort.Slice call's comparator ends
+// on `return s[i] < s[j]` or `return s[i].id < s[j].id` (either
+// operator, either order), s being the sorted slice.
+func totalComparator(call *ast.CallExpr) bool {
+	fn, ok := call.Args[1].(*ast.FuncLit)
+	if !ok || len(fn.Body.List) == 0 || len(fn.Type.Params.List) != 1 || len(fn.Type.Params.List[0].Names) != 2 {
+		return false
+	}
+	ret, ok := fn.Body.List[len(fn.Body.List)-1].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	cmp, ok := ret.Results[0].(*ast.BinaryExpr)
+	if !ok || (cmp.Op != token.LSS && cmp.Op != token.GTR) {
+		return false
+	}
+	subject := types.ExprString(call.Args[0])
+	i, j := fn.Type.Params.List[0].Names[0].Name, fn.Type.Params.List[0].Names[1].Name
+	key := func(e ast.Expr, idx string) bool {
+		s := types.ExprString(e)
+		return s == subject+"["+idx+"]" || s == subject+"["+idx+"].id"
+	}
+	return key(cmp.X, i) && key(cmp.Y, j) || key(cmp.X, j) && key(cmp.Y, i)
+}
+
 // TestCFPolicyOnlyInPBlock: the CF policy has one home, internal/pblock.
 // In the non-test Go outside cmd/bench (the benchmark harness composes
 // its own block path), a tripwire for a second copy of it:
@@ -222,29 +280,7 @@ func TestCFPolicyOnlyInPBlock(t *testing.T) {
 	allowCompare := map[string]bool{"internal/pblock.Tiny": true, "cmd/experiments.maze": true}
 	allowPlan := map[string]bool{"internal/pblock.serial.try": true, "internal/pblock.Implement": true}
 	fset := token.NewFileSet()
-	files := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "cmd/bench" || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir == "." {
-			dir = "macroflow"
-		}
+	libraryGo(t, fset, func(dir string, f *ast.File) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -281,11 +317,88 @@ func TestCFPolicyOnlyInPBlock(t *testing.T) {
 				return true
 			})
 		}
+	})
+}
+
+// TestCFGridOnlyInPBlock: the CF grid has one home, internal/pblock,
+// whose Tick counts it and whose TickOf and Tick.CF convert to and from
+// a CF. In the non-test Go outside internal/pblock and cmd/bench (the
+// benchmark harness spells its own sweep), a multiplication or division
+// by the literal 50 — cf*50, float64(b)/50, math.Round(x*50)/50 — is a
+// second copy of the grid. A count of milliseconds is not a CF.
+func TestCFGridOnlyInPBlock(t *testing.T) {
+	fifty := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || (lit.Kind != token.INT && lit.Kind != token.FLOAT) {
+			return false
+		}
+		v, err := strconv.ParseFloat(lit.Value, 64)
+		return err == nil && v == 50
+	}
+	fset := token.NewFileSet()
+	libraryGo(t, fset, func(dir string, f *ast.File) {
+		if dir == "internal/pblock" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			b, ok := n.(*ast.BinaryExpr)
+			if !ok || (b.Op != token.MUL && b.Op != token.QUO) {
+				return true
+			}
+			for _, pair := range [][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+				if fifty(pair[0]) && !isPkgSelector(pair[1], "time") {
+					t.Errorf("%s: CF-grid literal 50; convert through pblock.TickOf and Tick.CF", fset.Position(b.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}
+
+// libraryGo parses every non-test Go file outside cmd/bench, testdata
+// and dot directories and hands it to fn with its directory (the root
+// package's is "macroflow").
+func libraryGo(t *testing.T, fset *token.FileSet, fn func(dir string, f *ast.File)) {
+	t.Helper()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "cmd/bench" || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "." {
+			dir = "macroflow"
+		}
+		fn(dir, f)
 		return nil
 	})
 	if err != nil || files < 50 {
 		t.Fatalf("scanned %d Go files (%v)", files, err)
 	}
+}
+
+// isPkgSelector reports whether e selects a name from package pkg.
+func isPkgSelector(e ast.Expr, pkg string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg
 }
 
 // isField reports whether e selects a field or method named name.

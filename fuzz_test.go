@@ -132,3 +132,37 @@ func TestLoadEstimatorRejectsRemovedKind(t *testing.T) {
 		t.Fatalf("LoadEstimator of a gboost file: err = %v, want ml: unknown model kind \"gboost\"", err)
 	}
 }
+
+// TestLoadEstimatorRejectsNonFiniteWeights: a weight, threshold or leaf
+// value out of float64's range in an estimator file is a load error, so
+// no loaded model carries an infinite or NaN weight. JSON has no NaN or
+// infinity, and encoding/json refuses a number it would round to one;
+// an estimator whose finite weights still predict a CF that is not a
+// finite number > 0 is refused per block by pblock.ErrEstimate.
+func TestLoadEstimatorRejectsNonFiniteWeights(t *testing.T) {
+	first := map[EstimatorKind]string{
+		LinearRegression: `"Weights":[`,
+		NeuralNetwork:    `"w1":[`,
+		DecisionTree:     `"v":`,
+		RandomForest:     `"v":`,
+	}
+	for _, kind := range allEstimatorKinds {
+		var buf bytes.Buffer
+		if err := SaveEstimator(&buf, &Estimator{model: tinyFitModel(t, kind), fs: ml.LinRegSet, kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		saved := buf.String()
+		at := strings.Index(saved, first[kind])
+		if at < 0 {
+			t.Fatalf("%s: no %s in %s", kind, first[kind], saved)
+		}
+		at += len(first[kind])
+		end := at + strings.IndexAny(saved[at:], ",]}")
+		for _, bad := range []string{"1e400", "-1e400", "NaN", "Infinity"} {
+			file := saved[:at] + bad + saved[end:]
+			if e, err := LoadEstimator(strings.NewReader(file)); err == nil {
+				t.Errorf("%s with weight %s loaded: %+v", kind, bad, e)
+			}
+		}
+	}
+}

@@ -158,8 +158,8 @@ func label(cfg Config, spec rtlgen.Spec) (Sample, bool, error) {
 	}, true, nil
 }
 
-// Bin returns the CF histogram bin index at the 0.02 grid.
-func Bin(cf float64) int { return int(math.Round(cf * 50)) }
+// Bin returns the CF histogram bin index: the CF's grid tick.
+func Bin(cf float64) int { return int(pblock.TickOf(cf)) }
 
 // Histogram counts samples per CF bin.
 func Histogram(samples []Sample) map[int]int {

@@ -94,7 +94,7 @@ func (t *DecisionTree) build(X [][]float64, y []float64, idx []int, depth int, r
 	sorted := make([]int, len(idx))
 	for _, f := range feats {
 		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return X[sorted[a]][f] < X[sorted[b]][f] })
+		sort.SliceStable(sorted, func(a, b int) bool { return X[sorted[a]][f] < X[sorted[b]][f] })
 		// Prefix sums over the sorted order.
 		ls, ls2 := 0.0, 0.0
 		for k := 0; k < len(sorted)-1; k++ {

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -248,13 +247,10 @@ func (c *Chaos) PerturbCut(cut float64) float64 {
 	return cut*1.25 + 1 + float64(c.rng.Intn(8))
 }
 
-// PerturbCF lowers a claimed correction factor by one search-grid step —
-// the "infeasible CF" fault: a minimal CF shifted below the feasibility
-// boundary must be rejected by the min-CF re-probe. The result is
-// clamped to the grid.
+// PerturbCF lowers a claimed correction factor by one search step (one
+// grid tick when step is under a tick) — the "infeasible CF" fault: a
+// minimal CF shifted below the feasibility boundary must be rejected by
+// the min-CF re-probe. The result is a grid tick's CF.
 func (c *Chaos) PerturbCF(cf, step float64) float64 {
-	if step <= 0 {
-		step = 0.02
-	}
-	return math.Round((cf-step)*50) / 50
+	return (pblock.TickOf(cf) - max(pblock.TickOf(step), 1)).CF()
 }

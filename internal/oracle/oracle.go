@@ -559,36 +559,38 @@ func recountDemand(dev *fabric.Device, b *stitch.Block) fabric.ResourceCount {
 
 // CheckMinCF re-probes a claimed correction factor with fresh
 // from-scratch implement runs: the claimed CF must be feasible, and —
-// when the claim is minimality on the search grid — the grid points
-// below it must all be infeasible. below bounds how many grid points
-// under the claim are re-probed (0 = none, feasibility only; negative =
-// every grid point down to s.Start — the full linear re-probe).
+// when the claim is minimality on the search grid — a grid tick, with
+// the window's ticks below it all infeasible. below bounds how many
+// ticks under the claim are re-probed (0 = none, feasibility only;
+// negative = every tick down to s.Start — the full linear re-probe).
 func CheckMinCF(dev *fabric.Device, m *netlist.Module, shape place.ShapeReport, claimed float64, below int, s pblock.SearchConfig, cfg pblock.Config, rep *Report) {
 	rep.count()
 	if _, err := pblock.Implement(dev, m, shape, claimed, cfg); err != nil {
 		rep.Violate(CheckerMinCF, m.Name, "claimed CF %.2f is not feasible: %v", claimed, err)
 		return
 	}
-	if below == 0 || s.Step <= 0 {
+	step := pblock.TickOf(s.Step)
+	if below == 0 || step < 1 {
 		return
 	}
-	// Walk the grid from s.Start, collecting the points strictly under
-	// the claim, then re-probe the topmost `below` of them linearly.
-	var grid []float64
-	for i := 0; ; i++ {
-		cf := math.Round((s.Start+float64(i)*s.Step)*50) / 50
-		if cf >= claimed-1e-9 || cf > s.Max+1e-9 {
-			break
-		}
-		grid = append(grid, cf)
+	claim := pblock.TickOf(claimed)
+	if claim.CF() != claimed {
+		rep.Violate(CheckerMinCF, m.Name, "claimed minimal CF %v is not a grid point", claimed)
+		return
+	}
+	// Walk the window's ticks from s.Start, collecting those strictly
+	// under the claim, then re-probe the topmost `below` of them.
+	var grid []pblock.Tick
+	for t := pblock.TickOf(s.Start); t < claim && t.CF() <= s.Max; t += step {
+		grid = append(grid, t)
 	}
 	if below > 0 && below < len(grid) {
 		grid = grid[len(grid)-below:]
 	}
-	for _, cf := range grid {
-		if _, err := pblock.Implement(dev, m, shape, cf, cfg); err == nil {
+	for _, t := range grid {
+		if _, err := pblock.Implement(dev, m, shape, t.CF(), cfg); err == nil {
 			rep.Violate(CheckerMinCF, m.Name,
-				"CF %.2f below claimed minimum %.2f is feasible", cf, claimed)
+				"CF %.2f below claimed minimum %.2f is feasible", t.CF(), claimed)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -194,6 +195,39 @@ func TestCheckMinCFRejectsInflatedClaim(t *testing.T) {
 	CheckMinCF(dev, m, shape, sr.CF+0.3, -1, s, pblock.DefaultConfig(), &vr)
 	if vr.ByChecker(CheckerMinCF) == 0 {
 		t.Error("inflated minimal-CF claim went undetected")
+	}
+}
+
+// TestCheckMinCFOffGridStart: from a Start off the grid the re-probe
+// walks the grid ticks from Start's nearest one. The float walk snapped
+// Start + i·Step, so from 0.91 it re-probed 1.14 twice and never 1.16,
+// and a claim of 1.18 on a block whose minimum is 1.16 passed. A
+// minimality claim off the grid is a violation of its own.
+func TestCheckMinCFOffGridStart(t *testing.T) {
+	dev := fabric.XC7Z020()
+	cfg := pblock.DefaultConfig()
+	s := pblock.SearchConfig{Start: 0.91, Step: 0.02, Max: 3.0}
+	spec := rtlgen.GenerateMix(rand.New(rand.NewSource(7)), 30)[12]
+	m, shape, sr := implementSpec(t, dev, spec, s)
+	if sr.CF != 1.16 {
+		t.Fatalf("%s: minimal CF %v from 0.91, want 1.16", spec.Name, sr.CF)
+	}
+	var clean Report
+	CheckMinCF(dev, m, shape, sr.CF, -1, s, cfg, &clean)
+	if !clean.Ok() {
+		t.Fatalf("true minimal CF 1.16 reported violations:\n%s", clean.String())
+	}
+	for _, below := range []int{1, -1} {
+		var vr Report
+		CheckMinCF(dev, m, shape, 1.18, below, s, cfg, &vr)
+		if vr.ByChecker(CheckerMinCF) != 1 || !strings.Contains(vr.Violations[0].Detail, "CF 1.16 below") {
+			t.Errorf("claim 1.18, below %d: want the re-probe of 1.16 to fail it, got:\n%s", below, vr.String())
+		}
+	}
+	var off Report
+	CheckMinCF(dev, m, shape, 1.19, -1, s, cfg, &off)
+	if off.ByChecker(CheckerMinCF) != 1 || !strings.Contains(off.Violations[0].Detail, "not a grid point") {
+		t.Errorf("claim 1.19: want an off-grid violation, got:\n%s", off.String())
 	}
 }
 

@@ -85,10 +85,11 @@ func TestBuildMatchesColumnScan(t *testing.T) {
 			for _, cfg := range []Config{DefaultConfig(), offPitch} {
 				// The compile window's grid, then ever larger CFs until
 				// the block outgrows the device.
+				grid := gridCFs(t, cnvWindow)
 				for i := 0; ; i++ {
-					cf := cnvWindow.cfAt(i)
-					if cf > cnvWindow.Max {
-						cf = roundCF(cnvWindow.Max * math.Pow(1.5, float64(i-cnvWindow.lastIndex())))
+					cf := TickOf(cnvWindow.Max * math.Pow(1.5, float64(i+1-len(grid)))).CF()
+					if i < len(grid) {
+						cf = grid[i]
 					}
 					got, gotErr := Build(dev, rep, cf, cfg)
 					want, wantErr := buildByScan(dev, rep, cf, cfg)

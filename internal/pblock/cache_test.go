@@ -37,6 +37,30 @@ func TestSearchKeyIgnoresStrategyAndWorkers(t *testing.T) {
 	}
 }
 
+// TestSearchFingerprintPrintsTicks: a window prints the ticks it
+// probes. An on-grid window prints as it is written, so the keys of
+// every record written before the searches stepped ticks hold; a Start
+// off the grid prints its nearest tick, because the sweep from 0.91 is
+// the sweep from 0.92 (a record the float sweep wrote under 0.91 holds
+// its irregular probes, and is not read). An empty window prints as
+// written.
+func TestSearchFingerprintPrintsTicks(t *testing.T) {
+	for _, c := range []struct {
+		s    SearchConfig
+		want string
+	}{
+		{DefaultSearch(), "start=0.9 step=0.02 max=2.5"},
+		{SearchConfig{Start: 0.5, Step: 0.02, Max: 3.0}, "start=0.5 step=0.02 max=3"},
+		{SearchConfig{Start: 0.9, Step: 0.1, Max: 3.0}, "start=0.9 step=0.1 max=3"},
+		{SearchConfig{Start: 0.91, Step: 0.02, Max: 3.0}, "start=0.92 step=0.02 max=3"},
+		{SearchConfig{Start: 3.5, Step: 0.02, Max: 3.0}, "start=3.5 step=0.02 max=3"},
+	} {
+		if got := SearchFingerprint(c.s); got != c.want {
+			t.Errorf("SearchFingerprint(%+v) = %q, want %q", c.s, got, c.want)
+		}
+	}
+}
+
 // TestConfigFingerprintPinned pins the fingerprint of the default oracle
 // configuration, a part of every persistent cache key. It prints
 // place.Options and route.Config with %+v, so adding, renaming or

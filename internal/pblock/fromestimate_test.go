@@ -38,9 +38,9 @@ func TestFromEstimateTable(t *testing.T) {
 		wantRuns int     // 0 = only require >= 1
 	}{
 		{name: "exact estimate", est: min.CF, wantCF: min.CF, wantRuns: 1},
-		{name: "overestimate accepted as-is", est: roundCF(min.CF + 0.2), wantCF: roundCF(min.CF + 0.2), wantRuns: 1},
-		{name: "slight underestimate", est: roundCF(min.CF - 0.04)},
-		{name: "deep underestimate climbs", est: roundCF(min.CF - 0.24)},
+		{name: "overestimate accepted as-is", est: TickOf(min.CF + 0.2).CF(), wantCF: TickOf(min.CF + 0.2).CF(), wantRuns: 1},
+		{name: "slight underestimate", est: TickOf(min.CF - 0.04).CF()},
+		{name: "deep underestimate climbs", est: TickOf(min.CF - 0.24).CF()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,9 +116,9 @@ func TestFromEstimateMinAtWindowStart(t *testing.T) {
 	if res.CF != s.Start || res.ToolRuns != 1 {
 		t.Errorf("start-estimate: CF %.2f in %d runs, want %.2f in 1", res.CF, res.ToolRuns, s.Start)
 	}
-	// An estimate below the grid floor clamps to one step and climbs
-	// from there; it must still land on a feasible CF.
-	res, err = FromEstimate(dev, m, rep, 0.0, s, cfg)
+	// A positive estimate below the first tick clamps to one step and
+	// climbs from there; it must still land on a feasible CF.
+	res, err = FromEstimate(dev, m, rep, 0.005, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,12 @@ func TestFromEstimateMinAtWindowStart(t *testing.T) {
 	}
 }
 
-// TestNaNEstimateRefused: a NaN estimate is refused with ErrEstimateNaN
-// before any tool run, by Policy.Validate and by both ways into the
-// §VIII search; the climb from roundCF(NaN) never passed the window's
-// end. Infinite estimates keep their behaviour: they validate, +Inf
-// fails the window after one run and -Inf clamps to the grid.
+// TestNaNEstimateRefused: an estimate that is not a finite number > 0
+// is refused before any tool run, by Policy.Validate and by both ways
+// into the §VIII search: a NaN as ErrEstimateNaN, ±Inf, 0 and -1 as
+// ErrEstimate. From a NaN the climb never passed the window's end, +Inf
+// failed the window after one run, and -Inf, 0 and -1 clamped to one
+// step and climbed; each search must return within its deadline.
 func TestNaNEstimateRefused(t *testing.T) {
 	dev := fabric.XC7Z020()
 	cfg := DefaultConfig()
@@ -140,35 +141,30 @@ func TestNaNEstimateRefused(t *testing.T) {
 		Name:       "nan",
 		Components: []rtlgen.Component{rtlgen.RandomLogic{LUTs: 60, Fanin: 4, Depth: 2, Seed: 8}},
 	})
-	if err := Estimate(math.NaN()).Validate(); !errors.Is(err, ErrEstimateNaN) {
-		t.Errorf("Estimate(NaN).Validate() = %v, want ErrEstimateNaN", err)
-	}
-	for name, search := range map[string]func() (SearchResult, error){
-		"FromEstimate":  func() (SearchResult, error) { return FromEstimate(dev, m, rep, math.NaN(), s, cfg) },
-		"Policy.Search": func() (SearchResult, error) { return Estimate(math.NaN()).Search(dev, m, rep, s, cfg) },
-	} {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if res, err := search(); !errors.Is(err, ErrEstimateNaN) || res.ToolRuns != 0 {
-				t.Errorf("%s(NaN) = %+v, %v; want ErrEstimateNaN and no tool run", name, res, err)
+	for _, est := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		want := ErrEstimate
+		if math.IsNaN(est) {
+			want = ErrEstimateNaN
+		}
+		if err := Estimate(est).Validate(); !errors.Is(err, want) || errors.Is(err, ErrEstimateNaN) != math.IsNaN(est) {
+			t.Errorf("Estimate(%g).Validate() = %v, want %v", est, err, want)
+		}
+		for name, search := range map[string]func() (SearchResult, error){
+			"FromEstimate":  func() (SearchResult, error) { return FromEstimate(dev, m, rep, est, s, cfg) },
+			"Policy.Search": func() (SearchResult, error) { return Estimate(est).Search(dev, m, rep, s, cfg) },
+		} {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if res, err := search(); !errors.Is(err, want) || res.ToolRuns != 0 {
+					t.Errorf("%s(%g) = %+v, %v; want %v and no tool run", name, est, res, err, want)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s(%g): no return within 20 s", name, est)
 			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(20 * time.Second):
-			t.Fatalf("%s(NaN): no return within 20 s", name)
 		}
-	}
-	for _, est := range []float64{math.Inf(1), math.Inf(-1)} {
-		if err := Estimate(est).Validate(); err != nil {
-			t.Errorf("Estimate(%g).Validate() = %v", est, err)
-		}
-	}
-	if res, err := FromEstimate(dev, m, rep, math.Inf(1), s, cfg); err == nil || res.ToolRuns != 1 {
-		t.Errorf("FromEstimate(+Inf) = %+v, %v; want the window error after one run", res, err)
-	}
-	if res, err := FromEstimate(dev, m, rep, math.Inf(-1), s, cfg); err != nil || res.Impl == nil {
-		t.Errorf("FromEstimate(-Inf) = %+v, %v; want the clamped climb's feasible CF", res, err)
 	}
 }

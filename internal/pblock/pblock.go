@@ -290,37 +290,32 @@ type SearchConfig struct {
 	Span *obs.Span
 }
 
-// cfAt returns the i-th grid point of the sweep. Indexing the grid (as
-// opposed to accumulating Step) keeps probed CFs exact over arbitrarily
-// long sweeps.
-func (s SearchConfig) cfAt(i int) float64 {
-	return roundCF(s.Start + float64(i)*s.Step)
-}
-
 // Validate rejects a Step that is not a positive multiple of the CF
-// grid. cfAt snaps every probed CF to the grid, so a finer step would
-// probe each grid CF grid/Step times over, and a step between grid
-// multiples would skip grid CFs unevenly.
+// grid: every probe is a tick, so a finer step would probe ticks over
+// and over, and one between multiples would skip ticks unevenly.
 func (s SearchConfig) Validate() error {
-	// Written as "not a whole number of grid steps, at least one" so
-	// that a NaN step fails too.
-	if k := s.Step * gridPerUnit; !(k > 1-1e-9 && math.Abs(k-math.Round(k)) < 1e-9) {
-		return fmt.Errorf("pblock: search step %g is not a positive multiple of the %g CF grid", s.Step, 1.0/gridPerUnit)
-	}
-	return nil
+	_, err := s.window()
+	return err
 }
 
-// lastIndex returns the highest grid index not exceeding Max, or -1 for
-// an empty window.
-func (s SearchConfig) lastIndex() int {
-	if s.cfAt(0) > s.Max+1e-9 {
-		return -1
+// window is a search window in ticks: the first, the step, and the last
+// at or under Max (before the first when the window is empty).
+type window struct{ start, step, last Tick }
+
+// window converts the search window to ticks, the one place a CF is
+// compared with a tolerance: Step within 1e-9 of a whole number of
+// ticks, Max read 1e-9 high so that a Max on the grid keeps its tick.
+// Start snaps to its nearest tick; a NaN Start or Max is empty.
+func (s SearchConfig) window() (window, error) {
+	// The conversion rounds the product before the subtraction, so no
+	// platform fuses them; the negated test fails a NaN step too.
+	if k := float64(s.Step * ticksPerUnit); !(k > 1-1e-9 && math.Abs(k-math.Round(k)) < 1e-9) {
+		return window{}, fmt.Errorf("pblock: search step %g is not a positive multiple of the %g CF grid", s.Step, Tick(1).CF())
 	}
-	i := 0
-	for s.cfAt(i+1) <= s.Max+1e-9 {
-		i++
+	if math.IsNaN(s.Start) || math.IsNaN(s.Max) {
+		return window{step: TickOf(s.Step), last: -1}, nil
 	}
-	return i
+	return window{TickOf(s.Start), TickOf(s.Step), ticks(math.Floor((s.Max + 1e-9) * ticksPerUnit))}, nil
 }
 
 // DefaultSearch returns the paper's dataset sweep parameters.
@@ -357,7 +352,8 @@ var kindNames = [...]string{sweep: "minsweep", constant: "constant", estimate: "
 // Sweep searches the minimal feasible CF on the search grid (MinCF).
 func Sweep() Policy { return Policy{} }
 
-// Constant implements at cf, stepping up by 0.1 while infeasible.
+// Constant implements at cf, snapped to its nearest grid tick, stepping
+// up by 0.1 while infeasible.
 func Constant(cf float64) Policy { return Policy{kind: constant, cf: cf} }
 
 // Estimate refines an estimator's predicted CF (FromEstimate).
@@ -370,34 +366,38 @@ func Estimate(predicted float64) Policy { return Policy{kind: estimate, cf: pred
 // and its samples leave it out.
 func Tiny(estSlices int) bool { return estSlices < 6 }
 
-// Validate rejects a constant CF that is not a finite number > 0 and a
-// NaN estimate (ErrEstimateNaN); from either the climb would never pass
-// the window's end.
+// Validate rejects a constant CF or an estimate that is not a finite
+// number > 0 (a NaN estimate as ErrEstimateNaN).
 func (p Policy) Validate() error {
+	ok := p.cf > 0 && !math.IsInf(p.cf, 1)
 	switch {
-	case p.kind == constant && !(p.cf > 0 && !math.IsInf(p.cf, 1)):
-		return fmt.Errorf("pblock: constant CF %g is not a finite number > 0", p.cf)
 	case p.kind == estimate && math.IsNaN(p.cf):
 		return ErrEstimateNaN
+	case p.kind == estimate && !ok:
+		return fmt.Errorf("%w: %g", ErrEstimate, p.cf)
+	case p.kind == constant && !ok:
+		return fmt.Errorf("pblock: constant CF %g is not a finite number > 0", p.cf)
 	}
 	return nil
 }
 
-// ErrEstimateNaN is the error of an estimator policy or FromEstimate
-// search from a NaN estimate, returned before any tool run: roundCF(NaN)
-// passes both the grid clamp and the window's end, so the climb would
-// probe NaN forever.
-var ErrEstimateNaN = errors.New("pblock: estimated CF is NaN")
+// ErrEstimate is an estimate that is not a finite number > 0, refused
+// before any tool run; ErrEstimateNaN is its NaN case.
+var (
+	ErrEstimate    = errors.New("pblock: estimated CF is not a finite number > 0")
+	ErrEstimateNaN = fmt.Errorf("%w: NaN", ErrEstimate)
+)
 
 // Kind names the policy: "minsweep", "constant" or "estimator".
 func (p Policy) Kind() string { return kindNames[p.kind] }
 
 // Fingerprint is the policy's part of a BlockKey. It prints the CF, so
-// a retrained estimator addresses new records instead of stale ones.
+// a retrained estimator addresses new records instead of stale ones; a
+// constant prints the tick it probes.
 func (p Policy) Fingerprint() string {
 	switch p.kind {
 	case constant:
-		return fmt.Sprintf("constant:%.4f", p.cf)
+		return fmt.Sprintf("constant:%.4f", TickOf(p.cf).CF())
 	case estimate:
 		return fmt.Sprintf("estimator:%.6f", p.cf)
 	}
@@ -416,7 +416,7 @@ func (p Policy) Search(dev *fabric.Device, m *netlist.Module, rep place.ShapeRep
 	}
 	switch p.kind {
 	case constant:
-		return traced(s, func(s SearchConfig) (SearchResult, error) { return escalate(dev, m, rep, p.cf, s, cfg) },
+		return traced(dev, m, rep, s, cfg, func(r *serial) (SearchResult, error) { return escalate(r, p.cf) },
 			"search.constant", obs.String("module", m.Name), obs.Float("cf0", p.cf))
 	case estimate:
 		return FromEstimate(dev, m, rep, p.cf, s, cfg)
@@ -424,14 +424,14 @@ func (p Policy) Search(dev *fabric.Device, m *netlist.Module, rep place.ShapeRep
 	return MinCF(dev, m, rep, s, cfg)
 }
 
-// escalate is the constant policy's search: probe cf and, while
-// infeasible, add 0.1 until past s.Max. The CF accumulates, so a climb
-// probes drifted CFs (1.5 + 0.1 + 0.1 = 1.7000000000000002), which
-// results and records carry as they are.
-func escalate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, cf float64, s SearchConfig, cfg Config) (SearchResult, error) {
-	p := newSerial(dev, m, rep, s, cfg)
-	for ; ; cf += 0.1 {
-		if res, err := p.try(cf); err == nil || cf+0.1 > s.Max {
+// coarseTicks is the constant climb's and the §VIII climb's step, 0.1.
+const coarseTicks = 5
+
+// escalate is the constant policy's search: probe cf's tick and, while
+// infeasible, climb 0.1 until past the window's last tick.
+func escalate(p *serial, cf float64) (SearchResult, error) {
+	for t := TickOf(cf); ; t += coarseTicks {
+		if res, err := p.try(t); err == nil || t+coarseTicks > p.w.last {
 			return res, err
 		}
 	}
@@ -447,8 +447,7 @@ func MinCF(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s Searc
 	if s.Strategy == StrategyBisect {
 		search = minCFBisect
 	}
-	return traced(s, func(s SearchConfig) (SearchResult, error) { return search(dev, m, rep, s, cfg) },
-		"search.mincf", obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
+	return traced(dev, m, rep, s, cfg, search, "search.mincf", obs.String("module", m.Name), obs.String("strategy", s.Strategy.name()))
 }
 
 func (st Strategy) name() string {
@@ -458,18 +457,20 @@ func (st Strategy) name() string {
 	return "linear"
 }
 
-// traced validates the window and runs one search under a span named
-// name, which carries attrs and then the search's CF and tool runs. The
-// runs also land in mincf.probes_per_block, the solver-health series a
-// service watches for degrading searches; a search that could not probe
-// (an empty window) adds no sample, nor does a block the cache served.
-func traced(s SearchConfig, search func(SearchConfig) (SearchResult, error), name string, attrs ...obs.Attr) (SearchResult, error) {
-	if err := s.Validate(); err != nil {
+// traced converts the window to ticks and runs one search under a span
+// named name, which carries attrs and then the search's CF and tool runs.
+// The runs also land in mincf.probes_per_block, the solver-health series
+// a service watches for degrading searches; a search that could not
+// probe (an empty window) adds no sample, nor does a block the cache
+// served.
+func traced(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config, search func(*serial) (SearchResult, error), name string, attrs ...obs.Attr) (SearchResult, error) {
+	w, err := s.window()
+	if err != nil {
 		return SearchResult{}, err
 	}
 	sp := obs.StartChild(s.Obs, s.Span, name, attrs...)
 	s.Span = sp
-	res, err := search(s)
+	res, err := search(&serial{dev: dev, m: m, plan: NewPlan(m, rep), s: s, w: w, cfg: cfg, oracle: s.Obs.Counter("mincf.oracle_runs")})
 	sp.Set(obs.Float("cf", res.CF), obs.Int("tool_runs", res.ToolRuns))
 	sp.End()
 	if res.ToolRuns > 0 {
@@ -481,39 +482,37 @@ func traced(s SearchConfig, search func(SearchConfig) (SearchResult, error), nam
 // minCFLinear is the paper's exhaustive sweep. Every grid point is a
 // full from-scratch implement attempt and counts one tool run, matching
 // the paper's run-time accounting.
-func minCFLinear(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	p := newSerial(dev, m, rep, s, cfg)
-	for i := 0; s.cfAt(i) <= s.Max+1e-9; i++ {
-		if res, err := p.try(s.cfAt(i)); err == nil || errors.Is(err, ErrNoFit) {
+func minCFLinear(p *serial) (SearchResult, error) {
+	for t := p.w.start; t <= p.w.last; t += p.w.step {
+		if res, err := p.try(t); err == nil || errors.Is(err, ErrNoFit) {
 			return res, err
 		}
 	}
-	return SearchResult{ToolRuns: p.runs}, errNoFeasible(s, m)
+	return SearchResult{ToolRuns: p.runs}, errNoFeasible(p.s, p.m)
 }
 
-// serial is the probe step the linear sweep, the §VIII refinement and
-// the constant escalation share (each computes its own CFs): a try is a
-// tool run (runs, mincf.oracle_runs) and an oracle.probe span with its
-// cf and verdict. The bisection's prober keeps its plan and runs here.
+// serial is one search's module, plan, window and run count. Its try is
+// the probe step the sweep, the §VIII refinement and the constant climb
+// share (each computes its own ticks): a tool run (runs,
+// mincf.oracle_runs) and an oracle.probe span with its cf and verdict.
 type serial struct {
 	dev    *fabric.Device
+	m      *netlist.Module
 	plan   *Plan
 	s      SearchConfig
+	w      window
 	cfg    Config
 	oracle *obs.Counter
 	runs   int
 }
 
-func newSerial(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *serial {
-	return &serial{dev: dev, plan: NewPlan(m, rep), s: s, cfg: cfg, oracle: s.Obs.Counter("mincf.oracle_runs")}
-}
-
-// try implements the module at cf through the search's plan. Its
+// try implements the module at tick t through the search's plan. Its
 // result carries the search's tool runs so far, and on success the CF
 // and the implementation.
-func (p *serial) try(cf float64) (SearchResult, error) {
+func (p *serial) try(t Tick) (SearchResult, error) {
 	p.runs++
 	p.oracle.Add(1)
+	cf := t.CF()
 	sp := obs.StartChild(p.s.Obs, p.s.Span, "oracle.probe", obs.Float("cf", cf))
 	impl, err := ImplementPlan(p.dev, p.plan, cf, p.cfg)
 	sp.Set(obs.String("verdict", probeVerdict(err)))
@@ -544,44 +543,37 @@ func errNoFeasible(s SearchConfig, m *netlist.Module) error {
 // while infeasible, step up by 0.1; once feasible, scan the last 0.1
 // interval downward-compatible at 0.02 resolution for the tightest
 // feasible CF. The returned ToolRuns counts every implement attempt, the
-// paper's run-time metric.
+// paper's run-time metric. An estimate that is not a finite number > 0
+// is an ErrEstimate before any probe.
 func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
-	return traced(s, func(s SearchConfig) (SearchResult, error) { return fromEstimate(dev, m, rep, est, s, cfg) },
+	if err := Estimate(est).Validate(); err != nil {
+		return SearchResult{}, err
+	}
+	return traced(dev, m, rep, s, cfg, func(p *serial) (SearchResult, error) { return fromEstimate(p, est) },
 		"search.estimate", obs.String("module", m.Name), obs.Float("est", est))
 }
 
-// fromEstimate is FromEstimate's search, run under its span.
-func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, est float64, s SearchConfig, cfg Config) (SearchResult, error) {
-	if math.IsNaN(est) {
-		return SearchResult{}, ErrEstimateNaN
-	}
-	p := newSerial(dev, m, rep, s, cfg)
-	cf := roundCF(est)
-	if cf < s.Step {
-		cf = s.Step
-	}
-	res, err := p.try(cf)
+// fromEstimate is FromEstimate's search, run under its span. The
+// estimate starts at its nearest tick, or at the window's step if that
+// is lower.
+func fromEstimate(p *serial, est float64) (SearchResult, error) {
+	t := max(TickOf(est), p.w.step)
+	res, err := p.try(t)
 	if err == nil {
 		return res, nil // the estimate is feasible: a first-run success
 	}
-	// Coarse upward steps of 0.1, indexed from the starting estimate so
-	// the probed CFs stay exact grid points over long climbs.
-	base, lo := cf, cf
-	for j := 1; err != nil; j++ {
-		if cf = roundCF(base + float64(j)*0.1); cf > s.Max {
-			return SearchResult{ToolRuns: p.runs}, fmt.Errorf("pblock: estimator refinement exceeded CF %.2f for %s", s.Max, m.Name)
+	// Coarse upward steps of 0.1; lo is the last infeasible tick.
+	lo := t
+	for err != nil {
+		if t += coarseTicks; t > p.w.last {
+			return SearchResult{ToolRuns: p.runs}, fmt.Errorf("pblock: estimator refinement exceeded CF %.2f for %s", p.s.Max, p.m.Name)
 		}
-		if res, err = p.try(cf); err != nil {
-			lo = cf
+		if res, err = p.try(t); err != nil {
+			lo = t
 		}
 	}
-	// Fine scan of the last interval (lo, cf) at the grid resolution,
-	// indexed from lo for the same drift-free reason.
-	for i := 1; ; i++ {
-		f := roundCF(lo + float64(i)*s.Step)
-		if f >= cf-1e-9 {
-			break
-		}
+	// Fine scan of the last interval (lo, t) at the window's step.
+	for f := lo + p.w.step; f < t; f += p.w.step {
 		if fine, err := p.try(f); err == nil {
 			return fine, nil
 		}
@@ -590,10 +582,21 @@ func fromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 	return res, nil
 }
 
-// gridPerUnit is the resolution of the CF grid, the paper's 0.02.
-const gridPerUnit = 50
+// Tick is a correction factor on the one CF grid, counted in 0.02 steps:
+// tick t is the CF t/50. Searches step ticks; a tick becomes a float64
+// only where a PBlock is sized and where a result or span reports it.
+// maxTick bounds a tick (a CF beyond any device; a tick plus a step fits
+// an int32).
+type Tick int
 
-// roundCF snaps a CF to the grid to avoid float drift.
-func roundCF(cf float64) float64 {
-	return math.Round(cf*gridPerUnit) / gridPerUnit
-}
+const ticksPerUnit, maxTick = 50, 1 << 29
+
+// TickOf returns the tick nearest cf (a half-way case away from zero),
+// saturating at ±maxTick. NaN has no tick.
+func TickOf(cf float64) Tick { return ticks(math.Round(cf * ticksPerUnit)) }
+
+// CF returns the correction factor of tick t.
+func (t Tick) CF() float64 { return float64(t) / ticksPerUnit }
+
+// ticks converts a whole number of ticks, saturating at ±maxTick.
+func ticks(x float64) Tick { return Tick(max(-maxTick, min(x, maxTick))) }

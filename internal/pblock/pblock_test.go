@@ -133,7 +133,7 @@ func TestMinCFFindsFirstFeasible(t *testing.T) {
 	// One step below must be infeasible (that is what 'minimal' means),
 	// unless the minimum sits at the search start.
 	if res.CF > s.Start+1e-9 {
-		if _, err := Implement(dev, m, rep, roundCF(res.CF-s.Step), cfg); err == nil {
+		if _, err := Implement(dev, m, rep, TickOf(res.CF-s.Step).CF(), cfg); err == nil {
 			t.Errorf("cf %.2f feasible but MinCF returned %.2f", res.CF-s.Step, res.CF)
 		}
 	}
@@ -194,19 +194,5 @@ func TestFromEstimateUnderestimateRefines(t *testing.T) {
 	}
 	if res.ToolRuns < 2 {
 		t.Errorf("underestimate must need multiple runs, took %d", res.ToolRuns)
-	}
-}
-
-func TestRoundCF(t *testing.T) {
-	cases := map[float64]float64{
-		0.899999: 0.90,
-		0.91:     0.92, // snaps to the 0.02 grid
-		1.0:      1.0,
-		1.37:     1.38,
-	}
-	for in, want := range cases {
-		if got := roundCF(in); math.Abs(got-want) > 1e-9 {
-			t.Errorf("roundCF(%f) = %f, want %f", in, got, want)
-		}
 	}
 }

@@ -65,18 +65,3 @@ func TestBuildCoversProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: roundCF always lands on the 0.02 grid and moves by at most
-// half a step.
-func TestRoundCFGridProperty(t *testing.T) {
-	f := func(v uint16) bool {
-		cf := float64(v) / 997.0
-		r := roundCF(cf)
-		onGrid := roundCF(r) == r
-		near := r-cf <= 0.01+1e-9 && cf-r <= 0.01+1e-9
-		return onGrid && near
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}

@@ -367,11 +367,16 @@ func SweepKey(dev *fabric.Device, m *netlist.Module, s SearchConfig, cfg Config)
 }
 
 // SearchFingerprint serializes the verdict-relevant part of a search
-// window. Strategy and Workers are deliberately excluded: both
+// window: its first tick and step, as CFs, and Max (a Start off the grid
+// prints its tick). Strategy and Workers are deliberately excluded: both
 // strategies return the same CF on the same window, so their verdicts
 // are interchangeable across processes and configurations.
 func SearchFingerprint(s SearchConfig) string {
-	return fmt.Sprintf("start=%g step=%g max=%g", s.Start, s.Step, s.Max)
+	start, step := s.Start, s.Step
+	if w, err := s.window(); err == nil && w.last >= w.start {
+		start, step = w.start.CF(), w.step.CF()
+	}
+	return fmt.Sprintf("start=%g step=%g max=%g", start, step, s.Max)
 }
 
 // ConfigFingerprint serializes the oracle configuration that determines

@@ -1,10 +1,7 @@
 package pblock
 
 import (
-	"math"
-
 	"macroflow/internal/fabric"
-	"macroflow/internal/netlist"
 	"macroflow/internal/obs"
 	"macroflow/internal/place"
 	"macroflow/internal/route"
@@ -36,22 +33,15 @@ func (o *probeOutcome) escaped() bool { return o.noFit || o.placeOK }
 // probe when placement succeeds); memo hits and failed PBlock builds are
 // free. That is the quantity the search minimizes.
 type prober struct {
-	*serial // the plan, the configuration and the run count
-	m       *netlist.Module
-	rep     place.ShapeReport
+	*serial // the plan, the window, the configuration and the run count
 	byRect  map[fabric.Rect]*probeOutcome
-	n       int // highest grid index within [Start, Max]
+	n       int // highest index whose tick is in the window
 }
 
-func newProber(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) *prober {
-	return &prober{serial: newSerial(dev, m, rep, s, cfg), m: m, rep: rep,
-		byRect: make(map[fabric.Rect]*probeOutcome), n: s.lastIndex()}
-}
-
-// probe returns the PBlock of grid index idx and its verdict, running
-// the oracle when the rectangle has not been probed yet.
+// probe returns the PBlock of the window's index idx and its verdict,
+// running the oracle when the rectangle has not been probed yet.
 func (p *prober) probe(idx int) (PBlock, *probeOutcome) {
-	pb, err := Build(p.dev, p.rep, p.s.cfAt(idx), p.cfg)
+	pb, err := Build(p.dev, p.plan.Shape(), (p.w.start + Tick(idx)*p.w.step).CF(), p.cfg)
 	if err != nil {
 		return pb, &probeOutcome{noFit: true, err: err}
 	}
@@ -124,11 +114,11 @@ func routeVerdict(feasible bool) string {
 // distinct all-infeasible rectangles, which does not occur in the
 // generated corpus (TestBisectMatchesLinear) and costs only
 // conservatism, never infeasibility, if it ever does.
-func minCFBisect(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s SearchConfig, cfg Config) (SearchResult, error) {
-	p := newProber(dev, m, rep, s, cfg)
-	if p.n < 0 {
-		return SearchResult{}, errNoFeasible(s, m)
+func minCFBisect(s *serial) (SearchResult, error) {
+	if s.w.last < s.w.start {
+		return SearchResult{}, errNoFeasible(s.s, s.m)
 	}
+	p := &prober{serial: s, byRect: make(map[fabric.Rect]*probeOutcome), n: int((s.w.last - s.w.start) / s.w.step)}
 
 	// The window start resolves the two common single-run cases exactly
 	// like the linear sweep: feasible (or place-legal) immediately, or
@@ -174,13 +164,15 @@ func minCFBisect(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, s
 	return p.routeScan(p.confirmDown(hi))
 }
 
-// capacityPivot returns the grid index closest to CF = 1.0, clamped to
-// the search window, or 0 when the window starts at or above it.
+// capacityPivot returns the window index closest to CF = 1.0 (a tie
+// rounds up), clamped to the window, or 0 when the window starts at or
+// above it.
 func (p *prober) capacityPivot() int {
-	if p.s.Start >= 1.0 {
+	d := ticksPerUnit - p.w.start
+	if d <= 0 {
 		return 0
 	}
-	pv := int(math.Round((1.0 - p.s.Start) / p.s.Step))
+	pv := int((2*d + p.w.step) / (2 * p.w.step))
 	return min(max(pv, 1), p.n)
 }
 

@@ -155,7 +155,7 @@ func TestBisectBoundaryConfirmed(t *testing.T) {
 		if err != nil || r.CF <= s.Start {
 			continue
 		}
-		below := roundCF(r.CF - s.Step)
+		below := TickOf(r.CF - s.Step).CF()
 		if _, ierr := Implement(dev, m, rep, below, cfg); ierr == nil {
 			t.Errorf("%s: returned CF %.2f but %.2f is also feasible", spec.Name, r.CF, below)
 		}
@@ -275,12 +275,15 @@ func TestOracleVerdictPureInRect(t *testing.T) {
 		m, rep := module(t, spec)
 		byRect := map[fabric.Rect]bool{} // rect -> feasible verdict
 		pairs := 0
-		for i := 0; i <= s.lastIndex() && pairs < 8; i++ {
-			pb, err := Build(dev, rep, s.cfAt(i), cfg)
+		for _, cf := range gridCFs(t, s) {
+			if pairs >= 8 {
+				break
+			}
+			pb, err := Build(dev, rep, cf, cfg)
 			if err != nil {
 				break
 			}
-			_, ierr := Implement(dev, m, rep, s.cfAt(i), cfg)
+			_, ierr := Implement(dev, m, rep, cf, cfg)
 			if prev, seen := byRect[pb.Rect]; seen {
 				if prev != (ierr == nil) {
 					t.Fatalf("%s: rect %v verdict flipped between CFs", spec.Name, pb.Rect)
@@ -290,9 +293,9 @@ func TestOracleVerdictPureInRect(t *testing.T) {
 			}
 			byRect[pb.Rect] = ierr == nil
 			// Determinism: the same attempt repeated gives the same verdict.
-			_, again := Implement(dev, m, rep, s.cfAt(i), cfg)
+			_, again := Implement(dev, m, rep, cf, cfg)
 			if (ierr == nil) != (again == nil) {
-				t.Fatalf("%s: verdict at cf=%.2f not deterministic", spec.Name, s.cfAt(i))
+				t.Fatalf("%s: verdict at cf=%.2f not deterministic", spec.Name, cf)
 			}
 		}
 	}
@@ -321,8 +324,7 @@ func TestBisectMinimalityExhaustive(t *testing.T) {
 		if _, ierr := Implement(dev, m, rep, r.CF, cfg); ierr != nil {
 			t.Errorf("%s: returned CF %.2f is not feasible: %v", spec.Name, r.CF, ierr)
 		}
-		for i := 0; i <= s.lastIndex(); i++ {
-			cf := s.cfAt(i)
+		for _, cf := range gridCFs(t, s) {
 			if cf >= r.CF {
 				break
 			}
@@ -334,7 +336,7 @@ func TestBisectMinimalityExhaustive(t *testing.T) {
 	}
 }
 
-// TestOffGridStepIsAnError: cfAt snaps every probed CF to the 0.02 grid,
+// TestOffGridStepIsAnError: every probed CF is a tick of the 0.02 grid,
 // so a step that is not a positive multiple of it made the searches
 // probe the same CF over and over (0.001: 411 tool runs where the grid
 // step takes 22; 1e-9: never ends). Both searches, under both

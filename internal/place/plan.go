@@ -151,8 +151,8 @@ func (pl *Plan) prepare() {
 	for _, ch := range chains {
 		pl.chains = append(pl.chains, ch.cells)
 	}
-	sort.Slice(pl.mem, func(i, j int) bool { return pl.mem[i].cs < pl.mem[j].cs })
-	sort.Slice(pl.ffs, func(i, j int) bool { return pl.ffs[i].cs < pl.ffs[j].cs })
+	sort.SliceStable(pl.mem, func(i, j int) bool { return pl.mem[i].cs < pl.mem[j].cs })
+	sort.SliceStable(pl.ffs, func(i, j int) bool { return pl.ffs[i].cs < pl.ffs[j].cs })
 
 	// Each LUT's input drivers in net order, as one CSR array: count
 	// per LUT, prefix-sum, then fill through a cursor per LUT.

@@ -54,8 +54,9 @@ stage_build() {
 	# The documents name tests, paths and metrics; all of them must be in
 	# the tree that just built. The stitcher and the forest fan out only
 	# through obs.Each, the stitcher, the placer and synthesis draw only
-	# through internal/rng, and the CF policy lives only in internal/pblock.
-	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach|TestSeededLoopsUseRNG|TestCFPolicyOnlyInPBlock' .
+	# through internal/rng, a result path's sort.Slice is total, and the
+	# CF policy and the CF grid live only in internal/pblock.
+	run_listed 'TestDocsNameRealThings|TestFanOutOnlyThroughEach|TestSeededLoopsUseRNG|TestResultSortsTotal|TestCFPolicyOnlyInPBlock|TestCFGridOnlyInPBlock' .
 }
 
 stage_benchmod() {
@@ -161,8 +162,11 @@ stage_determinism() {
 	# the bisect search's per-block probe counts are pinned, and a reused
 	# plan must answer like a from-scratch placement on every rectangle of
 	# every sweep. The one loop that runs the blocks hands every index to
-	# exactly one lane, labelled or not.
-	run_listed 'TestBisectMatchesLinear' -race ./internal/pblock/
+	# exactly one lane, labelled or not. Every search steps grid ticks: a
+	# sweep from an off-grid Start probes consecutive grid points, a
+	# constant climb reports grid CFs, and an estimate that is not a
+	# finite number > 0 is refused before any probe.
+	run_listed 'TestBisectMatchesLinear|TestSweepCoversGrid|TestConstantClimbOnGrid|TestNaNEstimateRefused' -race ./internal/pblock/
 	run_listed 'TestLanes' -race ./internal/obs/
 	# The block path's one disk read-through, in every state a cache
 	# directory can be in; and a label and a min-sweep block being one
