@@ -172,7 +172,8 @@ type InstanceSpec struct {
 	Block int    `json:"block"`
 }
 
-// NetSpec is a width-bit stream between two instances.
+// NetSpec is a width-bit stream between two instances. A width above
+// macroflow.MaxNetWidth is refused with invalid_options.
 type NetSpec struct {
 	From  int `json:"from"`
 	To    int `json:"to"`

@@ -592,6 +592,10 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 			apiv1.ErrInvalidOptions, "pblock: search step 1e-09 is not a positive multiple of the 0.02 CF grid"},
 		{"bad-device", func(r *apiv1.CompileRequest) { r.Device = "virtex2" },
 			apiv1.ErrInvalidOptions, ""},
+		// A net wider than MaxNetWidth has no exact cost; it dies at
+		// admission with the library's typed error's text.
+		{"net-too-wide", func(r *apiv1.CompileRequest) { r.Design.Nets[0].Width = 1 << 40 },
+			apiv1.ErrInvalidOptions, "macroflow: net width above MaxNetWidth: width 1099511627776 > 1048576"},
 		{"estimator-not-loaded", func(r *apiv1.CompileRequest) { r.Mode = apiv1.ModeSpec{Kind: "estimator"} },
 			apiv1.ErrUnsupported, ""},
 		// The constant CF is checked once, by the library's CFMode.Validate.

@@ -2,6 +2,7 @@ package macroflow
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -60,11 +61,28 @@ func (d *Design) AddInstance(typeIdx int, name string) (int, error) {
 	return len(d.instances) - 1, nil
 }
 
+// MaxNetWidth bounds a net's width in bits. A net of width w weighs w/16
+// and a distance between block centres is at most 2^10 half tiles
+// (xc7z045: 95 columns + 350 rows), so a net costs below 2^30 units of
+// 1/32; a 1 MiB request body spells fewer than 2^20 nets, and with the
+// anchors of a partitioned run and the unplaced penalties the total
+// stays below 2^52 units, where the float64 cost a result reports is
+// exact.
+const MaxNetWidth = 1 << 20
+
+// ErrNetWidth is the error Connect returns, wrapped, for a width above
+// MaxNetWidth.
+var ErrNetWidth = errors.New("macroflow: net width above MaxNetWidth")
+
 // Connect adds a width-bit stream between two instances; the stitcher
-// minimizes the weighted wirelength of these connections.
+// minimizes the weighted wirelength of these connections. A width below
+// 1 counts as 1; one above MaxNetWidth is an ErrNetWidth.
 func (d *Design) Connect(from, to, width int) error {
 	if from < 0 || from >= len(d.instances) || to < 0 || to >= len(d.instances) {
 		return fmt.Errorf("macroflow: connect endpoints out of range")
+	}
+	if width > MaxNetWidth {
+		return fmt.Errorf("%w: width %d > %d", ErrNetWidth, width, MaxNetWidth)
 	}
 	if width <= 0 {
 		width = 1

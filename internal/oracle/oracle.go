@@ -386,10 +386,10 @@ func CheckPlacement(p *stitch.Problem, origins []stitch.Origin, rep *Report) {
 // CheckCost recomputes the stitched design's wirelength cost from
 // scratch — weighted Manhattan distance between placed endpoints' block
 // centers, summed in net order, penalties excluded — and compares it to
-// the reported FinalCost. It also recounts Placed/Unplaced against the
-// origins. costTol is the relative tolerance (0 selects 1e-9; the
-// stitcher's FinalCost comes from a from-scratch recomputation too, so
-// agreement should be essentially exact).
+// the reported FinalCost with ==. It also recounts Placed/Unplaced
+// against the origins. Every term is a whole number of 1/32 (weights in
+// sixteenths, centres in halves), so the float64 sums here and the
+// stitcher's integer units are both exact and must agree to the bit.
 func CheckCost(p *stitch.Problem, origins []stitch.Origin, reported float64, placed, unplaced int, rep *Report) {
 	rep.count()
 	if len(origins) != len(p.Instances) {
@@ -410,9 +410,7 @@ func CheckCost(p *stitch.Problem, origins []stitch.Origin, reported float64, pla
 			"reported %d placed / %d unplaced, origins say %d / %d",
 			placed, unplaced, gotPlaced, gotUnplaced)
 	}
-	cost := RecomputeCost(p, origins)
-	tol := 1e-9 * (1 + math.Abs(cost))
-	if math.Abs(cost-reported) > tol {
+	if cost := RecomputeCost(p, origins); cost != reported {
 		rep.Violate(CheckerCost, "design",
 			"reported final cost %v, from-scratch recomputation %v", reported, cost)
 	}
@@ -461,10 +459,11 @@ func RecomputeCost(p *stitch.Problem, origins []stitch.Origin) float64 {
 // CheckPartition audits an instance→member assignment from first
 // principles: completeness (every instance mapped to a real member),
 // per-member capacity honored against a tile-by-tile demand recount,
-// and the reported cut weight matching a from-scratch recomputation
-// over the net list. The demand recount walks every span one row at a
-// time and counts BRAM/DSP tiles by repeated subtraction — it shares
-// no arithmetic with the partitioner's vectorized fast path.
+// and the reported cut weight equal (==) to a from-scratch
+// recomputation over the net list: weights are whole sixteenths, so
+// their sum is exact in any order. The demand recount walks every span
+// one row at a time and counts BRAM/DSP tiles by repeated subtraction —
+// it shares no arithmetic with the partitioner's vectorized fast path.
 func CheckPartition(p *stitch.Problem, caps []fabric.ResourceCount, assign []int, reportedCut float64, rep *Report) {
 	rep.count()
 	if len(assign) != len(p.Instances) {
@@ -510,7 +509,7 @@ func CheckPartition(p *stitch.Problem, caps []fabric.ResourceCount, assign []int
 			cut += n.Weight
 		}
 	}
-	if tol := 1e-9 * (1 + math.Abs(cut)); math.Abs(cut-reportedCut) > tol {
+	if cut != reportedCut {
 		rep.Violate(CheckerPartition, "design",
 			"reported cut weight %v, from-scratch recomputation %v", reportedCut, cut)
 	}
@@ -646,7 +645,7 @@ func CheckEquivalence(subject string, cached, fresh pblock.SearchResult, freshEr
 		return
 	}
 	if !bytes.Equal(cb, fb) {
-		detail := fmt.Sprintf("cached CF %.2f vs fresh CF %.2f", cached.CF, fresh.CF)
+		detail := fmt.Sprintf("cached CF %g vs fresh CF %g", cached.CF, fresh.CF)
 		if cached.CF == fresh.CF {
 			detail = fmt.Sprintf("implementations diverge (%d vs %d serialized bytes)", len(cb), len(fb))
 		}

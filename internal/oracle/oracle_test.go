@@ -252,6 +252,16 @@ func TestCheckEquivalence(t *testing.T) {
 		t.Error("CF divergence went undetected")
 	}
 
+	// A stale record's CF that differs in its last bits reads as two
+	// different numbers, not as "1.50 vs 1.50".
+	stale, fresh := sr, sr2
+	stale.CF, fresh.CF = 1.5000000000000004, 1.5
+	vr = Report{}
+	CheckEquivalence("equiv", stale, fresh, nil, &vr)
+	if want := "cached CF 1.5000000000000004 vs fresh CF 1.5"; !strings.Contains(vr.String(), want) {
+		t.Errorf("violation text %q does not show %q", vr.String(), want)
+	}
+
 	// A fresh-run failure against a cache-served success is a violation.
 	vr = Report{}
 	CheckEquivalence("equiv", sr, pblock.SearchResult{}, context("fresh failed"), &vr)

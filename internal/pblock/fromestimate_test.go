@@ -168,3 +168,35 @@ func TestNaNEstimateRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestClimbsStopAtNoFit: a block the device cannot hold at any CF past
+// some tick makes the constant climb and the estimator climb return
+// ErrNoFit at their first such probe, as the sweep does, however far
+// the window's Max lies beyond the device.
+func TestClimbsStopAtNoFit(t *testing.T) {
+	dev := fabric.XC7Z045()
+	cfg := DefaultConfig()
+	m, rep := module(t, rtlgen.Spec{
+		Name:       "oversized",
+		Components: []rtlgen.Component{rtlgen.LUTMemory{Width: 64, Depth: 1 << 14, ForceDistributed: true}},
+	})
+	s := SearchConfig{Start: 0.9, Step: 0.02, Max: 1e6}
+	for _, pol := range []Policy{Constant(1.0), Estimate(1.0)} {
+		done := make(chan error, 1)
+		var res SearchResult
+		go func() {
+			var err error
+			res, err = pol.Search(dev, m, rep, s, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrNoFit) {
+				t.Errorf("%s: err = %v, want ErrNoFit", pol.Kind(), err)
+			}
+			t.Logf("%s: ErrNoFit after %d tool runs", pol.Kind(), res.ToolRuns)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: no answer within 20 s: the climb does not stop at the device", pol.Kind())
+		}
+	}
+}

@@ -428,10 +428,11 @@ func (p Policy) Search(dev *fabric.Device, m *netlist.Module, rep place.ShapeRep
 const coarseTicks = 5
 
 // escalate is the constant policy's search: probe cf's tick and, while
-// infeasible, climb 0.1 until past the window's last tick.
+// infeasible, climb 0.1 until past the window's last tick. Like the
+// sweep it stops at the first ErrNoFit probe: no larger CF fits either.
 func escalate(p *serial, cf float64) (SearchResult, error) {
 	for t := TickOf(cf); ; t += coarseTicks {
-		if res, err := p.try(t); err == nil || t+coarseTicks > p.w.last {
+		if res, err := p.try(t); err == nil || errors.Is(err, ErrNoFit) || t+coarseTicks > p.w.last {
 			return res, err
 		}
 	}
@@ -555,7 +556,8 @@ func FromEstimate(dev *fabric.Device, m *netlist.Module, rep place.ShapeReport, 
 
 // fromEstimate is FromEstimate's search, run under its span. The
 // estimate starts at its nearest tick, or at the window's step if that
-// is lower.
+// is lower. The climb stops at the first ErrNoFit probe, as the sweep
+// does.
 func fromEstimate(p *serial, est float64) (SearchResult, error) {
 	t := max(TickOf(est), p.w.step)
 	res, err := p.try(t)
@@ -565,6 +567,9 @@ func fromEstimate(p *serial, est float64) (SearchResult, error) {
 	// Coarse upward steps of 0.1; lo is the last infeasible tick.
 	lo := t
 	for err != nil {
+		if errors.Is(err, ErrNoFit) {
+			return res, err
+		}
 		if t += coarseTicks; t > p.w.last {
 			return SearchResult{ToolRuns: p.runs}, fmt.Errorf("pblock: estimator refinement exceeded CF %.2f for %s", p.s.Max, p.m.Name)
 		}

@@ -549,8 +549,8 @@ func runAnalytic(p *Problem, pr *prep, cfg Config) *Result {
 	analyticSeed(p, pr, cfg, a, rec, runSp)
 	a.initCostState()
 	c := &chain{a: a, idx: 0, budget: 0, every: cfg.TraceEvery}
-	c.trace = append(c.trace, CostSample{Iter: 0, Cost: a.cost})
-	finals := []float64{c.finish()}
+	c.trace = append(c.trace, CostSample{Iter: 0, Cost: costOf(a.cost)})
+	finals := []int64{c.finish()}
 	res := buildResult([]*chain{c}, 0, finals, 0)
 	res.TraceEvery = cfg.TraceEvery
 	res.GDIters = gdIters(cfg)

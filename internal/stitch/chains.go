@@ -61,22 +61,19 @@ func (c *chain) runSegment(n int, progress func(chain, iter int, cost float64)) 
 		c.temp *= c.cooling
 		if c.sampleIn == 0 {
 			c.sampleIn = c.every
-			c.trace = append(c.trace, CostSample{Iter: it, Cost: a.cost})
+			c.trace = append(c.trace, CostSample{Iter: it, Cost: costOf(a.cost)})
 			if progress != nil {
-				progress(c.idx, it, a.cost)
+				progress(c.idx, it, costOf(a.cost))
 			}
 		}
 		c.sampleIn--
-		if a.cfg.CheckIncremental && it%1024 == 0 {
-			a.checkIncremental(it)
-		}
 		c.it = it + 1
 	}
 }
 
 // finish runs the final greedy attempt for anything still unplaced and
 // returns the chain's final total cost (penalties included).
-func (c *chain) finish() float64 {
+func (c *chain) finish() int64 {
 	a := c.a
 	replaced := false
 	for ii := range a.origins {
@@ -87,15 +84,23 @@ func (c *chain) finish() float64 {
 		if ok, x, y := a.firstFit(bidx); ok {
 			a.setOrigin(ii, Origin{X: x, Y: y, Placed: true})
 			a.mark(&a.p.Blocks[bidx], x, y, true)
-			a.cost = a.totalCost()
 			replaced = true
 		}
 	}
 	if replaced {
-		a.refreshNetCosts()
+		a.initCostState()
 	}
-	return a.totalCost()
+	if checkChain != nil {
+		checkChain(a)
+	}
+	return a.cost
 }
+
+// checkChain, when non-nil, receives every chain's annealer at each
+// exchange barrier and at the chain's end. It is a seam for the
+// package's tests, which assert there that the cached costs, the
+// running cost and the occupancy equal a recomputation.
+var checkChain func(*annealer)
 
 // runChains drives K annealing replicas (K = 1 reproduces the serial
 // annealer bit-for-bit). Chains anneal independently between fixed
@@ -150,8 +155,11 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 	// seed must never return worse than that seed. Pure observation —
 	// no rng draws — so the anneal path stays byte-identical.
 	var bestSnap *annealer
-	bestCost := math.Inf(1)
+	bestCost := int64(math.MaxInt64)
 	snapBest := func(src *annealer) {
+		if checkChain != nil {
+			checkChain(src)
+		}
 		if backend != BackendHybrid || src.cost >= bestCost {
 			return
 		}
@@ -189,7 +197,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 		// escaping local minima for it. With k = 1 the anchor reduces to
 		// initTempFrac — the serial schedule.
 		anchor := initTempFrac / math.Pow(ladderRatio, float64(k-1))
-		temp := a.cost * anchor * math.Pow(ladderRatio, float64(ci))
+		temp := costOf(a.cost) * anchor * math.Pow(ladderRatio, float64(ci))
 		if temp <= 0 {
 			temp = 1
 		}
@@ -252,7 +260,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 					n = c.budget // budget-bounded; drains the remainder
 				}
 				c.runSegment(n, nil)
-				segs[ci].Set(obs.Float("cost", c.a.cost))
+				segs[ci].Set(obs.Float("cost", costOf(c.a.cost)))
 				segs[ci].End()
 			})
 			for _, c := range chains {
@@ -260,7 +268,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 			}
 			if cfg.Progress != nil {
 				for _, c := range chains {
-					cfg.Progress(c.idx, c.it, c.a.cost)
+					cfg.Progress(c.idx, c.it, costOf(c.a.cost))
 				}
 			}
 			if r == rounds-1 {
@@ -275,7 +283,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 				attempts++
 				// Metropolis swap: always when the hotter chain holds
 				// the better state, else with ladder-scaled probability.
-				d := (1/c1.temp - 1/c2.temp) * (c1.a.cost - c2.a.cost)
+				d := (1/c1.temp - 1/c2.temp) * costOf(c1.a.cost-c2.a.cost)
 				if d >= 0 || xrng.Float64() < math.Exp(d) {
 					swapState(c1.a, c2.a)
 					c1.exchanges++
@@ -294,7 +302,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 	// Pick the winner on total cost (penalties included), lowest chain
 	// index on ties; only the winner gets the final greedy completion
 	// pass — the losers' states are discarded anyway.
-	finals := make([]float64, k)
+	finals := make([]int64, k)
 	best := 0
 	if k == 1 {
 		finals[0] = chains[0].finish()
@@ -324,7 +332,7 @@ func runChains(p *Problem, pr *prep, cfg Config) *Result {
 		}
 		chainSpans[ci].Set(obs.Int("moves", c.a.moves),
 			obs.Int("accepts", c.a.accepts), obs.Int("exchanges", c.exchanges),
-			obs.Float("cost", finals[ci]))
+			obs.Float("cost", costOf(finals[ci])))
 		chainSpans[ci].End()
 	}
 	rec.Add("stitch.moves", moves)
@@ -367,7 +375,7 @@ func swapState(a1, a2 *annealer) {
 
 // buildResult assembles the Result from the winning chain plus per-chain
 // telemetry.
-func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Result {
+func buildResult(chains []*chain, best int, finals []int64, exchanges int) *Result {
 	w := chains[best]
 	a := w.a
 	res := &Result{Exchanges: exchanges}
@@ -380,8 +388,8 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 			res.Unplaced++
 		}
 	}
-	final := finals[best]
-	res.FinalCost = final - float64(res.Unplaced)*unplacedPenalty
+	final := costOf(finals[best])
+	res.FinalCost = costOf(finals[best] - int64(res.Unplaced)*unplacedPenalty)
 
 	trace := w.trace
 	executed := w.budget
@@ -399,7 +407,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 	if len(trace) > 0 {
 		initial := trace[0].Cost
 		res.InitialCost = initial
-		threshold := final + 0.02*(initial-final)
+		threshold := final + float64(0.02*(initial-final))
 		for _, s := range trace {
 			if s.Cost <= threshold {
 				res.ConvergenceIter = s.Iter
@@ -412,7 +420,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 		res.Iterations += c.budget
 		res.IllegalMoves += c.a.illegal
 		cfinal := finals[c.idx]
-		unplaced := 0
+		var unplaced int64
 		for _, o := range c.a.origins {
 			if !o.Placed {
 				unplaced++
@@ -425,7 +433,7 @@ func buildResult(chains []*chain, best int, finals []float64, exchanges int) *Re
 			Accepts:      c.a.accepts,
 			IllegalMoves: c.a.illegal,
 			Exchanges:    c.exchanges,
-			FinalCost:    cfinal - float64(unplaced)*unplacedPenalty,
+			FinalCost:    costOf(cfinal - unplaced*unplacedPenalty),
 			Trace:        c.trace,
 		})
 	}

@@ -69,17 +69,23 @@ func TestFinalCostAlwaysInTrace(t *testing.T) {
 	}
 }
 
-// TestCheckIncremental: the debug cross-check recomputes every cached
+// TestCheckIncremental: the cross-check recomputes every cached
 // quantity — net costs, total, and the occupancy bitmap from the
-// origins — and panics on drift; a clean run must pass it in both modes.
+// origins — at every barrier and chain end, and panics on drift; a
+// clean run must pass it in both modes, exchanges included.
 func TestCheckIncremental(t *testing.T) {
+	checks := checkChains(t)
 	for _, k := range []int{0, 4} {
-		res := Run(smallProblem(t, 14), Config{
-			Seed: 11, Iterations: 6000, Chains: k, CheckIncremental: true,
-		})
+		res := Run(smallProblem(t, 14), Config{Seed: 11, Iterations: 6000, Chains: k})
 		if res.Placed == 0 {
 			t.Errorf("chains=%d: nothing placed", k)
 		}
+		if k == 4 && res.Exchanges == 0 {
+			t.Error("chains=4: no exchange was checked")
+		}
+	}
+	if checks() == 0 {
+		t.Error("no chain state was checked")
 	}
 }
 

@@ -1,13 +1,60 @@
 package stitch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"macroflow/internal/fabric"
 )
+
+// checkIncremental asserts the incremental state against a full
+// recomputation: every cached net cost and the running total, with ==,
+// and the occupancy bitmap rebuilt from the origins — a stale footprint
+// bit left by a move is invisible to the cost checks.
+func (a *annealer) checkIncremental(it int) {
+	want := newOccupancy(a.p.Dev)
+	for ii, o := range a.origins {
+		if !o.Placed {
+			continue
+		}
+		for _, s := range a.p.Blocks[a.p.Instances[ii].Block].Spans {
+			want.set(o.X+s.DX, o.Y+s.Min, o.Y+s.Max, true)
+		}
+	}
+	for i, w := range want.bits {
+		if got := a.occ.bits[i]; got != w {
+			panic(fmt.Sprintf("stitch: occupancy drift at iter %d: column %d word %d holds %#x, origins say %#x",
+				it, i/want.words, i%want.words, got, w))
+		}
+	}
+	for ni := range a.netCost0 {
+		if got := a.computeNetCost(ni); got != a.netCost0[ni] {
+			panic(fmt.Sprintf("stitch: net %d cost cache drift at iter %d: cached %d, recomputed %d units",
+				ni, it, a.netCost0[ni], got))
+		}
+	}
+	if full := a.totalCost(); full != a.cost {
+		panic(fmt.Sprintf("stitch: incremental cost drift at iter %d: running %d, recomputed %d units",
+			it, a.cost, full))
+	}
+}
+
+// checkChains runs checkIncremental on every chain at each exchange
+// barrier and at each chain's end, until the test ends, and returns the
+// number of checks made so far.
+func checkChains(tb testing.TB) func() int64 {
+	var n atomic.Int64
+	checkChain = func(a *annealer) {
+		a.checkIncremental(a.moves)
+		n.Add(1)
+	}
+	tb.Cleanup(func() { checkChain = nil })
+	return n.Load
+}
 
 // The references below are the loops the legality kernel replaced, kept
 // only so the tests can compare against them. They share nothing with
@@ -367,7 +414,7 @@ func TestMoveLoopKeepsBitmapExact(t *testing.T) {
 	a := newAnnealer(p, newPrep(p), DefaultConfig(), 5)
 	a.greedyInit()
 	a.initCostState()
-	temp := a.cost * 0.03
+	temp := costOf(a.cost) * 0.03
 	for it := 0; it < 20000; it++ {
 		a.tryMove(temp)
 		if it%37 == 0 {
@@ -381,7 +428,7 @@ func TestMoveLoopKeepsBitmapExact(t *testing.T) {
 
 // TestCheckIncrementalCatchesStaleBit: a footprint bit no origin
 // accounts for — what a wrong unmark in the move loop would leave —
-// trips the debug cross-check even though every cost still matches.
+// trips the cross-check even though every cost still matches.
 func TestCheckIncrementalCatchesStaleBit(t *testing.T) {
 	p := smallProblem(t, 6)
 	a := newAnnealer(p, newPrep(p), DefaultConfig(), 1)

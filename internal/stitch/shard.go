@@ -85,7 +85,7 @@ func buildShardProblems(p *Problem, shards []Shard, assign []int) ([]*Problem, [
 	// a: the center of b's band, translated into a's local rows.
 	center := func(local, remote int) (float64, float64) {
 		x := float64(shards[remote].Dev.NumCols()) / 2
-		parentY := float64(shards[remote].RowOffset) + float64(shards[remote].Dev.Rows)/2
+		parentY := float64(shards[remote].RowOffset) + float64(float64(shards[remote].Dev.Rows)/2) // rounded: never fused
 		return x, parentY - float64(shards[local].RowOffset)
 	}
 	var cut []int

@@ -149,20 +149,27 @@ func TestShardedRejectsBadAssignment(t *testing.T) {
 	}
 }
 
-// TestAnchorsIncremental drives the annealer over a problem with
-// anchors under CheckIncremental: any drift between the incremental
-// anchor-term cache and a full recomputation panics.
-func TestAnchorsIncremental(t *testing.T) {
+// anchoredProblem is a synthetic 1x problem whose instances are pulled
+// toward off-device points, as a shard's cut nets pull them.
+func anchoredProblem() *Problem {
 	p := Synthetic(fabric.XC7Z020(), 1, 3)
 	for i := 0; i < 10; i++ {
 		p.Anchors = append(p.Anchors, Anchor{
 			Inst: (i * 17) % len(p.Instances), X: -5, Y: float64(200 + i), Weight: 1.5,
 		})
 	}
+	return p
+}
+
+// TestAnchorsIncremental drives the annealer over a problem with
+// anchors under the chain check: any drift between the incremental
+// anchor-term cache and a full recomputation panics.
+func TestAnchorsIncremental(t *testing.T) {
+	checkChains(t)
+	p := anchoredProblem()
 	cfg := DefaultConfig()
 	cfg.Iterations = 8000
 	cfg.Seed = 9
-	cfg.CheckIncremental = true
 	r := Run(p, cfg)
 	if r.FinalCost <= 0 {
 		t.Errorf("anchored run final cost %v, want > 0", r.FinalCost)
@@ -176,8 +183,9 @@ func TestAnchorsIncremental(t *testing.T) {
 }
 
 // TestAnchorsHybridIncremental exercises the analytic gradient's anchor
-// branch plus the annealing refinement under CheckIncremental.
+// branch plus the annealing refinement under the chain check.
 func TestAnchorsHybridIncremental(t *testing.T) {
+	checkChains(t)
 	p := Synthetic(fabric.XC7Z020(), 1, 4)
 	p.Anchors = append(p.Anchors,
 		Anchor{Inst: 0, X: 10, Y: 400, Weight: 2},
@@ -187,7 +195,6 @@ func TestAnchorsHybridIncremental(t *testing.T) {
 	cfg.Seed = 2
 	cfg.Backend = BackendHybrid
 	cfg.GDIterations = 64
-	cfg.CheckIncremental = true
 	if r := Run(p, cfg); r.Placed == 0 {
 		t.Error("hybrid anchored run placed nothing")
 	}

@@ -13,8 +13,9 @@
 // paper-fidelity mode) or as K parallel-tempering replicas exchanging
 // states on a fixed schedule (see chains.go). Either way the inner loop
 // is incremental: per-net costs are cached and moves apply delta
-// updates, with the exact same arithmetic as a full recomputation, so
-// results are bit-identical to the historical full-recompute annealer.
+// updates. Costs are whole int64 counts of 1/32 (see unitsPerCost), so
+// the cache and the running total equal a full recomputation exactly,
+// in any summation order.
 //
 // Legality has one kernel, shared by every backend. A single point is
 // tested by fits: the block's row rule (on the device, on the BRAM/DSP
@@ -178,11 +179,6 @@ type Config struct {
 	// at every exchange barrier per chain for multi-chain runs. It is
 	// always invoked from the calling goroutine, never concurrently.
 	Progress func(chain, iter int, cost float64)
-	// CheckIncremental is a debug mode that periodically cross-checks
-	// the incremental state — cached net costs, running total, and the
-	// occupancy bitmap against one rebuilt from the origins — with a
-	// full recomputation and panics on drift. Expensive; for tests.
-	CheckIncremental bool
 	// Obs, when non-nil, records chain/segment/exchange spans and
 	// counters (stitch.moves, stitch.accepts, stitch.exchanges, ...).
 	// Recording happens at barrier granularity — never inside the SA
@@ -198,12 +194,27 @@ const (
 	// initTempFrac is the starting temperature as a fraction of the
 	// initial cost.
 	initTempFrac = 0.03
-	// unplacedPenalty is the cost of each unplaced instance.
-	unplacedPenalty = 2000
+	// unplacedPenalty is the cost of each unplaced instance, in units.
+	unplacedPenalty = 2000 * unitsPerCost
 	// exchangeRounds is the number of replica-exchange barriers spread
 	// evenly over the per-chain budget.
 	exchangeRounds = 16
 )
+
+// Cost units: a term is a weight in whole sixteenths (a net of width w
+// weighs w/16) times a distance between centres X + W/2 in whole halves,
+// so the annealer counts cost in int64 units of 1/32, exact in any order.
+const (
+	weightScale  = 16 // a weight in sixteenths
+	coordScale   = 2  // a coordinate in halves
+	unitsPerCost = weightScale * coordScale
+)
+
+// costOf is the float64 of units where a cost leaves the package or
+// meets a temperature: the float64 sum of the same terms, bit for bit.
+// The explicit conversion rounds the quotient (a product by 1/32 to the
+// compiler), so no architecture fuses it into a caller's addition.
+func costOf(u int64) float64 { return float64(float64(u) / unitsPerCost) }
 
 // DefaultConfig returns the calibrated annealer settings.
 func DefaultConfig() Config {
@@ -223,9 +234,9 @@ type Result struct {
 	Unplaced int
 	// InitialCost is the total cost after the greedy construction.
 	InitialCost float64
-	// FinalCost is the wirelength cost of placed nets (no penalties),
-	// recomputed from scratch in net order when the run finishes — the
-	// contract internal/oracle's CheckCost verifies to within 1e-9.
+	// FinalCost is the wirelength cost of placed nets (no penalties). It
+	// equals a from-scratch recomputation exactly — the contract
+	// internal/oracle's CheckCost verifies with ==.
 	FinalCost float64
 	// ConvergenceIter is the first iteration at which the annealer had
 	// achieved 98% of its total cost improvement — the paper's
@@ -424,6 +435,10 @@ type prep struct {
 	order []int
 	// netsOf[i] lists net indices touching instance i.
 	netsOf [][]int
+	// weight[ni] is cost term ni's weight in sixteenths (nets, then
+	// anchors); anchorX, anchorY are the anchors' points in halves.
+	weight           []int64
+	anchorX, anchorY []int64
 }
 
 func newPrep(p *Problem) *prep {
@@ -436,6 +451,17 @@ func newPrep(p *Problem) *prep {
 		rowDraw:   make([]rng.Bound, len(p.Blocks)),
 		order:     make([]int, len(p.Instances)),
 		netsOf:    make([][]int, len(p.Instances)),
+		weight:    make([]int64, p.terms()),
+		anchorX:   make([]int64, len(p.Anchors)),
+		anchorY:   make([]int64, len(p.Anchors)),
+	}
+	for ni, n := range p.Nets {
+		pr.weight[ni] = onGrid(n.Weight, weightScale, "net", ni, "weight")
+	}
+	for ai, an := range p.Anchors {
+		pr.weight[len(p.Nets)+ai] = onGrid(an.Weight, weightScale, "anchor", ai, "weight")
+		pr.anchorX[ai] = onGrid(an.X, coordScale, "anchor", ai, "X")
+		pr.anchorY[ai] = onGrid(an.Y, coordScale, "anchor", ai, "Y")
 	}
 	areas := make([]int, len(p.Blocks))
 	for bi := range p.Blocks {
@@ -516,6 +542,17 @@ func newPrep(p *Problem) *prep {
 	return pr
 }
 
+// onGrid returns v·scale, which must be a whole number below 2^40 in
+// magnitude, so no product or sum of units overflows an int64; an
+// off-grid value panics, as an unknown backend does.
+func onGrid(v, scale float64, kind string, i int, field string) int64 {
+	u := v * scale
+	if u != math.Trunc(u) || math.Abs(u) >= 1<<40 {
+		panic(fmt.Sprintf("stitch: %s %d %s %v is not a whole multiple of 1/%v below 2^40", kind, i, field, v, scale))
+	}
+	return int64(u)
+}
+
 // lcm is the least common multiple of two positive ints.
 func lcm(a, b int) int {
 	g, r := a, b
@@ -537,20 +574,19 @@ type annealer struct {
 	rows, smear []uint64
 
 	origins []Origin
-	// cx, cy cache the wirelength centers of placed instances; they are
-	// pure functions of the origin, so the cached values are bit-equal
-	// to on-the-fly recomputation.
-	cx, cy []float64
-	// netCost0 caches the cost of every net under the current origins.
-	// Moves read the "before" side from the cache and only recompute
-	// the nets the move touches — the incremental inner loop.
-	netCost0 []float64
-	cost     float64
+	// cx, cy cache the wirelength centers of placed instances in halves
+	// (2X + W); they are pure functions of the origin.
+	cx, cy []int64
+	// netCost0 caches the cost of every net under the current origins,
+	// in units. Moves read the "before" side from the cache and only
+	// recompute the nets the move touches — the incremental inner loop.
+	netCost0 []int64
+	cost     int64
 
 	// pendingNets/pendingVals stage the recomputed costs of a proposed
 	// move for commit on acceptance.
 	pendingNets []int
-	pendingVals []float64
+	pendingVals []int64
 
 	// telemetry
 	moves, accepts, illegal int
@@ -576,10 +612,10 @@ func newAnnealer(p *Problem, pr *prep, cfg Config, seed int64) *annealer {
 		rows:        make([]uint64, occ.words),
 		smear:       make([]uint64, occ.words),
 		origins:     make([]Origin, len(p.Instances)),
-		cx:          make([]float64, len(p.Instances)),
-		cy:          make([]float64, len(p.Instances)),
+		cx:          make([]int64, len(p.Instances)),
+		cy:          make([]int64, len(p.Instances)),
 		pendingNets: make([]int, 0, 2*deg),
-		pendingVals: make([]float64, 0, 2*deg),
+		pendingVals: make([]int64, 0, 2*deg),
 	}
 }
 
@@ -670,8 +706,8 @@ func (a *annealer) setOrigin(ii int, o Origin) {
 	a.origins[ii] = o
 	if o.Placed {
 		b := &a.p.Blocks[a.p.Instances[ii].Block]
-		a.cx[ii] = float64(o.X) + float64(b.Width)/2
-		a.cy[ii] = float64(o.Y) + float64(b.Height)/2
+		a.cx[ii] = int64(coordScale*o.X + b.Width)
+		a.cy[ii] = int64(coordScale*o.Y + b.Height)
 	}
 }
 
@@ -704,24 +740,32 @@ func (a *annealer) firstFit(bidx int) (bool, int, int) {
 // a net between two placed endpoints, or (for virtual indices >=
 // len(Nets)) an anchor between a placed instance and its fixed point.
 // Terms with an unplaced endpoint cost the unplaced penalty share.
-func (a *annealer) computeNetCost(ni int) float64 {
+func (a *annealer) computeNetCost(ni int) int64 {
 	if ni >= len(a.p.Nets) {
-		an := &a.p.Anchors[ni-len(a.p.Nets)]
-		if !a.origins[an.Inst].Placed {
+		ai := ni - len(a.p.Nets)
+		inst := a.p.Anchors[ai].Inst
+		if !a.origins[inst].Placed {
 			return 0
 		}
-		return an.Weight * (math.Abs(a.cx[an.Inst]-an.X) + math.Abs(a.cy[an.Inst]-an.Y))
+		return a.pr.weight[ni] * (abs64(a.cx[inst]-a.pr.anchorX[ai]) + abs64(a.cy[inst]-a.pr.anchorY[ai]))
 	}
 	n := &a.p.Nets[ni]
 	if !a.origins[n.From].Placed || !a.origins[n.To].Placed {
 		return 0 // the per-instance penalty covers unplaced endpoints
 	}
-	return n.Weight * (math.Abs(a.cx[n.From]-a.cx[n.To]) + math.Abs(a.cy[n.From]-a.cy[n.To]))
+	return a.pr.weight[ni] * (abs64(a.cx[n.From]-a.cx[n.To]) + abs64(a.cy[n.From]-a.cy[n.To]))
+}
+
+func abs64(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // initCostState fills the per-term cost cache and the running total.
 func (a *annealer) initCostState() {
-	a.netCost0 = make([]float64, a.p.terms())
+	a.netCost0 = make([]int64, a.p.terms())
 	for ni := range a.netCost0 {
 		a.netCost0[ni] = a.computeNetCost(ni)
 	}
@@ -729,8 +773,8 @@ func (a *annealer) initCostState() {
 }
 
 // totalCost recomputes the full cost from scratch (no cache reads).
-func (a *annealer) totalCost() float64 {
-	c := 0.0
+func (a *annealer) totalCost() int64 {
+	var c int64
 	for ni := 0; ni < a.p.terms(); ni++ {
 		c += a.computeNetCost(ni)
 	}
@@ -742,19 +786,10 @@ func (a *annealer) totalCost() float64 {
 	return c
 }
 
-// refreshNetCosts revalidates the cache after out-of-loop placements.
-func (a *annealer) refreshNetCosts() {
-	for ni := range a.netCost0 {
-		a.netCost0[ni] = a.computeNetCost(ni)
-	}
-}
-
 // cachedInstCost sums the cached cost of nets touching instance ii plus
-// its penalty. The cached values are bit-equal to recomputation and the
-// summation order matches, so the sum is bit-identical to the historical
-// full recompute.
-func (a *annealer) cachedInstCost(ii int) float64 {
-	c := 0.0
+// its penalty.
+func (a *annealer) cachedInstCost(ii int) int64 {
+	var c int64
 	for _, ni := range a.pr.netsOf[ii] {
 		c += a.netCost0[ni]
 	}
@@ -766,8 +801,8 @@ func (a *annealer) cachedInstCost(ii int) float64 {
 
 // freshInstCost recomputes the nets touching instance ii under the
 // current (proposed) origins, staging each value for commit.
-func (a *annealer) freshInstCost(ii int) float64 {
-	c := 0.0
+func (a *annealer) freshInstCost(ii int) int64 {
+	var c int64
 	for _, ni := range a.pr.netsOf[ii] {
 		v := a.computeNetCost(ni)
 		a.pendingNets = append(a.pendingNets, ni)
@@ -848,7 +883,7 @@ func (a *annealer) tryMove(temp float64) {
 	a.setOrigin(ii, Origin{X: nx, Y: ny, Placed: true})
 	after := a.freshInstCost(ii)
 	delta := after - before
-	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
+	if delta <= 0 || a.rng.Float64() < math.Exp(-costOf(delta)/temp) {
 		if old.Placed && !lifted {
 			a.mark(b, old.X, old.Y, false)
 		}
@@ -916,7 +951,7 @@ func (a *annealer) trySwap(temp float64) {
 	a.setOrigin(i2, Origin{X: o1.X, Y: o1.Y, Placed: true})
 	after := a.freshPairCost(i1, i2)
 	delta := after - before
-	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
+	if delta <= 0 || a.rng.Float64() < math.Exp(-costOf(delta)/temp) {
 		if !same {
 			a.mark(b1, o2.X, o2.Y, true)
 			a.mark(b2, o1.X, o1.Y, true)
@@ -936,7 +971,7 @@ func (a *annealer) trySwap(temp float64) {
 
 // cachedPairCost sums the cached cost of the nets touching either
 // instance, counting shared nets once.
-func (a *annealer) cachedPairCost(i1, i2 int) float64 {
+func (a *annealer) cachedPairCost(i1, i2 int) int64 {
 	c := a.cachedInstCost(i1)
 	for _, ni := range a.pr.netsOf[i2] {
 		// Anchors touch one instance, so i2's anchors are never shared
@@ -957,7 +992,7 @@ func (a *annealer) cachedPairCost(i1, i2 int) float64 {
 
 // freshPairCost recomputes the pair's nets under the proposed origins,
 // staging each value for commit; shared nets are computed once.
-func (a *annealer) freshPairCost(i1, i2 int) float64 {
+func (a *annealer) freshPairCost(i1, i2 int) int64 {
 	c := a.freshInstCost(i1)
 	for _, ni := range a.pr.netsOf[i2] {
 		if ni < len(a.p.Nets) {
@@ -975,40 +1010,6 @@ func (a *annealer) freshPairCost(i1, i2 int) float64 {
 		c += unplacedPenalty
 	}
 	return c
-}
-
-// checkIncremental asserts the incremental state against a full
-// recomputation (the CheckIncremental debug mode): every cached net
-// cost, the running total, and the occupancy bitmap rebuilt from the
-// origins — a stale footprint bit left by a move is invisible to the
-// cost checks.
-func (a *annealer) checkIncremental(it int) {
-	want := newOccupancy(a.p.Dev)
-	for ii, o := range a.origins {
-		if !o.Placed {
-			continue
-		}
-		for _, s := range a.p.Blocks[a.p.Instances[ii].Block].Spans {
-			want.set(o.X+s.DX, o.Y+s.Min, o.Y+s.Max, true)
-		}
-	}
-	for i, w := range want.bits {
-		if got := a.occ.bits[i]; got != w {
-			panic(fmt.Sprintf("stitch: occupancy drift at iter %d: column %d word %d holds %#x, origins say %#x",
-				it, i/want.words, i%want.words, got, w))
-		}
-	}
-	for ni := range a.netCost0 {
-		if got := a.computeNetCost(ni); got != a.netCost0[ni] {
-			panic(fmt.Sprintf("stitch: net %d cost cache drift at iter %d: cached %v, recomputed %v",
-				ni, it, a.netCost0[ni], got))
-		}
-	}
-	full := a.totalCost()
-	if d := math.Abs(full - a.cost); d > 1e-6*(1+math.Abs(full)) {
-		panic(fmt.Sprintf("stitch: incremental cost drift at iter %d: running %v, recomputed %v",
-			it, a.cost, full))
-	}
 }
 
 // fragmentation computes the free-CLB-tile count and the largest free

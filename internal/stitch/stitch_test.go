@@ -298,9 +298,11 @@ func TestFragmentationReported(t *testing.T) {
 
 func TestSwapMovesPreserveLegality(t *testing.T) {
 	// A tight problem exercises swaps; final state must be overlap-free,
-	// and the bitmap must agree with the origins all the way there.
+	// and the bitmap must agree with the origins at the chain's end
+	// (TestMoveLoopKeepsBitmapExact checks it move by move).
 	p := smallProblem(t, 40)
-	res := Run(p, Config{Seed: 9, Iterations: 30000, CheckIncremental: true})
+	checkChains(t)
+	res := Run(p, Config{Seed: 9, Iterations: 30000})
 	occ := newOccupancy(p.Dev)
 	for ii, o := range res.Origins {
 		if !o.Placed {
@@ -321,5 +323,29 @@ func TestRunEmptyProblem(t *testing.T) {
 	res := Run(p, Config{Seed: 1, Iterations: 100})
 	if res.Placed != 0 || res.Unplaced != 0 || res.FinalCost != 0 {
 		t.Errorf("empty problem must be a no-op: %+v", res)
+	}
+}
+
+// TestRunRefusesOffGridCosts: a net weight off the 1/16 grid or an
+// anchor point off the half-tile grid has no exact cost unit, and Run
+// panics on it before any move.
+func TestRunRefusesOffGridCosts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Problem)
+	}{
+		{"net-weight-0.1", func(p *Problem) { p.Nets[0].Weight = 0.1 }},
+		{"anchor-x-0.3", func(p *Problem) { p.Anchors = append(p.Anchors, Anchor{Inst: 0, X: 0.3, Y: 2, Weight: 1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallProblem(t, 4)
+			tc.mutate(p)
+			defer func() {
+				if recover() == nil {
+					t.Error("Run accepted an off-grid cost term")
+				}
+			}()
+			Run(p, Config{Seed: 1, Iterations: 100})
+		})
 	}
 }

@@ -57,7 +57,7 @@ func refTryMove(a *annealer, temp float64) (sameBlockSwap bool) {
 	a.setOrigin(ii, Origin{X: nx, Y: ny, Placed: true})
 	after := a.freshInstCost(ii)
 	delta := after - before
-	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
+	if delta <= 0 || a.rng.Float64() < math.Exp(-costOf(delta)/temp) {
 		if old.Placed && !lifted {
 			a.mark(b, old.X, old.Y, false)
 		}
@@ -114,7 +114,7 @@ func refTrySwap(a *annealer, temp float64) (sameBlockSwap bool) {
 	a.setOrigin(i2, Origin{X: o1.X, Y: o1.Y, Placed: true})
 	after := a.freshPairCost(i1, i2)
 	delta := after - before
-	if delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp) {
+	if delta <= 0 || a.rng.Float64() < math.Exp(-costOf(delta)/temp) {
 		a.mark(b1, o2.X, o2.Y, true)
 		a.mark(b2, o1.X, o1.Y, true)
 		a.cost += delta
@@ -133,7 +133,7 @@ func refTrySwap(a *annealer, temp float64) (sameBlockSwap bool) {
 // side by side from one seeded state, on the full cnvW1A1 device and on
 // the 12-worker pipeline where most swaps pair instances of one block,
 // and after every move requires the same origins, occupancy words,
-// running cost (bit for bit), accept and illegal counts and generator
+// running cost, accept and illegal counts and generator
 // state.
 func TestSwapSameBlockMatchesGeneral(t *testing.T) {
 	cases := []struct {
@@ -156,7 +156,7 @@ func TestSwapSameBlockMatchesGeneral(t *testing.T) {
 			got.initCostState()
 			want := newAnnealer(tc.p, pr, DefaultConfig(), seed)
 			want.cloneStateFrom(got)
-			temp := got.cost * initTempFrac
+			temp := costOf(got.cost) * initTempFrac
 			cooling := math.Pow(0.001, 1.0/moves)
 			for it := 0; it < moves; it++ {
 				got.tryMove(temp)
@@ -169,7 +169,7 @@ func TestSwapSameBlockMatchesGeneral(t *testing.T) {
 					t.Fatalf("%s seed %d move %d: origins differ from the reference", tc.name, seed, it)
 				case !slices.Equal(got.occ.bits, want.occ.bits):
 					t.Fatalf("%s seed %d move %d: occupancy differs from the reference", tc.name, seed, it)
-				case math.Float64bits(got.cost) != math.Float64bits(want.cost):
+				case got.cost != want.cost:
 					t.Fatalf("%s seed %d move %d: cost %v, reference %v", tc.name, seed, it, got.cost, want.cost)
 				case got.moves != want.moves || got.accepts != want.accepts || got.illegal != want.illegal:
 					t.Fatalf("%s seed %d move %d: moves/accepts/illegal %d/%d/%d, reference %d/%d/%d", tc.name, seed, it,

@@ -77,7 +77,7 @@ func Synthetic(dev *fabric.Device, scale int, seed int64) *Problem {
 		if meanArea < 2 {
 			w = 1 // sub-2-tile blocks: wider shapes can't round below 1 row
 		}
-		jitter := 0.5 + gen.Float64()*1.5
+		jitter := 0.5 + float64(gen.Float64()*1.5) // rounded: never fused
 		h := int(meanArea*jitter/float64(w) + 0.5)
 		if h < 1 {
 			h = 1

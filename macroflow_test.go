@@ -2,6 +2,7 @@ package macroflow
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -469,6 +470,12 @@ func TestDesignValidation(t *testing.T) {
 	i0, _ := d.AddInstance(ti, "i0")
 	if err := d.Connect(i0, 99, 8); err == nil {
 		t.Error("out-of-range connect must fail")
+	}
+	if err := d.Connect(i0, i0, MaxNetWidth); err != nil {
+		t.Errorf("connect at MaxNetWidth: %v", err)
+	}
+	if err := d.Connect(i0, i0, 1<<40); !errors.Is(err, ErrNetWidth) {
+		t.Errorf("connect of width 2^40 = %v, want ErrNetWidth", err)
 	}
 	f, _ := NewFlow("xc7z020")
 	if _, err := f.Compile(NewDesign(), MinSweepCF(), CompileOptions{}); err == nil {

@@ -146,10 +146,12 @@ stage_determinism() {
 	# test against the per-row reference, the move kernel's against the
 	# swap that always lifted both footprints, and the analytic descent's
 	# against the tiled, fanned-out descent it replaced, with the check
-	# that the descent allocates nothing per iteration.
+	# that the descent allocates nothing per iteration. The cost is exact:
+	# every chain's running cost and cached nets equal a recomputation at
+	# every barrier, and FinalCost equals the oracle's, all with ==.
 	echo "==> stitch determinism under -race, GOMAXPROCS=4" >&2
 	export GOMAXPROCS=4
-	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestSwapSameBlockMatchesGeneral|TestDescentMatchesReference|TestDescentAllocsFlat|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant' -race ./internal/stitch/
+	run_listed 'TestStitchTrajectoryPinned|TestLegalRowsMatchesFits|TestSwapSameBlockMatchesGeneral|TestDescentMatchesReference|TestDescentAllocsFlat|TestChains|TestSingleChainMatchesSerial|TestFinalCostAlwaysInTrace|TestAnalyticDeterministic|TestAnnealBackendIsDefault|TestShardedDeterministic|TestShardedGOMAXPROCSInvariant|TestCostUnitsExact' -race ./internal/stitch/
 	# Every seeded loop above draws through internal/rng: its generator
 	# and its precomputed bounds must draw what math/rand draws.
 	run_listed 'TestRandMatchesMathRand|TestBoundMatchesInt31n' -race ./internal/rng/
